@@ -6,19 +6,13 @@
 //! optimization for executing any MapReduce job"). The reducer builds the
 //! scaled estimate `v̂ = s/p`, transforms it, and keeps the top-k.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::sample_common::first_level_counts;
-use super::{ops, BuildResult, HistogramBuilder};
+use super::sample_common::{first_level_counts, reduce_scaled_counts};
+use super::{close_with_transform, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
 use wh_sampling::SamplingConfig;
-use wh_wavelet::hash::FxHashMap;
-use wh_wavelet::select::top_k_magnitude;
 
 /// The Basic-S sampling builder.
 #[derive(Debug, Clone, Copy)]
@@ -87,18 +81,7 @@ impl HistogramBuilder for BasicS {
             })
             .collect();
 
-        let s: Arc<Mutex<FxHashMap<u64, u64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let s_reduce = Arc::clone(&s);
-        let reduce = move |key: &WKey,
-                           vals: &[WSized<u64>],
-                           ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
-            ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            s_reduce
-                .lock()
-                .insert(key.id, vals.iter().map(|v| v.value).sum());
-        };
-        let s_finish = Arc::clone(&s);
-        let p = cfg.p();
+        let reduce = reduce_scaled_counts(cfg.p());
         // Sampled item keys live in [0, u); `u` is the tightest static
         // bound (the sample itself is data-dependent), and the
         // dense-reduce tables shrink to each partition's actual sampled
@@ -107,23 +90,7 @@ impl HistogramBuilder for BasicS {
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| {
-                let s = s_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, u64)> = s.iter().map(|(&x, &c)| (x, c)).collect();
-                entries.sort_unstable_by_key(|&(x, _)| x);
-                let coefs = wh_wavelet::sparse::sparse_transform(
-                    domain,
-                    entries.iter().map(|&(x, c)| (x, c as f64 / p)),
-                );
-                ctx.charge(s.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
-                ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(coefs, k) {
-                    ctx.emit((e.slot, e.value));
-                }
-            });
+            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
 
         let out = run_job(cluster, spec);
         let histogram = WaveletHistogram::new(domain, out.outputs);

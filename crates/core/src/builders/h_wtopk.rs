@@ -95,7 +95,7 @@ impl HistogramBuilder for HWTopk {
                     );
                     ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     let mut tb = TopBottomK::new(k);
-                    for (&slot, &w) in &coefs {
+                    for &(slot, w) in &coefs {
                         tb.offer(slot, w);
                     }
                     ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
@@ -112,14 +112,15 @@ impl HistogramBuilder for HWTopk {
                     } else {
                         None
                     };
-                    // Union of top and bottom sets, deduplicated.
-                    let mut sent: FxHashMap<u64, f64> = FxHashMap::default();
-                    for e in top.iter().chain(bottom.iter()) {
-                        sent.insert(e.slot, e.value);
-                    }
-                    let mut slots: Vec<u64> = sent.keys().copied().collect();
-                    slots.sort_unstable();
-                    for slot in slots {
+                    // Union of top and bottom sets in slot order, deduplicated.
+                    let mut sent: Vec<(u64, f64)> = top
+                        .iter()
+                        .chain(&bottom)
+                        .map(|e| (e.slot, e.value))
+                        .collect();
+                    sent.sort_unstable_by_key(|&(slot, _)| slot);
+                    sent.dedup_by_key(|&mut (slot, _)| slot);
+                    for &(slot, w) in &sent {
                         let mut flags = 0u8;
                         if kth_high_slot == Some(slot) {
                             flags |= FLAG_KTH_HIGH;
@@ -127,19 +128,18 @@ impl HistogramBuilder for HWTopk {
                         if kth_low_slot == Some(slot) {
                             flags |= FLAG_KTH_LOW;
                         }
-                        ctx.emit(WKey::four(slot), payload(flags, j, sent[&slot]));
+                        ctx.emit(WKey::four(slot), payload(flags, j, w));
                     }
-                    // Persist un-sent coefficients for rounds 2–3. The
-                    // wire-encoded save path keeps the state process-safe:
-                    // under the multi-process engine these bytes ride the
-                    // journal back to the coordinator (the paper's local
-                    // HDFS state file — still free of *charged* network).
-                    let mut remaining: Vec<(u64, f64)> = coefs
-                        .iter()
-                        .filter(|(slot, _)| !sent.contains_key(slot))
-                        .map(|(&s, &w)| (s, w))
-                        .collect();
-                    remaining.sort_unstable_by_key(|&(s, _)| s);
+                    // Persist un-sent coefficients for rounds 2–3, still in
+                    // the transform's slot order. The wire-encoded save
+                    // path keeps the state process-safe: under the
+                    // multi-process engine these bytes ride the journal
+                    // back to the coordinator (the paper's local HDFS
+                    // state file — still free of *charged* network).
+                    let mut remaining = coefs;
+                    remaining.retain(|&(slot, _)| {
+                        sent.binary_search_by_key(&slot, |&(s, _)| s).is_err()
+                    });
                     state.save_wire(j, &remaining);
                 })
             })

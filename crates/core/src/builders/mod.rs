@@ -30,7 +30,10 @@ pub use two_level_s::TwoLevelS;
 
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
-use wh_mapreduce::{ClusterConfig, RunMetrics};
+use wh_mapreduce::wire::WKey;
+use wh_mapreduce::{ClusterConfig, ReduceContext, RunMetrics};
+use wh_wavelet::select::top_k_magnitude;
+use wh_wavelet::Domain;
 
 /// Output of one histogram construction.
 #[derive(Debug, Clone)]
@@ -49,6 +52,48 @@ pub trait HistogramBuilder {
 
     /// Builds the best-k-term histogram of `dataset` on `cluster`.
     fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult;
+}
+
+/// The reduce-side context of every 1-D builder job (and `SendCoef2d`):
+/// reducers emit `(key, folded value)` records into it, the Close hook
+/// takes them and emits `(slot, coefficient)` records in their place.
+pub(crate) type KeyedOutputs = ReduceContext<(u64, f64)>;
+
+/// Reducer of the builders that ship additive `f64` parts (local
+/// coefficients, sketch counters): one `(key, Σ parts)` record per key into
+/// the partition's own output, parts folded in split order.
+fn reduce_sum(key: &WKey, vals: &[f64], ctx: &mut KeyedOutputs) {
+    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
+    ctx.emit((key.id, vals.iter().sum()));
+}
+
+/// Replaces the context's outputs by the top-k of `coefs`.
+fn emit_top_k(ctx: &mut KeyedOutputs, coefs: Vec<(u64, f64)>, k: usize) {
+    ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
+    for e in top_k_magnitude(coefs, k) {
+        ctx.emit((e.slot, e.value));
+    }
+}
+
+/// The Close hook of the builders whose reducers emit one summed
+/// coefficient per slot (Send-Coef, 1-D and 2-D): takes the stitched
+/// reducer outputs and emits their top-k in their place. Selection is a
+/// total order on `(|w|, slot)`, so the partition-major arrival order is
+/// irrelevant.
+pub(crate) fn close_with_top_k(ctx: &mut KeyedOutputs, k: usize) {
+    let w = ctx.take_outputs();
+    emit_top_k(ctx, w, k);
+}
+
+/// The Close hook of the builders whose reducers emit one
+/// `(key, estimated frequency)` per key (Send-V and the three samplers):
+/// takes the stitched reducer outputs, runs the `O(|v| log u)` sparse
+/// transform over them, and emits the top-k coefficients in their place.
+fn close_with_transform(ctx: &mut KeyedOutputs, domain: Domain, k: usize) {
+    let v = ctx.take_outputs();
+    ctx.charge(v.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
+    let coefs = wh_wavelet::sparse::sparse_transform(domain, v);
+    emit_top_k(ctx, coefs, k);
 }
 
 /// Cost-model constants shared by the builders: abstract CPU ops charged

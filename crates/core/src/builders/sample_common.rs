@@ -1,9 +1,10 @@
-//! Shared map-side machinery of the three sampling builders: the
-//! first-level sample (the RandomRecordReader of Appendix B) aggregated
-//! into local counts.
+//! Shared machinery of the three sampling builders: the first-level
+//! sample (the RandomRecordReader of Appendix B) aggregated into local
+//! counts, and the count-scaling reducer of Basic-S / Improved-S.
 
-use super::ops;
+use super::{ops, KeyedOutputs};
 use wh_data::Dataset;
+use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::MapContext;
 use wh_sampling::SamplingConfig;
 use wh_wavelet::hash::FxHashMap;
@@ -35,4 +36,16 @@ where
         *counts.entry(r.key).or_insert(0) += 1;
     }
     (counts, t_j)
+}
+
+/// Reducer of Basic-S and Improved-S: `v̂(x) = s(x)/p` at first-level
+/// sampling rate `p`, one record per sampled key.
+pub fn reduce_scaled_counts(
+    p: f64,
+) -> impl Fn(&WKey, &[WSized<u64>], &mut KeyedOutputs) + Send + Sync {
+    move |key, vals, ctx| {
+        ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
+        let s: u64 = vals.iter().map(|v| v.value).sum();
+        ctx.emit((key.id, s as f64 / p));
+    }
 }

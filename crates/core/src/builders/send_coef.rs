@@ -7,17 +7,12 @@
 //! `log u + 1` coefficients, so the number of non-zero local coefficients
 //! is almost always much larger than the number of distinct keys.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{close_with_top_k, ops, reduce_sum, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
 use wh_wavelet::hash::FxHashMap;
-use wh_wavelet::select::top_k_magnitude;
 
 /// The Send-Coef baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,44 +58,26 @@ impl HistogramBuilder for SendCoef {
                         local.iter().map(|(&x, &c)| (x, c as f64)),
                     );
                     ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
-                    let mut slots: Vec<u64> = coefs.keys().copied().collect();
-                    slots.sort_unstable();
-                    for slot in slots {
-                        ctx.emit(WKey::four(slot), coefs[&slot]);
+                    for (slot, w) in coefs {
+                        ctx.emit(WKey::four(slot), w);
                     }
                 })
             })
             .collect();
 
-        let acc: Arc<Mutex<FxHashMap<u64, f64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let acc_reduce = Arc::clone(&acc);
-        let reduce =
-            move |key: &WKey, vals: &[f64], ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                acc_reduce.lock().insert(key.id, vals.iter().sum());
-            };
-        let acc_finish = Arc::clone(&acc);
+        // Reducer: w_i = Σ_j w_{i,j}, one record per coefficient into its
+        // own partition's output; Close selects over all of them.
+        //
         // Coefficient indices live in [0, u) and the sparse transform can
         // emit any of them, so `u` is the tight exclusive bound: radix
         // keys + bounded domain select the dense-reduce strategy, whose
         // per-partition tables size themselves to each partition's actual
         // key range (hash partitioning spreads [0, u) across reducers).
-        let spec = JobSpec::new("send-coef", map_tasks, reduce)
+        let spec = JobSpec::new("send-coef", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| {
-                let w = acc_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, f64)> = w.iter().map(|(&s, &c)| (s, c)).collect();
-                entries.sort_unstable_by_key(|&(s, _)| s);
-                ctx.charge(w.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(entries.iter().copied(), k) {
-                    ctx.emit((e.slot, e.value));
-                }
-            });
+            .with_finish(move |ctx| close_with_top_k(ctx, k));
 
         let out = run_job(cluster, spec);
         let histogram = WaveletHistogram::new(domain, out.outputs);

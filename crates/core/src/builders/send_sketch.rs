@@ -10,11 +10,7 @@
 //! (`(log u + 1) · levels · rows` row-updates) is why the paper measures
 //! it as the slowest method by far.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{ops, reduce_sum, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
@@ -95,28 +91,24 @@ impl HistogramBuilder for SendSketch {
             })
             .collect();
 
-        let merged: Arc<Mutex<GroupCountSketch>> =
-            Arc::new(Mutex::new(GroupCountSketch::new(domain, params)));
         // Keys are global GCS counter indices in [0, total_counters):
         // the sketch never emits an index beyond its own size, so this is
         // the tight exclusive bound (and far smaller than `u`, which
         // keeps the dense-reduce slot arrays tiny).
-        let counter_domain = merged.lock().total_counters() as u64;
-        let merged_reduce = Arc::clone(&merged);
-        let reduce =
-            move |key: &WKey, vals: &[f64], ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                merged_reduce.lock().add_counter(key.id, vals.iter().sum());
-            };
-        let merged_finish = Arc::clone(&merged);
-        let spec = JobSpec::new("send-sketch", map_tasks, reduce)
+        let mut merged = GroupCountSketch::new(domain, params);
+        let counter_domain = merged.total_counters() as u64;
+        // Reducer (`reduce_sum`): sketches are linear, so a merged counter is
+        // the sum of the local ones; Close rebuilds the merged sketch from them.
+        let spec = JobSpec::new("send-sketch", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(counter_domain))
             .with_finish(move |ctx| {
-                let sketch = merged_finish.lock();
+                for (idx, v) in ctx.take_outputs() {
+                    merged.add_counter(idx, v);
+                }
                 let budget = 8 * k.max(1) * domain.log_u().max(1) as usize;
-                let top = sketch.topk(k, budget);
+                let top = merged.topk(k, budget);
                 // Best-first descent: each expansion probes `branching` child
                 // groups over `rows` rows of `subbuckets` counters.
                 ctx.charge(

@@ -7,11 +7,7 @@
 //! the paper (and [13]) moved to the Group-Count Sketch. This builder
 //! exists as the ablation partner of [`super::SendSketch`].
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{ops, reduce_sum, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
@@ -100,24 +96,20 @@ impl HistogramBuilder for SendSketchAms {
             })
             .collect();
 
-        let merged: Arc<Mutex<AmsWaveletSketch>> =
-            Arc::new(Mutex::new(AmsWaveletSketch::new(domain, rows, cols, seed)));
-        let merged_reduce = Arc::clone(&merged);
-        let reduce =
-            move |key: &WKey, vals: &[f64], ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                merged_reduce.lock().add_counter(key.id, vals.iter().sum());
-            };
-        let merged_finish = Arc::clone(&merged);
+        // Reducer (`reduce_sum`): sketches are linear, so a merged counter is
+        // the sum of the local ones; Close rebuilds the merged sketch from them.
         // Keys are CountSketch counter indices in [0, rows · cols): the
         // tight exclusive bound of `counter_entries`, far smaller than
         // `u` — dense-reduce slot arrays stay a few KB per partition.
-        let spec = JobSpec::new("send-sketch-ams", map_tasks, reduce)
+        let spec = JobSpec::new("send-sketch-ams", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain((rows * cols) as u64))
             .with_finish(move |ctx| {
-                let sketch = merged_finish.lock();
+                let mut sketch = AmsWaveletSketch::new(domain, rows, cols, seed);
+                for (idx, v) in ctx.take_outputs() {
+                    sketch.add_counter(idx, v);
+                }
                 // Exhaustive query: probe every slot.
                 ctx.charge(domain.u_f64() * rows as f64 * ops::SKETCH_ROW_UPDATE);
                 for e in sketch.topk_exhaustive(k) {

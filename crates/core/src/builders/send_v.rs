@@ -7,17 +7,12 @@
 //! keeps the top-k. Communication is `O(m·u)` in the worst case — the
 //! drawback motivating H-WTopk.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{close_with_transform, ops, BuildResult, HistogramBuilder, KeyedOutputs};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
 use wh_wavelet::hash::FxHashMap;
-use wh_wavelet::select::top_k_magnitude;
 
 /// The Send-V baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,18 +64,13 @@ impl HistogramBuilder for SendV {
             })
             .collect();
 
-        // Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), then
-        // transform + top-k in Close.
-        let v: Arc<Mutex<FxHashMap<u64, u64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let v_reduce = Arc::clone(&v);
-        let reduce = move |key: &WKey,
-                           vals: &[WSized<u64>],
-                           ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
+        // Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), one
+        // record per key; Close transforms the exact sums and keeps the top-k.
+        let reduce = |key: &WKey, vals: &[WSized<u64>], ctx: &mut KeyedOutputs| {
             let total: u64 = vals.iter().map(|s| s.value).sum();
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            v_reduce.lock().insert(key.id, total);
+            ctx.emit((key.id, total as f64));
         };
-        let v_finish = Arc::clone(&v);
         // Item keys live in [0, u) and any item can occur, so `u` is the
         // tight exclusive bound: radix keys + bounded domain select the
         // dense-reduce strategy, whose per-partition tables size
@@ -89,24 +79,7 @@ impl HistogramBuilder for SendV {
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| {
-                let v = v_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, u64)> = v.iter().map(|(&x, &c)| (x, c)).collect();
-                entries.sort_unstable_by_key(|&(x, _)| x);
-                // Sparse transform at the reducer: O(|v| log u).
-                let coefs = wh_wavelet::sparse::sparse_transform(
-                    domain,
-                    entries.iter().map(|&(x, c)| (x, c as f64)),
-                );
-                ctx.charge(v.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
-                ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(coefs, k) {
-                    ctx.emit((e.slot, e.value));
-                }
-            });
+            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
 
         let out = run_job(cluster, spec);
         let histogram = WaveletHistogram::new(domain, out.outputs);

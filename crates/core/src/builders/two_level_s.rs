@@ -8,12 +8,8 @@
 //! `ŝ(x) = ρ(x) + M/(ε√m)` (Theorem 1), scales by `1/p`, transforms, and
 //! keeps the top-k. Expected communication is `O(√m/ε)` (Theorem 3).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use super::sample_common::first_level_counts;
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{close_with_transform, ops, BuildResult, HistogramBuilder, KeyedOutputs};
 use crate::histogram::WaveletHistogram;
 use wh_data::{Dataset, SplitMix64};
 use wh_mapreduce::wire::WKey;
@@ -21,8 +17,6 @@ use wh_mapreduce::{
     run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, WireCodec, WireError, WireSize,
 };
 use wh_sampling::{SamplingConfig, TwoLevelAccumulator, TwoLevelPair};
-use wh_wavelet::hash::FxHashMap;
-use wh_wavelet::select::top_k_magnitude;
 
 /// Wire wrapper for [`TwoLevelPair`]: an exact count costs 4 bytes, a bare
 /// marker costs nothing beyond its key — matching the paper's accounting
@@ -129,20 +123,15 @@ impl HistogramBuilder for TwoLevelS {
             })
             .collect();
 
-        let s: Arc<Mutex<FxHashMap<u64, TwoLevelAccumulator>>> =
-            Arc::new(Mutex::new(FxHashMap::default()));
-        let s_reduce = Arc::clone(&s);
-        let reduce = move |key: &WKey,
-                           vals: &[TlValue],
-                           ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
+        // Reducer: v̂(x) = ŝ(x)/p from the key's exact counts and markers.
+        let reduce = move |key: &WKey, vals: &[TlValue], ctx: &mut KeyedOutputs| {
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
             let mut acc = TwoLevelAccumulator::default();
             for v in vals {
                 acc.absorb(v.0);
             }
-            s_reduce.lock().insert(key.id, acc);
+            ctx.emit((key.id, acc.estimate_v(&cfg)));
         };
-        let s_finish = Arc::clone(&s);
         // Sampled item keys live in [0, u); `u` is the tightest static
         // bound (second-level draws are data-dependent), and the
         // dense-reduce tables shrink to each partition's actual key range
@@ -151,23 +140,7 @@ impl HistogramBuilder for TwoLevelS {
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| {
-                let s = s_finish.lock();
-                // Iterate the shared accumulator in key order: with parallel reduce
-                // partitions, hash-map layout depends on racy cross-partition
-                // insertion interleaving, and float accumulation must not.
-                let mut entries: Vec<(u64, f64)> = s
-                    .iter()
-                    .map(|(&x, acc)| (x, acc.estimate_v(&cfg)))
-                    .collect();
-                entries.sort_unstable_by_key(|&(x, _)| x);
-                let coefs = wh_wavelet::sparse::sparse_transform(domain, entries.iter().copied());
-                ctx.charge(s.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
-                ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(coefs, k) {
-                    ctx.emit((e.slot, e.value));
-                }
-            });
+            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
 
         let out = run_job(cluster, spec);
         let histogram = WaveletHistogram::new(domain, out.outputs);

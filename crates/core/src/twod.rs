@@ -9,11 +9,7 @@
 //! exact method, and TwoLevel-S, over packed `(row_slot, col_slot)`
 //! coefficient addresses.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::builders::ops;
+use crate::builders::{close_with_top_k, ops, KeyedOutputs};
 use wh_data::twod::Dataset2d;
 use wh_mapreduce::cost::TaskWork;
 use wh_mapreduce::{
@@ -191,18 +187,15 @@ impl SendCoef2d {
             })
             .collect();
 
-        let acc: Arc<Mutex<FxHashMap<u64, f64>>> = Arc::new(Mutex::new(FxHashMap::default()));
-        let acc_reduce = Arc::clone(&acc);
-        let reduce = move |key: &(u16, u16),
-                           vals: &[f64],
-                           ctx: &mut wh_mapreduce::ReduceContext<(u64, f64)>| {
+        // Reducer: one record per 2-D coefficient, its per-split values
+        // folded in split order; Close selects over all of them.
+        let reduce = |key: &(u16, u16), vals: &[f64], ctx: &mut KeyedOutputs| {
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            acc_reduce.lock().insert(
+            ctx.emit((
                 pack_slot(u64::from(key.0), u64::from(key.1)),
                 vals.iter().sum(),
-            );
+            ));
         };
-        let acc_finish = Arc::clone(&acc);
         // The tight exclusive bound of the (u16, u16) radix image over
         // [0, u)²: row and col slots both stay below u.
         let hint = ((domain.u() - 1) << 16 | (domain.u() - 1)) + 1;
@@ -215,18 +208,7 @@ impl SendCoef2d {
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(engine)
-            .with_finish(move |ctx| {
-                let w = acc_finish.lock();
-                // Key order, exactly as 1-D Send-Coef: hash-map layout
-                // depends on cross-partition insertion interleaving, and
-                // float accumulation downstream must not.
-                let mut entries: Vec<(u64, f64)> = w.iter().map(|(&s, &c)| (s, c)).collect();
-                entries.sort_unstable_by_key(|&(s, _)| s);
-                ctx.charge(w.len() as f64 * ops::HEAP_OFFER);
-                for e in top_k_magnitude(entries.iter().copied(), k) {
-                    ctx.emit((e.slot, e.value));
-                }
-            });
+            .with_finish(move |ctx| close_with_top_k(ctx, k));
 
         let out = try_run_job(cluster, spec)?;
         Ok(BuildResult2d {
@@ -240,9 +222,10 @@ impl SendCoef2d {
 /// transforms, summed slot-by-slot in ascending split order, then global
 /// top-k by magnitude. Mirrors the engine's floating-point evaluation
 /// order exactly (reducers fold each slot's per-split values in split
-/// order from 0.0; the finish pass iterates slots ascending), so the
-/// engine-built histogram must match it **bit-for-bit** on any reduce
-/// strategy, thread count, or worker topology.
+/// order from 0.0; top-k selection is a total order on `(|w|, slot)`, so
+/// the order Close sees the sums in cannot matter), so the engine-built
+/// histogram must match it **bit-for-bit** on any reduce strategy, thread
+/// count, or worker topology.
 pub fn sequential_send_coef2d(dataset: &Dataset2d, k: usize) -> WaveletHistogram2d {
     let domain = dataset.domain();
     let mut per_split: Vec<SparseCoefs2d> = Vec::with_capacity(dataset.num_splits() as usize);

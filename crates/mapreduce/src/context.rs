@@ -151,6 +151,17 @@ impl<R> ReduceContext<R> {
         self.outputs.push(out);
     }
 
+    /// Takes everything emitted so far, leaving the context empty.
+    ///
+    /// For the Close hook, whose context arrives holding every reducer
+    /// emission of the round stitched partition-major (partition index
+    /// ascending, key order within a partition): a hook that aggregates
+    /// takes them, folds them, and emits the job's real output in their
+    /// place. A hook that never calls this only appends.
+    pub fn take_outputs(&mut self) -> Vec<R> {
+        std::mem::take(&mut self.outputs)
+    }
+
     /// Charges CPU work to the reducer.
     #[inline]
     pub fn charge(&mut self, ops: f64) {
@@ -183,6 +194,9 @@ mod tests {
         ctx.emit("a".into());
         ctx.charge(5.0);
         assert_eq!(ctx.outputs, vec!["a".to_string()]);
+        assert_eq!(ctx.cpu_ops, 5.0);
+        assert_eq!(ctx.take_outputs(), vec!["a".to_string()]);
+        assert!(ctx.outputs.is_empty());
         assert_eq!(ctx.cpu_ops, 5.0);
     }
 

@@ -542,11 +542,8 @@ where
         // joined again — run its loop inline on this thread instead.
         run_tasks(&mut MapWorker::new(key_codec, dense_domain));
     } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| run_tasks(&mut MapWorker::new(key_codec, dense_domain)));
-            }
-            // std::thread::scope joins all workers and re-raises any panic.
+        run_workers(workers, || {
+            run_tasks(&mut MapWorker::new(key_codec, dense_domain));
         });
     }
 
@@ -566,6 +563,27 @@ where
         key_codec,
         wall_map_s,
     )
+}
+
+/// Runs `work` on `n` scoped threads and joins every one of them,
+/// re-raising the first panic.
+///
+/// `std::thread::scope` by itself only waits until the closures have
+/// returned: the OS threads may still be exiting when the next phase
+/// spawns its own. The allocator then cannot hand the exiting threads'
+/// arenas to the new ones and opens fresh arenas instead, so how many
+/// arenas hold a build's freed memory — and with it the process's peak
+/// RSS — would depend on that race. A joined thread has exited; each
+/// phase inherits the arenas of the one before.
+fn run_workers(n: usize, work: impl Fn() + Sync) {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|_| scope.spawn(&work)).collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// Runs one map task to a [`TaskSpill`]: execute the closure, combine,
@@ -784,24 +802,20 @@ where
             .map(|runs| Mutex::new((Some(runs), None)))
             .collect();
         let next_part = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // Per-thread scratch (radix buffers + dense table),
-                    // recycled across the partitions this thread reduces —
-                    // the reduce-side mirror of the map workers' reuse.
-                    let mut scratch = ReduceScratch::new();
-                    loop {
-                        let p = next_part.fetch_add(1, Ordering::Relaxed);
-                        if p >= slots.len() {
-                            break;
-                        }
-                        let runs = slots[p].lock().0.take().expect("each partition taken once");
-                        let mut rctx = ReduceContext::new();
-                        reduce_partition(runs, plan, &mut scratch, reduce.as_ref(), &mut rctx);
-                        slots[p].lock().1 = Some(rctx);
-                    }
-                });
+        run_workers(threads, || {
+            // Per-thread scratch (radix buffers + dense table), recycled
+            // across the partitions this thread reduces — the
+            // reduce-side mirror of the map workers' reuse.
+            let mut scratch = ReduceScratch::new();
+            loop {
+                let p = next_part.fetch_add(1, Ordering::Relaxed);
+                if p >= slots.len() {
+                    break;
+                }
+                let runs = slots[p].lock().0.take().expect("each partition taken once");
+                let mut rctx = ReduceContext::new();
+                reduce_partition(runs, plan, &mut scratch, reduce.as_ref(), &mut rctx);
+                slots[p].lock().1 = Some(rctx);
             }
         });
         slots
@@ -823,10 +837,13 @@ where
         outputs.append(&mut rctx.outputs);
     }
     if let Some(f) = finish {
+        // The Close hook sees the stitched reducer emissions and may
+        // replace them (`ReduceContext::take_outputs`) or append to them.
         let mut rctx = ReduceContext::new();
+        rctx.outputs = outputs;
         f(&mut rctx);
         reduce_cpu += rctx.cpu_ops;
-        outputs.append(&mut rctx.outputs);
+        outputs = rctx.outputs;
     }
     let wall_reduce_s = reduce_start.elapsed().as_secs_f64();
 
@@ -1524,5 +1541,24 @@ mod tests {
         let hits: std::collections::HashSet<u64> =
             (0..64u64).map(|k| default_partition(&k) % 8).collect();
         assert!(hits.len() >= 4, "hash spreads keys across partitions");
+    }
+
+    #[test]
+    fn run_workers_runs_every_worker_to_exit() {
+        let started = AtomicUsize::new(0);
+        run_workers(4, || {
+            started.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(started.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 2 gave up")]
+    fn run_workers_reraises_a_workers_own_panic() {
+        let started = AtomicUsize::new(0);
+        run_workers(4, || {
+            let i = started.fetch_add(1, Ordering::Relaxed);
+            assert!(i != 2, "worker {i} gave up");
+        });
     }
 }

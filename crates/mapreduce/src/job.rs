@@ -36,18 +36,25 @@ pub type MapFn<K, V> = Box<dyn FnOnce(&mut MapContext<K, V>) + Send>;
 /// combiner may run zero, one, or several times over partial value lists).
 pub type CombineFn<K, V> = Arc<dyn Fn(&K, &mut Vec<V>) + Send + Sync>;
 
-/// Reducer Close hook.
+/// Reducer Close hook. Runs once, after every partition has reduced, on
+/// a [`ReduceContext`] that already holds the round's reducer emissions
+/// stitched partition-major (partition index ascending, key order within
+/// a partition) — on every engine mode. Whatever the context holds when
+/// the hook returns is the job output: a hook that only `emit`s appends
+/// to the reducer emissions, a hook that calls
+/// [`ReduceContext::take_outputs`] consumes them and emits the aggregate
+/// in their place.
 pub type FinishFn<R> = Box<dyn FnOnce(&mut ReduceContext<R>) + Send>;
 
 /// Shared reduce function: receives each `(key, values-of-that-key)` group
 /// in key order; `values` preserves the deterministic shuffle order.
 ///
 /// It is `Fn` (not `FnMut`) and shared across partitions so reduce
-/// partitions can run in parallel; cross-group state goes through the
-/// [`ReduceContext`] outputs, the Close hook, or a captured
-/// `Arc<Mutex<…>>`. Side effects on shared captures must be commutative
-/// across *partitions* (keys of different partitions never interleave
-/// deterministically); within a partition invocation order is fixed.
+/// partitions can run in parallel. Cross-group state travels as data: the
+/// reducer `emit`s one folded record per key into its own partition's
+/// [`ReduceContext`], and the Close hook ([`FinishFn`]) receives all of
+/// them in partition-major key order — no shared capture, no lock, and
+/// nothing whose order depends on which thread reduced which partition.
 pub type ReduceFn<K, V, R> = Arc<dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync>;
 
 /// Maps a key to a reduce partition (taken modulo the reducer count).
@@ -110,8 +117,9 @@ pub struct JobSpec<K, V, R> {
     /// Distributed Cache before the round starts.
     pub broadcast_bytes: u64,
     /// Reducer Close hook (the paper's Close interface, Appendix B): runs
-    /// once after every partition finished — where histograms are
-    /// assembled from aggregated state.
+    /// once after every partition finished, over their stitched emissions
+    /// — where histograms are assembled from aggregated state. See
+    /// [`FinishFn`].
     pub finish: Option<FinishFn<R>>,
     /// Execution-engine knobs: reducer count and parallelism, streaming
     /// combining, spill chunk size, key-domain hint, engine selection.
@@ -256,8 +264,10 @@ where
 /// The result of one round.
 #[derive(Debug)]
 pub struct JobOutput<R> {
-    /// Reducer outputs, in emission order (partition order, then key
-    /// order, then the Close hook's emissions).
+    /// What the reduce side left in its context: without a Close hook,
+    /// the reducer emissions in partition order, then key order; with
+    /// one, whatever the hook kept of those plus its own emissions (see
+    /// [`FinishFn`]).
     pub outputs: Vec<R>,
     /// Exact measurements for this round (`rounds == 1`).
     pub metrics: RunMetrics,

@@ -127,7 +127,7 @@ mod tests {
             .iter()
             .find(|e| e.slot == 136)
             .expect("slot 136 in top-4");
-        let true_leaf = exact[&136];
+        let true_leaf = wh_wavelet::sparse::densify(domain, &exact)[136];
         assert!(
             close(leaf.value, true_leaf, 0.2 * true_leaf.abs()),
             "{} vs {true_leaf}",

@@ -7,6 +7,18 @@
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
+/// The Haar butterfly: `(average, detail)` of the sibling values `a`
+/// (left) and `b` (right), scaled by `1/√2`.
+///
+/// The one definition of these two expressions. [`forward_in_place`], the
+/// sorted-run [`crate::sparse::sparse_transform`] and
+/// [`crate::IncrementalTransform`] all evaluate it, which is why their
+/// outputs agree bit for bit rather than to a tolerance.
+#[inline]
+pub fn pair(a: f64, b: f64) -> (f64, f64) {
+    ((a + b) * FRAC_1_SQRT_2, (b - a) * FRAC_1_SQRT_2)
+}
+
 /// Forward orthonormal Haar transform.
 ///
 /// `v.len()` must be a power of two (and non-zero).
@@ -38,10 +50,7 @@ pub fn forward_in_place(v: &mut [f64]) {
     while len > 1 {
         let half = len / 2;
         for t in 0..half {
-            let a = v[2 * t];
-            let b = v[2 * t + 1];
-            scratch[t] = (a + b) * FRAC_1_SQRT_2;
-            scratch[half + t] = (b - a) * FRAC_1_SQRT_2;
+            (scratch[t], scratch[half + t]) = pair(v[2 * t], v[2 * t + 1]);
         }
         v[..len].copy_from_slice(&scratch[..len]);
         len = half;

@@ -10,8 +10,8 @@
 //! problems by maintaining the *inputs* of the dense transform exactly —
 //! integer leaf counts — together with the per-level running averages of
 //! [`crate::haar::forward_in_place`]'s cascade, recomputed bottom-up along
-//! the dirty root-to-leaf paths with the **identical expressions** the
-//! dense pass uses:
+//! the dirty root-to-leaf paths through the dense pass's own butterfly,
+//! [`crate::haar::pair`]:
 //!
 //! ```text
 //! A_log_u(x) = count(x) as f64
@@ -32,8 +32,7 @@
 //! Memory is `O(D·log u)` for `D` distinct keys ever seen — the dirty-path
 //! ancestors — independent of the domain size `u` (which may be `2^40`).
 
-use std::f64::consts::FRAC_1_SQRT_2;
-
+use crate::haar;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::select::{top_k_magnitude, CoefEntry};
 use crate::Domain;
@@ -147,8 +146,7 @@ impl IncrementalTransform {
             for &t in &parents {
                 let a = self.level_value(q, 2 * t);
                 let b = self.level_value(q, 2 * t + 1);
-                let avg = (a + b) * FRAC_1_SQRT_2;
-                let det = (b - a) * FRAC_1_SQRT_2;
+                let (avg, det) = haar::pair(a, b);
                 self.avgs[p as usize].insert(t, avg);
                 let slot = (1u64 << p) + t;
                 if det == 0.0 {

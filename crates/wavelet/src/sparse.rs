@@ -6,15 +6,19 @@
 //! (Appendix A): they run this algorithm instead of the dense `O(u)` pass,
 //! because a 256 MB split typically has `|v_j| ≪ u`.
 //!
-//! [`coefficient_updates`] is the single-key primitive; it is also reused by
-//! the sketching crate, which must translate every key update into the same
-//! `log u + 1` coefficient-space updates.
+//! [`sparse_transform`] works on sorted runs from end to end — sorted keys
+//! in, slot-sorted coefficients out, no hash table in between — so mappers
+//! emit its output as is and reducers receive ordered streams.
+//! [`coefficient_updates`] is the single-key primitive; the sketching crate
+//! uses it to translate every key update into the same `log u + 1`
+//! coefficient-space updates.
 
-use crate::hash::FxHashMap;
+use crate::haar;
 use crate::Domain;
 
-/// Sparse coefficient vector: slot (0-based) → coefficient value.
-pub type SparseCoefs = FxHashMap<u64, f64>;
+/// Sparse coefficient vector: `(slot, value)` pairs in strictly ascending
+/// (0-based) slot order, no stored zero.
+pub type SparseCoefs = Vec<(u64, f64)>;
 
 /// Calls `emit(slot, delta)` for every wavelet coefficient affected by
 /// adding `weight` occurrences of the (0-based) key `x`.
@@ -51,33 +55,87 @@ pub fn coefficient_updates(domain: Domain, x: u64, weight: f64, mut emit: impl F
 }
 
 /// Computes all non-zero coefficients of the sparse frequency vector given
-/// by `(key, count)` pairs. Keys may repeat; counts accumulate.
+/// by `(key, count)` pairs, in ascending slot order. Keys may repeat and
+/// arrive in any order; repeated keys accumulate in arrival order.
 ///
-/// Time `O(N·log u)`, memory `O(N·log u)` for the output map.
+/// The entries are sorted by key once, then every level of the dense
+/// cascade is replayed over the non-zero blocks only: siblings are adjacent
+/// in a key-sorted run, so a level is one linear merge through
+/// [`haar::pair`] — the very expression [`haar::forward_in_place`]
+/// evaluates, with an absent sibling standing for the `0.0` the dense pass
+/// reads. The result is therefore **bit-identical** to the non-zero entries
+/// of [`haar::forward`] over the densified input. Exact zeros (sibling
+/// cancellation) are dropped; they cost space and carry no information.
+///
+/// Time `O(N·log N + N·log u)`, no hashing; memory is the output plus two
+/// level buffers of at most `N` entries.
+///
+/// # Panics
+///
+/// Debug-panics when a key is outside the domain.
 pub fn sparse_transform<I>(domain: Domain, entries: I) -> SparseCoefs
 where
     I: IntoIterator<Item = (u64, f64)>,
 {
-    let mut coefs = SparseCoefs::default();
-    for (x, c) in entries {
-        coefficient_updates(domain, x, c, |slot, delta| {
-            *coefs.entry(slot).or_insert(0.0) += delta;
-        });
+    let mut level: Vec<(u64, f64)> = entries.into_iter().collect();
+    debug_assert!(
+        level.iter().all(|&(x, _)| domain.contains(x)),
+        "key outside {domain}"
+    );
+    // Levels are walked high key → low key and the output is filled
+    // deepest level first, so one final reversal yields ascending slots.
+    // The sort is stable, so duplicates fold in arrival order like the
+    // dense `v[x] += c`; it also merges the pre-sorted runs a reducer's
+    // Close hook hands in.
+    level.sort_by_key(|&(x, _)| std::cmp::Reverse(x));
+    level.dedup_by(|dup, kept| {
+        let same = dup.0 == kept.0;
+        if same {
+            kept.1 += dup.1;
+        }
+        same
+    });
+    let mut parents: Vec<(u64, f64)> = Vec::with_capacity(level.len());
+    let mut out: SparseCoefs = Vec::with_capacity(level.len());
+    for p in (0..domain.log_u()).rev() {
+        let mut i = 0;
+        while i < level.len() {
+            let (x, val) = level[i];
+            let t = x >> 1;
+            i += 1;
+            let (a, b) = match level.get(i) {
+                // The left sibling follows its right one in a descending run.
+                Some(&(left, a)) if left >> 1 == t => {
+                    i += 1;
+                    (a, val)
+                }
+                _ if x & 1 == 1 => (0.0, val),
+                _ => (val, 0.0),
+            };
+            let (avg, detail) = haar::pair(a, b);
+            if detail != 0.0 {
+                out.push(((1u64 << p) + t, detail));
+            }
+            if avg != 0.0 {
+                parents.push((t, avg));
+            }
+        }
+        std::mem::swap(&mut level, &mut parents);
+        parents.clear();
     }
-    // Cancellation can leave exact or near-exact zeros; keep them — callers
-    // that care about wire size filter on magnitude themselves. We only drop
-    // *exact* zeros, which cost space and carry no information.
-    coefs.retain(|_, v| *v != 0.0);
-    coefs
+    // Level 0 holds at most the block-0 average: slot 0.
+    out.extend(level.first().filter(|e| e.1 != 0.0));
+    out.reverse();
+    out
 }
 
-/// Densifies a sparse coefficient map into a full vector of length `u`.
+/// Densifies a sparse coefficient run into a full vector of length `u`.
 ///
 /// Intended for tests, SSE evaluation and small-u reconstruction; for large
 /// `u` prefer [`crate::tree::ErrorTree`].
-pub fn densify(domain: Domain, coefs: &SparseCoefs) -> Vec<f64> {
+pub fn densify(domain: Domain, coefs: &[(u64, f64)]) -> Vec<f64> {
     let mut w = vec![0.0; domain.u() as usize];
-    for (&slot, &val) in coefs {
+    for &(slot, val) in coefs {
         w[slot as usize] = val;
     }
     w
@@ -88,10 +146,6 @@ mod tests {
     use super::*;
     use crate::haar::forward;
 
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-    }
-
     fn dense_from_pairs(u: usize, pairs: &[(u64, f64)]) -> Vec<f64> {
         let mut v = vec![0.0; u];
         for &(x, c) in pairs {
@@ -100,22 +154,32 @@ mod tests {
         v
     }
 
+    fn get(coefs: &[(u64, f64)], slot: u64) -> Option<f64> {
+        coefs
+            .binary_search_by_key(&slot, |&(s, _)| s)
+            .ok()
+            .map(|i| coefs[i].1)
+    }
+
     #[test]
-    fn matches_dense_transform() {
+    fn matches_dense_transform_bit_for_bit() {
         let domain = Domain::new(6).unwrap();
         let pairs = [
-            (0u64, 3.0),
+            (63u64, 1.0),
             (5, 1.0),
+            (0, 3.0),
             (5, 2.0),
             (31, 7.0),
             (32, 4.0),
-            (63, 1.0),
         ];
-        let sparse = sparse_transform(domain, pairs.iter().copied());
+        let sparse = sparse_transform(domain, pairs);
+        assert!(sparse.windows(2).all(|w| w[0].0 < w[1].0));
         let dense = forward(&dense_from_pairs(64, &pairs));
         for (slot, val) in dense.iter().enumerate() {
-            let got = sparse.get(&(slot as u64)).copied().unwrap_or(0.0);
-            assert!(close(*val, got), "slot {slot}: dense {val} sparse {got}");
+            match get(&sparse, slot as u64) {
+                Some(got) => assert_eq!(got.to_bits(), val.to_bits(), "slot {slot}"),
+                None => assert_eq!(*val, 0.0, "slot {slot} dropped"),
+            }
         }
     }
 
@@ -139,6 +203,13 @@ mod tests {
         assert!(got[1].1 > 0.0); // right half at level 0
         assert!(got[2].1 < 0.0); // left half at level 1
         assert!(got[3].1 > 0.0); // right half at level 2
+
+        // The transform touches the same path with the same signs.
+        let path = sparse_transform(domain, [(5u64, 1.0)]);
+        assert_eq!(path.iter().map(|e| e.0).collect::<Vec<_>>(), slots);
+        for (a, b) in path.iter().zip(&got) {
+            assert!((a.1 - b.1).abs() < 1e-15);
+        }
     }
 
     #[test]
@@ -147,20 +218,31 @@ mod tests {
         let domain = Domain::new(4).unwrap();
         let coefs = sparse_transform(domain, [(2u64, 1.0), (3u64, 1.0)]);
         // Leaf detail for the pair (2,3): slot 8 + 1 = 9 must be gone.
-        assert!(!coefs.contains_key(&9));
-        assert!(coefs.contains_key(&0));
+        assert_eq!(get(&coefs, 9), None);
+        assert!(get(&coefs, 0).is_some());
+        assert!(coefs.iter().all(|e| e.1 != 0.0));
+        // Opposite weights cancel every average above the leaf instead.
+        let coefs = sparse_transform(domain, [(2u64, 1.0), (3u64, -1.0)]);
+        assert_eq!(coefs.len(), 1);
+        assert_eq!(coefs[0].0, 9);
+    }
+
+    #[test]
+    fn empty_and_unit_domain() {
+        assert!(sparse_transform(Domain::new(7).unwrap(), []).is_empty());
+        let unit = Domain::new(0).unwrap();
+        assert_eq!(sparse_transform(unit, [(0u64, 2.0), (0, 3.0)]), [(0, 5.0)]);
     }
 
     #[test]
     fn densify_roundtrip() {
         let domain = Domain::new(5).unwrap();
         let pairs = [(1u64, 2.0), (17, 5.0)];
-        let coefs = sparse_transform(domain, pairs.iter().copied());
-        let dense = densify(domain, &coefs);
-        let expect = forward(&dense_from_pairs(32, &pairs));
-        for i in 0..32 {
-            assert!(close(dense[i], expect[i]));
-        }
+        let coefs = sparse_transform(domain, pairs);
+        assert_eq!(
+            densify(domain, &coefs),
+            forward(&dense_from_pairs(32, &pairs))
+        );
     }
 
     #[test]
@@ -168,12 +250,12 @@ mod tests {
         let domain = Domain::new(8).unwrap();
         let a = [(3u64, 1.0), (100, 2.0)];
         let b = [(3u64, 4.0), (200, 1.0)];
-        let wa = sparse_transform(domain, a.iter().copied());
-        let wb = sparse_transform(domain, b.iter().copied());
+        let wa = densify(domain, &sparse_transform(domain, a));
+        let wb = densify(domain, &sparse_transform(domain, b));
         let wab = sparse_transform(domain, a.iter().chain(b.iter()).copied());
-        for (slot, v) in &wab {
-            let s = wa.get(slot).copied().unwrap_or(0.0) + wb.get(slot).copied().unwrap_or(0.0);
-            assert!(close(*v, s));
+        for &(slot, v) in &wab {
+            let s = wa[slot as usize] + wb[slot as usize];
+            assert!((v - s).abs() <= 1e-9 * (1.0 + v.abs()));
         }
     }
 }

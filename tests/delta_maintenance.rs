@@ -258,9 +258,9 @@ fn coefficient_merge_with_full_retention_is_exact_and_parseval_holds() {
 
     // Full retention: the merge is exact, so reconstruction equals the
     // concatenated frequency vector (up to float summation order).
-    let base = WaveletHistogram::new(domain, base_coefs.iter().map(|(&s, &v)| (s, v)));
+    let base = WaveletHistogram::new(domain, base_coefs.iter().copied());
     // k = u retains every one of the ≤ u non-zero slots: full retention.
-    let merged = base.merge_delta(delta_coefs.iter().map(|(&s, &v)| (s, v)), u);
+    let merged = base.merge_delta(delta_coefs.iter().copied(), u);
     let recon = merged.reconstruct();
     let truth: Vec<f64> = base_ds
         .exact_frequency_vector()
@@ -281,7 +281,7 @@ fn coefficient_merge_with_full_retention_is_exact_and_parseval_holds() {
     // Pruned to k after an exact merge, the SSE against the concatenated
     // truth is exactly the dropped coefficient energy (Parseval) — a
     // bound no "old top-k ∪ touched" shortcut would meet.
-    let pruned = base.merge_delta(delta_coefs.iter().map(|(&s, &v)| (s, v)), K);
+    let pruned = base.merge_delta(delta_coefs.iter().copied(), K);
     let recon_pruned = pruned.reconstruct();
     let sse: f64 = recon_pruned
         .iter()

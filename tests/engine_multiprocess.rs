@@ -283,6 +283,90 @@ fn empty_job_runs_without_forking() {
     assert_eq!(out.metrics.bytes_on_wire(), 0);
 }
 
+/// The Close hook's engine contract. A hook that calls `take_outputs()`
+/// sees exactly the reducer emissions, partition-major and key-ordered
+/// within a partition, and what it re-emits *is* the job output; a hook
+/// that only `emit`s appends to them (what the H-WTopk rounds' absent
+/// hooks and `empty_job_*_runs_finish` rely on). Same on all three
+/// engines, at any reducer and reduce-thread count — the job shuffles
+/// past the pipelined engine's serial-reduce threshold so the threaded
+/// stitch is the one under test.
+#[test]
+fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
+    const KEYS: u64 = 300;
+    const SPLITS: u64 = 8;
+    const PER_SPLIT: u64 = 1_200;
+    const MARK: u64 = u64::MAX;
+    let job = |engine: EngineConfig, consume: bool| {
+        let tasks: Vec<MapTask<WKey, u64>> = (0..SPLITS)
+            .map(|j| {
+                MapTask::new(j as u32, move |ctx: &mut MapContext<WKey, u64>| {
+                    for i in 0..PER_SPLIT {
+                        ctx.emit(WKey::four((i * (j + 3)) % KEYS), 1);
+                    }
+                })
+            })
+            .collect();
+        let spec = JobSpec::new(
+            "close-contract",
+            tasks,
+            |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
+                ctx.emit((k.id, vs.iter().sum()));
+            },
+        )
+        // Partition = key mod reducers: the expected layout below needs no
+        // knowledge of the engine's default hash.
+        .with_partitioner(|k: &WKey| k.id)
+        .with_wire_codec()
+        .with_engine(engine)
+        .with_finish(move |ctx| {
+            if consume {
+                let seen = ctx.take_outputs();
+                ctx.emit((MARK, seen.len() as u64));
+                for e in seen.into_iter().rev() {
+                    ctx.emit(e);
+                }
+            } else {
+                ctx.emit((MARK, 0));
+            }
+        });
+        try_run_job(&ClusterConfig::paper_cluster(), spec)
+            .unwrap()
+            .outputs
+    };
+    let mut counts = vec![0u64; KEYS as usize];
+    for j in 0..SPLITS {
+        for i in 0..PER_SPLIT {
+            counts[((i * (j + 3)) % KEYS) as usize] += 1;
+        }
+    }
+    for reducers in [1u32, 2, 8] {
+        let stitched: Vec<(u64, u64)> = (0..u64::from(reducers))
+            .flat_map(|p| (0..KEYS).filter(move |k| k % u64::from(reducers) == p))
+            .filter(|&k| counts[k as usize] > 0)
+            .map(|k| (k, counts[k as usize]))
+            .collect();
+        let mut consumed = vec![(MARK, stitched.len() as u64)];
+        consumed.extend(stitched.iter().rev());
+        let mut appended = stitched.clone();
+        appended.push((MARK, 0));
+        for threads in [1usize, 4] {
+            for (mode, base) in [
+                ("pipelined", EngineConfig::default()),
+                ("reference", EngineConfig::reference()),
+                ("multi-process", EngineConfig::multi_process()),
+            ] {
+                let engine = base
+                    .with_reducers(reducers)
+                    .with_reducer_parallelism(threads);
+                let ctx = format!("{mode} R={reducers} T={threads}");
+                assert_eq!(job(engine, true), consumed, "{ctx}: consuming hook");
+                assert_eq!(job(engine, false), appended, "{ctx}: emit-only hook");
+            }
+        }
+    }
+}
+
 fn splits_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
     prop::collection::vec(prop::collection::vec(0u64..60, 0..70), 1..10)
 }

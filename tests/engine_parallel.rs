@@ -124,17 +124,12 @@ fn histogram_job(
             })
         })
         .collect();
-    let acc = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let acc_reduce = std::sync::Arc::clone(&acc);
     let spec = JobSpec::new(
         "hist-wc",
         tasks,
-        move |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, f64)>| {
+        |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, f64)>| {
             ctx.charge(vs.len() as f64);
-            acc_reduce
-                .lock()
-                .expect("no poisoned reducers")
-                .push((k.id, vs.iter().sum::<u64>()));
+            ctx.emit((k.id, vs.iter().sum::<u64>() as f64));
         },
     )
     .with_combiner(|_k, vs: &mut Vec<u64>| {
@@ -144,11 +139,8 @@ fn histogram_job(
     })
     .with_engine(engine)
     .with_finish(move |ctx| {
-        let counts = acc.lock().expect("no poisoned reducers");
-        let coefs = wavelet_hist::wavelet::sparse::sparse_transform(
-            domain,
-            counts.iter().map(|&(x, c)| (x, c as f64)),
-        );
+        let counts = ctx.take_outputs();
+        let coefs = wavelet_hist::wavelet::sparse::sparse_transform(domain, counts);
         for e in wavelet_hist::wavelet::select::top_k_magnitude(coefs, 8) {
             ctx.emit((e.slot, e.value));
         }

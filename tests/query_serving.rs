@@ -383,7 +383,7 @@ fn delta_merged_histograms_stay_bounded_for_every_builder() {
 
     for (name, builder) in builders() {
         let hist = builder.build(&base, &cluster, K).histogram;
-        let merged = hist.merge_delta(delta_coefs.iter().map(|(&s, &v)| (s, v)), K);
+        let merged = hist.merge_delta(delta_coefs.iter().copied(), K);
         assert!(merged.len() <= K, "{name}: budget respected");
         assert_eq!(merged.domain(), hist.domain(), "{name}");
         let compiled = CompiledHistogram::compile(&merged);

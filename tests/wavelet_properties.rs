@@ -15,6 +15,72 @@ fn sparse_pairs(log_u: u32) -> impl Strategy<Value = Vec<(u64, f64)>> {
     )
 }
 
+/// The sparse transform's whole contract, against the dense oracle over
+/// the same arrival-order accumulated input: strictly ascending slots, no
+/// stored zero, and every non-zero dense coefficient present with the
+/// **same bits** — the sorted-run cascade evaluates `haar::pair`, the dense
+/// pass's own expression, so there is no tolerance to grant.
+fn assert_sparse_is_dense(log_u: u32, pairs: &[(u64, f64)]) -> Result<(), TestCaseError> {
+    let domain = Domain::new(log_u).expect("valid");
+    let coefs = sparse::sparse_transform(domain, pairs.iter().copied());
+    prop_assert!(
+        coefs.windows(2).all(|w| w[0].0 < w[1].0),
+        "slots not strictly ascending: {coefs:?}"
+    );
+    prop_assert!(
+        coefs.iter().all(|&(_, w)| w != 0.0),
+        "stored zero: {coefs:?}"
+    );
+    let mut v = vec![0.0f64; 1 << log_u];
+    for &(k, c) in pairs {
+        v[k as usize] += c;
+    }
+    let dense = haar::forward(&v);
+    prop_assert_eq!(coefs.len(), dense.iter().filter(|&&w| w != 0.0).count());
+    let got = sparse::densify(domain, &coefs);
+    for (slot, (&got, &want)) in got.iter().zip(&dense).enumerate() {
+        // A dropped slot densifies to +0.0 where the dense pass may hold
+        // a cancelled −0.0: equal as numbers, the one non-bit comparison.
+        prop_assert!(
+            got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+            "log_u {log_u} slot {slot}: {got:e} vs {want:e}"
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn sparse_transform_edge_cases_at_small_mid_and_large_domains() {
+    for log_u in [1u32, 7, 12] {
+        let domain = Domain::new(log_u).expect("valid");
+        let u = domain.u();
+        assert!(
+            sparse::sparse_transform(domain, []).is_empty(),
+            "empty input"
+        );
+        // Equal siblings cancel their shared leaf detail and nothing else.
+        let (a, b) = (u - 2, u - 1);
+        let leaf = u / 2 + a / 2;
+        let equal = [(a, 2.5), (b, 2.5)];
+        let coefs = sparse::sparse_transform(domain, equal);
+        assert!(coefs.iter().all(|e| e.0 != leaf), "log_u {log_u}");
+        assert_eq!(coefs.len() as u32, log_u, "log_u {log_u}: path minus leaf");
+        assert_sparse_is_dense(log_u, &equal).unwrap();
+        // Opposite siblings cancel every average: only the leaf detail.
+        let opposite = [(a, 2.5), (b, -2.5)];
+        let coefs = sparse::sparse_transform(domain, opposite);
+        assert_eq!(coefs.iter().map(|e| e.0).collect::<Vec<_>>(), [leaf]);
+        assert_sparse_is_dense(log_u, &opposite).unwrap();
+        // Duplicates fold before the cascade: a key that nets to zero is absent.
+        let netted = [(a, 4.0), (0, 1.0), (a, -4.0)];
+        assert_eq!(
+            sparse::sparse_transform(domain, netted),
+            sparse::sparse_transform(domain, [(0, 1.0)])
+        );
+        assert_sparse_is_dense(log_u, &netted).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -48,17 +114,24 @@ proptest! {
 
     #[test]
     fn sparse_transform_matches_dense(pairs in sparse_pairs(7)) {
-        let domain = Domain::new(7).expect("valid");
-        let coefs = sparse::sparse_transform(domain, pairs.iter().copied());
-        let mut v = vec![0.0f64; 128];
-        for &(k, c) in &pairs {
-            v[k as usize] += c;
-        }
-        let dense = haar::forward(&v);
-        for (slot, &want) in dense.iter().enumerate() {
-            let got = coefs.get(&(slot as u64)).copied().unwrap_or(0.0);
-            prop_assert!((got - want).abs() < 1e-8 * (1.0 + want.abs()),
-                "slot {slot}: {got} vs {want}");
+        assert_sparse_is_dense(7, &pairs)?;
+    }
+
+    #[test]
+    fn sparse_transform_matches_dense_on_signed_duplicates(
+        raw in prop::collection::vec((0u64..4096, -3i32..4), 0..60),
+    ) {
+        for log_u in [1u32, 7, 12] {
+            let top = (1u64 << log_u) - 1;
+            // Keys spread over the whole domain, then packed into its last
+            // 16 keys so duplicates and cancelling siblings are the norm.
+            for mask in [top, top.min(15)] {
+                let pairs: Vec<(u64, f64)> = raw
+                    .iter()
+                    .map(|&(k, c)| ((top - mask) | (k & mask), f64::from(c)))
+                    .collect();
+                assert_sparse_is_dense(log_u, &pairs)?;
+            }
         }
     }
 
