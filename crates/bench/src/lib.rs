@@ -9,20 +9,14 @@
 //!
 //! Run `cargo run -p wh-bench --release --bin figures -- all` to
 //! regenerate everything into `results/*.csv`, or pass a figure id
-//! (`fig5`, `fig6`, …). EXPERIMENTS.md records the scaling and the
-//! paper-vs-measured comparison per figure.
+//! (`fig5`, `fig6`, …); [`defaults::Defaults`] documents the scaling.
 //!
-//! The [`suite`] module is the engine-regression harness behind
-//! `cargo run -p wh-bench --release --bin bench_suite`: a fixed set of
-//! wall-clock benchmarks comparing the pipelined execution engine against
-//! the preserved seed engine — at pinned 1- and 4-thread budgets as well
-//! as unpinned — emitting `BENCH_PR10.json` and gating CI on >25 %
-//! relative regressions per section, plus an absolute serving-rate
-//! floor on the 4-thread leg's `serve_throughput`.
+//! Wall-clock performance is measured elsewhere: the stand-alone
+//! `/benchmark` package (see `benchmark/README.md`) is the repository's
+//! one performance harness.
 
 pub mod defaults;
 pub mod figures;
-pub mod suite;
 pub mod table;
 
 pub use defaults::Defaults;

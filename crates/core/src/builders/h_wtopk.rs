@@ -27,7 +27,7 @@ use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{
-    run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, RunMetrics, StateStore,
+    run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, ReduceContext, RunMetrics, StateStore,
 };
 use wh_topk::Coordinator;
 use wh_wavelet::hash::{FxHashMap, FxHashSet};
@@ -43,6 +43,29 @@ const FLAG_KTH_LOW: u8 = 2;
 
 fn payload(flags: u8, split: u32, w: f64) -> Payload {
     WSized::new((flags, split, w), 12)
+}
+
+/// One message as the coordinator receives it:
+/// `(slot, flags, split, coefficient)`.
+type Message = (u64, u8, u32, f64);
+
+/// The reducer of all three rounds: hands every message of a coefficient
+/// on to the coordinator, in `(split, arrival)` order.
+fn forward_messages(key: &WKey, vals: &[Payload], ctx: &mut ReduceContext<Message>) {
+    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
+    for v in vals {
+        let (flags, split, w) = v.value;
+        ctx.emit((key.id, flags, split, w));
+    }
+}
+
+/// Groups one round's messages per node (split id), keeping their order.
+fn group_per_node(messages: &[Message], m: usize) -> Vec<Vec<(u64, f64)>> {
+    let mut per_node = vec![Vec::new(); m];
+    for &(slot, _flags, split, w) in messages {
+        per_node[split as usize].push((slot, w));
+    }
+    per_node
 }
 
 /// The H-WTopk exact builder.
@@ -144,16 +167,6 @@ impl HistogramBuilder for HWTopk {
                 })
             })
             .collect();
-        let reduce =
-            |key: &WKey,
-             vals: &[Payload],
-             ctx: &mut wh_mapreduce::ReduceContext<(u64, u8, u32, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                for v in vals {
-                    let (flags, split, w) = v.value;
-                    ctx.emit((key.id, flags, split, w));
-                }
-            };
         // All three rounds key their messages by wavelet coefficient
         // index, and rounds 2–3 only re-send indices already seen in
         // round 1 — so `u` is the tight exclusive bound for every round,
@@ -163,7 +176,7 @@ impl HistogramBuilder for HWTopk {
         let engine = self.engine.with_key_domain(domain.u());
         let out = run_job(
             cluster,
-            JobSpec::new("h-wtopk-r1", map_tasks, reduce)
+            JobSpec::new("h-wtopk-r1", map_tasks, forward_messages)
                 .with_radix_keys()
                 .with_wire_codec()
                 .with_state_store(Arc::clone(&state))
@@ -172,12 +185,11 @@ impl HistogramBuilder for HWTopk {
         metrics.absorb(&out.metrics);
 
         // Coordinator: group round-1 messages per node.
-        let mut per_node: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
+        let per_node = group_per_node(&out.outputs, m);
         let mut kth_high: Vec<Option<f64>> = vec![None; m];
         let mut kth_low: Vec<Option<f64>> = vec![None; m];
-        for (slot, flags, split, w) in out.outputs {
+        for &(_slot, flags, split, w) in &out.outputs {
             let j = split as usize;
-            per_node[j].push((slot, w));
             if flags & FLAG_KTH_HIGH != 0 {
                 kth_high[j] = Some(w);
             }
@@ -207,20 +219,10 @@ impl HistogramBuilder for HWTopk {
                 })
             })
             .collect();
-        let reduce =
-            |key: &WKey,
-             vals: &[Payload],
-             ctx: &mut wh_mapreduce::ReduceContext<(u64, u8, u32, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                for v in vals {
-                    let (flags, split, w) = v.value;
-                    ctx.emit((key.id, flags, split, w));
-                }
-            };
         // T₁/m rides the Job Configuration: one 8-byte double.
         let out = run_job(
             cluster,
-            JobSpec::new("h-wtopk-r2", map_tasks, reduce)
+            JobSpec::new("h-wtopk-r2", map_tasks, forward_messages)
                 .with_radix_keys()
                 .with_wire_codec()
                 .with_state_store(Arc::clone(&state))
@@ -228,11 +230,7 @@ impl HistogramBuilder for HWTopk {
                 .with_broadcast(8),
         );
         metrics.absorb(&out.metrics);
-        let mut per_node: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
-        for (slot, _flags, split, w) in out.outputs {
-            per_node[split as usize].push((slot, w));
-        }
-        for (j, pairs) in per_node.iter().enumerate() {
+        for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round2(j, pairs);
         }
         let (_t2, candidates) = coordinator.finish_round2();
@@ -254,20 +252,10 @@ impl HistogramBuilder for HWTopk {
                 })
             })
             .collect();
-        let reduce =
-            |key: &WKey,
-             vals: &[Payload],
-             ctx: &mut wh_mapreduce::ReduceContext<(u64, u8, u32, f64)>| {
-                ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-                for v in vals {
-                    let (flags, split, w) = v.value;
-                    ctx.emit((key.id, flags, split, w));
-                }
-            };
         // R rides the Distributed Cache: 4 bytes per candidate id.
         let out = run_job(
             cluster,
-            JobSpec::new("h-wtopk-r3", map_tasks, reduce)
+            JobSpec::new("h-wtopk-r3", map_tasks, forward_messages)
                 .with_radix_keys()
                 .with_wire_codec()
                 .with_state_store(Arc::clone(&state))
@@ -275,11 +263,7 @@ impl HistogramBuilder for HWTopk {
                 .with_broadcast(4 * candidates.len() as u64),
         );
         metrics.absorb(&out.metrics);
-        let mut per_node: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
-        for (slot, _flags, split, w) in out.outputs {
-            per_node[split as usize].push((slot, w));
-        }
-        for (j, pairs) in per_node.iter().enumerate() {
+        for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round3(j, pairs);
         }
 

@@ -89,27 +89,16 @@ pub struct BuildResult2d {
 /// key — the transform is linear, so reducers sum per-split coefficients
 /// into global ones exactly as in 1-D Send-Coef.
 ///
-/// With the default tight `key_domain` hint
-/// (`((u−1) << 16 | (u−1)) + 1`, the exclusive bound of the radix image)
-/// the job selects the dense-reduce strategy whenever the hint fits the
+/// The job always declares the tight `key_domain` hint
+/// (`((u−1) << 16 | (u−1)) + 1`, the exclusive bound of the radix image),
+/// so it selects the dense-reduce strategy whenever the hint fits the
 /// engine's dense-domain cap (`u ≤ 64` per dimension); wider domains fall
-/// back to sort-at-reduce automatically. [`SendCoef2d::with_tight_hint`]
-/// turns the hint off to force sort-at-reduce / merge, which the
-/// differential suite uses to pin bit-identity across all three reduce
-/// strategies.
-#[derive(Debug, Clone, Copy)]
+/// back to sort-at-reduce (several reducers) or merge (one reducer)
+/// automatically. The differential suite pins bit-identity across all
+/// three strategies by building on both sides of that cap.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SendCoef2d {
     engine: EngineConfig,
-    tight_hint: bool,
-}
-
-impl Default for SendCoef2d {
-    fn default() -> Self {
-        Self {
-            engine: EngineConfig::default(),
-            tight_hint: true,
-        }
-    }
 }
 
 impl SendCoef2d {
@@ -121,14 +110,6 @@ impl SendCoef2d {
     /// Overrides the execution-engine knobs of the underlying job.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Declares (default) or withholds the tight `key_domain` hint.
-    /// Withholding it steers the engine to sort-at-reduce (several
-    /// reducers) or merge (one reducer) instead of dense-reduce.
-    pub fn with_tight_hint(mut self, on: bool) -> Self {
-        self.tight_hint = on;
         self
     }
 
@@ -199,15 +180,10 @@ impl SendCoef2d {
         // The tight exclusive bound of the (u16, u16) radix image over
         // [0, u)²: row and col slots both stay below u.
         let hint = ((domain.u() - 1) << 16 | (domain.u() - 1)) + 1;
-        let engine = if self.tight_hint {
-            self.engine.with_key_domain(hint)
-        } else {
-            self.engine
-        };
         let spec = JobSpec::new("send-coef-2d", map_tasks, reduce)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(engine)
+            .with_engine(self.engine.with_key_domain(hint))
             .with_finish(move |ctx| close_with_top_k(ctx, k));
 
         let out = try_run_job(cluster, spec)?;
@@ -493,22 +469,6 @@ mod tests {
         {
             assert!((x.1.abs() - y.1.abs()).abs() < 1e-6, "{x:?} vs {y:?}");
         }
-    }
-
-    #[test]
-    fn without_tight_hint_engine_sorts_at_reduce() {
-        let d = dataset();
-        let cluster = ClusterConfig::paper_cluster();
-        let want = sequential_send_coef2d(&d, 12);
-        let got = SendCoef2d::new()
-            .with_tight_hint(false)
-            .with_engine(EngineConfig::pipelined().with_reducers(2))
-            .build(&d, &cluster, 12);
-        assert_eq!(got.histogram.coefficients(), want.coefficients());
-        assert_eq!(
-            got.metrics.reduce_strategies.sort_at_reduce,
-            got.metrics.reduce_strategies.total()
-        );
     }
 
     #[test]

@@ -3,30 +3,15 @@
 use crate::metrics::ReduceStrategy;
 use crate::wire::WireSize;
 
-/// Type-erased in-flight compaction hook installed by the engine when the
-/// job enables streaming combining: it groups the buffered pairs by key and
-/// applies the Combine function in place.
-pub(crate) type Compactor<K, V> = Box<dyn Fn(&mut Vec<(K, V)>) + Send>;
-
 /// Context handed to a map task: emit intermediate pairs and account for
-/// the work done.
-///
-/// With [`streaming combining`](crate::EngineConfig::streaming_combine)
-/// enabled, the context aggregates at emit time: once the pair buffer
-/// reaches the configured spill chunk size, the Combine function runs over
-/// the buffered pairs instead of materializing every raw pair until the
-/// task ends. The compaction threshold then grows geometrically with the
-/// surviving buffer, so a combiner that cannot shrink its input does not
-/// trigger quadratic re-compaction.
+/// the work done. A job's Combine function, if any, runs once over the
+/// emitted pairs when the task ends.
 pub struct MapContext<K, V> {
     pub(crate) split_id: u32,
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) records_read: u64,
     pub(crate) bytes_read: u64,
     pub(crate) cpu_ops: f64,
-    pub(crate) compactor: Option<Compactor<K, V>>,
-    pub(crate) spill_chunk: usize,
-    pub(crate) next_compact: usize,
 }
 
 impl<K, V> std::fmt::Debug for MapContext<K, V> {
@@ -37,8 +22,6 @@ impl<K, V> std::fmt::Debug for MapContext<K, V> {
             .field("records_read", &self.records_read)
             .field("bytes_read", &self.bytes_read)
             .field("cpu_ops", &self.cpu_ops)
-            .field("streaming", &self.compactor.is_some())
-            .field("spill_chunk", &self.spill_chunk)
             .finish()
     }
 }
@@ -63,19 +46,7 @@ where
             records_read: 0,
             bytes_read: 0,
             cpu_ops: 0.0,
-            compactor: None,
-            spill_chunk: 0,
-            next_compact: 0,
         }
-    }
-
-    /// Enables streaming combining: `compactor` runs whenever the pair
-    /// buffer reaches the current threshold. `spill_chunk == 0` means the
-    /// compactor only runs once, when the engine collects the spill.
-    pub(crate) fn install_compactor(&mut self, compactor: Compactor<K, V>, spill_chunk: usize) {
-        self.compactor = Some(compactor);
-        self.spill_chunk = spill_chunk;
-        self.next_compact = spill_chunk;
     }
 
     /// The split this task processes.
@@ -87,14 +58,6 @@ where
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
         self.pairs.push((key, value));
-        if self.spill_chunk != 0 && self.pairs.len() >= self.next_compact {
-            if let Some(compact) = &self.compactor {
-                compact(&mut self.pairs);
-                // Grow the threshold past the surviving buffer so an
-                // incompressible stream stays O(n log n) overall.
-                self.next_compact = (self.pairs.len() * 2).max(self.spill_chunk);
-            }
-        }
     }
 
     /// Records that `records` records totalling `bytes` bytes were read
@@ -198,48 +161,5 @@ mod tests {
         assert_eq!(ctx.take_outputs(), vec!["a".to_string()]);
         assert!(ctx.outputs.is_empty());
         assert_eq!(ctx.cpu_ops, 5.0);
-    }
-
-    #[test]
-    fn compactor_fires_at_threshold_and_backs_off() {
-        // A compactor that sums everything into one pair.
-        let mut ctx: MapContext<u32, u64> = MapContext::new(0);
-        ctx.install_compactor(
-            Box::new(|pairs| {
-                let total: u64 = pairs.iter().map(|&(_, v)| v).sum();
-                pairs.clear();
-                pairs.push((0, total));
-            }),
-            4,
-        );
-        for _ in 0..16 {
-            ctx.emit(7, 1);
-        }
-        // The buffer never exceeds the chunk size for long: every 4th emit
-        // collapses it back to one pair.
-        assert!(ctx.pairs.len() <= 4, "buffer len {}", ctx.pairs.len());
-        let total: u64 = ctx.pairs.iter().map(|&(_, v)| v).sum();
-        assert_eq!(total, 16);
-    }
-
-    #[test]
-    fn incompressible_compactor_backs_off_geometrically() {
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let calls2 = std::sync::Arc::clone(&calls);
-        let mut ctx: MapContext<u32, u64> = MapContext::new(0);
-        ctx.install_compactor(
-            Box::new(move |_pairs| {
-                calls2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }),
-            4,
-        );
-        for i in 0..1024 {
-            ctx.emit(i, 1);
-        }
-        // No shrinkage → thresholds 4, 8, 16, …: O(log n) compactions, not
-        // one per emit.
-        let n = calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(n <= 10, "compactor ran {n} times for 1024 emits");
-        assert_eq!(ctx.pairs.len(), 1024);
     }
 }

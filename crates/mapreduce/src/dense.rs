@@ -1,121 +1,23 @@
-//! Dense-domain flat-array grouping for bounded keys, on both sides of
-//! the shuffle.
+//! Dense-domain flat-array grouping for bounded keys on the reduce side
+//! of the shuffle.
 //!
 //! When a job declares both a radix codec ([`crate::JobSpec::with_radix_keys`])
 //! and a bounded key domain ([`crate::EngineConfig::key_domain_hint`]),
-//! the engine stops hashing and sorting:
+//! reduce partitions stop sorting: a partition's unsorted runs aggregate
+//! straight into a slot array sized to that partition's *actual* key
+//! range (`max − min + 1` radixes, never the full domain), and key groups
+//! are delivered to the reduce function in ascending key order with
+//! values in `(split id, arrival order)` order — the exact sequence of
+//! the sort/merge strategies it replaces, with no sort at all.
 //!
-//! * **map side** ([`DenseTable`]): the combine step scatters pairs into a
-//!   flat slot array indexed by the key's radix image, each distinct key's
-//!   values accumulate in a recycled `Vec`, and the grouped output is
-//!   emitted in ascending key order — byte-identical to the hash-map path
-//!   it replaces (`group_combine`), enforced by differential tests;
-//! * **reduce side** ([`DenseReducer`]): a partition's unsorted runs
-//!   aggregate straight into a slot array sized to that partition's
-//!   *actual* key range (`max − min + 1` radixes, never the full domain),
-//!   and key groups are delivered to the reduce function in ascending key
-//!   order with values in `(split id, arrival order)` order — the exact
-//!   sequence of the sort/merge paths it replaces, with no sort at all.
-//!
-//! Both tables are owned by a worker and **reused across every task or
-//! partition that worker processes**: slot arrays are reset via the
-//! touched list (O(distinct keys), not O(domain)), and value vectors are
-//! parked on a free list instead of dropped, so steady-state grouping
+//! The [`DenseReducer`] is owned by a reduce worker and **reused across
+//! every partition that worker reduces**: the slot array is reset via a
+//! range fill or the touched list (never O(domain)), and the arena and
+//! value buffers keep their allocations, so steady-state grouping
 //! allocates nothing.
 
 use crate::context::ReduceContext;
 use crate::engine::ReduceDyn;
-
-/// Flat-array combiner state for a bounded key domain. One per map
-/// worker (or per streaming compactor), recycled across tasks.
-pub(crate) struct DenseTable<K, V> {
-    /// `radix → group index + 1`; 0 = untouched. Reset via `groups`.
-    slots: Vec<u32>,
-    /// First-touch-ordered groups: `(radix, key, values in arrival
-    /// order)`. The key rides in an `Option` so emission can move it into
-    /// the last surviving pair instead of cloning it.
-    groups: Vec<(u64, Option<K>, Vec<V>)>,
-    /// Recycled value vectors, refilled when groups are drained.
-    spare: Vec<Vec<V>>,
-    /// Scratch for the key-order emission pass.
-    order: Vec<u32>,
-}
-
-impl<K, V> DenseTable<K, V> {
-    /// A table for radixes in `[0, domain)`.
-    pub(crate) fn new(domain: usize) -> Self {
-        Self {
-            slots: vec![0; domain],
-            groups: Vec::new(),
-            spare: Vec::new(),
-            order: Vec::new(),
-        }
-    }
-}
-
-impl<K: Ord + Clone, V> DenseTable<K, V> {
-    /// Groups `pairs` by key, applies `comb` once per key, and writes the
-    /// surviving pairs back into `pairs` in ascending key order with each
-    /// key's values in arrival order — the exact contract of
-    /// [`crate::engine::group_combine`], without hashing and with every
-    /// buffer recycled. Keys are moved, not cloned, except when a combiner
-    /// leaves a key more than one surviving value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a key's radix falls outside the declared domain — a
-    /// broken [`crate::EngineConfig::key_domain_hint`] must fail loudly
-    /// rather than corrupt the grouping.
-    pub(crate) fn combine(
-        &mut self,
-        pairs: &mut Vec<(K, V)>,
-        radix_of: impl Fn(&K) -> u64,
-        comb: &(dyn Fn(&K, &mut Vec<V>) + Send + Sync),
-    ) {
-        for (k, v) in pairs.drain(..) {
-            let r = radix_of(&k) as usize;
-            assert!(
-                r < self.slots.len(),
-                "key radix {r} outside the declared key_domain_hint {}",
-                self.slots.len()
-            );
-            let slot = self.slots[r];
-            if slot == 0 {
-                let mut vs = self.spare.pop().unwrap_or_default();
-                vs.push(v);
-                self.groups.push((r as u64, Some(k), vs));
-                self.slots[r] = self.groups.len() as u32;
-            } else {
-                self.groups[slot as usize - 1].2.push(v);
-            }
-        }
-
-        // Emit in ascending key order: sort the touched radixes (distinct
-        // keys only — O(d log d), never O(domain)).
-        self.order.clear();
-        self.order.extend(0..self.groups.len() as u32);
-        let groups = &mut self.groups;
-        self.order.sort_unstable_by_key(|&i| groups[i as usize].0);
-        for &i in &self.order {
-            let (r, key_slot, vs) = &mut groups[i as usize];
-            self.slots[*r as usize] = 0;
-            let key = key_slot.take().expect("each group emitted once");
-            comb(&key, vs);
-            let survivors = vs.len();
-            let mut values = vs.drain(..);
-            for v in values.by_ref().take(survivors.saturating_sub(1)) {
-                pairs.push((key.clone(), v));
-            }
-            if let Some(last) = values.next() {
-                pairs.push((key, last));
-            }
-        }
-        // Park the value buffers for the next task.
-        for (_, _, vs) in groups.drain(..) {
-            self.spare.push(vs);
-        }
-    }
-}
 
 /// Tag on a slot entry meaning "no pair placed yet": until a slot's
 /// first pair lands, its entry holds `FIRST_ARRIVAL | group index`, and
@@ -140,10 +42,10 @@ pub(crate) const FIRST_ARRIVAL: u32 = 1 << 31;
 /// so the per-pair cache footprint matches a counting sort's histogram
 /// and both hot passes reuse the same lines.
 ///
-/// Unlike [`DenseTable`] this never clones a key and carries no `Ord`
-/// bound: keys are moved in, borrowed by the reduce function, and
-/// dropped; ordering comes entirely from the radix image (the sealed
-/// [`crate::RadixKey`] contract makes radix order *be* key order).
+/// It never clones a key and carries no `Ord` bound: keys are moved in,
+/// borrowed by the reduce function, and dropped; ordering comes entirely
+/// from the radix image (the sealed [`crate::RadixKey`] contract makes
+/// radix order *be* key order).
 pub(crate) struct DenseReducer<K, V> {
     /// The one per-radix table, indexed by `radix − lo` and sized to the
     /// widest partition key range seen so far. During the counting pass
@@ -202,8 +104,7 @@ impl<K, V> DenseReducer<K, V> {
     ///
     /// Panics when a key's radix reaches `domain_hint` — a broken
     /// [`crate::EngineConfig::key_domain_hint`] must fail loudly rather
-    /// than mis-group (the map-side table only validates when a combiner
-    /// runs; this check covers combiner-less jobs too).
+    /// than mis-group.
     pub(crate) fn reduce_runs<R>(
         &mut self,
         runs: Vec<Vec<(K, V)>>,
@@ -400,97 +301,6 @@ impl<K, V> DenseReducer<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::group_combine;
-
-    type Pairs = Vec<(u32, u64)>;
-
-    fn combine_both(
-        pairs: Pairs,
-        comb: impl Fn(&u32, &mut Vec<u64>) + Send + Sync + 'static,
-        domain: usize,
-    ) -> (Pairs, Pairs) {
-        let via_hash = group_combine(pairs.clone(), &comb);
-        let mut table = DenseTable::new(domain);
-        let mut via_dense = pairs;
-        table.combine(&mut via_dense, |k| u64::from(*k), &comb);
-        (via_hash, via_dense)
-    }
-
-    #[test]
-    fn matches_group_combine_byte_for_byte() {
-        let pairs: Vec<(u32, u64)> = (0..500u64).map(|i| ((i * 7 % 40) as u32, i)).collect();
-        let sum = |_k: &u32, vs: &mut Vec<u64>| {
-            let total: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(total);
-        };
-        let (hash, dense) = combine_both(pairs, sum, 40);
-        assert_eq!(hash, dense);
-    }
-
-    #[test]
-    fn keeps_multi_value_lists_in_arrival_order() {
-        let pairs = vec![(9u32, 1u64), (2, 2), (9, 3), (2, 4), (2, 5)];
-        let keep = |_k: &u32, _vs: &mut Vec<u64>| {};
-        let (hash, dense) = combine_both(pairs, keep, 16);
-        assert_eq!(hash, dense);
-        assert_eq!(dense, vec![(2, 2), (2, 4), (2, 5), (9, 1), (9, 3)]);
-    }
-
-    #[test]
-    fn table_reuse_across_tasks_resets_cleanly() {
-        let sum = |_k: &u32, vs: &mut Vec<u64>| {
-            let total: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(total);
-        };
-        let mut table: DenseTable<u32, u64> = DenseTable::new(64);
-        for round in 0..4u64 {
-            let pairs: Vec<(u32, u64)> = (0..200u64)
-                .map(|i| (((i + round) % 63) as u32, i))
-                .collect();
-            let want = group_combine(pairs.clone(), &sum);
-            let mut got = pairs;
-            table.combine(&mut got, |k| u64::from(*k), &sum);
-            assert_eq!(got, want, "round {round}");
-        }
-        // Value buffers were parked, not dropped.
-        assert!(!table.spare.is_empty());
-        assert!(table.groups.is_empty());
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        let sum = |_k: &u32, vs: &mut Vec<u64>| {
-            let total: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(total);
-        };
-        let mut table: DenseTable<u32, u64> = DenseTable::new(8);
-        let mut empty: Vec<(u32, u64)> = vec![];
-        table.combine(&mut empty, |k| u64::from(*k), &sum);
-        assert!(empty.is_empty());
-        let mut one = vec![(3u32, 41u64)];
-        table.combine(&mut one, |k| u64::from(*k), &sum);
-        assert_eq!(one, vec![(3, 41)]);
-    }
-
-    #[test]
-    fn combiner_may_drop_every_value() {
-        let drop_all = |_k: &u32, vs: &mut Vec<u64>| vs.clear();
-        let pairs = vec![(1u32, 1u64), (2, 2), (1, 3)];
-        let (hash, dense) = combine_both(pairs, drop_all, 4);
-        assert_eq!(hash, dense);
-        assert!(dense.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the declared key_domain_hint")]
-    fn out_of_domain_key_fails_loudly() {
-        let mut table: DenseTable<u32, u64> = DenseTable::new(4);
-        let mut pairs = vec![(9u32, 1u64), (1, 2)];
-        table.combine(&mut pairs, |k| u64::from(*k), &|_, _| {});
-    }
 
     fn dense_reduce_groups(
         table: &mut DenseReducer<u32, u64>,

@@ -4,7 +4,7 @@
 //!  map workers (N threads)          shuffle              reduce workers (P threads)
 //! ┌──────────────────────────┐                        ┌───────────────────────────┐
 //! │ task → MapContext        │   regroup runs by      │ partition 0: k-way merge  │
-//! │   ├─ streaming combine   │   partition, splits    │   of m sorted runs        │──┐
+//! │   ├─ combine at task end │   partition, splits    │   of m sorted runs        │──┐
 //! │   ├─ partition pairs     │   stay in id order     │   → reduce(key, values)   │  │ stitch
 //! │   └─ sort each partition │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
 //! │      run by (key,arrive) │                        │ …                         │  │ + finish
@@ -18,12 +18,10 @@
 //!    sort work happens in parallel, and the old single-threaded global
 //!    sort disappears entirely. Jobs whose keys carry a
 //!    [`RadixKey`](crate::RadixKey) codec ([`crate::JobSpec::with_radix_keys`])
-//!    sort spill runs with the LSD radix sort in [`crate::radix`] —
-//!    `O(n · key bytes)` with branch-free inner loops — and jobs that also
-//!    declare a bounded key domain ([`EngineConfig::key_domain_hint`])
-//!    combine through the flat-array table (the `dense` module) instead of
-//!    a hash map. Both specializations produce bit-identical output to the
-//!    comparison/hash paths they replace.
+//!    sort spill runs — and, when the job has a Combine function, the
+//!    task's pairs before grouping — with the LSD radix sort in
+//!    [`crate::radix`]: `O(n · key bytes)` with branch-free inner loops,
+//!    bit-identical to the comparison sort it replaces.
 //! 2. **The reduce side picks an explicit strategy per job** — recorded
 //!    per partition in [`RunMetrics::reduce_strategies`]:
 //!
@@ -44,33 +42,31 @@
 //!    `reducer_parallelism`, including 1.
 //!
 //! Workers recycle their buffers across work items on both sides: map
-//! workers keep the emit buffer, the radix-sort scratch, and the dense
-//! combine table per worker, not per task, and reduce workers keep a
-//! radix scratch plus a `DenseReducer` table per thread, recycled across
-//! the partitions that thread reduces. Tiny jobs skip thread machinery
-//! entirely: the map loop runs inline when only one worker would be
-//! spawned, and the reduce phase stays serial below a pair-count spawn
-//! threshold.
+//! workers keep the emit buffer and the radix-sort scratch per worker,
+//! not per task, and reduce workers keep a radix scratch plus a
+//! `DenseReducer` table per thread, recycled across the partitions that
+//! thread reduces. Tiny jobs skip thread machinery entirely: the map
+//! loop runs inline when only one worker would be spawned, and the
+//! reduce phase stays serial below a pair-count spawn threshold.
 //!
 //! The determinism contract of the seed engine is preserved exactly: within
 //! a partition, the reduce function observes key groups in key order and
 //! each group's values in `(split id, arrival order)` order. The seed
 //! engine itself survives as [`crate::reference::run_job_reference`] — an
-//! executable specification that differential tests and `wh-bench` compare
-//! this engine against.
+//! executable specification that differential tests compare this engine
+//! against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
-use crate::dense::{DenseReducer, DenseTable};
+use crate::dense::DenseReducer;
 use crate::job::{CombineFn, JobOutput, JobSpec, MapTask, PartitionFn};
 use crate::metrics::{ReduceStrategy, RunMetrics};
 use crate::radix::{sort_pairs_with, RadixScratch};
@@ -117,19 +113,11 @@ pub struct EngineConfig {
     /// Reduce-side worker threads; `0` means one per available core,
     /// capped at the partition count.
     pub reducer_parallelism: usize,
-    /// Apply the Combine function incrementally at emit time instead of
-    /// materializing every raw pair until the task ends. Requires the
-    /// combiner to be associative (Hadoop's combiner contract); all
-    /// engine-visible metrics are byte-identical to batch combining.
-    pub streaming_combine: bool,
-    /// Pair-buffer size that triggers an in-flight combine when streaming;
-    /// `0` combines only once, when the spill is collected.
-    pub spill_chunk: usize,
     /// Exclusive upper bound on the radix image of every key the job
     /// emits, when the algorithm knows one (item keys in `[0, u)`,
     /// coefficient indices, sketch counter indices…). Combined with
-    /// [`crate::JobSpec::with_radix_keys`] it routes combining through
-    /// the dense flat-array table instead of a hash map. Purely an
+    /// [`crate::JobSpec::with_radix_keys`] it lets reduce partitions group
+    /// through the dense flat-array table instead of sorting. Purely an
     /// execution hint: outputs and metrics are unchanged, but a hint
     /// smaller than an actual key **panics** (fail loudly rather than
     /// mis-group). Ignored by the reference engine.
@@ -162,8 +150,6 @@ impl Default for EngineConfig {
             num_reducers: 1,
             map_parallelism: 0,
             reducer_parallelism: 0,
-            streaming_combine: false,
-            spill_chunk: 0,
             key_domain_hint: None,
             max_task_retries: 2,
             retry_backoff_ms: 10,
@@ -217,18 +203,6 @@ impl EngineConfig {
         self
     }
 
-    /// Toggles streaming (emit-time) combining.
-    pub fn with_streaming_combine(mut self, on: bool) -> Self {
-        self.streaming_combine = on;
-        self
-    }
-
-    /// Sets the spill chunk size for streaming combining.
-    pub fn with_spill_chunk(mut self, pairs: usize) -> Self {
-        self.spill_chunk = pairs;
-        self
-    }
-
     /// Declares that every key's radix image lies in `[0, domain)` —
     /// see [`EngineConfig::key_domain_hint`].
     pub fn with_key_domain(mut self, domain: u64) -> Self {
@@ -267,11 +241,18 @@ impl EngineConfig {
     /// engine-vs-engine benchmarks rely on the two resolving an
     /// identical thread budget from the same knob.
     pub(crate) fn map_workers(&self, task_count: usize) -> usize {
-        match self.map_parallelism {
-            0 => std::thread::available_parallelism().map_or(4, |p| p.get()),
-            n => n,
-        }
-        .min(task_count.max(1))
+        resolve_threads(self.map_parallelism).min(task_count.max(1))
+    }
+}
+
+/// Resolves a thread-count knob (`0` = one per available core) on either
+/// side of the shuffle. When the platform cannot report its core count
+/// the fallback is one thread: thread counts never change outputs, and
+/// serial is the only guess that cannot oversubscribe an unknown machine.
+fn resolve_threads(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
     }
 }
 
@@ -284,12 +265,12 @@ pub fn default_partition<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
-/// Domains above this cap fall back from the dense tables (the map-side
-/// combine table and the reduce-side `DenseReducer`) to the sort-based
-/// paths: a `u32` slot per domain value must stay small enough (≤ 16 MiB
-/// per worker here) that a flat array is an optimization, not a memory
-/// liability. The reduce table additionally sizes itself to each
-/// partition's actual key range, so this bounds the worst case only.
+/// Domains above this cap fall back from the reduce-side `DenseReducer`
+/// to the sort-based strategies: a `u32` slot per domain value must stay
+/// small enough (≤ 16 MiB per worker here) that a flat array is an
+/// optimization, not a memory liability. The table additionally sizes
+/// itself to each partition's actual key range, so this bounds the worst
+/// case only.
 const DENSE_DOMAIN_MAX: u64 = 1 << 22;
 
 /// Jobs whose map output is at most this many pairs reduce serially: the
@@ -308,9 +289,9 @@ const SCATTER_MIN_PAIRS: usize = 1024;
 /// Groups `pairs` by key (preserving each key's value arrival order),
 /// applies the Combine function once per key, and returns the surviving
 /// pairs in ascending key order. This is the **canonical combine
-/// semantics** shared by the streaming compactor, the batch combine path,
-/// the dense-domain table, and the reference engine — all agree byte for
-/// byte.
+/// semantics**: the reference engine calls it as is, and the map workers
+/// run the same grouping behind a radix sort when the job has a key codec
+/// ([`sort_by_key`]) — the stable sorts produce the identical permutation.
 ///
 /// Keys are sorted and grouped in place; a key is only ever cloned when
 /// the combiner leaves it more than one surviving value.
@@ -364,41 +345,17 @@ where
     }
 }
 
-/// Per-worker combine machinery, recycled across every map task (and
-/// every streaming compaction) that worker runs. Dispatches to the dense
-/// flat-array table when the job declared a bounded key domain, and to
-/// the radix- or comparison-sorted grouping otherwise.
-struct MapCombiner<K, V> {
-    codec: Option<fn(&K) -> u64>,
-    dense: Option<DenseTable<K, V>>,
-    scratch: RadixScratch,
-}
-
-impl<K, V> MapCombiner<K, V>
-where
-    K: Ord + Clone,
-{
-    fn new(codec: Option<fn(&K) -> u64>, dense_domain: Option<usize>) -> Self {
-        Self {
-            codec,
-            dense: dense_domain.map(DenseTable::new),
-            scratch: RadixScratch::default(),
-        }
-    }
-
-    /// In-place [`group_combine`], byte-identical across all three
-    /// strategies (dense table / radix sort / comparison sort).
-    fn combine(&mut self, pairs: &mut Vec<(K, V)>, comb: &CombineDyn<K, V>) {
-        if let (Some(codec), Some(table)) = (self.codec, self.dense.as_mut()) {
-            table.combine(pairs, codec, comb);
-            return;
-        }
-        let mut taken = std::mem::take(pairs);
-        match self.codec {
-            Some(codec) => sort_pairs_with(&mut taken, codec, &mut self.scratch),
-            None => taken.sort_by(|a, b| a.0.cmp(&b.0)),
-        }
-        *pairs = group_sorted(taken, comb);
+/// Stable sort of `pairs` by key — arrival order within a key survives.
+/// The radix sort produces the identical permutation when the job
+/// declared a key codec.
+fn sort_by_key<K: Ord, V>(
+    pairs: &mut [(K, V)],
+    key_codec: Option<fn(&K) -> u64>,
+    scratch: &mut RadixScratch,
+) {
+    match key_codec {
+        Some(codec) => sort_pairs_with(pairs, codec, scratch),
+        None => pairs.sort_by(|a, b| a.0.cmp(&b.0)),
     }
 }
 
@@ -419,40 +376,19 @@ pub(crate) struct TaskSpill<K, V> {
 }
 
 /// Worker-local state of the map phase, recycled across the tasks this
-/// worker executes: the emit buffer handed to each [`MapContext`], the
-/// radix-sort scratch for spill runs, and the shared combine machinery
-/// (shared with the task's streaming compactor when one is installed).
+/// worker executes: the emit buffer handed to each [`MapContext`] and the
+/// radix-sort scratch for combining and for spill runs.
 pub(crate) struct MapWorker<K, V> {
     pairs_buf: Vec<(K, V)>,
     scratch: RadixScratch,
-    combine: Arc<Mutex<MapCombiner<K, V>>>,
 }
 
-impl<K, V> MapWorker<K, V>
-where
-    K: Ord + Clone,
-{
-    pub(crate) fn new(codec: Option<fn(&K) -> u64>, dense_domain: Option<usize>) -> Self {
+impl<K, V> MapWorker<K, V> {
+    pub(crate) fn new() -> Self {
         Self {
             pairs_buf: Vec::new(),
             scratch: RadixScratch::default(),
-            combine: Arc::new(Mutex::new(MapCombiner::new(codec, dense_domain))),
         }
-    }
-}
-
-/// Map-side dense combine table eligibility: it only earns its keep when
-/// there is a combiner to run through it, a codec to index it with, and a
-/// domain small enough to sit in a flat array. Shared by the in-process
-/// and multi-process executors so both plan identically.
-pub(crate) fn dense_combine_domain(
-    has_codec: bool,
-    domain_hint: Option<u64>,
-    has_combiner: bool,
-) -> Option<usize> {
-    match (has_codec, domain_hint, has_combiner) {
-        (true, Some(u), true) if u <= DENSE_DOMAIN_MAX => Some(u as usize),
-        _ => None,
     }
 }
 
@@ -502,11 +438,6 @@ where
     } = spec;
     assert!(engine.num_reducers >= 1, "need at least one reducer");
     let nparts = engine.num_reducers as usize;
-    let dense_domain = dense_combine_domain(
-        key_codec.is_some(),
-        engine.key_domain_hint,
-        combiner.is_some(),
-    );
     let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
     // ---- Map phase (parallel): run, combine, partition, sort — all
@@ -526,7 +457,6 @@ where
         let task = task_queue[i].lock().take().expect("each task taken once");
         let spill = run_one_task(
             task,
-            &engine,
             nparts,
             strategy,
             &combiner,
@@ -540,11 +470,9 @@ where
     if workers <= 1 {
         // Serial fast path: one worker would be spawned only to be
         // joined again — run its loop inline on this thread instead.
-        run_tasks(&mut MapWorker::new(key_codec, dense_domain));
+        run_tasks(&mut MapWorker::new());
     } else {
-        run_workers(workers, || {
-            run_tasks(&mut MapWorker::new(key_codec, dense_domain));
-        });
+        run_workers(workers, || run_tasks(&mut MapWorker::new()));
     }
 
     let mut per_task = spills.into_inner();
@@ -592,10 +520,8 @@ fn run_workers(n: usize, work: impl Fn() + Sync) {
 /// threaded executor above and the forked workers of
 /// [`crate::worker::execute_multiprocess`] — sharing it is what makes the
 /// two modes bit-identical by construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_one_task<K, V>(
     task: MapTask<K, V>,
-    engine: &EngineConfig,
     nparts: usize,
     strategy: ReduceStrategy,
     combiner: &Option<CombineFn<K, V>>,
@@ -608,29 +534,17 @@ where
     V: Send + WireSize + 'static,
 {
     let mut ctx = MapContext::with_buffer(task.split_id, std::mem::take(&mut state.pairs_buf));
-    if engine.streaming_combine {
-        if let Some(comb) = combiner {
-            ctx.install_compactor(
-                make_compactor(CombineFn::clone(comb), Arc::clone(&state.combine)),
-                engine.spill_chunk,
-            );
-        }
-    }
     (task.run)(&mut ctx);
     let MapContext {
         mut pairs,
-        compactor,
         records_read,
         bytes_read,
         cpu_ops,
         ..
     } = ctx;
-    if let Some(compact) = &compactor {
-        // Streaming mode: one final full grouping so every key
-        // ends fully combined, exactly like the batch path.
-        compact(&mut pairs);
-    } else if let Some(comb) = combiner {
-        state.combine.lock().combine(&mut pairs, comb.as_ref());
+    if let Some(comb) = combiner {
+        sort_by_key(&mut pairs, key_codec, &mut state.scratch);
+        pairs = group_sorted(pairs, comb.as_ref());
     }
     let mut npairs = 0u64;
     let mut nbytes = 0u64;
@@ -663,13 +577,7 @@ where
         // Only the merge strategy consumes pre-sorted runs; the dense
         // and sort-at-reduce partitions take them in arrival order.
         for run in &mut runs {
-            // Stable by key: arrival order within a key survives. The
-            // radix sort produces the identical permutation when the
-            // job declared a key codec.
-            match key_codec {
-                Some(codec) => sort_pairs_with(run, codec, &mut state.scratch),
-                None => run.sort_by(|a, b| a.0.cmp(&b.0)),
-            }
+            sort_by_key(run, key_codec, &mut state.scratch);
         }
     }
     TaskSpill {
@@ -769,10 +677,8 @@ where
         // Serial fast path: spawning per-partition threads for a few
         // thousand pairs costs more than reducing them.
         1
-    } else if engine.reducer_parallelism == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
-        engine.reducer_parallelism
+        resolve_threads(engine.reducer_parallelism)
     }
     .min(nparts)
     .max(1);
@@ -862,21 +768,6 @@ where
     metrics.wall_reduce_s = wall_reduce_s;
 
     JobOutput { outputs, metrics }
-}
-
-fn make_compactor<K, V>(
-    comb: CombineFn<K, V>,
-    state: Arc<Mutex<MapCombiner<K, V>>>,
-) -> crate::context::Compactor<K, V>
-where
-    K: Ord + Clone + Send + 'static,
-    V: Send + 'static,
-{
-    Box::new(move |pairs| {
-        if pairs.len() > 1 {
-            state.lock().combine(pairs, comb.as_ref());
-        }
-    })
 }
 
 /// Everything a reduce worker needs to execute the job's strategy on one
@@ -1205,6 +1096,7 @@ fn merge_two<K: Ord, V>(a: Vec<(K, V)>, b: Vec<(K, V)>) -> Vec<(K, V)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn collect_groups_via(
         runs: Vec<Vec<(u32, u32)>>,
@@ -1506,7 +1398,7 @@ mod tests {
     }
 
     #[test]
-    fn map_combiner_strategies_agree_byte_for_byte() {
+    fn radix_sorted_combine_agrees_with_comparison_sorted() {
         let comb = |_k: &u32, vs: &mut Vec<u64>| {
             let total: u64 = vs.iter().sum();
             vs.clear();
@@ -1517,19 +1409,13 @@ mod tests {
         let want = group_combine(pairs.clone(), &comb);
 
         let codec: fn(&u32) -> u64 = |k| u64::from(*k);
-        for dense_domain in [None, Some(97)] {
-            let mut state: MapCombiner<u32, u64> = MapCombiner::new(Some(codec), dense_domain);
-            // Twice, to prove the recycled state resets cleanly.
-            for round in 0..2 {
-                let mut got = pairs.clone();
-                state.combine(&mut got, &comb);
-                assert_eq!(got, want, "dense={dense_domain:?} round={round}");
-            }
+        let mut scratch = RadixScratch::default();
+        // Twice, to prove the recycled scratch resets cleanly.
+        for round in 0..2 {
+            let mut got = pairs.clone();
+            sort_by_key(&mut got, Some(codec), &mut scratch);
+            assert_eq!(group_sorted(got, &comb), want, "round={round}");
         }
-        let mut no_codec: MapCombiner<u32, u64> = MapCombiner::new(None, None);
-        let mut got = pairs;
-        no_codec.combine(&mut got, &comb);
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -31,9 +31,9 @@ use crate::wire::{WireCodec, WireError, WireSize};
 /// The boxed closure a map task runs.
 pub type MapFn<K, V> = Box<dyn FnOnce(&mut MapContext<K, V>) + Send>;
 
-/// Shared Combine function: mutates a key's value list in place. Must be
-/// associative when streaming combining is enabled (Hadoop's contract: the
-/// combiner may run zero, one, or several times over partial value lists).
+/// Shared Combine function: mutates a key's value list in place. The
+/// engines run it once per key and map task, over the task's complete
+/// value list for that key.
 pub type CombineFn<K, V> = Arc<dyn Fn(&K, &mut Vec<V>) + Send + Sync>;
 
 /// Reducer Close hook. Runs once, after every partition has reduced, on
@@ -121,14 +121,14 @@ pub struct JobSpec<K, V, R> {
     /// — where histograms are assembled from aggregated state. See
     /// [`FinishFn`].
     pub finish: Option<FinishFn<R>>,
-    /// Execution-engine knobs: reducer count and parallelism, streaming
-    /// combining, spill chunk size, key-domain hint, engine selection.
+    /// Execution-engine knobs: reducer count and parallelism, key-domain
+    /// hint, engine selection, multi-process recovery settings.
     pub engine: EngineConfig,
     /// Order-preserving `u64` key codec, installed by
     /// [`JobSpec::with_radix_keys`] when `K` implements
-    /// [`crate::RadixKey`]. Drives the pipelined engine's radix spill
-    /// sort and (with [`EngineConfig::key_domain_hint`]) the dense
-    /// combine table; `None` falls back to comparison sorting. Kept
+    /// [`crate::RadixKey`]. Drives the pipelined engine's radix sorts
+    /// and (with [`EngineConfig::key_domain_hint`]) the dense reduce
+    /// table; `None` falls back to comparison sorting. Kept
     /// crate-private so only the sealed trait can supply codecs — the
     /// engine's determinism contract depends on order preservation.
     pub(crate) key_codec: Option<fn(&K) -> u64>,
@@ -171,12 +171,12 @@ where
     }
 
     /// Declares that `K`'s order-preserving [`crate::RadixKey`] image
-    /// drives the engine's radix specializations: spill runs sort through
-    /// the LSD radix sort instead of comparisons, and — when the engine
-    /// also carries an [`EngineConfig::key_domain_hint`] — combining runs
-    /// through the dense flat-array table instead of a hash map. Outputs
-    /// and metrics are bit-identical with or without this call; it is
-    /// purely an execution strategy.
+    /// drives the engine's radix specializations: combining and spill
+    /// runs sort through the LSD radix sort instead of comparisons, and —
+    /// when the engine also carries an [`EngineConfig::key_domain_hint`]
+    /// — reduce partitions group through the dense flat-array table
+    /// instead of sorting. Outputs and metrics are bit-identical with or
+    /// without this call; it is purely an execution strategy.
     pub fn with_radix_keys(mut self) -> Self
     where
         K: crate::radix::RadixKey,
@@ -217,8 +217,8 @@ where
 
     /// Declares the exclusive key-domain bound (shorthand for the engine
     /// knob — see [`EngineConfig::key_domain_hint`]). Together with
-    /// [`JobSpec::with_radix_keys`] this routes combining through the
-    /// dense flat-array table and selects the dense-reduce strategy.
+    /// [`JobSpec::with_radix_keys`] this selects the dense-reduce
+    /// strategy.
     pub fn with_key_domain(mut self, domain: u64) -> Self {
         self.engine = self.engine.with_key_domain(domain);
         self
@@ -365,30 +365,6 @@ mod tests {
         // One combined pair per split.
         assert_eq!(out.metrics.map_output_pairs, 2);
         assert_eq!(out.metrics.shuffle_bytes, 24);
-    }
-
-    #[test]
-    fn streaming_combiner_matches_batch_combiner() {
-        let cluster = ClusterConfig::single_machine();
-        let mk = |engine: EngineConfig| {
-            let tasks = wordcount_tasks(vec![vec![7; 100], vec![3; 40], vec![7; 50], vec![9; 3]]);
-            let spec = JobSpec::new("wc", tasks, count_reduce())
-                .with_combiner(|_k, vs: &mut Vec<u64>| {
-                    let total: u64 = vs.iter().sum();
-                    vs.clear();
-                    vs.push(total);
-                })
-                .with_engine(engine);
-            run_job(&cluster, spec)
-        };
-        let batch = mk(EngineConfig::default());
-        for chunk in [0, 1, 8, 1024] {
-            let streaming = mk(EngineConfig::default()
-                .with_streaming_combine(true)
-                .with_spill_chunk(chunk));
-            assert_eq!(batch.outputs, streaming.outputs, "chunk={chunk}");
-            assert_eq!(batch.metrics, streaming.metrics, "chunk={chunk}");
-        }
     }
 
     #[test]

@@ -36,21 +36,18 @@
 //!
 //! The old engine — one global `O(n log n)` sort and a sequential reduce —
 //! survives as [`reference::run_job_reference`], the executable
-//! specification that differential tests and the `wh-bench` regression
-//! harness compare against. [`EngineConfig`] exposes the knobs (reducer
-//! count, reduce parallelism, streaming combining, spill chunk size,
-//! key-domain hint); [`RunMetrics`] carries real per-phase wall-clock
-//! next to the simulated cluster time.
+//! specification that differential tests compare against.
+//! [`EngineConfig`] exposes the knobs (reducer count, map and reduce
+//! parallelism, key-domain hint); [`RunMetrics`] carries real per-phase
+//! wall-clock next to the simulated cluster time.
 //!
 //! Since PR 3 the engine is radix-specialized for the small-integer keys
 //! every algorithm in the paper shuffles: a job whose key type implements
 //! the sealed [`RadixKey`] trait ([`JobSpec::with_radix_keys`]) sorts its
-//! spills through the LSD radix/counting sort in [`radix`] — the exact
-//! permutation of the comparison sort it replaces — and, given a bounded
-//! key domain ([`EngineConfig::key_domain_hint`]), combines through a
-//! recycled flat-array table instead of a hash map. Map workers reuse
-//! their buffers across tasks, and tiny jobs skip thread spawns on both
-//! the map and reduce sides.
+//! spills (and groups its combiner input) through the LSD radix/counting
+//! sort in [`radix`] — the exact permutation of the comparison sort it
+//! replaces. Map workers reuse their buffers across tasks, and tiny jobs
+//! skip thread spawns on both the map and reduce sides.
 //!
 //! Since PR 4 the bounded-domain specialization reaches the reduce side
 //! too: the engine selects an explicit per-job [`ReduceStrategy`] — dense

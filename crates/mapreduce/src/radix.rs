@@ -11,8 +11,8 @@
 //!   combiner grouping — `O(n · bytes(max key))` with branch-free inner
 //!   loops instead of `O(n log n)` branch-missy comparisons, producing the
 //!   *exact* permutation of the stable comparison sort it replaces;
-//! * the dense-domain combine table (the crate's `dense` module) when the job also
-//!   carries an [`crate::EngineConfig::key_domain_hint`].
+//! * the dense-domain reduce table (the crate's `dense` module) when the
+//!   job also carries an [`crate::EngineConfig::key_domain_hint`].
 //!
 //! The trait is **sealed**: the engine's determinism contract (pipelined ≡
 //! reference engine, bit for bit) relies on `to_radix` being strictly

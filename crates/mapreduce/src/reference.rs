@@ -6,13 +6,12 @@
 //! walks the sorted vector sequentially. It produces byte-identical
 //! outputs and logical metrics to the pipelined engine
 //! ([`crate::engine`]) — differential property tests in
-//! `tests/engine_parallel.rs` enforce that — and `wh-bench` measures the
-//! pipelined engine's wall-clock against it.
+//! `tests/engine_parallel.rs` enforce that.
 //!
 //! Select it with [`crate::EngineConfig::reference`] or call
-//! [`run_job_reference`] directly. Streaming-combine knobs are ignored
-//! here (combining is always the batch variant, which defines the
-//! semantics the streaming path must reproduce).
+//! [`run_job_reference`] directly. Its comparison-sorted
+//! `group_combine` defines the combine semantics the pipelined engine's
+//! radix-sorted grouping must reproduce.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;

@@ -5,22 +5,19 @@
 //! by writing a state file to HDFS keyed by the split id at mapper close
 //! and re-reading it when the split is processed in the next round; because
 //! HDFS writes locally when possible, it costs no network traffic. A
-//! [`StateStore`] models exactly that: a typed per-split blob store that is
+//! [`StateStore`] models exactly that: a per-split blob store that is
 //! *not* charged as communication.
 //!
-//! The multi-process engine mode adds a wire-encoded path: state saved
-//! through [`StateStore::save_wire`] is stored as its
-//! [`WireCodec`] byte encoding, so a save performed inside a forked map
-//! worker can be journalled (`StateOp`) and replayed type-free in the
-//! coordinator — the next round's workers then see it through fork
-//! copy-on-write, just as Hadoop mappers re-read their local HDFS state
-//! file.
+//! State is stored as its [`WireCodec`] byte encoding in every engine
+//! mode, so a save performed inside a forked map worker can be journalled
+//! (`StateOp`) and replayed type-free in the coordinator — the next
+//! round's workers then see it through fork copy-on-write, just as Hadoop
+//! mappers re-read their local HDFS state file.
 
 use parking_lot::Mutex;
-use std::any::Any;
 use std::collections::HashMap;
 
-use crate::wire::WireCodec;
+use crate::wire::{WireCodec, WireSize};
 
 /// One journalled state mutation, replayable without knowing the state's
 /// Rust type (the bytes are already wire-encoded).
@@ -36,7 +33,7 @@ pub(crate) enum StateOp {
 /// Thread-safe per-split state, keyed by split id.
 #[derive(Default)]
 pub struct StateStore {
-    slots: Mutex<HashMap<u32, Box<dyn Any + Send>>>,
+    slots: Mutex<HashMap<u32, Vec<u8>>>,
     /// `Some` while a forked worker is recording its wire-path mutations
     /// for replay in the coordinator; `None` everywhere else.
     journal: Mutex<Option<Vec<StateOp>>>,
@@ -48,58 +45,38 @@ impl StateStore {
         Self::default()
     }
 
-    /// Saves `state` for `split`, replacing any previous value.
-    pub fn save<T: Any + Send>(&self, split: u32, state: T) {
-        self.slots.lock().insert(split, Box::new(state));
-    }
-
-    /// Removes and returns the state of `split`, if present and of type `T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored state has a different type — that is a
-    /// programming error in the round driver, not a data condition.
-    pub fn take<T: Any + Send>(&self, split: u32) -> Option<T> {
-        self.slots.lock().remove(&split).map(|b| {
-            *b.downcast::<T>()
-                .unwrap_or_else(|_| panic!("state for split {split} has unexpected type"))
-        })
-    }
-
-    /// Reads (clones) the state of `split` without removing it.
-    pub fn get<T: Any + Send + Clone>(&self, split: u32) -> Option<T> {
-        self.slots.lock().get(&split).map(|b| {
-            b.downcast_ref::<T>()
-                .unwrap_or_else(|| panic!("state for split {split} has unexpected type"))
-                .clone()
-        })
-    }
-
     /// Saves `state` for `split` in its wire encoding, replacing any
     /// previous value. Storing the *bytes* (in every engine mode, so the
     /// modes stay interchangeable) is what lets the multi-process
     /// coordinator replay a worker's saves without the state's type.
-    pub fn save_wire<T: WireCodec>(&self, split: u32, state: &T) {
-        let mut bytes = Vec::new();
+    /// The buffer is allocated once, at the state's accounted wire size
+    /// (exact for the coefficient lists H-WTopk saves), so state held
+    /// across rounds carries no spare capacity.
+    pub fn save_wire<T: WireCodec + WireSize>(&self, split: u32, state: &T) {
+        // Sizing up front also keeps the buffer in the saving thread's
+        // malloc arena: glibc grows a buffer in the arena its first chunk
+        // came from, and an 8-byte first chunk out of the thread cache is
+        // often the main thread's — split-sized state piling up there
+        // costs peak RSS.
+        let mut bytes = Vec::with_capacity(state.wire_bytes() as usize);
         state.encode_wire(&mut bytes);
         if let Some(ops) = self.journal.lock().as_mut() {
             ops.push(StateOp::Save(split, bytes.clone()));
         }
-        self.slots.lock().insert(split, Box::new(bytes));
+        self.slots.lock().insert(split, bytes);
     }
 
     /// Removes and decodes the wire-encoded state of `split`, if present.
     ///
     /// # Panics
     ///
-    /// Panics if the slot was not saved through [`Self::save_wire`] or
-    /// its bytes do not decode as `T` — a programming error in the round
-    /// driver, exactly like [`Self::take`]'s type mismatch.
+    /// Panics if the stored bytes do not decode as `T` — that is a
+    /// programming error in the round driver, not a data condition.
     pub fn take_wire<T: WireCodec>(&self, split: u32) -> Option<T> {
         if let Some(ops) = self.journal.lock().as_mut() {
             ops.push(StateOp::Take(split));
         }
-        let bytes: Vec<u8> = self.take(split)?;
+        let bytes = self.slots.lock().remove(&split)?;
         let mut input = bytes.as_slice();
         let value = T::decode_wire(&mut input)
             .unwrap_or_else(|e| panic!("state for split {split} does not decode: {e}"));
@@ -125,7 +102,7 @@ impl StateStore {
     pub(crate) fn apply(&self, op: StateOp) {
         match op {
             StateOp::Save(split, bytes) => {
-                self.slots.lock().insert(split, Box::new(bytes));
+                self.slots.lock().insert(split, bytes);
             }
             StateOp::Take(split) => {
                 self.slots.lock().remove(&split);
@@ -153,34 +130,6 @@ impl std::fmt::Debug for StateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn save_take_roundtrip() {
-        let store = StateStore::new();
-        store.save(3, vec![1u64, 2, 3]);
-        assert_eq!(store.len(), 1);
-        let v: Vec<u64> = store.take(3).unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
-        assert!(store.is_empty());
-        assert_eq!(store.take::<Vec<u64>>(3), None);
-    }
-
-    #[test]
-    fn get_clones_without_removing() {
-        let store = StateStore::new();
-        store.save(1, 42u32);
-        assert_eq!(store.get::<u32>(1), Some(42));
-        assert_eq!(store.get::<u32>(1), Some(42));
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unexpected type")]
-    fn wrong_type_panics() {
-        let store = StateStore::new();
-        store.save(1, 42u32);
-        let _: Option<String> = store.take(1);
-    }
 
     #[test]
     fn wire_save_take_roundtrip() {
@@ -237,12 +186,12 @@ mod tests {
         std::thread::scope(|s| {
             for j in 0..8u32 {
                 let store = &store;
-                s.spawn(move || store.save(j, j as u64 * 10));
+                s.spawn(move || store.save_wire(j, &(j as u64 * 10)));
             }
         });
         assert_eq!(store.len(), 8);
         for j in 0..8u32 {
-            assert_eq!(store.get::<u64>(j), Some(j as u64 * 10));
+            assert_eq!(store.take_wire::<u64>(j), Some(j as u64 * 10));
         }
     }
 }

@@ -97,8 +97,7 @@ mod unix {
 
     use crate::cost::ClusterConfig;
     use crate::engine::{
-        dense_combine_domain, run_one_task, select_strategy, shuffle_reduce_finish, MapWorker,
-        TaskSpill,
+        run_one_task, select_strategy, shuffle_reduce_finish, MapWorker, TaskSpill,
     };
     use crate::fault::ChildFaults;
     use crate::job::{JobOutput, JobSpec, MapTask, PairCodec, PartitionFn};
@@ -146,11 +145,6 @@ mod unix {
             return Err(EngineError::MissingWireCodec);
         };
         let nparts = engine.num_reducers as usize;
-        let dense_domain = dense_combine_domain(
-            key_codec.is_some(),
-            engine.key_domain_hint,
-            combiner.is_some(),
-        );
         let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
         // A job with no tasks has nothing to fork for; run the (empty)
@@ -240,7 +234,6 @@ mod unix {
                             child_main(
                                 my_tasks,
                                 write_end,
-                                &engine,
                                 nparts,
                                 strategy,
                                 &combiner,
@@ -248,7 +241,6 @@ mod unix {
                                 key_codec,
                                 codec,
                                 state.as_deref(),
-                                dense_domain,
                                 child_faults,
                             )
                         }));
@@ -476,7 +468,6 @@ mod unix {
     fn child_main<K, V>(
         tasks: Vec<MapTask<K, V>>,
         write_end: File,
-        engine: &crate::engine::EngineConfig,
         nparts: usize,
         strategy: ReduceStrategy,
         combiner: &Option<crate::job::CombineFn<K, V>>,
@@ -484,7 +475,6 @@ mod unix {
         key_codec: Option<fn(&K) -> u64>,
         codec: PairCodec<K, V>,
         state: Option<&StateStore>,
-        dense_domain: Option<usize>,
         faults: ChildFaults,
     ) -> std::io::Result<()>
     where
@@ -498,7 +488,7 @@ mod unix {
             BufWriter::with_capacity(PAIR_CHUNK_BYTES, write_end),
             faults.writer,
         );
-        let mut worker_state = MapWorker::new(key_codec, dense_domain);
+        let mut worker_state = MapWorker::new();
         let ntasks = tasks.len() as u32;
         let mut payload = Vec::with_capacity(PAIR_CHUNK_BYTES + 64);
         for (local_idx, task) in tasks.into_iter().enumerate() {
@@ -507,7 +497,6 @@ mod unix {
             }
             let spill = run_one_task(
                 task,
-                engine,
                 nparts,
                 strategy,
                 combiner,

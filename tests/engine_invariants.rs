@@ -173,12 +173,12 @@ fn state_store_survives_rounds() {
     std::thread::scope(|s| {
         for j in 0..16u32 {
             let store = &store;
-            s.spawn(move || store.save(j, vec![(j as u64, 0.5f64)]));
+            s.spawn(move || store.save_wire(j, &vec![(j as u64, 0.5f64)]));
         }
     });
     // Round 2 reads it back.
     for j in 0..16u32 {
-        let st: Vec<(u64, f64)> = store.take(j).expect("state persisted");
+        let st: Vec<(u64, f64)> = store.take_wire(j).expect("state persisted");
         assert_eq!(st[0].0, j as u64);
     }
 }

@@ -367,6 +367,90 @@ fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
     }
 }
 
+/// The engine's one combine path — group once at task end, radix-sorted
+/// with a key codec and comparison-sorted without — on forked workers: a
+/// combiner job yields the same outputs and logical metrics on all three
+/// engines, with and without radix keys, with and without a key-domain
+/// hint, at 1 and 4 reducers. The combiner leaves two survivors per key
+/// and the reducer digests values order-sensitively, so a regrouping
+/// that reordered or re-ran the combiner would show; the pair count is
+/// recomputed from the raw input, independent of every engine.
+#[test]
+fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
+    const KEYS: u64 = 2_000;
+    // One split too small to scatter in the worker, seven large enough to.
+    let split_len = |j: u64| if j == 0 { 40 } else { 3_000 };
+    let key_of = |j: u64, i: u64| (i * (2 * j + 3) + j) % KEYS;
+    let job = |engine: EngineConfig, radix: bool| {
+        let tasks: Vec<MapTask<WKey, u64>> = (0..8u64)
+            .map(|j| {
+                MapTask::new(j as u32, move |ctx: &mut MapContext<WKey, u64>| {
+                    ctx.note_read(split_len(j), split_len(j) * 4);
+                    for i in 0..split_len(j) {
+                        ctx.emit(WKey::four(key_of(j, i)), i + 1);
+                    }
+                })
+            })
+            .collect();
+        let mut spec = JobSpec::new(
+            "mp-combine",
+            tasks,
+            |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, u64)>| {
+                ctx.charge(vs.len() as f64);
+                let digest = vs.iter().enumerate().fold(0u64, |acc, (i, v)| {
+                    acc.wrapping_add(v.wrapping_mul(i as u64 + 1))
+                });
+                ctx.emit((k.id, vs.len() as u64, digest));
+            },
+        )
+        .with_combiner(|_k, vs: &mut Vec<u64>| {
+            let (total, count) = (vs.iter().sum(), vs.len() as u64);
+            vs.clear();
+            vs.extend([total, count]);
+        })
+        .with_wire_codec()
+        .with_engine(engine);
+        if radix {
+            spec = spec.with_radix_keys();
+        }
+        let out = try_run_job(&ClusterConfig::paper_cluster(), spec).unwrap();
+        (out.outputs, out.metrics)
+    };
+    let combined_pairs: u64 = (0..8u64)
+        .map(|j| {
+            let mut keys: Vec<u64> = (0..split_len(j)).map(|i| key_of(j, i)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            2 * keys.len() as u64
+        })
+        .sum();
+    for reducers in [1u32, 4] {
+        for radix in [false, true] {
+            for hint in [None, Some(KEYS)] {
+                let configure = |base: EngineConfig| {
+                    let engine = base.with_reducers(reducers);
+                    hint.map_or(engine, |u| engine.with_key_domain(u))
+                };
+                let ctx = format!("R={reducers} radix={radix} hint={hint:?}");
+                let (want, want_metrics) = job(configure(EngineConfig::reference()), radix);
+                assert_eq!(want_metrics.map_output_pairs, combined_pairs, "{ctx}");
+                assert_eq!(want_metrics.shuffle_bytes, combined_pairs * 12, "{ctx}");
+                for (mode, base) in [
+                    ("pipelined", EngineConfig::pipelined()),
+                    (
+                        "multi-process",
+                        EngineConfig::multi_process().with_map_parallelism(3),
+                    ),
+                ] {
+                    let (got, metrics) = job(configure(base), radix);
+                    assert_eq!(got, want, "{mode} {ctx}: outputs");
+                    assert_eq!(metrics, want_metrics, "{mode} {ctx}: logical metrics");
+                }
+            }
+        }
+    }
+}
+
 fn splits_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
     prop::collection::vec(prop::collection::vec(0u64..60, 0..70), 1..10)
 }

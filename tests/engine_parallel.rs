@@ -1,8 +1,7 @@
 //! Property and differential tests of the pipelined execution engine:
-//! multi-reducer equivalence for every builder, streaming-combiner
-//! byte-identity, determinism across thread counts and reduce strategies
-//! (dense reduce / sort-at-reduce / merge), and pipelined-vs-seed engine
-//! equivalence on randomized jobs.
+//! multi-reducer equivalence for every builder, determinism across
+//! thread counts and reduce strategies (dense reduce / sort-at-reduce /
+//! merge), and pipelined-vs-seed engine equivalence on randomized jobs.
 
 use proptest::prelude::*;
 use wavelet_hist::builders::{
@@ -102,77 +101,6 @@ fn every_builder_deterministic_across_thread_counts() {
             assert_eq!(a.metrics, b.metrics, "threads={threads}");
         }
     }
-}
-
-/// A combiner-based wordcount job whose Close hook assembles a k-term
-/// histogram — exercises the streaming-combine path end to end.
-fn histogram_job(
-    engine: EngineConfig,
-    splits: &[Vec<u64>],
-) -> (Vec<(u64, f64)>, wavelet_hist::mapreduce::RunMetrics) {
-    let domain = Domain::new(6).unwrap();
-    let tasks: Vec<MapTask<WKey, u64>> = splits
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(j, keys)| {
-            MapTask::new(j as u32, move |ctx: &mut MapContext<WKey, u64>| {
-                ctx.note_read(keys.len() as u64, keys.len() as u64 * 4);
-                for k in &keys {
-                    ctx.emit(WKey::four(*k % 64), 1);
-                }
-            })
-        })
-        .collect();
-    let spec = JobSpec::new(
-        "hist-wc",
-        tasks,
-        |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, f64)>| {
-            ctx.charge(vs.len() as f64);
-            ctx.emit((k.id, vs.iter().sum::<u64>() as f64));
-        },
-    )
-    .with_combiner(|_k, vs: &mut Vec<u64>| {
-        let total: u64 = vs.iter().sum();
-        vs.clear();
-        vs.push(total);
-    })
-    .with_engine(engine)
-    .with_finish(move |ctx| {
-        let counts = ctx.take_outputs();
-        let coefs = wavelet_hist::wavelet::sparse::sparse_transform(domain, counts);
-        for e in wavelet_hist::wavelet::select::top_k_magnitude(coefs, 8) {
-            ctx.emit((e.slot, e.value));
-        }
-    });
-    let out = run_job(&ClusterConfig::paper_cluster(), spec);
-    (out.outputs, out.metrics)
-}
-
-/// Satellite (b): streaming combining is byte-identical to batch
-/// combining — same histogram, same `RunMetrics` — for any spill chunk.
-#[test]
-fn streaming_combiner_byte_identical_to_batch() {
-    let splits: Vec<Vec<u64>> = (0..6)
-        .map(|j| (0..2_000u64).map(|i| (i * (j + 2)) % 300).collect())
-        .collect();
-    let (base_out, base_metrics) = histogram_job(EngineConfig::default(), &splits);
-    for chunk in [0, 1, 13, 256, 100_000] {
-        let engine = EngineConfig::default()
-            .with_streaming_combine(true)
-            .with_spill_chunk(chunk);
-        let (out, metrics) = histogram_job(engine, &splits);
-        assert_eq!(base_out, out, "chunk={chunk}: histogram");
-        assert_eq!(base_metrics, metrics, "chunk={chunk}: metrics");
-    }
-    // And with multiple reducers on top.
-    let engine = EngineConfig::default()
-        .with_streaming_combine(true)
-        .with_spill_chunk(64)
-        .with_reducers(4);
-    let (out, metrics) = histogram_job(engine, &splits);
-    assert_eq!(base_out, out, "R=4 streaming: histogram");
-    assert_eq!(base_metrics, metrics, "R=4 streaming: metrics");
 }
 
 /// Every builder declares a tight bounded key domain, so with the default
@@ -427,10 +355,10 @@ proptest! {
         );
     }
 
-    /// Satellite (PR 3): the dense-domain combine table and the radix
-    /// spill sort are byte-identical to the hash/comparison paths on
-    /// random jobs — outputs *and* metrics — including under streaming
-    /// combining and any reducer count.
+    /// Satellite (PR 3): radix-sorted combining, the radix spill sort and
+    /// the dense reduce a key-domain hint selects are byte-identical to
+    /// the comparison paths on random jobs — outputs *and* metrics — at
+    /// any reducer count.
     #[test]
     fn dense_domain_combine_equals_hash_combine(
         splits in splits_strategy(),
@@ -441,18 +369,11 @@ proptest! {
         let hinted = plain.with_key_domain(64);
         let base = combine_count_job(splits.clone(), plain, false);
         let radix_only = combine_count_job(splits.clone(), plain, true);
-        let dense = combine_count_job(splits.clone(), hinted, true);
-        let dense_streaming = combine_count_job(
-            splits,
-            hinted.with_streaming_combine(true).with_spill_chunk(16),
-            true,
-        );
+        let dense = combine_count_job(splits, hinted, true);
         prop_assert_eq!(&base.0, &radix_only.0);
         prop_assert_eq!(&base.1, &radix_only.1);
         prop_assert_eq!(&base.0, &dense.0);
         prop_assert_eq!(&base.1, &dense.1);
-        prop_assert_eq!(&base.0, &dense_streaming.0);
-        prop_assert_eq!(&base.1, &dense_streaming.1);
     }
 
     /// Differential: radix + dense specializations against the preserved

@@ -33,10 +33,11 @@ use wavelet_hist::wavelet::Domain;
 
 const K: usize = 24;
 
-/// Correlated 2-D Zipf: mass in a diagonal band, most cells empty.
-fn zipf2d() -> Dataset2d {
+/// Correlated 2-D Zipf over `[2^log_u]²`: mass in a diagonal band, most
+/// cells empty.
+fn zipf2d(log_u: u32) -> Dataset2d {
     Dataset2d::new(
-        Domain::new(5).unwrap(),
+        Domain::new(log_u).unwrap(),
         Distribution2d::Correlated {
             alpha: 1.1,
             spread: 2,
@@ -47,11 +48,11 @@ fn zipf2d() -> Dataset2d {
     )
 }
 
-/// WorldCup-style time × object: Zipf(1.05) objects bursting at
-/// per-object phases in time.
-fn worldcup2d() -> Dataset2d {
+/// WorldCup-style time × object over `[2^log_u]²`: Zipf(1.05) objects
+/// bursting at per-object phases in time.
+fn worldcup2d(log_u: u32) -> Dataset2d {
     Dataset2d::new(
-        Domain::new(5).unwrap(),
+        Domain::new(log_u).unwrap(),
         Distribution2d::WorldCup,
         20_000,
         6,
@@ -59,8 +60,8 @@ fn worldcup2d() -> Dataset2d {
     )
 }
 
-fn datasets() -> Vec<(&'static str, Dataset2d)> {
-    vec![("zipf2d", zipf2d()), ("worldcup2d", worldcup2d())]
+fn datasets(log_u: u32) -> Vec<(&'static str, Dataset2d)> {
+    vec![("zipf2d", zipf2d(log_u)), ("worldcup2d", worldcup2d(log_u))]
 }
 
 fn scramble(x: u64) -> u64 {
@@ -101,16 +102,18 @@ fn assert_coefs_eq(got: &WaveletHistogram2d, want: &WaveletHistogram2d, ctx: &st
 
 /// Tentpole differential: the engine-built 2-D histogram is bit-identical
 /// to the sequential reference on every reduce strategy, reducer count,
-/// thread count, and engine — and the strategy really varies: the tight
-/// `(u16, u16)` key-domain hint selects dense-reduce, withholding it
-/// selects sort-at-reduce (several reducers) or merge (one reducer).
+/// thread count, and engine — and the strategy really varies with the
+/// domain: at `log_u = 5` the tight `(u16, u16)` key-domain hint fits the
+/// engine's dense-domain cap and selects dense-reduce, at `log_u = 7` it
+/// does not and the job runs sort-at-reduce (several reducers) or merge
+/// (one reducer).
 #[test]
 fn engine_built_matches_sequential_reference_across_strategies() {
     let cluster = ClusterConfig::paper_cluster();
-    for (name, ds) in datasets() {
-        let want = sequential_send_coef2d(&ds, K);
-        for reducers in [1u32, 2, 8] {
-            for tight in [true, false] {
+    for log_u in [5u32, 7] {
+        for (name, ds) in datasets(log_u) {
+            let want = sequential_send_coef2d(&ds, K);
+            for reducers in [1u32, 2, 8] {
                 let mut metrics: Option<RunMetrics> = None;
                 for threads in [1usize, 4] {
                     let engines = [
@@ -122,9 +125,8 @@ fn engine_built_matches_sequential_reference_across_strategies() {
                     ];
                     for (e, engine) in engines.into_iter().enumerate() {
                         let ctx =
-                            format!("{name} r={reducers} tight={tight} t={threads} engine={e}");
+                            format!("{name} log_u={log_u} r={reducers} t={threads} engine={e}");
                         let got = SendCoef2d::new()
-                            .with_tight_hint(tight)
                             .with_engine(engine)
                             .build(&ds, &cluster, K);
                         assert_coefs_eq(&got.histogram, &want, &ctx);
@@ -137,10 +139,9 @@ fn engine_built_matches_sequential_reference_across_strategies() {
                         // advertised strategy (the reference engine does
                         // not plan strategies).
                         if e == 0 {
-                            let s = metrics.as_ref().unwrap().reduce_strategies;
                             let got_s = got.metrics.reduce_strategies;
-                            assert_eq!(got_s.total(), s.total(), "{ctx}");
-                            if tight {
+                            assert_eq!(got_s.total(), reducers, "{ctx}");
+                            if log_u <= 6 {
                                 assert_eq!(got_s.dense_reduce, got_s.total(), "{ctx}");
                             } else if reducers > 1 {
                                 assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
@@ -162,7 +163,7 @@ fn engine_built_matches_sequential_reference_across_strategies() {
 #[test]
 fn engine_built_bit_identical_across_worker_processes() {
     let cluster = ClusterConfig::paper_cluster();
-    let ds = zipf2d();
+    let ds = zipf2d(5);
     let want = sequential_send_coef2d(&ds, K);
     for reducers in [1u32, 2, 8] {
         let in_process = SendCoef2d::new()
@@ -214,7 +215,7 @@ fn estimate_grid(compiled: &CompiledHistogram2D, truth: &[u64], u: u64) -> (Vec<
 #[test]
 fn compiled_estimates_within_brute_force_bounds() {
     let cluster = ClusterConfig::paper_cluster();
-    for (name, ds) in datasets() {
+    for (name, ds) in datasets(5) {
         let u = ds.domain().u();
         let truth = ds.exact_frequency_array();
         let total_energy: f64 = truth.iter().map(|&c| (c as f64) * (c as f64)).sum();
@@ -280,7 +281,7 @@ fn compiled_estimates_within_brute_force_bounds() {
 #[test]
 fn full_retention_reconstructs_exactly() {
     let cluster = ClusterConfig::paper_cluster();
-    for (name, ds) in datasets() {
+    for (name, ds) in datasets(5) {
         let u = ds.domain().u();
         let truth = ds.exact_frequency_array();
         let k_full = (u * u) as usize;
@@ -304,7 +305,7 @@ fn full_retention_reconstructs_exactly() {
 fn batched_rectangles_bit_identical_to_single() {
     let cluster = ClusterConfig::paper_cluster();
     let mut scratch = BatchScratch2D::new();
-    for (name, ds) in datasets() {
+    for (name, ds) in datasets(5) {
         let u = ds.domain().u();
         let n = ds.num_records();
         let hist = SendCoef2d::new().build(&ds, &cluster, K).histogram;
@@ -336,7 +337,7 @@ fn batched_rectangles_bit_identical_to_single() {
 #[test]
 fn tier_serving_bit_identical_to_direct() {
     let cluster = ClusterConfig::paper_cluster();
-    let ds = zipf2d();
+    let ds = zipf2d(5);
     let u = ds.domain().u();
     let n = ds.num_records();
     let coarse = CompiledHistogram2D::compile(&SendCoef2d::new().build(&ds, &cluster, 8).histogram);
