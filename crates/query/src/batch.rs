@@ -1,11 +1,11 @@
 //! The batched query path: sort a batch's endpoints once, resolve them
-//! all in one monotone walk over the compiled segments.
+//! all in one monotone walk per window over the compiled segments.
 //!
 //! Answers are **bit-identical** to the single-query methods: both paths
 //! locate the same segment for every endpoint (segments partition the
 //! domain, so the index is unique) and then evaluate the identical
-//! [`CompiledHistogram::prefix_at`] expression, combining the two
-//! endpoint prefixes of each range in the same order.
+//! `prefix_at` expression, combining the two endpoint prefixes of each
+//! range in the same order.
 
 use crate::compiled::CompiledHistogram;
 use crate::error::QueryError;
@@ -17,7 +17,7 @@ use crate::error::QueryError;
 /// nothing. The scratch carries no per-histogram state: every batched
 /// call rebuilds the endpoint and prefix buffers from its own inputs, so
 /// one scratch serves any number of different compiled histograms (the
-/// serve tier recycles it across shard snapshots).
+/// serve tier recycles it across snapshots).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// `(key, tag)` endpoints; the tag's low bit distinguishes a range's
@@ -29,7 +29,7 @@ pub struct BatchScratch {
     /// Per-pass digit histograms of the endpoint sort.
     counts: Vec<u32>,
     /// Cumulative estimates indexed by tag.
-    pub(crate) prefixes: Vec<f64>,
+    prefixes: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -64,11 +64,7 @@ const BUCKETS: usize = 1 << DIGIT_BITS;
 /// arrives in key order. Order among equal keys is irrelevant (every
 /// endpoint is resolved independently), but counting passes are stable
 /// anyway.
-pub(crate) fn sort_endpoints(
-    main: &mut Vec<(u64, u32)>,
-    swap: &mut Vec<(u64, u32)>,
-    counts: &mut Vec<u32>,
-) {
+fn sort_endpoints(main: &mut Vec<(u64, u32)>, swap: &mut Vec<(u64, u32)>, counts: &mut Vec<u32>) {
     let n = main.len();
     if n <= 1 {
         return;
@@ -139,10 +135,9 @@ pub(crate) fn sort_endpoints(
 /// Precondition (upheld by the callers): `starts[from] <= x`.
 ///
 /// `#[inline]` is load-bearing: this runs once per endpoint inside every
-/// batched walk (unsharded, sharded, and 2-D), and with call sites in
-/// three modules the inliner otherwise outlines it — keeping `starts`
-/// in a register across the gallop is worth ~2× on the large-`k`
-/// sharded serving path.
+/// batched walk (1-D and 2-D), and with call sites in two modules the
+/// inliner otherwise outlines it — keeping `starts` in a register across
+/// the gallop is worth ~2× on the large-`k` serving path.
 #[inline]
 pub(crate) fn advance(starts: &[u64], from: usize, x: u64) -> usize {
     debug_assert!(starts[from] <= x);
@@ -161,15 +156,40 @@ pub(crate) fn advance(starts: &[u64], from: usize, x: u64) -> usize {
 }
 
 impl CompiledHistogram {
+    /// Resolves a sorted endpoint stream window by window: a binary
+    /// search on the window's end key splits off its contiguous
+    /// sub-slice, one monotone galloping walk over the window's segment
+    /// starts locates every endpoint, and `resolve` receives the segment
+    /// index, the key and the endpoint's tag.
+    #[inline]
+    fn walk(&self, endpoints: &[(u64, u32)], mut resolve: impl FnMut(usize, u64, u32)) {
+        let mut at = 0usize;
+        for window in self.cuts.windows(2) {
+            if at == endpoints.len() {
+                break;
+            }
+            let hi_bound = self.key_at(window[1]);
+            let end = at + endpoints[at..].partition_point(|&(k, _)| k < hi_bound);
+            let starts = &self.starts[window[0]..window[1]];
+            let mut seg = 0usize;
+            for &(x, tag) in &endpoints[at..end] {
+                seg = advance(starts, seg, x);
+                resolve(window[0] + seg, x, tag);
+            }
+            at = end;
+        }
+    }
+
     /// Answers a batch of inclusive range-sum queries into `out`,
     /// bit-identical to calling [`Self::try_range_sum`] per query, or
     /// reports the first malformed query. On `Err`, `out` is untouched.
     ///
     /// The batch's `2q` endpoints are radix-sorted (the LSD counting
     /// sort whose buffers live in `scratch`), then resolved in one
-    /// galloping walk over the segment array — `O(q + k)` probes total
-    /// versus `O(q log k)` for one-at-a-time serving. `scratch` and
-    /// `out` are caller-owned, so a warm serving loop allocates nothing.
+    /// galloping walk per window over the segment arrays — `O(q + k)`
+    /// probes total versus `O(q log k)` for one-at-a-time serving.
+    /// `scratch` and `out` are caller-owned, so a warm serving loop
+    /// allocates nothing.
     pub fn try_range_sum_batch_into(
         &self,
         queries: &[(u64, u64)],
@@ -206,44 +226,14 @@ impl CompiledHistogram {
             scratch.endpoints.push((hi, tag | 1));
         }
         scratch.sort();
-        let starts = self.start_keys();
-        let mut seg = 0usize;
-        for &(x, tag) in scratch.endpoints.iter() {
-            seg = advance(starts, seg, x);
-            scratch.prefixes[tag as usize] = self.prefix_at(seg, x);
-        }
+        let prefixes = &mut scratch.prefixes;
+        self.walk(&scratch.endpoints, |seg, x, tag| {
+            prefixes[tag as usize] = self.prefix_at(seg, x);
+        });
         for (q, slot) in out.iter_mut().enumerate() {
-            *slot = scratch.prefixes[2 * q + 1] - scratch.prefixes[2 * q];
+            *slot = prefixes[2 * q + 1] - prefixes[2 * q];
         }
         Ok(())
-    }
-
-    /// Answers a batch of inclusive range-sum queries into `out`,
-    /// bit-identical to calling [`Self::range_sum`] per query.
-    ///
-    /// Thin wrapper over [`Self::try_range_sum_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != queries.len()`, on any invalid query
-    /// (`lo > hi` or `hi` outside the domain), or when the batch exceeds
-    /// `2^30` queries (tag budget).
-    pub fn range_sum_batch_into(
-        &self,
-        queries: &[(u64, u64)],
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_range_sum_batch_into(queries, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`Self::range_sum_batch_into`].
-    pub fn range_sum_batch(&self, queries: &[(u64, u64)]) -> Vec<f64> {
-        let mut out = vec![0.0; queries.len()];
-        self.range_sum_batch_into(queries, &mut BatchScratch::new(), &mut out);
-        out
     }
 
     /// Answers a batch of selectivity queries relative to `n` records,
@@ -264,25 +254,6 @@ impl CompiledHistogram {
             *slot = (*slot / n as f64).clamp(0.0, 1.0);
         }
         Ok(())
-    }
-
-    /// Answers a batch of selectivity queries relative to `n` records,
-    /// bit-identical to calling [`Self::selectivity`] per query.
-    ///
-    /// Thin wrapper over [`Self::try_selectivity_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::range_sum_batch_into`], plus `n == 0`.
-    pub fn selectivity_batch_into(
-        &self,
-        queries: &[(u64, u64)],
-        n: u64,
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_selectivity_batch_into(queries, n, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Answers a batch of point estimates into `out`, bit-identical to
@@ -315,68 +286,18 @@ impl CompiledHistogram {
             scratch.endpoints.push((x, i as u32));
         }
         scratch.sort();
-        let starts = self.start_keys();
-        let mut seg = 0usize;
-        for &(x, idx) in scratch.endpoints.iter() {
-            seg = advance(starts, seg, x);
-            out[idx as usize] = self.value_at(seg);
-        }
+        self.walk(&scratch.endpoints, |seg, _, idx| {
+            out[idx as usize] = self.values[seg];
+        });
         Ok(())
-    }
-
-    /// Answers a batch of point estimates into `out`, bit-identical to
-    /// calling [`Self::point_estimate`] per key.
-    ///
-    /// Thin wrapper over [`Self::try_point_estimate_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != keys.len()`, on any key outside the
-    /// domain, or when the batch exceeds `2^31` keys.
-    pub fn point_estimate_batch_into(
-        &self,
-        keys: &[u64],
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        self.try_point_estimate_batch_into(keys, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wh_core::WaveletHistogram;
-    use wh_wavelet::haar::forward;
-    use wh_wavelet::select::top_k_magnitude;
-    use wh_wavelet::Domain;
-
-    fn compiled_from_signal(v: &[f64], k: usize) -> CompiledHistogram {
-        let domain = Domain::covering(v.len() as u64).unwrap();
-        let w = forward(v);
-        let top = top_k_magnitude(w.iter().enumerate().map(|(s, &c)| (s as u64, c)), k);
-        CompiledHistogram::compile(&WaveletHistogram::new(
-            domain,
-            top.iter().map(|e| (e.slot, e.value)),
-        ))
-    }
-
-    fn scramble(x: u64) -> u64 {
-        let mut z = x.wrapping_mul(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z ^ (z >> 27)
-    }
-
-    fn random_queries(u: u64, count: usize) -> Vec<(u64, u64)> {
-        (0..count as u64)
-            .map(|i| {
-                let lo = scramble(i) % u;
-                let hi = lo + scramble(i ^ 0xdead) % (u - lo);
-                (lo, hi)
-            })
-            .collect()
-    }
+    use crate::testutil::{compiled_from_signal, random_queries, scramble};
+    use crate::ShardedHistogram;
 
     #[test]
     fn endpoint_sort_orders_any_key_material() {
@@ -429,20 +350,27 @@ mod tests {
             let queries = random_queries(256, 500);
             let mut scratch = BatchScratch::new();
             let mut out = vec![0.0; queries.len()];
-            compiled.range_sum_batch_into(&queries, &mut scratch, &mut out);
+            compiled
+                .try_range_sum_batch_into(&queries, &mut scratch, &mut out)
+                .unwrap();
             for (&(lo, hi), &batched) in queries.iter().zip(&out) {
                 assert_eq!(
                     batched.to_bits(),
-                    compiled.range_sum(lo, hi).to_bits(),
+                    compiled.try_range_sum(lo, hi).unwrap().to_bits(),
                     "k={k} [{lo},{hi}]"
                 );
             }
             // Scratch reuse across batches must not change answers.
             let more = random_queries(256, 73);
             let mut out2 = vec![0.0; more.len()];
-            compiled.range_sum_batch_into(&more, &mut scratch, &mut out2);
+            compiled
+                .try_range_sum_batch_into(&more, &mut scratch, &mut out2)
+                .unwrap();
             for (&(lo, hi), &batched) in more.iter().zip(&out2) {
-                assert_eq!(batched.to_bits(), compiled.range_sum(lo, hi).to_bits());
+                assert_eq!(
+                    batched.to_bits(),
+                    compiled.try_range_sum(lo, hi).unwrap().to_bits()
+                );
             }
         }
     }
@@ -455,15 +383,25 @@ mod tests {
         let queries = random_queries(128, 200);
         let mut scratch = BatchScratch::new();
         let mut out = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut scratch, &mut out);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut scratch, &mut out)
+            .unwrap();
         for (&(lo, hi), &batched) in queries.iter().zip(&out) {
-            assert_eq!(batched.to_bits(), compiled.selectivity(lo, hi, n).to_bits());
+            assert_eq!(
+                batched.to_bits(),
+                compiled.try_selectivity(lo, hi, n).unwrap().to_bits()
+            );
         }
         let keys: Vec<u64> = (0..300u64).map(|i| scramble(i) % 128).collect();
         let mut pts = vec![0.0; keys.len()];
-        compiled.point_estimate_batch_into(&keys, &mut scratch, &mut pts);
+        compiled
+            .try_point_estimate_batch_into(&keys, &mut scratch, &mut pts)
+            .unwrap();
         for (&x, &batched) in keys.iter().zip(&pts) {
-            assert_eq!(batched.to_bits(), compiled.point_estimate(x).to_bits());
+            assert_eq!(
+                batched.to_bits(),
+                compiled.try_point_estimate(x).unwrap().to_bits()
+            );
         }
     }
 
@@ -472,16 +410,9 @@ mod tests {
         let compiled = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
         let mut scratch = BatchScratch::new();
         let mut out: [f64; 0] = [];
-        compiled.range_sum_batch_into(&[], &mut scratch, &mut out);
-        assert!(compiled.range_sum_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer")]
-    fn mismatched_output_length_panics() {
-        let compiled = compiled_from_signal(&[1.0, 2.0], 2);
-        let mut out = [0.0; 1];
-        compiled.range_sum_batch_into(&[(0, 1), (0, 0)], &mut BatchScratch::new(), &mut out);
+        compiled
+            .try_range_sum_batch_into(&[], &mut scratch, &mut out)
+            .unwrap();
     }
 
     #[test]
@@ -532,41 +463,89 @@ mod tests {
         compiled
             .try_range_sum_batch_into(&[(0, 1), (1, 3)], &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out[0].to_bits(), compiled.range_sum(0, 1).to_bits());
-        assert_eq!(out[1].to_bits(), compiled.range_sum(1, 3).to_bits());
+        assert_eq!(
+            out[0].to_bits(),
+            compiled.try_range_sum(0, 1).unwrap().to_bits()
+        );
+        assert_eq!(
+            out[1].to_bits(),
+            compiled.try_range_sum(1, 3).unwrap().to_bits()
+        );
     }
 
     #[test]
-    fn try_single_queries_match_the_panicking_api() {
-        use crate::error::QueryError;
-        let compiled = compiled_from_signal(&[5.0, 1.0, 0.0, 2.0], 4);
+    fn sharded_batches_are_bit_identical() {
+        let v: Vec<f64> = (0..512).map(|i| ((i * 131) % 41) as f64).collect();
+        let compiled = compiled_from_signal(&v, 25);
+        let queries = random_queries(512, 700);
+        let keys: Vec<u64> = (0..400u64).map(|i| scramble(i) % 512).collect();
+
+        let mut scratch = BatchScratch::new();
+        let mut expect_sums = vec![0.0; queries.len()];
+        compiled
+            .try_range_sum_batch_into(&queries, &mut scratch, &mut expect_sums)
+            .unwrap();
+        let mut expect_sels = vec![0.0; queries.len()];
+        compiled
+            .try_selectivity_batch_into(&queries, 4242, &mut scratch, &mut expect_sels)
+            .unwrap();
+        let mut expect_pts = vec![0.0; keys.len()];
+        compiled
+            .try_point_estimate_batch_into(&keys, &mut scratch, &mut expect_pts)
+            .unwrap();
+
+        for m in [1usize, 2, 4, 13, 76] {
+            let sharded = ShardedHistogram::shard(&compiled, m);
+            // One scratch recycled across shard counts and batch kinds.
+            let mut sums = vec![0.0; queries.len()];
+            sharded
+                .try_range_sum_batch_into(&queries, &mut scratch, &mut sums)
+                .unwrap();
+            let mut sels = vec![0.0; queries.len()];
+            sharded
+                .try_selectivity_batch_into(&queries, 4242, &mut scratch, &mut sels)
+                .unwrap();
+            let mut pts = vec![0.0; keys.len()];
+            sharded
+                .try_point_estimate_batch_into(&keys, &mut scratch, &mut pts)
+                .unwrap();
+            for (i, (a, b)) in expect_sums.iter().zip(&sums).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "m={m} query {i}");
+            }
+            for (i, (a, b)) in expect_sels.iter().zip(&sels).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "m={m} query {i}");
+            }
+            for (i, (a, b)) in expect_pts.iter().zip(&pts).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "m={m} key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_errors_match_the_unsharded_ones() {
+        let compiled = compiled_from_signal(&[1.0, 2.0, 3.0, 4.0], 4);
+        let sharded = ShardedHistogram::shard(&compiled, 2);
+        let mut scratch = BatchScratch::new();
+        let sentinel = [-3.0, -3.0];
+        let mut out = sentinel;
+
+        assert_eq!(sharded.try_range_sum(3, 1), compiled.try_range_sum(3, 1));
         assert_eq!(
-            compiled.try_range_sum(1, 3).unwrap().to_bits(),
-            compiled.range_sum(1, 3).to_bits()
+            sharded.try_point_estimate(77),
+            compiled.try_point_estimate(77)
         );
         assert_eq!(
-            compiled.try_selectivity(0, 2, 8).unwrap().to_bits(),
-            compiled.selectivity(0, 2, 8).to_bits()
+            sharded.try_selectivity(0, 1, 0),
+            compiled.try_selectivity(0, 1, 0)
         );
-        assert_eq!(
-            compiled.try_point_estimate(3).unwrap().to_bits(),
-            compiled.point_estimate(3).to_bits()
-        );
-        assert_eq!(
-            compiled.try_prefix_sum(2).unwrap().to_bits(),
-            compiled.prefix_sum(2).to_bits()
-        );
-        assert_eq!(
-            compiled.try_range_sum(2, 1),
-            Err(QueryError::EmptyRange { lo: 2, hi: 1 })
-        );
-        assert_eq!(
-            compiled.try_selectivity(0, 1, 0),
-            Err(QueryError::ZeroRecords)
-        );
-        assert!(matches!(
-            compiled.try_point_estimate(4),
-            Err(QueryError::OutOfDomain { key: 4, .. })
-        ));
+        let err = sharded
+            .try_range_sum_batch_into(&[(0, 1), (2, 9)], &mut scratch, &mut out)
+            .unwrap_err();
+        assert!(matches!(err, QueryError::OutOfDomain { key: 9, .. }));
+        assert_eq!(out, sentinel);
+        let err = sharded
+            .try_point_estimate_batch_into(&[1], &mut scratch, &mut out)
+            .unwrap_err();
+        assert_eq!(err, QueryError::OutputMismatch { queries: 1, out: 2 });
     }
 }

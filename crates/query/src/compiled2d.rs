@@ -22,7 +22,7 @@
 //! because both paths resolve the same unique segment indices and then
 //! evaluate the identical corner expression in the identical order.
 
-use crate::batch::{advance, sort_endpoints};
+use crate::batch::{advance, BatchScratch};
 use crate::error::QueryError;
 use wh_core::twod::WaveletHistogram2d;
 use wh_wavelet::twod::{point_estimate2d, unpack_slot, SparseCoefs2d};
@@ -179,7 +179,7 @@ impl CompiledHistogram2D {
     }
 
     /// Estimated total mass over the whole grid (equals
-    /// `rectangle_sum(0, u−1, 0, u−1)` bit for bit).
+    /// `try_rectangle_sum((0, u−1, 0, u−1))` bit for bit).
     pub fn total_estimate(&self) -> f64 {
         self.total
     }
@@ -313,38 +313,6 @@ impl CompiledHistogram2D {
         Ok((self.try_rectangle_sum(query)? / n as f64).clamp(0.0, 1.0))
     }
 
-    /// Estimated frequency of the cell `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x` or `y` is outside the domain.
-    pub fn point_estimate(&self, x: u64, y: u64) -> f64 {
-        self.try_point_estimate(x, y)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated total frequency of the inclusive rectangle.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a range is empty or an upper endpoint is outside the
-    /// domain.
-    pub fn rectangle_sum(&self, query: (u64, u64, u64, u64)) -> f64 {
-        self.try_rectangle_sum(query)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Estimated selectivity of the rectangle relative to `n` records,
-    /// clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::rectangle_sum`], plus `n == 0`.
-    pub fn selectivity(&self, query: (u64, u64, u64, u64), n: u64) -> f64 {
-        self.try_selectivity(query, n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Answers a batch of rectangle sums into `out`, bit-identical to
     /// calling [`Self::try_rectangle_sum`] per query, or reports the
     /// first malformed query. On `Err`, `out` is untouched.
@@ -396,23 +364,6 @@ impl CompiledHistogram2D {
         Ok(())
     }
 
-    /// Answers a batch of rectangle sums into `out`, bit-identical to
-    /// calling [`Self::rectangle_sum`] per query.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != queries.len()`, on any invalid query,
-    /// or when the batch exceeds `2^30` queries (tag budget).
-    pub fn rectangle_sum_batch_into(
-        &self,
-        queries: &[(u64, u64, u64, u64)],
-        scratch: &mut BatchScratch2D,
-        out: &mut [f64],
-    ) {
-        self.try_rectangle_sum_batch_into(queries, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Answers a batch of selectivity queries relative to `n` records,
     /// bit-identical to calling [`Self::try_selectivity`] per query, or
     /// reports the first malformed query. On `Err`, `out` is untouched.
@@ -432,40 +383,17 @@ impl CompiledHistogram2D {
         }
         Ok(())
     }
-
-    /// Answers a batch of selectivity queries relative to `n` records,
-    /// bit-identical to calling [`Self::selectivity`] per query.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::rectangle_sum_batch_into`], plus `n == 0`.
-    pub fn selectivity_batch_into(
-        &self,
-        queries: &[(u64, u64, u64, u64)],
-        n: u64,
-        scratch: &mut BatchScratch2D,
-        out: &mut [f64],
-    ) {
-        self.try_selectivity_batch_into(queries, n, scratch, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
-/// Reusable scratch of the batched 2-D query path: one endpoint buffer
-/// (reused for both axes), the sort's swap/digit buffers, and the
-/// resolved segment indices per axis. One per serving thread, recycled
-/// across batches and across different compiled histograms — the
-/// scratch carries no per-histogram state.
+/// Reusable scratch of the batched 2-D query path: a 1-D
+/// [`BatchScratch`] whose endpoint and sort buffers serve both axes in
+/// turn, and the resolved segment indices per axis. One per serving
+/// thread, recycled across batches and across different compiled
+/// histograms — the scratch carries no per-histogram state.
 #[derive(Debug, Default)]
 pub struct BatchScratch2D {
-    /// `(key, tag)` endpoints of the axis being resolved; the tag's low
-    /// bit distinguishes a range's `lo − 1` endpoint (0) from its `hi`
-    /// endpoint (1), the rest is the query index.
-    endpoints: Vec<(u64, u32)>,
-    /// Ping-pong buffer of the LSD endpoint sort.
-    swap: Vec<(u64, u32)>,
-    /// Per-pass digit histograms of the endpoint sort.
-    counts: Vec<u32>,
+    /// Endpoints of the axis being resolved, tagged as in the 1-D path.
+    axis: BatchScratch,
     /// Segment indices of the axis just resolved, indexed by tag.
     segs: Vec<u32>,
     /// Segment indices of the x axis, parked here while y resolves.
@@ -483,20 +411,20 @@ impl BatchScratch2D {
     /// its lo-slot at the 0 the resize wrote; [`CompiledHistogram2D`]
     /// never reads it.
     fn resolve_axis(&mut self, starts: &[u64], ranges: impl Iterator<Item = (u64, u64)>) {
-        self.endpoints.clear();
+        self.axis.endpoints.clear();
         self.segs.clear();
         for (q, (lo, hi)) in ranges.enumerate() {
             let tag = (q as u32) << 1;
             if lo > 0 {
-                self.endpoints.push((lo - 1, tag));
+                self.axis.endpoints.push((lo - 1, tag));
             }
-            self.endpoints.push((hi, tag | 1));
+            self.axis.endpoints.push((hi, tag | 1));
             self.segs.push(0);
             self.segs.push(0);
         }
-        sort_endpoints(&mut self.endpoints, &mut self.swap, &mut self.counts);
+        self.axis.sort();
         let mut seg = 0usize;
-        for &(x, tag) in &self.endpoints {
+        for &(x, tag) in &self.axis.endpoints {
             seg = advance(starts, seg, x);
             self.segs[tag as usize] = seg as u32;
         }
@@ -506,13 +434,8 @@ impl BatchScratch2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::scramble;
     use wh_wavelet::twod::{forward2d, pack_slot};
-
-    fn scramble(x: u64) -> u64 {
-        let mut z = x.wrapping_mul(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z ^ (z >> 27)
-    }
 
     /// A small dense row-major grid, transformed and truncated to k terms.
     fn compiled_from_grid(grid: &[f64], k: usize) -> (CompiledHistogram2D, WaveletHistogram2d) {
@@ -556,7 +479,7 @@ mod tests {
             for x in 0..16u64 {
                 for y in 0..16u64 {
                     let tree = hist.point_estimate(x, y);
-                    let got = compiled.point_estimate(x, y);
+                    let got = compiled.try_point_estimate(x, y).unwrap();
                     assert!(
                         (tree - got).abs() <= 1e-9 * (1.0 + tree.abs()),
                         "k={k} ({x},{y}): {got} vs {tree}"
@@ -575,10 +498,10 @@ mod tests {
                 let mut want = 0.0f64;
                 for x in xlo..=xhi {
                     for y in ylo..=yhi {
-                        want += compiled.point_estimate(x, y);
+                        want += compiled.try_point_estimate(x, y).unwrap();
                     }
                 }
-                let got = compiled.rectangle_sum((xlo, xhi, ylo, yhi));
+                let got = compiled.try_rectangle_sum((xlo, xhi, ylo, yhi)).unwrap();
                 assert!(
                     (want - got).abs() <= 1e-6 * (1.0 + want.abs()),
                     "k={k} [{xlo},{xhi}]x[{ylo},{yhi}]: {got} vs {want}"
@@ -595,20 +518,27 @@ mod tests {
             let queries = random_rects(32, 400);
             let mut scratch = BatchScratch2D::new();
             let mut out = vec![0.0; queries.len()];
-            compiled.rectangle_sum_batch_into(&queries, &mut scratch, &mut out);
+            compiled
+                .try_rectangle_sum_batch_into(&queries, &mut scratch, &mut out)
+                .unwrap();
             for (&q, &batched) in queries.iter().zip(&out) {
                 assert_eq!(
                     batched.to_bits(),
-                    compiled.rectangle_sum(q).to_bits(),
+                    compiled.try_rectangle_sum(q).unwrap().to_bits(),
                     "k={k} {q:?}"
                 );
             }
             // Scratch reuse across batches must not change answers.
             let more = random_rects(32, 57);
             let mut out2 = vec![0.0; more.len()];
-            compiled.selectivity_batch_into(&more, 1000, &mut scratch, &mut out2);
+            compiled
+                .try_selectivity_batch_into(&more, 1000, &mut scratch, &mut out2)
+                .unwrap();
             for (&q, &batched) in more.iter().zip(&out2) {
-                assert_eq!(batched.to_bits(), compiled.selectivity(q, 1000).to_bits());
+                assert_eq!(
+                    batched.to_bits(),
+                    compiled.try_selectivity(q, 1000).unwrap().to_bits()
+                );
             }
         }
     }
@@ -634,7 +564,10 @@ mod tests {
         let (compiled, _) = compiled_from_grid(&test_grid(16), 10);
         assert_eq!(
             compiled.total_estimate().to_bits(),
-            compiled.rectangle_sum((0, 15, 0, 15)).to_bits()
+            compiled
+                .try_rectangle_sum((0, 15, 0, 15))
+                .unwrap()
+                .to_bits()
         );
     }
 
@@ -645,9 +578,9 @@ mod tests {
         let compiled = CompiledHistogram2D::compile(&hist);
         assert_eq!(compiled.num_row_segments(), 1);
         assert_eq!(compiled.num_col_segments(), 1);
-        assert_eq!(compiled.point_estimate(7, 3), 0.0);
-        assert_eq!(compiled.rectangle_sum((0, 15, 2, 9)), 0.0);
-        assert_eq!(compiled.selectivity((3, 9, 0, 15), 100), 0.0);
+        assert_eq!(compiled.try_point_estimate(7, 3).unwrap(), 0.0);
+        assert_eq!(compiled.try_rectangle_sum((0, 15, 2, 9)).unwrap(), 0.0);
+        assert_eq!(compiled.try_selectivity((3, 9, 0, 15), 100).unwrap(), 0.0);
     }
 
     #[test]
@@ -684,6 +617,10 @@ mod tests {
             Err(QueryError::EmptyRange { lo: 5, hi: 4 })
         );
         assert!(matches!(
+            compiled.try_rectangle_sum((0, 3, 0, 16)),
+            Err(QueryError::OutOfDomain { key: 16, .. })
+        ));
+        assert!(matches!(
             compiled.try_point_estimate(16, 0),
             Err(QueryError::OutOfDomain { key: 16, .. })
         ));
@@ -694,15 +631,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             out[1].to_bits(),
-            compiled.rectangle_sum((1, 3, 2, 9)).to_bits()
+            compiled.try_rectangle_sum((1, 3, 2, 9)).unwrap().to_bits()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_domain_panics() {
-        let (compiled, _) = compiled_from_grid(&test_grid(16), 4);
-        compiled.rectangle_sum((0, 3, 0, 16));
     }
 
     #[test]

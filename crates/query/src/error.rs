@@ -4,18 +4,15 @@
 //! The serving tier (`wh-serve`) answers traffic it does not control — a
 //! query optimizer with a stale domain size, a client with an off-by-one
 //! range — and a panic there takes down a serving thread. Every query
-//! method on [`crate::CompiledHistogram`] therefore has a `try_*`
-//! variant returning `Result<_, QueryError>`; the panicking methods are
-//! thin wrappers over them (they format the same messages), kept for
-//! callers who construct their own queries and *want* a bug to abort.
+//! method on [`crate::CompiledHistogram`] and
+//! [`crate::CompiledHistogram2D`] is therefore a `try_*` method returning
+//! `Result<_, QueryError>`; a caller who *wants* a bug to abort unwraps.
 
 use std::fmt;
 
 use wh_wavelet::Domain;
 
-/// Why a query (or a batch of queries) could not be answered. The
-/// `Display` messages are exactly the panic messages of the panicking
-/// query methods — the two APIs report one vocabulary.
+/// Why a query (or a batch of queries) could not be answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
     /// A range query with `lo > hi`.
@@ -74,10 +71,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn messages_match_the_panicking_api() {
-        // The panicking wrappers format these very values, and existing
-        // `#[should_panic(expected = …)]` tests pin substrings of them —
-        // keep both in sync.
+    fn display_names_the_offending_values() {
         assert_eq!(
             QueryError::EmptyRange { lo: 9, hi: 3 }.to_string(),
             "empty range [9, 3]"

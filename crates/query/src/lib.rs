@@ -35,19 +35,28 @@
 //! ## Batched serving
 //!
 //! Heavy traffic arrives in batches, and adjacent queries touch adjacent
-//! segments. [`CompiledHistogram::range_sum_batch_into`] exploits that:
-//! it radix-sorts the batch's query endpoints (a stream-consumed LSD
-//! counting sort whose buffers live in a caller-held [`BatchScratch`]),
-//! then resolves every endpoint in **one monotone galloping walk** over
-//! the segment array — `O(q + k)` segment probes for the whole batch
-//! instead of `O(q log k)` independent binary searches — and is
-//! **bit-identical** to asking the queries one at a time.
+//! segments. [`CompiledHistogram::try_range_sum_batch_into`] exploits
+//! that: it radix-sorts the batch's query endpoints (a stream-consumed
+//! LSD counting sort whose buffers live in a caller-held
+//! [`BatchScratch`]), then resolves every endpoint in **one monotone
+//! galloping walk** over the segment arrays — `O(q + k)` segment probes
+//! for the whole batch instead of `O(q log k)` independent binary
+//! searches — and is **bit-identical** to asking the queries one at a
+//! time.
+//!
+//! ## One fallible API
+//!
+//! Every probe is a `try_*` method returning `Result<_, QueryError>`;
+//! there is no panicking counterpart. A malformed query — from an
+//! optimizer with a stale domain size, a client with an off-by-one range
+//! — is an error value instead of a downed serving thread, and a failed
+//! batch leaves its output buffer untouched.
 //!
 //! ## Example
 //!
 //! ```
 //! use wh_core::WaveletHistogram;
-//! use wh_query::{BatchScratch, CompiledHistogram};
+//! use wh_query::{BatchScratch, CompiledHistogram, QueryError};
 //! use wh_wavelet::Domain;
 //!
 //! // A tiny histogram: u = 8, average 16/√8 ⇒ two records per key.
@@ -55,33 +64,40 @@
 //! let hist = WaveletHistogram::new(domain, [(0, 16.0 / 8f64.sqrt())]);
 //! let compiled = CompiledHistogram::compile(&hist);
 //!
-//! assert!((compiled.point_estimate(5) - 2.0).abs() < 1e-9);
-//! assert!((compiled.range_sum(2, 5) - 8.0).abs() < 1e-9);
-//! assert!((compiled.selectivity(0, 3, 16) - 0.5).abs() < 1e-9);
+//! assert!((compiled.try_point_estimate(5)? - 2.0).abs() < 1e-9);
+//! assert!((compiled.try_range_sum(2, 5)? - 8.0).abs() < 1e-9);
+//! assert!((compiled.try_selectivity(0, 3, 16)? - 0.5).abs() < 1e-9);
+//! assert_eq!(
+//!     compiled.try_range_sum(5, 2),
+//!     Err(QueryError::EmptyRange { lo: 5, hi: 2 })
+//! );
 //!
-//! // The batched path answers the same queries bit-identically.
+//! // The batched path answers the same queries bit-identically, and so
+//! // does the same histogram re-sliced into key-range windows.
 //! let queries = [(2, 5), (0, 3), (7, 7)];
 //! let mut scratch = BatchScratch::new();
 //! let mut out = [0.0; 3];
-//! compiled.range_sum_batch_into(&queries, &mut scratch, &mut out);
+//! compiled.shard(2).try_range_sum_batch_into(&queries, &mut scratch, &mut out)?;
 //! for (&(lo, hi), &batched) in queries.iter().zip(&out) {
-//!     assert_eq!(batched.to_bits(), compiled.range_sum(lo, hi).to_bits());
+//!     assert_eq!(batched.to_bits(), compiled.try_range_sum(lo, hi)?.to_bits());
 //! }
+//! # Ok::<(), QueryError>(())
 //! ```
 //!
-//! ## Fallible serving, and shards
+//! ## Windows and shards
 //!
-//! Every query method has a `try_*` variant returning
-//! `Result<_, QueryError>`; the panicking methods are thin wrappers over
-//! them. Code that serves traffic it does not control — the `wh-serve`
-//! tier above this crate — uses only the `try_*` path, so a malformed
-//! query is an error value instead of a downed serving thread.
+//! A compiled histogram cuts its segment arrays into an ascending list
+//! of key-range *windows*. [`CompiledHistogram::compile`] produces one;
+//! [`CompiledHistogram::shard`] re-slices the same arrays bitwise into
+//! `m` — the form the `wh-serve` tier publishes, named
+//! [`ShardedHistogram`]. It is one type with one implementation of every
+//! probe: a single query binary-searches the segment starts, a batch
+//! splits its sorted endpoints at the window bounds and walks each
+//! window once, and because prefixes stay global (never rebased to a
+//! window) the answers are bit-identical for every window count.
 //!
-//! [`ShardedHistogram`] partitions a compiled histogram into key-range
-//! shards by *slicing* the compiled arrays bitwise; routed, fanned-out,
-//! merged answers stay bit-identical to the unsharded form (see
-//! `shard.rs` for why slicing, not per-shard compilation, is what makes
-//! that possible).
+//! [`CompiledHistogram2D`] is the 2-D counterpart (rectangle sums over a
+//! summed-area grid, single or batched through a [`BatchScratch2D`]).
 //!
 //! The full build→serve dataflow across the workspace is described in
 //! `docs/architecture.md` at the repository root.
@@ -90,13 +106,13 @@ mod batch;
 mod compiled;
 mod compiled2d;
 mod error;
-mod shard;
+#[cfg(test)]
+mod testutil;
 
 pub use batch::BatchScratch;
-pub use compiled::CompiledHistogram;
+pub use compiled::{CompiledHistogram, ShardedHistogram};
 pub use compiled2d::{BatchScratch2D, CompiledHistogram2D};
 pub use error::QueryError;
-pub use shard::{HistogramShard, ShardedHistogram};
 
 // Re-exported so callers of this crate can name the input types without
 // depending on `wh-core` directly.

@@ -66,17 +66,18 @@ impl<T> EpochSwap<T> {
     /// slow `Drop` of the last generation never blocks readers
     /// refreshing their cache.
     pub fn store(&self, next: Arc<T>) -> u64 {
-        let old = {
+        let (old, epoch) = {
             let mut slot = self.slot.lock();
             let old = std::mem::replace(&mut *slot, next);
             // Bump inside the lock so concurrent publishers order their
             // epoch increments with their slot writes; `Release` pairs
-            // with the readers' `Acquire` poll.
-            self.epoch.fetch_add(1, Ordering::Release);
-            old
+            // with the readers' `Acquire` poll. The value returned is
+            // this store's own increment, not a later re-read that a
+            // concurrent store could have moved.
+            (old, self.epoch.fetch_add(1, Ordering::Release) + 1)
         };
         drop(old);
-        self.epoch()
+        epoch
     }
 
     /// Clones the current snapshot together with an epoch observed *at
@@ -188,5 +189,39 @@ mod tests {
             });
         });
         assert_eq!(swap.epoch(), 1_000);
+    }
+
+    #[test]
+    fn concurrent_stores_each_return_their_own_epoch() {
+        // The displaced snapshot is dropped after the slot lock is
+        // released; yielding there hands the other writers their turn
+        // before `store` returns — the window in which a re-read epoch
+        // would already be someone else's.
+        struct YieldOnDrop;
+        impl Drop for YieldOnDrop {
+            fn drop(&mut self) {
+                std::thread::yield_now();
+            }
+        }
+        let swap = EpochSwap::new(Arc::new(YieldOnDrop));
+        let start = std::sync::Barrier::new(4);
+        let mut returned: Vec<u64> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..500)
+                            .map(|_| swap.store(Arc::new(YieldOnDrop)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        returned.sort_unstable();
+        assert_eq!(returned, (1..=2000).collect::<Vec<u64>>());
     }
 }

@@ -6,12 +6,14 @@
 //! candidate plan. This crate is that tier, grown from `wh-query`'s
 //! single compiled histogram into a process-wide serving component:
 //!
-//! * **Sharded.** Published histograms are sliced into key-range shards
-//!   ([`wh_query::ShardedHistogram`]) and addressed by dataset id.
-//!   Batched queries are routed by endpoint, fanned out to shards, and
-//!   the per-shard partials merged — **bit-identically** to querying the
-//!   unsharded [`wh_query::CompiledHistogram`], because shards are
-//!   bitwise slices of the compiled arrays, not independent compiles.
+//! * **Sharded.** Published histograms are re-sliced into key-range
+//!   windows ([`wh_query::ShardedHistogram`], the compiled type itself
+//!   after `shard`) and addressed by dataset id. A batch's sorted
+//!   endpoints split at the window bounds and each window is walked once
+//!   — **bit-identically** to querying the one-window
+//!   [`wh_query::CompiledHistogram`], because windows are bitwise slices
+//!   of the compiled arrays, not independent compiles, and both forms
+//!   run the same code.
 //! * **Lock-free on read.** Rebuilt histograms swap in as whole
 //!   [`Snapshot`] generations through an epoch-swap primitive
 //!   ([`EpochSwap`]): readers poll one atomic per batch and re-clone an
@@ -61,10 +63,11 @@
 //! });
 //! ```
 //!
-//! The differential and swap-under-load suites live in
-//! `tests/serve_tier.rs` at the workspace root; the `serve_throughput`
-//! bench in `wh-bench` drives a closed-loop thread-per-core load
-//! generator against this tier.
+//! The differential, swap-under-load and writer-stress suites live in
+//! `tests/serve_tier.rs` at the workspace root; the `serve-read-1d`,
+//! `serve-read-2d` and `serve-refresh` workloads of `benchmark/` drive
+//! closed-loop reader threads (and a refreshing writer) against this
+//! tier.
 
 mod epoch;
 mod tier;

@@ -9,16 +9,17 @@
 //!        ServeHandle (thread 0)          ServeHandle (thread 1)    …
 //!        EpochReader + BatchScratch      EpochReader + BatchScratch
 //!              │                                │
-//!        route by dataset id ──▶ ShardedHistogram ──▶ fan out by key
-//!        (binary search)          (Arc, immutable)     range, merge
+//!        route by dataset id ──▶ ShardedHistogram ──▶ one walk per
+//!        (binary search)          (Arc, immutable)     key-range window
 //! ```
 //!
-//! Every query runs through the **fallible** `try_*` path of `wh-query`:
-//! a malformed or out-of-domain query from traffic the process does not
-//! control comes back as a [`ServeError`] value — a serving thread never
-//! panics on query input. Answers are bit-identical to querying the
-//! published [`CompiledHistogram`] directly, whatever the shard count
-//! and however many generations have swapped in under the reader.
+//! Every query runs through `wh-query`'s `try_*` methods, the only
+//! probes it has: a malformed or out-of-domain query from traffic the
+//! process does not control comes back as a [`ServeError`] value — a
+//! serving thread never panics on query input. Answers are
+//! bit-identical to querying the published [`CompiledHistogram`]
+//! directly, whatever the shard count and however many generations have
+//! swapped in under the reader.
 //!
 //! **Degradation (PR 8).** Publishing is where upstream failures arrive:
 //! a rebuild pipeline (the MapReduce path) can fail or panic. The tier
@@ -127,26 +128,46 @@ impl DatasetHealth {
     }
 }
 
-/// One published histogram: its sharded compiled form plus the record
-/// count its selectivities are relative to. Entries are shared by `Arc`
-/// across snapshot generations, so republishing dataset A never copies
-/// dataset B's segments.
+/// One published histogram — `H` is the sharded 1-D form or the 2-D
+/// form — plus the record count its selectivities are relative to. 1-D
+/// and 2-D datasets live in separate id namespaces and ride the same
+/// epoch swap: publishing either kind bumps the one shared generation.
+/// Entries are shared by `Arc` across snapshot generations, so
+/// republishing dataset A never copies dataset B's segments.
 #[derive(Debug)]
-struct DatasetEntry {
+struct DatasetEntry<H> {
     id: DatasetId,
     records: u64,
-    sharded: ShardedHistogram,
+    hist: H,
 }
 
-/// One published **2-D** histogram (PR 10): the compiled rectangle-query
-/// form plus its record count. 2-D datasets live in their own id
-/// namespace next to the 1-D entries and ride the same epoch swap —
-/// publishing either kind bumps the one shared generation.
-#[derive(Debug)]
-struct DatasetEntry2d {
-    id: DatasetId,
-    records: u64,
-    compiled: CompiledHistogram2D,
+/// A snapshot's datasets of one kind, ascending by id.
+type Entries<H> = Vec<Arc<DatasetEntry<H>>>;
+
+/// Inserts `entry`, replacing the entry published under the same id.
+fn upsert<H>(entries: &mut Entries<H>, entry: DatasetEntry<H>) {
+    match entries.binary_search_by_key(&entry.id, |e| e.id) {
+        Ok(i) => entries[i] = Arc::new(entry),
+        Err(i) => entries.insert(i, Arc::new(entry)),
+    }
+}
+
+/// Removes the entry published under `id`; `false` when there is none.
+fn withdraw<H>(entries: &mut Entries<H>, id: DatasetId) -> bool {
+    match entries.binary_search_by_key(&id, |e| e.id) {
+        Ok(i) => {
+            entries.remove(i);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+fn lookup<H>(entries: &Entries<H>, id: DatasetId) -> Result<&DatasetEntry<H>, ServeError> {
+    entries
+        .binary_search_by_key(&id, |e| e.id)
+        .map(|i| &*entries[i])
+        .map_err(|_| ServeError::UnknownDataset(id))
 }
 
 /// One complete generation of the tier: every published dataset,
@@ -156,8 +177,8 @@ struct DatasetEntry2d {
 #[derive(Debug)]
 pub struct Snapshot {
     generation: u64,
-    entries: Vec<Arc<DatasetEntry>>,
-    entries2d: Vec<Arc<DatasetEntry2d>>,
+    entries: Entries<ShardedHistogram>,
+    entries2d: Entries<CompiledHistogram2D>,
 }
 
 impl Snapshot {
@@ -174,20 +195,6 @@ impl Snapshot {
     /// Number of 2-D datasets published in this snapshot.
     pub fn num_datasets_2d(&self) -> usize {
         self.entries2d.len()
-    }
-
-    fn entry(&self, id: DatasetId) -> Result<&DatasetEntry, ServeError> {
-        self.entries
-            .binary_search_by_key(&id, |e| e.id)
-            .map(|i| &*self.entries[i])
-            .map_err(|_| ServeError::UnknownDataset(id))
-    }
-
-    fn entry2d(&self, id: DatasetId) -> Result<&DatasetEntry2d, ServeError> {
-        self.entries2d
-            .binary_search_by_key(&id, |e| e.id)
-            .map(|i| &*self.entries2d[i])
-            .map_err(|_| ServeError::UnknownDataset(id))
     }
 }
 
@@ -230,33 +237,39 @@ impl ServeTier {
         self.shards
     }
 
+    /// The one snapshot-swap routine: under the writer lock, copy the
+    /// current generation's entry lists, let `edit` change them, and
+    /// publish the result as the next generation. When `edit` reports no
+    /// change nothing is published and the generation does not advance.
+    fn swap_in(&self, edit: impl FnOnce(&mut Snapshot) -> bool) -> Option<u64> {
+        let _writer = self.writer.lock();
+        let (_, current) = self.swap.load();
+        let mut next = Snapshot {
+            generation: current.generation + 1,
+            entries: current.entries.clone(),
+            entries2d: current.entries2d.clone(),
+        };
+        edit(&mut next).then(|| {
+            let generation = next.generation;
+            self.swap.store(Arc::new(next));
+            generation
+        })
+    }
+
     /// Publishes (or republishes) `compiled` under `id`, with
     /// selectivities relative to `records`. Returns the new generation.
     /// Readers mid-batch keep the previous generation until their next
     /// batch; they never block and never observe a half-published tier.
     pub fn publish(&self, id: DatasetId, compiled: &CompiledHistogram, records: u64) -> u64 {
-        let entry = Arc::new(DatasetEntry {
-            id,
-            records,
-            sharded: ShardedHistogram::shard(compiled, self.shards),
+        let hist = compiled.shard(self.shards);
+        let entry = DatasetEntry { id, records, hist };
+        let generation = self.swap_in(|next| {
+            upsert(&mut next.entries, entry);
+            true
         });
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let mut entries = current.entries.clone();
-        match entries.binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => entries[i] = entry,
-            Err(i) => entries.insert(i, entry),
-        }
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries,
-            entries2d: current.entries2d.clone(),
-        }));
-        drop(_writer);
         // A landed publish heals the dataset whatever its failure streak.
         self.failures.lock().remove(&id);
-        generation
+        generation.expect("an upsert always edits the snapshot")
     }
 
     /// Publishes (or republishes) a compiled **2-D** histogram under
@@ -266,42 +279,19 @@ impl ServeTier {
     /// mid-batch keep the previous generation and never observe a
     /// half-published tier.
     pub fn publish2d(&self, id: DatasetId, compiled: &CompiledHistogram2D, records: u64) -> u64 {
-        let entry = Arc::new(DatasetEntry2d {
-            id,
-            records,
-            compiled: compiled.clone(),
+        let hist = compiled.clone();
+        let entry = DatasetEntry { id, records, hist };
+        let generation = self.swap_in(|next| {
+            upsert(&mut next.entries2d, entry);
+            true
         });
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let mut entries2d = current.entries2d.clone();
-        match entries2d.binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => entries2d[i] = entry,
-            Err(i) => entries2d.insert(i, entry),
-        }
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries: current.entries.clone(),
-            entries2d,
-        }));
-        generation
+        generation.expect("an upsert always edits the snapshot")
     }
 
     /// Withdraws 2-D dataset `id` from serving. Returns the new
     /// generation, or `None` (and publishes nothing) when absent.
     pub fn remove2d(&self, id: DatasetId) -> Option<u64> {
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let i = current.entries2d.binary_search_by_key(&id, |e| e.id).ok()?;
-        let mut entries2d = current.entries2d.clone();
-        entries2d.remove(i);
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries: current.entries.clone(),
-            entries2d,
-        }));
-        Some(generation)
+        self.swap_in(|next| withdraw(&mut next.entries2d, id))
     }
 
     /// Publishes the result of a **fallible** rebuild of `id`. The
@@ -352,22 +342,12 @@ impl ServeTier {
 
     /// Withdraws `id` from serving. Returns the new generation, or
     /// `None` (and publishes nothing) when `id` was not present.
-    /// Removing a dataset also forgets its failure streak.
+    /// Removing a dataset also forgets its failure streak — including
+    /// the streak of an id whose first build never landed.
     pub fn remove(&self, id: DatasetId) -> Option<u64> {
-        let _writer = self.writer.lock();
-        let (_, current) = self.swap.load();
-        let i = current.entries.binary_search_by_key(&id, |e| e.id).ok()?;
-        let mut entries = current.entries.clone();
-        entries.remove(i);
-        let generation = current.generation + 1;
-        self.swap.store(Arc::new(Snapshot {
-            generation,
-            entries,
-            entries2d: current.entries2d.clone(),
-        }));
-        drop(_writer);
+        let generation = self.swap_in(|next| withdraw(&mut next.entries, id));
         self.failures.lock().remove(&id);
-        Some(generation)
+        generation
     }
 
     /// The current generation counter.
@@ -381,7 +361,9 @@ impl ServeTier {
     /// refreshed snapshot lands with `records + newly absorbed records`,
     /// keeping served selectivities relative to *all* data.
     pub fn dataset_records(&self, id: DatasetId) -> Option<u64> {
-        self.swap.load().1.entry(id).ok().map(|e| e.records)
+        lookup(&self.swap.load().1.entries, id)
+            .ok()
+            .map(|e| e.records)
     }
 
     /// A serving handle for one reader thread: its own snapshot cache
@@ -428,9 +410,9 @@ impl ServeHandle<'_> {
         out: &mut [f64],
     ) -> Result<(), ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
+        let entry = lookup(&snap.entries, id)?;
         entry
-            .sharded
+            .hist
             .try_range_sum_batch_into(queries, &mut self.scratch, out)?;
         Ok(())
     }
@@ -444,9 +426,9 @@ impl ServeHandle<'_> {
         out: &mut [f64],
     ) -> Result<(), ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
+        let entry = lookup(&snap.entries, id)?;
         entry
-            .sharded
+            .hist
             .try_selectivity_batch_into(queries, entry.records, &mut self.scratch, out)?;
         Ok(())
     }
@@ -459,9 +441,9 @@ impl ServeHandle<'_> {
         out: &mut [f64],
     ) -> Result<(), ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
+        let entry = lookup(&snap.entries, id)?;
         entry
-            .sharded
+            .hist
             .try_point_estimate_batch_into(keys, &mut self.scratch, out)?;
         Ok(())
     }
@@ -469,20 +451,20 @@ impl ServeHandle<'_> {
     /// One range sum from `id`.
     pub fn try_range_sum(&mut self, id: DatasetId, lo: u64, hi: u64) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry(id)?.sharded.try_range_sum(lo, hi)?)
+        Ok(lookup(&snap.entries, id)?.hist.try_range_sum(lo, hi)?)
     }
 
     /// One selectivity from `id`, relative to its published record count.
     pub fn try_selectivity(&mut self, id: DatasetId, lo: u64, hi: u64) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry(id)?;
-        Ok(entry.sharded.try_selectivity(lo, hi, entry.records)?)
+        let entry = lookup(&snap.entries, id)?;
+        Ok(entry.hist.try_selectivity(lo, hi, entry.records)?)
     }
 
     /// One point estimate from `id`.
     pub fn try_point_estimate(&mut self, id: DatasetId, x: u64) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry(id)?.sharded.try_point_estimate(x)?)
+        Ok(lookup(&snap.entries, id)?.hist.try_point_estimate(x)?)
     }
 
     /// Answers a batch of 2-D rectangle sums from `id` into `out`,
@@ -495,9 +477,9 @@ impl ServeHandle<'_> {
         out: &mut [f64],
     ) -> Result<(), ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
+        let entry = lookup(&snap.entries2d, id)?;
         entry
-            .compiled
+            .hist
             .try_rectangle_sum_batch_into(queries, &mut self.scratch2d, out)?;
         Ok(())
     }
@@ -511,13 +493,10 @@ impl ServeHandle<'_> {
         out: &mut [f64],
     ) -> Result<(), ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
-        entry.compiled.try_selectivity_batch_into(
-            queries,
-            entry.records,
-            &mut self.scratch2d,
-            out,
-        )?;
+        let entry = lookup(&snap.entries2d, id)?;
+        entry
+            .hist
+            .try_selectivity_batch_into(queries, entry.records, &mut self.scratch2d, out)?;
         Ok(())
     }
 
@@ -528,7 +507,7 @@ impl ServeHandle<'_> {
         query: (u64, u64, u64, u64),
     ) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry2d(id)?.compiled.try_rectangle_sum(query)?)
+        Ok(lookup(&snap.entries2d, id)?.hist.try_rectangle_sum(query)?)
     }
 
     /// One 2-D rectangle selectivity from `id`, relative to its
@@ -539,8 +518,8 @@ impl ServeHandle<'_> {
         query: (u64, u64, u64, u64),
     ) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        let entry = snap.entry2d(id)?;
-        Ok(entry.compiled.try_selectivity(query, entry.records)?)
+        let entry = lookup(&snap.entries2d, id)?;
+        Ok(entry.hist.try_selectivity(query, entry.records)?)
     }
 
     /// One 2-D cell estimate from `id`.
@@ -551,7 +530,7 @@ impl ServeHandle<'_> {
         y: u64,
     ) -> Result<f64, ServeError> {
         let snap = self.reader.get(&self.tier.swap);
-        Ok(snap.entry2d(id)?.compiled.try_point_estimate(x, y)?)
+        Ok(lookup(&snap.entries2d, id)?.hist.try_point_estimate(x, y)?)
     }
 }
 
@@ -605,17 +584,19 @@ mod tests {
         h.try_selectivity_batch_into(42, &queries, &mut got)
             .unwrap();
         let mut want = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut BatchScratch::new(), &mut want);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut BatchScratch::new(), &mut want)
+            .unwrap();
         for (a, b) in want.iter().zip(&got) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
             h.try_range_sum(42, 5, 99).unwrap().to_bits(),
-            compiled.range_sum(5, 99).to_bits()
+            compiled.try_range_sum(5, 99).unwrap().to_bits()
         );
         assert_eq!(
             h.try_point_estimate(42, 77).unwrap().to_bits(),
-            compiled.point_estimate(77).to_bits()
+            compiled.try_point_estimate(77).unwrap().to_bits()
         );
     }
 
@@ -658,12 +639,12 @@ mod tests {
         let mut h = tier.handle();
         assert_eq!(
             h.try_range_sum(5, 0, 0).unwrap().to_bits(),
-            old.range_sum(0, 0).to_bits()
+            old.try_range_sum(0, 0).unwrap().to_bits()
         );
         tier.publish(5, &new, 4);
         assert_eq!(
             h.try_range_sum(5, 0, 0).unwrap().to_bits(),
-            new.range_sum(0, 0).to_bits()
+            new.try_range_sum(0, 0).unwrap().to_bits()
         );
     }
 
@@ -689,17 +670,17 @@ mod tests {
         h.try_rectangle_sum_batch_into(5, &queries, &mut got)
             .unwrap();
         for (&q, &g) in queries.iter().zip(&got) {
-            assert_eq!(g.to_bits(), old.rectangle_sum(q).to_bits());
+            assert_eq!(g.to_bits(), old.try_rectangle_sum(q).unwrap().to_bits());
         }
         assert_eq!(
             h.try_rectangle_selectivity(5, (0, 7, 0, 7))
                 .unwrap()
                 .to_bits(),
-            old.selectivity((0, 7, 0, 7), 64).to_bits()
+            old.try_selectivity((0, 7, 0, 7), 64).unwrap().to_bits()
         );
         assert_eq!(
             h.try_point_estimate2d(5, 3, 3).unwrap().to_bits(),
-            old.point_estimate(3, 3).to_bits()
+            old.try_point_estimate(3, 3).unwrap().to_bits()
         );
 
         // Republish swaps answers atomically for the existing handle,
@@ -707,11 +688,11 @@ mod tests {
         tier.publish2d(5, &new, 64);
         assert_eq!(
             h.try_rectangle_sum(5, (0, 7, 0, 7)).unwrap().to_bits(),
-            new.rectangle_sum((0, 7, 0, 7)).to_bits()
+            new.try_rectangle_sum((0, 7, 0, 7)).unwrap().to_bits()
         );
         assert_eq!(
             h.try_range_sum(5, 0, 3).unwrap().to_bits(),
-            oned.range_sum(0, 3).to_bits()
+            oned.try_range_sum(0, 3).unwrap().to_bits()
         );
 
         // Unknown ids and malformed queries are errors, not panics.
@@ -825,6 +806,21 @@ mod tests {
         assert_eq!(tier.dataset_health(3), DatasetHealth::Degraded(1));
         tier.remove(3);
         assert_eq!(tier.dataset_health(3), DatasetHealth::Healthy);
+        assert!(tier.degraded_datasets().is_empty());
+
+        // An id whose first build never landed has nothing to withdraw,
+        // but its streak is forgotten all the same.
+        for _ in 0..QUARANTINE_AFTER {
+            let _ = tier.try_publish(8, 2, || Err::<CompiledHistogram, _>(()));
+        }
+        assert_eq!(
+            tier.degraded_datasets(),
+            [(8, DatasetHealth::Quarantined(QUARANTINE_AFTER))]
+        );
+        let before = tier.generation();
+        assert_eq!(tier.remove(8), None);
+        assert_eq!(tier.generation(), before);
+        assert_eq!(tier.dataset_health(8), DatasetHealth::Healthy);
         assert!(tier.degraded_datasets().is_empty());
     }
 }

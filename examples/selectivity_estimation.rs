@@ -74,7 +74,9 @@ fn main() {
     // and output buffers, so nothing here allocates per batch.
     let mut scratch = BatchScratch::new();
     let mut estimates = vec![0.0; predicates.len()];
-    compiled.selectivity_batch_into(&predicates, n, &mut scratch, &mut estimates);
+    compiled
+        .try_selectivity_batch_into(&predicates, n, &mut scratch, &mut estimates)
+        .unwrap();
 
     println!(
         "{:>10} {:>10} {:>12} {:>12} {:>12}",
@@ -89,7 +91,10 @@ fn main() {
             (t - e).abs()
         );
         // The batch answered exactly what single-query serving would.
-        assert_eq!(e.to_bits(), compiled.selectivity(lo, hi, n).to_bits());
+        assert_eq!(
+            e.to_bits(),
+            compiled.try_selectivity(lo, hi, n).unwrap().to_bits()
+        );
         // …which is the histogram's own estimate, up to segment-walk
         // float association.
         assert!((e - hist.selectivity(lo, hi, n)).abs() < 1e-9);

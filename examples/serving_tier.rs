@@ -115,7 +115,8 @@ fn main() {
         // Post-swap answers are the exact build's, bit for bit.
         assert_eq!(
             first.to_bits(),
-            gen2.selectivity(r as u64 * 11, r as u64 * 11 + 64, n)
+            gen2.try_selectivity(r as u64 * 11, r as u64 * 11 + 64, n)
+                .unwrap()
                 .to_bits()
         );
     }

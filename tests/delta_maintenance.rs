@@ -341,8 +341,8 @@ fn freshness_loop_republishes_and_serves_the_concatenated_data() {
     let u = ds.domain().u();
     for x in 0..u {
         assert_eq!(
-            compiled.point_estimate(x).to_bits(),
-            fresh.point_estimate(x).to_bits(),
+            compiled.try_point_estimate(x).unwrap().to_bits(),
+            fresh.try_point_estimate(x).unwrap().to_bits(),
             "recompile drift at key {x}"
         );
     }
@@ -353,7 +353,7 @@ fn freshness_loop_republishes_and_serves_the_concatenated_data() {
     let truth = ds.exact_frequency_vector();
     let sse: f64 = (0..u)
         .map(|x| {
-            let e = fresh.point_estimate(x) - truth[x as usize] as f64;
+            let e = fresh.try_point_estimate(x).unwrap() - truth[x as usize] as f64;
             e * e
         })
         .sum();
@@ -361,7 +361,10 @@ fn freshness_loop_republishes_and_serves_the_concatenated_data() {
     let point_bound = sse.sqrt() * (1.0 + 1e-9) + 1e-6;
     for x in (0..u).step_by(7) {
         let served = handle.try_point_estimate(id, x).expect("known dataset");
-        assert_eq!(served.to_bits(), fresh.point_estimate(x).to_bits());
+        assert_eq!(
+            served.to_bits(),
+            fresh.try_point_estimate(x).unwrap().to_bits()
+        );
         assert!(
             (served - truth[x as usize] as f64).abs() <= point_bound,
             "point {x} outside √SSE after refresh"
@@ -369,7 +372,10 @@ fn freshness_loop_republishes_and_serves_the_concatenated_data() {
     }
     for (lo, hi) in [(0, u - 1), (3, 200), (100, 611), (512, 1000)] {
         let served = handle.try_range_sum(id, lo, hi).expect("known dataset");
-        assert_eq!(served.to_bits(), fresh.range_sum(lo, hi).to_bits());
+        assert_eq!(
+            served.to_bits(),
+            fresh.try_range_sum(lo, hi).unwrap().to_bits()
+        );
         let brute: f64 = truth[lo as usize..=hi as usize]
             .iter()
             .map(|&t| t as f64)

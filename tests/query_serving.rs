@@ -99,7 +99,9 @@ fn check_estimates_against(name: &str, truth: &[u64], compiled: &CompiledHistogr
         // Reconstruct via the compiled form itself: every key's point
         // estimate. (Checked against the dense inverse transform in
         // `check_dataset`.)
-        (0..u).map(|x| compiled.point_estimate(x)).collect()
+        (0..u)
+            .map(|x| compiled.try_point_estimate(x).unwrap())
+            .collect()
     };
 
     // SSE of this estimator against the true frequencies.
@@ -112,7 +114,7 @@ fn check_estimates_against(name: &str, truth: &[u64], compiled: &CompiledHistogr
     // Point estimates: bounded by √SSE against truth.
     let point_bound = sse.sqrt() * (1.0 + 1e-9) + 1e-6;
     for x in 0..u {
-        let err = (compiled.point_estimate(x) - truth[x as usize] as f64).abs();
+        let err = (compiled.try_point_estimate(x).unwrap() - truth[x as usize] as f64).abs();
         assert!(
             err <= point_bound,
             "{name}: point {x} err {err} > √SSE {point_bound}"
@@ -123,7 +125,7 @@ fn check_estimates_against(name: &str, truth: &[u64], compiled: &CompiledHistogr
     // and within √(len·SSE) of the true partial sums (Cauchy–Schwarz).
     let scale = truth.iter().map(|&t| t as f64).sum::<f64>().max(1.0);
     for &(lo, hi) in &range_queries(u, 400, 0xab) {
-        let est = compiled.range_sum(lo, hi);
+        let est = compiled.try_range_sum(lo, hi).unwrap();
         let recon_sum: f64 = hist_recon[lo as usize..=hi as usize].iter().sum();
         assert!(
             (est - recon_sum).abs() <= 1e-9 * (1.0 + scale),
@@ -177,7 +179,7 @@ fn check_dataset(ds: &Dataset) {
         // same coefficient set.
         let recon = hist.reconstruct();
         for x in 0..ds.domain().u() {
-            let c = compiled.point_estimate(x);
+            let c = compiled.try_point_estimate(x).unwrap();
             let r = recon[x as usize];
             assert!(
                 (c - r).abs() <= 1e-9 * (1.0 + r.abs()),
@@ -216,25 +218,35 @@ fn batched_serving_is_bit_identical_for_every_builder() {
         let mut scratch = BatchScratch::new();
 
         let mut sums = vec![0.0; queries.len()];
-        compiled.range_sum_batch_into(&queries, &mut scratch, &mut sums);
+        compiled
+            .try_range_sum_batch_into(&queries, &mut scratch, &mut sums)
+            .unwrap();
         let mut sels = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut scratch, &mut sels);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut scratch, &mut sels)
+            .unwrap();
         for ((&(lo, hi), &sum), &sel) in queries.iter().zip(&sums).zip(&sels) {
             assert_eq!(
                 sum.to_bits(),
-                compiled.range_sum(lo, hi).to_bits(),
+                compiled.try_range_sum(lo, hi).unwrap().to_bits(),
                 "{name}: [{lo},{hi}]"
             );
             assert_eq!(
                 sel.to_bits(),
-                compiled.selectivity(lo, hi, n).to_bits(),
+                compiled.try_selectivity(lo, hi, n).unwrap().to_bits(),
                 "{name}: [{lo},{hi}]"
             );
         }
         let mut points = vec![0.0; keys.len()];
-        compiled.point_estimate_batch_into(&keys, &mut scratch, &mut points);
+        compiled
+            .try_point_estimate_batch_into(&keys, &mut scratch, &mut points)
+            .unwrap();
         for (&x, &p) in keys.iter().zip(&points) {
-            assert_eq!(p.to_bits(), compiled.point_estimate(x).to_bits(), "{name}");
+            assert_eq!(
+                p.to_bits(),
+                compiled.try_point_estimate(x).unwrap().to_bits(),
+                "{name}"
+            );
         }
     }
 }
@@ -291,9 +303,11 @@ fn scratch_reuse_across_different_histograms_leaks_nothing() {
             let keys: Vec<u64> = (0..100u64).map(|i| scramble(i ^ step) % u).collect();
 
             let mut got = vec![0.0; queries.len()];
-            c.selectivity_batch_into(&queries, *n, &mut shared, &mut got);
+            c.try_selectivity_batch_into(&queries, *n, &mut shared, &mut got)
+                .unwrap();
             let mut fresh = vec![0.0; queries.len()];
-            c.selectivity_batch_into(&queries, *n, &mut BatchScratch::new(), &mut fresh);
+            c.try_selectivity_batch_into(&queries, *n, &mut BatchScratch::new(), &mut fresh)
+                .unwrap();
             for (i, (a, b)) in fresh.iter().zip(&got).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -302,11 +316,12 @@ fn scratch_reuse_across_different_histograms_leaks_nothing() {
                 );
             }
             let mut got_pts = vec![0.0; keys.len()];
-            c.point_estimate_batch_into(&keys, &mut shared, &mut got_pts);
+            c.try_point_estimate_batch_into(&keys, &mut shared, &mut got_pts)
+                .unwrap();
             for (&x, &p) in keys.iter().zip(&got_pts) {
                 assert_eq!(
                     p.to_bits(),
-                    c.point_estimate(x).to_bits(),
+                    c.try_point_estimate(x).unwrap().to_bits(),
                     "round {round} step {step} hist {which} key {x}"
                 );
             }
@@ -328,7 +343,9 @@ fn compiled_histogram_serves_concurrently() {
     let queries = range_queries(u, 4_000, 0xfeed);
 
     let mut expect = vec![0.0; queries.len()];
-    compiled.range_sum_batch_into(&queries, &mut BatchScratch::new(), &mut expect);
+    compiled
+        .try_range_sum_batch_into(&queries, &mut BatchScratch::new(), &mut expect)
+        .unwrap();
 
     let threads = 4;
     let chunk = queries.len().div_ceil(threads);
@@ -337,7 +354,9 @@ fn compiled_histogram_serves_concurrently() {
     std::thread::scope(|s| {
         for (qs, outs) in queries.chunks(chunk).zip(got.chunks_mut(chunk)) {
             s.spawn(move || {
-                compiled_ref.range_sum_batch_into(qs, &mut BatchScratch::new(), outs);
+                compiled_ref
+                    .try_range_sum_batch_into(qs, &mut BatchScratch::new(), outs)
+                    .unwrap();
             });
         }
     });

@@ -6,7 +6,7 @@
 //!
 //! * **Bit-identity under sharding** — for every builder and every shard
 //!   count, batched answers routed through the tier (dataset lookup →
-//!   endpoint sort → per-shard fan-out → merge) equal the unsharded
+//!   endpoint sort → one walk per shard window) equal the unsharded
 //!   `CompiledHistogram` answers bit for bit.
 //! * **Atomic generations** — readers hammering the tier while a writer
 //!   republishes observe answers from exactly one generation per batch,
@@ -14,8 +14,8 @@
 //!   snapshots).
 //! * **No panics from traffic** — serving threads fed malformed queries
 //!   (bad ranges, out-of-domain keys, unknown datasets, zero record
-//!   counts) report errors and keep serving; the panicking `assert!`
-//!   path is unreachable from query input.
+//!   counts) report errors and keep serving; no probe has a panicking
+//!   form.
 
 use wavelet_hist::builders::{
     BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendSketchAms, SendV,
@@ -70,7 +70,7 @@ fn range_queries(u: u64, count: usize, seed: u64) -> Vec<(u64, u64)> {
 }
 
 /// Bit-identity of the whole route — dataset lookup, endpoint sort,
-/// shard fan-out, merge — for every builder and several shard counts.
+/// per-window walk — for every builder and several shard counts.
 #[test]
 fn tier_answers_are_bit_identical_for_every_builder_and_shard_count() {
     let ds = zipf_dataset();
@@ -84,11 +84,17 @@ fn tier_answers_are_bit_identical_for_every_builder_and_shard_count() {
         let compiled = CompiledHistogram::compile(&hist);
         let mut scratch = BatchScratch::new();
         let mut want_sels = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut scratch, &mut want_sels);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut scratch, &mut want_sels)
+            .unwrap();
         let mut want_sums = vec![0.0; queries.len()];
-        compiled.range_sum_batch_into(&queries, &mut scratch, &mut want_sums);
+        compiled
+            .try_range_sum_batch_into(&queries, &mut scratch, &mut want_sums)
+            .unwrap();
         let mut want_pts = vec![0.0; keys.len()];
-        compiled.point_estimate_batch_into(&keys, &mut scratch, &mut want_pts);
+        compiled
+            .try_point_estimate_batch_into(&keys, &mut scratch, &mut want_pts)
+            .unwrap();
 
         for shards in [1usize, 2, 4, 7] {
             let tier = ServeTier::new(shards);
@@ -115,7 +121,7 @@ fn tier_answers_are_bit_identical_for_every_builder_and_shard_count() {
             for &(lo, hi) in queries.iter().take(50) {
                 assert_eq!(
                     h.try_range_sum(id, lo, hi).unwrap().to_bits(),
-                    compiled.range_sum(lo, hi).to_bits(),
+                    compiled.try_range_sum(lo, hi).unwrap().to_bits(),
                     "{name} shards={shards} [{lo},{hi}]"
                 );
             }
@@ -140,9 +146,13 @@ fn readers_never_observe_a_torn_generation_under_swaps() {
     let queries = range_queries(u, 64, 0xfeed);
     let mut scratch = BatchScratch::new();
     let mut expect_a = vec![0.0; queries.len()];
-    gen_a.selectivity_batch_into(&queries, n, &mut scratch, &mut expect_a);
+    gen_a
+        .try_selectivity_batch_into(&queries, n, &mut scratch, &mut expect_a)
+        .unwrap();
     let mut expect_b = vec![0.0; queries.len()];
-    gen_b.selectivity_batch_into(&queries, n, &mut scratch, &mut expect_b);
+    gen_b
+        .try_selectivity_batch_into(&queries, n, &mut scratch, &mut expect_b)
+        .unwrap();
     // The generations must actually disagree somewhere, or the test
     // could not detect tearing.
     assert!(
@@ -215,7 +225,9 @@ fn shard_threads_survive_bad_queries_and_keep_serving() {
 
     let queries = range_queries(u, 128, 0xbad);
     let mut want = vec![0.0; queries.len()];
-    compiled.selectivity_batch_into(&queries, n, &mut BatchScratch::new(), &mut want);
+    compiled
+        .try_selectivity_batch_into(&queries, n, &mut BatchScratch::new(), &mut want)
+        .unwrap();
 
     std::thread::scope(|s| {
         for _ in 0..4 {
@@ -276,37 +288,34 @@ fn remove_and_republish_under_handles() {
     tier.publish(3, &compiled, n);
     assert_eq!(
         h.try_range_sum(3, 0, 10).unwrap().to_bits(),
-        compiled.range_sum(0, 10).to_bits()
+        compiled.try_range_sum(0, 10).unwrap().to_bits()
     );
 }
 
-/// The sharded form itself (no tier) splits the domain exactly and
-/// matches the unsharded answers on shard boundaries — the keys most
-/// likely to rout to the wrong side of an off-by-one.
+/// The sharded form itself (no tier) matches the unsharded answers on
+/// shard boundaries — the keys most likely to route to the wrong side of
+/// an off-by-one. Every boundary is a segment start, so probing around
+/// all segment starts (and the domain's end) covers them for every `m`.
 #[test]
 fn shard_boundaries_answer_exactly() {
     let ds = zipf_dataset();
     let cluster = ClusterConfig::paper_cluster();
     let compiled = CompiledHistogram::compile(&SendV::new().build(&ds, &cluster, K).histogram);
+    let u = compiled.domain().u();
     for m in [2usize, 3, 5, 8] {
         let sharded = ShardedHistogram::shard(&compiled, m);
-        for shard in sharded.shards() {
-            let (lo, hi) = shard.key_range();
-            for x in [
-                lo,
-                lo.saturating_add(1),
-                hi - 1,
-                hi.min(compiled.domain().u() - 1),
-            ] {
+        assert_eq!(sharded.num_shards(), m);
+        for edge in compiled.segments().map(|(start, _)| start).chain([u]) {
+            for x in [edge.saturating_sub(1), edge, edge + 1] {
                 if compiled.domain().contains(x) {
                     assert_eq!(
                         sharded.try_point_estimate(x).unwrap().to_bits(),
-                        compiled.point_estimate(x).to_bits(),
+                        compiled.try_point_estimate(x).unwrap().to_bits(),
                         "m={m} x={x}"
                     );
                     assert_eq!(
                         sharded.try_prefix_sum(x).unwrap().to_bits(),
-                        compiled.prefix_sum(x).to_bits(),
+                        compiled.try_prefix_sum(x).unwrap().to_bits(),
                         "m={m} x={x}"
                     );
                 }
@@ -409,4 +418,155 @@ fn failed_rebuilds_degrade_without_dropping_reads() {
     assert_eq!(gen, tier.generation());
     assert_eq!(tier.dataset_health(7), DatasetHealth::Healthy);
     assert!(tier.degraded_datasets().is_empty());
+}
+
+/// ROADMAP 6b: every edit of the tier goes through one swap routine, so
+/// hammer it from all sides at once. Writers interleave `publish`,
+/// `publish2d`, `remove`, `remove2d` and failing `try_publish` on
+/// overlapping ids while readers probe both dimensions, replacing their
+/// handle mid-swap. Generations are handed out exactly once, readers
+/// never go back in time, and a batch never blends two histograms.
+#[test]
+fn concurrent_writers_and_readers_share_one_generation_sequence() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use wavelet_hist::query::{CompiledHistogram2D, WaveletHistogram2d};
+    use wavelet_hist::WaveletHistogram;
+
+    const WRITERS: u64 = 3;
+    const READERS: usize = 2;
+    const MIN_EDITS_PER_WRITER: u64 = 400;
+    const BATCHES_PER_READER: u64 = 1_000;
+    const IDS: u64 = 3;
+
+    // Three histograms per dimension that disagree on every query.
+    let domain = Domain::new(6).unwrap();
+    let variants: Vec<CompiledHistogram> = (1..=3)
+        .map(|v| {
+            let coefs = [(0, 8.0 * v as f64), (1, 2.0), (5, -1.5 * v as f64)];
+            CompiledHistogram::compile(&WaveletHistogram::new(domain, coefs))
+        })
+        .collect();
+    let variants2d: Vec<CompiledHistogram2D> = (1..=3)
+        .map(|v| {
+            CompiledHistogram2D::compile(&WaveletHistogram2d::new(domain, [(0, 64.0 * v as f64)]))
+        })
+        .collect();
+    let queries = range_queries(domain.u(), 32, 0x57e55);
+    let rects: Vec<_> = queries
+        .chunks(2)
+        .map(|p| (p[0].0, p[0].1, p[1].0, p[1].1))
+        .collect();
+    let expect: Vec<Vec<f64>> = variants
+        .iter()
+        .map(|c| {
+            queries
+                .iter()
+                .map(|&(lo, hi)| c.try_range_sum(lo, hi).unwrap())
+                .collect()
+        })
+        .collect();
+    let expect2d: Vec<Vec<f64>> = variants2d
+        .iter()
+        .map(|c| {
+            rects
+                .iter()
+                .map(|&q| c.try_rectangle_sum(q).unwrap())
+                .collect()
+        })
+        .collect();
+    // How many published histograms a served batch is bit-equal to.
+    let matches = |expect: &[Vec<f64>], got: &[f64]| {
+        let same = |want: &&Vec<f64>| {
+            want.iter()
+                .zip(got)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        expect.iter().filter(same).count()
+    };
+
+    let tier = ServeTier::new(3);
+    let start = Barrier::new(WRITERS as usize + READERS);
+    // Writers keep editing until the last reader is done, so every probe
+    // below races a swap.
+    let reading = AtomicBool::new(true);
+    let mut generations: Vec<u64> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (tier, start, reading) = (&tier, &start, &reading);
+                let (variants, variants2d) = (&variants, &variants2d);
+                s.spawn(move || {
+                    start.wait();
+                    let mut landed = Vec::new();
+                    let mut i = 0u64;
+                    while i < MIN_EDITS_PER_WRITER || reading.load(Ordering::Acquire) {
+                        let r = scramble(w << 32 | i);
+                        let (id, v) = ((r % IDS) as u32, (r >> 8) as usize % 3);
+                        landed.extend(match (r >> 16) % 5 {
+                            0 => Some(tier.publish(id, &variants[v], 1)),
+                            1 => Some(tier.publish2d(id, &variants2d[v], 1)),
+                            2 => tier.remove(id),
+                            3 => tier.remove2d(id),
+                            _ => tier
+                                .try_publish(id, 1, || Err::<CompiledHistogram, _>(()))
+                                .ok(),
+                        });
+                        i += 1;
+                    }
+                    landed
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let mut h = tier.handle();
+                    let (mut out, mut out2d) = (vec![0.0; queries.len()], vec![0.0; rects.len()]);
+                    let (mut seen, mut round, mut answered) = (0u64, 0u64, 0u64);
+                    // Only answered batches count, so the readers cannot
+                    // finish before the writers have got going.
+                    while answered < BATCHES_PER_READER {
+                        if round % 5 == 0 {
+                            h = tier.handle(); // a handle born mid-swap
+                        }
+                        let generation = h.snapshot().generation();
+                        assert!(generation >= seen, "generation {seen} → {generation}");
+                        seen = generation;
+                        let id = (round % IDS) as u32;
+                        match h.try_range_sum_batch_into(id, &queries, &mut out) {
+                            Ok(()) => {
+                                assert_eq!(matches(&expect, &out), 1, "torn 1-D batch");
+                                answered += 1;
+                            }
+                            Err(e) => assert_eq!(e, ServeError::UnknownDataset(id)),
+                        }
+                        match h.try_rectangle_sum_batch_into(id, &rects, &mut out2d) {
+                            Ok(()) => {
+                                assert_eq!(matches(&expect2d, &out2d), 1, "torn 2-D batch");
+                                answered += 1;
+                            }
+                            Err(e) => assert_eq!(e, ServeError::UnknownDataset(id)),
+                        }
+                        round += 1;
+                    }
+                })
+            })
+            .collect();
+        // Release the writers before surfacing a reader's panic, or they
+        // would edit forever.
+        let read: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+        reading.store(false, Ordering::Release);
+        read.into_iter().for_each(|r| r.unwrap());
+        let landed = writers.into_iter().flat_map(|w| w.join().unwrap());
+        landed.collect()
+    });
+
+    // Every edit that landed got its own generation, and nothing else
+    // moved the counter: failed rebuilds and absent removes are no-ops.
+    generations.sort_unstable();
+    let landed = generations.len() as u64;
+    assert_eq!(generations, (1..=landed).collect::<Vec<_>>());
+    assert_eq!(tier.generation(), landed);
+    assert!(landed > MIN_EDITS_PER_WRITER, "the mix must mostly land");
 }

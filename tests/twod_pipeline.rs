@@ -200,7 +200,7 @@ fn estimate_grid(compiled: &CompiledHistogram2D, truth: &[u64], u: u64) -> (Vec<
     for x in 0..u {
         for y in 0..u {
             let idx = (x * u + y) as usize;
-            let e = compiled.point_estimate(x, y);
+            let e = compiled.try_point_estimate(x, y).unwrap();
             est[idx] = e;
             let d = e - truth[idx] as f64;
             sse += d * d;
@@ -243,8 +243,9 @@ fn compiled_estimates_within_brute_force_bounds() {
             let point_bound = sse.sqrt() * (1.0 + 1e-9) + 1e-6;
             for x in 0..u {
                 for y in 0..u {
-                    let err =
-                        (compiled.point_estimate(x, y) - truth[(x * u + y) as usize] as f64).abs();
+                    let err = (compiled.try_point_estimate(x, y).unwrap()
+                        - truth[(x * u + y) as usize] as f64)
+                        .abs();
                     assert!(
                         err <= point_bound,
                         "{name} k={k} ({x},{y}): error {err} > √SSE {point_bound}"
@@ -260,7 +261,7 @@ fn compiled_estimates_within_brute_force_bounds() {
                         true_sum += truth[(x * u + y) as usize];
                     }
                 }
-                let est = compiled.rectangle_sum((xlo, xhi, ylo, yhi));
+                let est = compiled.try_rectangle_sum((xlo, xhi, ylo, yhi)).unwrap();
                 let area = ((xhi - xlo + 1) * (yhi - ylo + 1)) as f64;
                 let bound = (area * sse).sqrt() * (1.0 + 1e-9) + 1e-6;
                 let err = (est - true_sum as f64).abs();
@@ -269,7 +270,9 @@ fn compiled_estimates_within_brute_force_bounds() {
                     "{name} k={k} [{xlo},{xhi}]x[{ylo},{yhi}]: error {err} > bound {bound}"
                 );
                 // Selectivity is the clamped normalized sum.
-                let sel = compiled.selectivity((xlo, xhi, ylo, yhi), ds.num_records());
+                let sel = compiled
+                    .try_selectivity((xlo, xhi, ylo, yhi), ds.num_records())
+                    .unwrap();
                 assert!((0.0..=1.0).contains(&sel), "{name} k={k}: {sel}");
             }
         }
@@ -312,18 +315,22 @@ fn batched_rectangles_bit_identical_to_single() {
         let compiled = CompiledHistogram2D::compile(&hist);
         let queries = random_rects(u, 500, 0x7777);
         let mut sums = vec![0.0; queries.len()];
-        compiled.rectangle_sum_batch_into(&queries, &mut scratch, &mut sums);
+        compiled
+            .try_rectangle_sum_batch_into(&queries, &mut scratch, &mut sums)
+            .unwrap();
         let mut sels = vec![0.0; queries.len()];
-        compiled.selectivity_batch_into(&queries, n, &mut scratch, &mut sels);
+        compiled
+            .try_selectivity_batch_into(&queries, n, &mut scratch, &mut sels)
+            .unwrap();
         for (&q, (&sum, &sel)) in queries.iter().zip(sums.iter().zip(&sels)) {
             assert_eq!(
                 sum.to_bits(),
-                compiled.rectangle_sum(q).to_bits(),
+                compiled.try_rectangle_sum(q).unwrap().to_bits(),
                 "{name} {q:?}"
             );
             assert_eq!(
                 sel.to_bits(),
-                compiled.selectivity(q, n).to_bits(),
+                compiled.try_selectivity(q, n).unwrap().to_bits(),
                 "{name} {q:?}"
             );
         }
@@ -356,12 +363,20 @@ fn tier_serving_bit_identical_to_direct() {
                 h.try_rectangle_sum_batch_into(9, &queries, &mut out)
                     .unwrap();
                 for (&q, &got) in queries.iter().zip(&out) {
-                    assert_eq!(got.to_bits(), coarse.rectangle_sum(q).to_bits(), "{q:?}");
+                    assert_eq!(
+                        got.to_bits(),
+                        coarse.try_rectangle_sum(q).unwrap().to_bits(),
+                        "{q:?}"
+                    );
                 }
                 h.try_rectangle_selectivity_batch_into(9, &queries, &mut out)
                     .unwrap();
                 for (&q, &got) in queries.iter().zip(&out) {
-                    assert_eq!(got.to_bits(), coarse.selectivity(q, n).to_bits(), "{q:?}");
+                    assert_eq!(
+                        got.to_bits(),
+                        coarse.try_selectivity(q, n).unwrap().to_bits(),
+                        "{q:?}"
+                    );
                 }
             });
         }
@@ -369,20 +384,21 @@ fn tier_serving_bit_identical_to_direct() {
 
     // Republish under a live handle: answers swap atomically.
     let mut h = tier.handle();
-    let before = h.try_rectangle_sum(9, (0, u - 1, 0, u - 1)).unwrap();
+    let full = (0, u - 1, 0, u - 1);
+    let before = h.try_rectangle_sum(9, full).unwrap();
     assert_eq!(
         before.to_bits(),
-        coarse.rectangle_sum((0, u - 1, 0, u - 1)).to_bits()
+        coarse.try_rectangle_sum(full).unwrap().to_bits()
     );
     tier.publish2d(9, &fine, n);
-    let after = h.try_rectangle_sum(9, (0, u - 1, 0, u - 1)).unwrap();
+    let after = h.try_rectangle_sum(9, full).unwrap();
     assert_eq!(
         after.to_bits(),
-        fine.rectangle_sum((0, u - 1, 0, u - 1)).to_bits()
+        fine.try_rectangle_sum(full).unwrap().to_bits()
     );
     assert_eq!(
         h.try_point_estimate2d(9, 3, 7).unwrap().to_bits(),
-        fine.point_estimate(3, 7).to_bits()
+        fine.try_point_estimate(3, 7).unwrap().to_bits()
     );
 
     // Unknown datasets and malformed traffic are error values.
