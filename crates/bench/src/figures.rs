@@ -512,8 +512,8 @@ pub fn fig19(d: &Defaults) -> Vec<Row> {
     fig9_like("fig19", &d.worldcup(), d)
 }
 
-/// The Basic-S combiner ablation (DESIGN.md §ablations): pairs emitted
-/// with and without the Combine function.
+/// The Basic-S combiner ablation: pairs emitted with and without the
+/// Combine function.
 pub fn ablation_combiner(d: &Defaults) -> Vec<Row> {
     let ds = d.dataset();
     let cluster = d.cluster();
@@ -536,7 +536,7 @@ pub fn ablation_combiner(d: &Defaults) -> Vec<Row> {
     rows
 }
 
-/// The √m ablation (DESIGN.md): sweep the second-level threshold exponent
+/// The √m ablation: sweep the second-level threshold exponent
 /// γ in `1/(ε·m^γ)` and report communication and SSE. γ = ½ — the paper's
 /// choice — should sit on the communication/quality knee.
 pub fn ablation_threshold_exponent(d: &Defaults) -> Vec<Row> {

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use super::{ops, BuildResult, HistogramBuilder};
+use super::{ops, scan_counts, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
@@ -30,7 +30,7 @@ use wh_mapreduce::{
     run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, ReduceContext, RunMetrics, StateStore,
 };
 use wh_topk::Coordinator;
-use wh_wavelet::hash::{FxHashMap, FxHashSet};
+use wh_wavelet::hash::FxHashSet;
 use wh_wavelet::select::TopBottomK;
 
 /// Round-1/2/3 message payload: `(flags, split, coefficient)`.
@@ -105,16 +105,10 @@ impl HistogramBuilder for HWTopk {
                 let ds = dataset.clone();
                 let state = Arc::clone(&state);
                 MapTask::new(j, move |ctx| {
-                    let meta = ds.split_meta(j);
-                    ctx.note_read(meta.records, meta.bytes);
-                    let mut local: FxHashMap<u64, u64> = FxHashMap::default();
-                    for r in ds.scan_split(j) {
-                        *local.entry(r.key).or_insert(0) += 1;
-                    }
-                    ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
+                    let local = scan_counts(&ds, j, ctx);
                     let coefs = wh_wavelet::sparse::sparse_transform(
                         domain,
-                        local.iter().map(|(&x, &c)| (x, c as f64)),
+                        local.iter().map(|&(x, c)| (x, c as f64)),
                     );
                     ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     let mut tb = TopBottomK::new(k);

@@ -31,7 +31,7 @@ pub use two_level_s::TwoLevelS;
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
-use wh_mapreduce::{ClusterConfig, ReduceContext, RunMetrics};
+use wh_mapreduce::{ClusterConfig, MapContext, ReduceContext, RunMetrics, WireSize};
 use wh_wavelet::select::top_k_magnitude;
 use wh_wavelet::Domain;
 
@@ -52,6 +52,23 @@ pub trait HistogramBuilder {
 
     /// Builds the best-k-term histogram of `dataset` on `cluster`.
     fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult;
+}
+
+/// The first step of every scanning mapper: reads split `j` into its local
+/// frequency vector `v_j` — one `(key, count)` per distinct key, strictly
+/// ascending — charging the read and one scan + upsert per record to `ctx`.
+/// The charge is the cost model's Hadoop mapper (a hash upsert per
+/// record), not this process's radix pass: simulated times stay
+/// comparable across changes to how the counting is done here.
+fn scan_counts<K, V>(ds: &Dataset, j: u32, ctx: &mut MapContext<K, V>) -> Vec<(u64, u64)>
+where
+    K: WireSize,
+    V: WireSize,
+{
+    let meta = ds.split_meta(j);
+    ctx.note_read(meta.records, meta.bytes);
+    ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
+    wh_wavelet::sparse::sorted_counts(ds.domain(), ds.scan_split(j).map(|r| r.key))
 }
 
 /// The reduce-side context of every 1-D builder job (and `SendCoef2d`):

@@ -7,12 +7,11 @@
 //! `log u + 1` coefficients, so the number of non-zero local coefficients
 //! is almost always much larger than the number of distinct keys.
 
-use super::{close_with_top_k, ops, reduce_sum, BuildResult, HistogramBuilder};
+use super::{close_with_top_k, ops, reduce_sum, scan_counts, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
-use wh_wavelet::hash::FxHashMap;
 
 /// The Send-Coef baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,16 +45,10 @@ impl HistogramBuilder for SendCoef {
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
-                    let meta = ds.split_meta(j);
-                    ctx.note_read(meta.records, meta.bytes);
-                    let mut local: FxHashMap<u64, u64> = FxHashMap::default();
-                    for r in ds.scan_split(j) {
-                        *local.entry(r.key).or_insert(0) += 1;
-                    }
-                    ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
+                    let local = scan_counts(&ds, j, ctx);
                     let coefs = wh_wavelet::sparse::sparse_transform(
                         domain,
-                        local.iter().map(|(&x, &c)| (x, c as f64)),
+                        local.iter().map(|&(x, c)| (x, c as f64)),
                     );
                     ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     for (slot, w) in coefs {

@@ -10,13 +10,12 @@
 //! (`(log u + 1) · levels · rows` row-updates) is why the paper measures
 //! it as the slowest method by far.
 
-use super::{ops, reduce_sum, BuildResult, HistogramBuilder};
+use super::{ops, reduce_sum, scan_counts, BuildResult, HistogramBuilder};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
 use wh_sketch::{GcsParams, GroupCountSketch};
-use wh_wavelet::hash::FxHashMap;
 
 /// The Send-Sketch builder (GCS).
 #[derive(Debug, Clone, Copy)]
@@ -69,16 +68,10 @@ impl HistogramBuilder for SendSketch {
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
-                    let meta = ds.split_meta(j);
-                    ctx.note_read(meta.records, meta.bytes);
-                    let mut local: FxHashMap<u64, u64> = FxHashMap::default();
-                    for r in ds.scan_split(j) {
-                        *local.entry(r.key).or_insert(0) += 1;
-                    }
-                    ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
+                    let local = scan_counts(&ds, j, ctx);
                     let mut sketch = GroupCountSketch::new(domain, params);
                     let mut row_updates = 0u64;
-                    for (&x, &c) in &local {
+                    for &(x, c) in &local {
                         row_updates += sketch.update_key(x, c as f64);
                     }
                     ctx.charge(row_updates as f64 * ops::SKETCH_ROW_UPDATE);

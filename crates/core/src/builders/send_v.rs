@@ -1,18 +1,17 @@
 //! Send-V: the exact baseline that ships local frequency vectors (§3).
 //!
-//! Each mapper builds the local frequency vector `v_j` of its split with a
-//! hash map and emits one `(x, v_j(x))` pair per distinct key (this *is*
+//! Each mapper counts its split into the local frequency vector `v_j`
+//! and emits one `(x, v_j(x))` pair per distinct key, in key order (this *is*
 //! the Combine optimisation; a naive mapper would emit `(x, 1)` per
 //! record). The single reducer aggregates `v = Σ v_j`, transforms, and
 //! keeps the top-k. Communication is `O(m·u)` in the worst case — the
 //! drawback motivating H-WTopk.
 
-use super::{close_with_transform, ops, BuildResult, HistogramBuilder, KeyedOutputs};
+use super::{close_with_transform, ops, scan_counts, BuildResult, HistogramBuilder, KeyedOutputs};
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
-use wh_wavelet::hash::FxHashMap;
 
 /// The Send-V baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -48,17 +47,9 @@ impl HistogramBuilder for SendV {
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
-                    let meta = ds.split_meta(j);
-                    ctx.note_read(meta.records, meta.bytes);
-                    let mut local: FxHashMap<u64, u64> = FxHashMap::default();
-                    for r in ds.scan_split(j) {
-                        *local.entry(r.key).or_insert(0) += 1;
-                    }
-                    ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
-                    let mut keys: Vec<u64> = local.keys().copied().collect();
-                    keys.sort_unstable();
-                    for x in keys {
-                        ctx.emit(WKey::new(x, key_bytes), WSized::new(local[&x], 4));
+                    let local = scan_counts(&ds, j, ctx);
+                    for (x, count) in local {
+                        ctx.emit(WKey::new(x, key_bytes), WSized::new(count, 4));
                     }
                 })
             })

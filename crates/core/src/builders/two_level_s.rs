@@ -77,8 +77,8 @@ impl TwoLevelS {
     }
 
     /// Overrides the second-level threshold exponent γ (default ½ — the
-    /// paper's `1/(ε√m)`). Exposed for the DESIGN.md ablation showing the
-    /// √m choice is the communication sweet spot.
+    /// paper's `1/(ε√m)`). Exposed for the `figures ablations` sweep,
+    /// which shows the √m choice is the communication sweet spot.
     pub fn with_threshold_exponent(mut self, gamma: f64) -> Self {
         self.threshold_exponent = gamma;
         self

@@ -6,7 +6,7 @@
 //! dataset seed, so scans are repeatable and random access is `O(1)` — see
 //! the crate docs for why.
 
-use crate::rng::{record_seed, SplitMix64};
+use crate::rng::{position_seed, record_seed, split_seed, SplitMix64};
 use crate::worldcup::WorldCupModel;
 use crate::zipf::Zipf;
 use wh_wavelet::Domain;
@@ -66,8 +66,8 @@ enum Sampler {
     WorldCup(WorldCupModel),
 }
 
-/// Builder for [`Dataset`]; defaults mirror the scaled-down defaults of
-/// DESIGN.md (α = 1.1, u = 2²⁰, n = 2²⁴, 4-byte records, 64 splits).
+/// Builder for [`Dataset`]; the defaults are the paper's §5 defaults scaled
+/// down (α = 1.1, u = 2²⁰, n = 2²⁴, 4-byte records, 64 splits).
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {
     domain: Domain,
@@ -256,10 +256,12 @@ impl Dataset {
         (0..self.num_splits).map(|j| self.split_meta(j)).collect()
     }
 
-    /// The record at `(split j, position i)` — `O(1)`.
-    pub fn record_at(&self, j: u32, i: u64) -> Record {
-        debug_assert!(i < self.split_meta(j).records);
-        let mut rng = SplitMix64::new(record_seed(self.seed, j, i));
+    /// The record at position `i` of the split whose [`split_seed`] is
+    /// `split_seed`: the one per-record function behind random access,
+    /// scans and samples.
+    #[inline]
+    fn record(&self, split_seed: u64, i: u64) -> Record {
+        let mut rng = SplitMix64::new(position_seed(split_seed, i));
         let key = match &self.sampler {
             Sampler::Zipf(z) => z.sample(&mut rng),
             Sampler::ScrambledZipf(z) => scramble(z.sample(&mut rng), self.domain),
@@ -272,10 +274,19 @@ impl Dataset {
         }
     }
 
+    /// The record at `(split j, position i)` — `O(1)`.
+    #[inline]
+    pub fn record_at(&self, j: u32, i: u64) -> Record {
+        debug_assert!(i < self.split_meta(j).records);
+        self.record(split_seed(self.seed, j), i)
+    }
+
     /// Sequentially scans split `j`.
+    #[inline]
     pub fn scan_split(&self, j: u32) -> impl Iterator<Item = Record> + '_ {
         let records = self.split_meta(j).records;
-        (0..records).map(move |i| self.record_at(j, i))
+        let split_seed = split_seed(self.seed, j);
+        (0..records).map(move |i| self.record(split_seed, i))
     }
 
     /// Draws `count` record positions of split `j` **without replacement**,
@@ -299,9 +310,10 @@ impl Dataset {
         }
         let mut positions: Vec<u64> = chosen.into_iter().collect();
         positions.sort_unstable();
+        let split_seed = split_seed(self.seed, j);
         positions
             .into_iter()
-            .map(|i| self.record_at(j, i))
+            .map(|i| self.record(split_seed, i))
             .collect()
     }
 
@@ -320,6 +332,7 @@ impl Dataset {
 
 /// A fixed measure-preserving bijection on the domain (odd-multiplier
 /// affine map modulo a power of two, then bit-avalanche masked back).
+#[inline]
 fn scramble(rank: u64, domain: Domain) -> u64 {
     let mask = domain.u() - 1;
     // Odd multiplier => bijection modulo 2^log_u.
@@ -331,12 +344,7 @@ mod tests {
     use super::*;
 
     fn small() -> Dataset {
-        DatasetBuilder::new()
-            .domain(Domain::new(10).unwrap())
-            .records(10_000)
-            .splits(7)
-            .seed(42)
-            .build()
+        small_of(Distribution::Zipf { alpha: 1.1 })
     }
 
     #[test]
@@ -349,25 +357,95 @@ mod tests {
         assert!(max - min <= 1);
     }
 
+    const ALL_DISTRIBUTIONS: [Distribution; 4] = [
+        Distribution::Zipf { alpha: 1.1 },
+        Distribution::ScrambledZipf { alpha: 1.1 },
+        Distribution::Uniform,
+        Distribution::WorldCup,
+    ];
+
+    fn small_of(distribution: Distribution) -> Dataset {
+        DatasetBuilder::new()
+            .domain(Domain::new(10).unwrap())
+            .distribution(distribution)
+            .records(10_000)
+            .splits(7)
+            .seed(42)
+            .build()
+    }
+
     #[test]
     fn scan_is_deterministic_and_matches_random_access() {
-        let ds = small();
-        let scanned: Vec<Record> = ds.scan_split(3).collect();
-        for (i, r) in scanned.iter().enumerate() {
-            assert_eq!(*r, ds.record_at(3, i as u64));
+        for dist in ALL_DISTRIBUTIONS {
+            let ds = small_of(dist);
+            let scanned: Vec<Record> = ds.scan_split(3).collect();
+            for (i, r) in scanned.iter().enumerate() {
+                assert_eq!(*r, ds.record_at(3, i as u64), "{dist:?} position {i}");
+            }
+            let again: Vec<Record> = ds.scan_split(3).collect();
+            assert_eq!(scanned, again, "{dist:?}");
         }
-        let again: Vec<Record> = ds.scan_split(3).collect();
-        assert_eq!(scanned, again);
+    }
+
+    /// `mix64`-chained fold of the first 2^16 keys of a scan.
+    fn key_fold(ds: &Dataset, j: u32) -> u64 {
+        ds.scan_split(j)
+            .take(1 << 16)
+            .fold(0, |acc, r| crate::rng::mix64(acc ^ r.key))
+    }
+
+    #[test]
+    fn key_streams_match_the_pinned_folds() {
+        // Splits 0 and 3 of n = 2^20 records in 8 splits, seed 7, folded
+        // at the commit before the sampler and the scan were rewritten
+        // (PR 19): the generator must keep producing these exact keys.
+        for (dist, log_u, split_0, split_3) in [
+            (
+                Distribution::Zipf { alpha: 1.1 },
+                18,
+                0x1f93_d42e_7230_3e03,
+                0xffd9_2a8b_e812_3bb7,
+            ),
+            (
+                Distribution::Zipf { alpha: 0.8 },
+                20,
+                0x2e61_2444_a70f_c178,
+                0x4f4d_5ba3_7956_e93d,
+            ),
+            (
+                Distribution::ScrambledZipf { alpha: 1.1 },
+                20,
+                0x6e15_fbe1_7d91_1681,
+                0xa0d5_1424_4e21_7e7f,
+            ),
+            (
+                Distribution::Uniform,
+                20,
+                0x2b0a_06ba_e881_2e60,
+                0x6ce0_aa3c_db2a_e085,
+            ),
+            (
+                Distribution::WorldCup,
+                20,
+                0xecf4_69f9_7797_0465,
+                0xdd40_240e_647e_1530,
+            ),
+        ] {
+            let ds = DatasetBuilder::new()
+                .domain(Domain::new(log_u).unwrap())
+                .distribution(dist)
+                .records(1 << 20)
+                .splits(8)
+                .seed(7)
+                .build();
+            assert_eq!(key_fold(&ds, 0), split_0, "{dist:?} u=2^{log_u} split 0");
+            assert_eq!(key_fold(&ds, 3), split_3, "{dist:?} u=2^{log_u} split 3");
+        }
     }
 
     #[test]
     fn keys_stay_in_domain() {
-        for dist in [
-            Distribution::Zipf { alpha: 1.1 },
-            Distribution::ScrambledZipf { alpha: 1.1 },
-            Distribution::Uniform,
-            Distribution::WorldCup,
-        ] {
+        for dist in ALL_DISTRIBUTIONS {
             let ds = DatasetBuilder::new()
                 .domain(Domain::new(8).unwrap())
                 .distribution(dist)
@@ -384,14 +462,16 @@ mod tests {
 
     #[test]
     fn sample_without_replacement_positions_unique() {
-        let ds = small();
-        let nj = ds.split_meta(0).records;
-        let sample = ds.sample_split(0, nj, 1);
-        assert_eq!(sample.len() as u64, nj);
-        // Sampling everything equals scanning (as a multiset; positions are
-        // sorted so it is exactly the scan).
-        let scan: Vec<Record> = ds.scan_split(0).collect();
-        assert_eq!(sample, scan);
+        for dist in ALL_DISTRIBUTIONS {
+            let ds = small_of(dist);
+            let nj = ds.split_meta(0).records;
+            let sample = ds.sample_split(0, nj, 1);
+            assert_eq!(sample.len() as u64, nj);
+            // Sampling everything equals scanning (as a multiset; positions
+            // are sorted so it is exactly the scan).
+            let scan: Vec<Record> = ds.scan_split(0).collect();
+            assert_eq!(sample, scan, "{dist:?}");
+        }
     }
 
     #[test]

@@ -16,14 +16,27 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Combines a dataset seed with a split id into the seed all records of
+/// that split derive theirs from — constant over a scan, so scans compute
+/// it once.
+#[inline]
+pub fn split_seed(dataset_seed: u64, split: u32) -> u64 {
+    let a = mix64(dataset_seed ^ 0x9e37_79b9_7f4a_7c15);
+    mix64(a ^ (split as u64).wrapping_mul(0xd604_5c14_7c91_7c3d))
+}
+
+/// The per-record seed of `position` within the split of `split_seed`.
+#[inline]
+pub fn position_seed(split_seed: u64, position: u64) -> u64 {
+    mix64(split_seed ^ position.wrapping_mul(0xa24b_aed4_963e_e407))
+}
+
 /// Combines a dataset seed with a split id and record position into a
 /// per-record seed. Each component is avalanched so that neighbouring
 /// positions yield unrelated streams.
 #[inline]
 pub fn record_seed(dataset_seed: u64, split: u32, position: u64) -> u64 {
-    let a = mix64(dataset_seed ^ 0x9e37_79b9_7f4a_7c15);
-    let b = mix64(a ^ (split as u64).wrapping_mul(0xd604_5c14_7c91_7c3d));
-    mix64(b ^ position.wrapping_mul(0xa24b_aed4_963e_e407))
+    position_seed(split_seed(dataset_seed, split), position)
 }
 
 /// SplitMix64: a 64-bit state RNG with a single add+mix step per output.

@@ -298,6 +298,50 @@ mod tests {
     }
 
     #[test]
+    fn cell_streams_match_the_pinned_folds() {
+        // `mix64`-chained fold of the first 2^16 cells of splits 0 and 3
+        // (u = 2^10 per axis, n = 2^19 in 4 splits, seed 7), computed at
+        // the commit before the Zipf sampler was rewritten (PR 19).
+        for (dist, split_0, split_3) in [
+            (
+                Distribution2d::IndependentZipf {
+                    alpha_x: 1.1,
+                    alpha_y: 0.9,
+                },
+                0xbad0_7a77_7910_0015,
+                0xd478_b029_b574_8963,
+            ),
+            (
+                Distribution2d::Correlated {
+                    alpha: 1.0,
+                    spread: 3,
+                },
+                0x2372_7311_f0cb_9dd7,
+                0x5c12_1e9d_1cc5_6364,
+            ),
+            (
+                Distribution2d::Uniform,
+                0x41ed_07d0_f6ae_4c7a,
+                0xb753_8fbe_915e_8e65,
+            ),
+            (
+                Distribution2d::WorldCup,
+                0x0d86_6236_59c3_c07e,
+                0xd256_c827_8339_ed5b,
+            ),
+        ] {
+            let d = Dataset2d::new(Domain::new(10).unwrap(), dist, 1 << 19, 4, 7);
+            let fold = |j| {
+                d.scan_split(j).take(1 << 16).fold(0, |acc, r| {
+                    crate::rng::mix64(crate::rng::mix64(acc ^ r.x) ^ r.y)
+                })
+            };
+            assert_eq!(fold(0), split_0, "{dist:?} split 0");
+            assert_eq!(fold(3), split_3, "{dist:?} split 3");
+        }
+    }
+
+    #[test]
     fn deterministic() {
         let d = Dataset2d::new(Domain::new(5).unwrap(), Distribution2d::Uniform, 100, 2, 9);
         let a: Vec<Record2d> = d.scan_split(1).collect();

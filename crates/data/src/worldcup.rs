@@ -53,6 +53,7 @@ impl WorldCupModel {
     }
 
     /// Draws one `clientobject` key.
+    #[inline]
     pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
         let client = if self.object_bits == self.domain.log_u() {
             0

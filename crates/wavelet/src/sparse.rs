@@ -9,6 +9,8 @@
 //! [`sparse_transform`] works on sorted runs from end to end — sorted keys
 //! in, slot-sorted coefficients out, no hash table in between — so mappers
 //! emit its output as is and reducers receive ordered streams.
+//! [`sorted_counts`] produces such a run from a scan: the split's keys
+//! radix-sorted and run-length folded into its local frequency vector.
 //! [`coefficient_updates`] is the single-key primitive; the sketching crate
 //! uses it to translate every key update into the same `log u + 1`
 //! coefficient-space updates.
@@ -129,6 +131,128 @@ where
     out
 }
 
+/// Keys sorted at a time by [`sorted_counts`].
+const COUNT_CHUNK: usize = 1 << 16;
+/// Digit width of [`sorted_counts`]' radix passes: 2048 four-byte counters
+/// per pass stay in L1 beside the keys being scattered.
+const DIGIT_BITS: u32 = 11;
+const DIGITS: usize = 1 << DIGIT_BITS;
+/// Radix passes that cover [`Domain::MAX_LOG_U`] bits.
+const MAX_PASSES: usize = Domain::MAX_LOG_U.div_ceil(DIGIT_BITS) as usize;
+
+/// Counts a stream of keys into its sparse frequency vector: one
+/// `(key, count)` pair per distinct key, in strictly ascending key order —
+/// the order [`sparse_transform`] sorts its input into, so a scanning
+/// mapper gets there without a hash table or a comparison sort.
+///
+/// Keys are taken in chunks of at most 2¹⁶. A chunk is sorted by a
+/// key-only LSD radix sort (11-bit digits, `⌈log u / 11⌉` passes),
+/// run-length folded, and merged into the running result, so the scratch
+/// space is two chunk buffers plus the distinct keys — `O(chunk + N)`,
+/// never the length of the stream.
+///
+/// # Panics
+///
+/// Debug-panics when a key is outside the domain.
+pub fn sorted_counts<I>(domain: Domain, keys: I) -> Vec<(u64, u64)>
+where
+    I: IntoIterator<Item = u64>,
+{
+    let mut keys = keys.into_iter();
+    let mut chunk: Vec<u64> = Vec::new();
+    let mut scratch: Vec<u64> = Vec::new();
+    let mut counts: Vec<(u64, u64)> = Vec::new();
+    let mut run: Vec<(u64, u64)> = Vec::new();
+    let mut merged: Vec<(u64, u64)> = Vec::new();
+    loop {
+        chunk.clear();
+        chunk.extend(keys.by_ref().take(COUNT_CHUNK));
+        if chunk.is_empty() {
+            return counts;
+        }
+        debug_assert!(
+            chunk.iter().all(|&x| domain.contains(x)),
+            "key outside {domain}"
+        );
+        radix_sort_keys(domain.log_u(), &mut chunk, &mut scratch);
+        if counts.is_empty() {
+            fold_runs(&chunk, &mut counts);
+        } else {
+            run.clear();
+            fold_runs(&chunk, &mut run);
+            merge_counts(&counts, &run, &mut merged);
+            std::mem::swap(&mut counts, &mut merged);
+        }
+    }
+}
+
+/// Sorts `keys < 2^log_u` ascending, least significant digit first;
+/// `scratch` is the other half of the ping-pong.
+fn radix_sort_keys(log_u: u32, keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    let passes = log_u.div_ceil(DIGIT_BITS) as usize;
+    let digit = |x: u64, pass: usize| (x >> (pass as u32 * DIGIT_BITS)) as usize & (DIGITS - 1);
+    // Every pass's digit histogram in one sweep over the keys.
+    let mut offsets = [[0u32; DIGITS]; MAX_PASSES];
+    for &x in keys.iter() {
+        for (pass, histogram) in offsets[..passes].iter_mut().enumerate() {
+            histogram[digit(x, pass)] += 1;
+        }
+    }
+    // Every pass overwrites all of `scratch`: only its length matters.
+    scratch.resize(keys.len(), 0);
+    for (pass, offsets) in offsets[..passes].iter_mut().enumerate() {
+        let mut start = 0;
+        for slot in offsets.iter_mut() {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &x in keys.iter() {
+            let slot = &mut offsets[digit(x, pass)];
+            scratch[*slot as usize] = x;
+            *slot += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+}
+
+/// Appends one `(key, run length)` pair per run of equal keys.
+fn fold_runs(sorted: &[u64], out: &mut Vec<(u64, u64)>) {
+    let mut rest = sorted;
+    while let Some(&x) = rest.first() {
+        let len = rest.iter().take_while(|&&y| y == x).count();
+        out.push((x, len as u64));
+        rest = &rest[len..];
+    }
+}
+
+/// Merges two strictly ascending count runs into `out`, adding the counts
+/// of keys present in both.
+fn merge_counts(a: &[(u64, u64)], b: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((a[i].0, a[i].1 + b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Densifies a sparse coefficient run into a full vector of length `u`.
 ///
 /// Intended for tests, SSE evaluation and small-u reconstruction; for large
@@ -232,6 +356,84 @@ mod tests {
         assert!(sparse_transform(Domain::new(7).unwrap(), []).is_empty());
         let unit = Domain::new(0).unwrap();
         assert_eq!(sparse_transform(unit, [(0u64, 2.0), (0, 3.0)]), [(0, 5.0)]);
+    }
+
+    fn brute_force_counts(keys: &[u64]) -> Vec<(u64, u64)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for &x in keys {
+            *counts.entry(x).or_insert(0u64) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    #[test]
+    fn sorted_counts_degenerate_inputs() {
+        let domain = Domain::new(12).unwrap();
+        assert!(sorted_counts(domain, []).is_empty());
+        assert_eq!(sorted_counts(domain, [77]), [(77, 1)]);
+        assert_eq!(sorted_counts(domain, [5; 1000]), [(5, 1000)]);
+        assert_eq!(
+            sorted_counts(domain, [4095, 0, 4095, 0, 0]),
+            [(0, 3), (4095, 2)]
+        );
+        // A one-key domain needs no radix pass at all.
+        assert_eq!(sorted_counts(Domain::new(0).unwrap(), [0, 0]), [(0, 2)]);
+    }
+
+    #[test]
+    fn sorted_counts_at_every_digit_count_and_chunk_boundary() {
+        // log u on both sides of each 11-bit digit boundary, stream lengths
+        // on both sides of the 2^16 chunk boundary and across several
+        // chunks; keys from a fixed LCG, half of them squeezed into 64
+        // values so that runs repeat within and across chunks.
+        for log_u in [1, 11, 12, 22, 23, 33, 40] {
+            let domain = Domain::new(log_u).unwrap();
+            let mask = domain.u() - 1;
+            for len in [
+                1,
+                COUNT_CHUNK - 1,
+                COUNT_CHUNK,
+                COUNT_CHUNK + 1,
+                3 * COUNT_CHUNK + 7,
+            ] {
+                let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(log_u);
+                let mut keys: Vec<u64> = (0..len)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let x = state >> 20;
+                        (if i % 2 == 0 { x } else { x % 64 }) & mask
+                    })
+                    .collect();
+                keys[len / 2] = mask;
+                keys[0] = if len == 1 { mask } else { 0 };
+                let counts = sorted_counts(domain, keys.iter().copied());
+                assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+                assert_eq!(counts.iter().map(|e| e.1).sum::<u64>(), len as u64);
+                assert_eq!(
+                    counts,
+                    brute_force_counts(&keys),
+                    "log_u {log_u}, {len} keys"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transform_of_sorted_counts_equals_transform_of_the_keys() {
+        // The mappers' route (count, then transform the ascending run)
+        // against the transform accumulating the raw keys in arrival order.
+        let domain = Domain::new(9).unwrap();
+        let keys: Vec<u64> = (0..5000u64).map(|i| (i * i * 31 + i / 7) % 512).collect();
+        let via_counts = sparse_transform(
+            domain,
+            sorted_counts(domain, keys.iter().copied())
+                .into_iter()
+                .map(|(x, c)| (x, c as f64)),
+        );
+        let direct = sparse_transform(domain, keys.iter().map(|&x| (x, 1.0)));
+        assert_eq!(via_counts, direct);
     }
 
     #[test]

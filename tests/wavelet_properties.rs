@@ -49,6 +49,59 @@ fn assert_sparse_is_dense(log_u: u32, pairs: &[(u64, f64)]) -> Result<(), TestCa
     Ok(())
 }
 
+/// Key streams for [`sparse::sorted_counts`]: `log u` on both sides of
+/// every 11-bit digit boundary, lengths on both sides of the 2^16 chunk
+/// boundary and across several chunks, and three shapes — spread over the
+/// domain with a pool of recurring keys, packed into the 16 topmost keys,
+/// all equal. Streams of two keys or more contain both `0` and `u − 1`
+/// unless all their keys are equal.
+fn key_stream() -> impl Strategy<Value = (u32, Vec<u64>)> {
+    const LOG_US: [u32; 7] = [1, 11, 12, 22, 23, 33, 40];
+    const LENGTHS: [usize; 8] = [
+        0,
+        1,
+        2,
+        300,
+        (1 << 16) - 1,
+        1 << 16,
+        (1 << 16) + 1,
+        3 * (1 << 16) + 7,
+    ];
+    (
+        0usize..LOG_US.len(),
+        0usize..LENGTHS.len(),
+        0u32..3,
+        prop::collection::vec(0u64..u64::MAX, 1..200),
+    )
+        .prop_map(|(d, l, shape, pool)| {
+            let log_u = LOG_US[d];
+            let top = (1u64 << log_u) - 1;
+            let mut keys: Vec<u64> = (0..LENGTHS[l] as u64)
+                .map(|i| {
+                    let recurring = pool[i as usize % pool.len()];
+                    match shape {
+                        // Every third key is new, the others recur.
+                        0 if i % 3 == 0 => {
+                            recurring
+                                .wrapping_add(i)
+                                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                                >> 24
+                                & top
+                        }
+                        0 => recurring & top,
+                        1 => top - (recurring & top.min(15)),
+                        _ => pool[0] & top,
+                    }
+                })
+                .collect();
+            if shape < 2 && keys.len() >= 2 {
+                keys[0] = top;
+                *keys.last_mut().expect("two keys or more") = 0;
+            }
+            (log_u, keys)
+        })
+}
+
 #[test]
 fn sparse_transform_edge_cases_at_small_mid_and_large_domains() {
     for log_u in [1u32, 7, 12] {
@@ -133,6 +186,43 @@ proptest! {
                 assert_sparse_is_dense(log_u, &pairs)?;
             }
         }
+    }
+
+    #[test]
+    fn sorted_counts_is_the_ascending_frequency_vector(stream in key_stream()) {
+        let (log_u, keys) = stream;
+        let domain = Domain::new(log_u).expect("valid");
+        let counts = sparse::sorted_counts(domain, keys.iter().copied());
+        prop_assert!(
+            counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "log_u {log_u}, {} keys: not strictly ascending", keys.len()
+        );
+        prop_assert_eq!(counts.iter().map(|e| e.1).sum::<u64>(), keys.len() as u64);
+        let mut brute_force = std::collections::BTreeMap::new();
+        for &x in &keys {
+            *brute_force.entry(x).or_insert(0u64) += 1;
+        }
+        prop_assert!(
+            counts.iter().copied().eq(brute_force),
+            "log_u {log_u}, {} keys: differs from the BTreeMap count", keys.len()
+        );
+        // The mappers used to count into a hash map and hand the transform
+        // its iteration order: same multiset, same coefficients, same bits.
+        let mut hashed = wavelet_hist::wavelet::hash::FxHashMap::default();
+        for &x in &keys {
+            *hashed.entry(x).or_insert(0u64) += 1;
+        }
+        let as_entries = |(x, c): (u64, u64)| (x, c as f64);
+        let from_run = sparse::sparse_transform(domain, counts.into_iter().map(as_entries));
+        let from_map = sparse::sparse_transform(domain, hashed.into_iter().map(as_entries));
+        prop_assert!(
+            from_run.len() == from_map.len()
+                && from_run
+                    .iter()
+                    .zip(&from_map)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+            "log_u {log_u}, {} keys: transform differs from the hash-order one", keys.len()
+        );
     }
 
     #[test]
