@@ -7,11 +7,10 @@
 //! scaled estimate `v̂ = s/p`, transforms it, and keeps the top-k.
 
 use super::sample_common::{first_level_counts, reduce_scaled_counts};
-use super::{close_with_transform, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
-use wh_data::Dataset;
+use super::{close_with_transform, run_build, BuildResult, HistogramBuilder};
+use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
-use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
+use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sampling::SamplingConfig;
 
 /// The Basic-S sampling builder.
@@ -47,12 +46,17 @@ impl BasicS {
     }
 }
 
-impl HistogramBuilder for BasicS {
+impl<S: SplitSource> HistogramBuilder<S> for BasicS {
     fn name(&self) -> &'static str {
         "Basic-S"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let cfg = SamplingConfig::new(self.epsilon, dataset.num_splits(), dataset.num_records());
         let key_bytes = dataset.key_bytes() as u8;
@@ -82,29 +86,26 @@ impl HistogramBuilder for BasicS {
             .collect();
 
         let reduce = reduce_scaled_counts(cfg.p());
-        // Sampled item keys live in [0, u); `u` is the tightest static
-        // bound (the sample itself is data-dependent), and the
-        // dense-reduce tables shrink to each partition's actual sampled
-        // key range at run time, so the loose-looking hint costs nothing.
+        // Sampled item keys stay below the basis's bound, the tightest
+        // static one (the sample itself is data-dependent); the dense-reduce
+        // tables shrink to each partition's actual key range at run time,
+        // so the loose-looking hint costs nothing.
         let spec = JobSpec::new("basic-s", map_tasks, reduce)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+            .with_engine(
+                self.engine
+                    .with_key_domain(S::Histogram::slot_bound(domain)),
+            )
+            .with_finish(move |ctx| close_with_transform::<S::Histogram>(ctx, domain, k));
+        run_build(dataset, cluster, spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wh_data::DatasetBuilder;
+    use wh_data::{Dataset, DatasetBuilder};
     use wh_wavelet::Domain;
 
     fn ds() -> Dataset {

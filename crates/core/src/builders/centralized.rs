@@ -4,10 +4,10 @@
 //! data.
 
 use super::{ops, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
+use crate::basis::{Basis, SplitSource};
 use wh_data::Dataset;
 use wh_mapreduce::cost::TaskWork;
-use wh_mapreduce::{ClusterConfig, RunMetrics};
+use wh_mapreduce::{ClusterConfig, EngineError, RunMetrics};
 use wh_wavelet::select::top_k_magnitude;
 
 /// Single-machine exact construction.
@@ -40,24 +40,38 @@ impl Centralized {
     }
 }
 
-impl HistogramBuilder for Centralized {
+impl<S: SplitSource> HistogramBuilder<S> for Centralized {
     fn name(&self) -> &'static str {
         "Centralized"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
-        let w = Self::exact_coefficients(dataset);
-        let top = top_k_magnitude(w.iter().enumerate().map(|(s, &c)| (s as u64, c)), k);
-        let histogram = WaveletHistogram::new(domain, top.iter().map(|e| (e.slot, e.value)));
+        // The global frequency vector is the splits' counts folded per key
+        // (exact: integer sums in f64), and the sparse transform of it is
+        // bit-identical to the non-zero entries of the dense one — all
+        // that top-k selection looks at.
+        let v = (0..dataset.num_splits())
+            .flat_map(|j| dataset.split_counts(j))
+            .map(|(x, c)| (x, c as f64));
+        let top = top_k_magnitude(S::Histogram::transform(domain, v), k);
+        let histogram = S::Histogram::from_slots(domain, top.iter().map(|e| (e.slot, e.value)));
 
-        // Time model: one machine scans the whole dataset and transforms.
+        // Time model: one machine scans the whole dataset and runs the
+        // dense transform.
         let n = dataset.num_records();
+        let bytes_scanned = n * u64::from(dataset.record_bytes());
+        let dense_len = S::Histogram::dense_len(domain);
         let cpu_ops = n as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT)
-            + domain.u_f64() * ops::COEF_UPDATE
-            + domain.u_f64() * ops::HEAP_OFFER; // top-k pass
+            + dense_len * ops::COEF_UPDATE
+            + dense_len * ops::HEAP_OFFER; // top-k pass
         let work = TaskWork {
-            bytes_scanned: dataset.total_bytes(),
+            bytes_scanned,
             cpu_ops,
         };
         let sim_time_s = wh_mapreduce::cost::round_time(
@@ -70,12 +84,12 @@ impl HistogramBuilder for Centralized {
         let metrics = RunMetrics {
             rounds: 0,
             records_scanned: n,
-            bytes_scanned: dataset.total_bytes(),
+            bytes_scanned,
             cpu_ops,
             sim_time_s,
             ..Default::default()
         };
-        BuildResult { histogram, metrics }
+        Ok(BuildResult { histogram, metrics })
     }
 }
 

@@ -23,11 +23,11 @@
 use std::sync::Arc;
 
 use super::{ops, scan_counts, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
-use wh_data::Dataset;
+use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{
-    run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, ReduceContext, RunMetrics, StateStore,
+    try_run_job, ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext,
+    RunMetrics, StateStore,
 };
 use wh_topk::Coordinator;
 use wh_wavelet::hash::FxHashSet;
@@ -87,12 +87,17 @@ impl HWTopk {
     }
 }
 
-impl HistogramBuilder for HWTopk {
+impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     fn name(&self) -> &'static str {
         "H-WTopk"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let m = dataset.num_splits() as usize;
         let state = Arc::new(StateStore::new());
@@ -106,11 +111,13 @@ impl HistogramBuilder for HWTopk {
                 let state = Arc::clone(&state);
                 MapTask::new(j, move |ctx| {
                     let local = scan_counts(&ds, j, ctx);
-                    let coefs = wh_wavelet::sparse::sparse_transform(
-                        domain,
-                        local.iter().map(|&(x, c)| (x, c as f64)),
+                    let coefs =
+                        S::Histogram::transform(domain, local.iter().map(|&(x, c)| (x, c as f64)));
+                    ctx.charge(
+                        local.len() as f64
+                            * S::Histogram::updates_per_key(domain)
+                            * ops::COEF_UPDATE,
                     );
-                    ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     let mut tb = TopBottomK::new(k);
                     for &(slot, w) in &coefs {
                         tb.offer(slot, w);
@@ -162,20 +169,22 @@ impl HistogramBuilder for HWTopk {
             })
             .collect();
         // All three rounds key their messages by wavelet coefficient
-        // index, and rounds 2–3 only re-send indices already seen in
-        // round 1 — so `u` is the tight exclusive bound for every round,
-        // and one hinted engine config serves all of them (the
-        // dense-reduce tables size themselves to each partition's actual,
-        // typically much narrower, key range per round).
-        let engine = self.engine.with_key_domain(domain.u());
-        let out = run_job(
+        // slot, and rounds 2–3 only re-send slots already seen in round 1
+        // — so the basis's slot bound is the tight exclusive bound for
+        // every round, and one hinted engine config serves all of them
+        // (the dense-reduce tables size themselves to each partition's
+        // actual, typically much narrower, key range per round).
+        let engine = self
+            .engine
+            .with_key_domain(S::Histogram::slot_bound(domain));
+        let out = try_run_job(
             cluster,
             JobSpec::new("h-wtopk-r1", map_tasks, forward_messages)
                 .with_radix_keys()
                 .with_wire_codec()
                 .with_state_store(Arc::clone(&state))
                 .with_engine(engine),
-        );
+        )?;
         metrics.absorb(&out.metrics);
 
         // Coordinator: group round-1 messages per node.
@@ -214,7 +223,7 @@ impl HistogramBuilder for HWTopk {
             })
             .collect();
         // T₁/m rides the Job Configuration: one 8-byte double.
-        let out = run_job(
+        let out = try_run_job(
             cluster,
             JobSpec::new("h-wtopk-r2", map_tasks, forward_messages)
                 .with_radix_keys()
@@ -222,7 +231,7 @@ impl HistogramBuilder for HWTopk {
                 .with_state_store(Arc::clone(&state))
                 .with_engine(engine)
                 .with_broadcast(8),
-        );
+        )?;
         metrics.absorb(&out.metrics);
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round2(j, pairs);
@@ -247,7 +256,7 @@ impl HistogramBuilder for HWTopk {
             })
             .collect();
         // R rides the Distributed Cache: 4 bytes per candidate id.
-        let out = run_job(
+        let out = try_run_job(
             cluster,
             JobSpec::new("h-wtopk-r3", map_tasks, forward_messages)
                 .with_radix_keys()
@@ -255,15 +264,14 @@ impl HistogramBuilder for HWTopk {
                 .with_state_store(Arc::clone(&state))
                 .with_engine(engine)
                 .with_broadcast(4 * candidates.len() as u64),
-        );
+        )?;
         metrics.absorb(&out.metrics);
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round3(j, pairs);
         }
 
-        let topk = coordinator.finish();
-        let histogram = WaveletHistogram::new(domain, topk);
-        BuildResult { histogram, metrics }
+        let histogram = S::Histogram::from_slots(domain, coordinator.finish());
+        Ok(BuildResult { histogram, metrics })
     }
 }
 

@@ -1,11 +1,20 @@
-//! The seven histogram builders of the paper, plus the centralized oracle.
+//! The builders of the paper, plus the centralized oracle.
 //!
-//! Every builder consumes a [`Dataset`] and a [`ClusterConfig`] and returns
-//! a [`BuildResult`]: the k-term [`WaveletHistogram`] plus the exact
-//! [`RunMetrics`] of the MapReduce execution that produced it. Exact
-//! builders ([`SendV`], [`SendCoef`], [`HWTopk`], [`Centralized`]) all
-//! return the *same* histogram for the same dataset; the approximations
-//! trade quality for communication and scan cost.
+//! Every builder consumes a split-partitioned dataset and a
+//! [`ClusterConfig`] and returns a [`BuildResult`]: the k-term histogram
+//! plus the exact [`RunMetrics`] of the MapReduce execution that produced
+//! it. Exact builders ([`SendV`], [`SendCoef`], [`HWTopk`],
+//! [`Centralized`]) all return the *same* histogram for the same dataset;
+//! the approximations trade quality for communication and scan cost.
+//!
+//! The exact builders and the three samplers are written once over
+//! [`SplitSource`] and its [`Basis`], so the same jobs, Close hooks, state
+//! rounds, fault recovery and cost accounting build a 1-D
+//! [`WaveletHistogram`] from a [`Dataset`] and a 2-D
+//! [`crate::twod::WaveletHistogram2d`] from a `Dataset2d`. The two sketch
+//! builders are 1-D only: the GCS dyadic groups are ranges of 1-D slots.
+//! This module also holds what the builders share: the counted scan, the
+//! summing reducer, the two Close hooks, and the cost-model constants.
 
 mod basic_s;
 mod centralized;
@@ -18,6 +27,7 @@ mod send_sketch_ams;
 mod send_v;
 mod two_level_s;
 
+pub use crate::basis::{Basis, SplitSource};
 pub use basic_s::BasicS;
 pub use centralized::Centralized;
 pub use h_wtopk::HWTopk;
@@ -31,27 +41,44 @@ pub use two_level_s::TwoLevelS;
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
-use wh_mapreduce::{ClusterConfig, MapContext, ReduceContext, RunMetrics, WireSize};
+use wh_mapreduce::{
+    try_run_job, ClusterConfig, EngineError, JobSpec, MapContext, ReduceContext, RunMetrics,
+    WireSize,
+};
 use wh_wavelet::select::top_k_magnitude;
 use wh_wavelet::Domain;
 
 /// Output of one histogram construction.
 #[derive(Debug, Clone)]
-pub struct BuildResult {
+pub struct BuildResult<H = WaveletHistogram> {
     /// The constructed k-term histogram.
-    pub histogram: WaveletHistogram,
+    pub histogram: H,
     /// Exact measurements of the construction.
     pub metrics: RunMetrics,
 }
 
-/// A wavelet-histogram construction algorithm.
-pub trait HistogramBuilder {
+/// A wavelet-histogram construction algorithm over datasets of type `S`.
+pub trait HistogramBuilder<S: SplitSource = Dataset> {
     /// Short name used in experiment tables (matches the paper:
     /// "Send-V", "H-WTopk", "TwoLevel-S", …).
     fn name(&self) -> &'static str;
 
-    /// Builds the best-k-term histogram of `dataset` on `cluster`.
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult;
+    /// Builds the best-k-term histogram of `dataset` on `cluster`,
+    /// surfacing engine failures (a worker lost beyond its retries, a
+    /// missing wire codec) as typed errors.
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError>;
+
+    /// [`HistogramBuilder::try_build`], panicking on engine failure (the
+    /// in-process engines cannot fail).
+    fn build(&self, dataset: &S, cluster: &ClusterConfig, k: usize) -> BuildResult<S::Histogram> {
+        self.try_build(dataset, cluster, k)
+            .unwrap_or_else(|e| panic!("{} build failed: {e}", self.name()))
+    }
 }
 
 /// The first step of every scanning mapper: reads split `j` into its local
@@ -60,21 +87,41 @@ pub trait HistogramBuilder {
 /// The charge is the cost model's Hadoop mapper (a hash upsert per
 /// record), not this process's radix pass: simulated times stay
 /// comparable across changes to how the counting is done here.
-fn scan_counts<K, V>(ds: &Dataset, j: u32, ctx: &mut MapContext<K, V>) -> Vec<(u64, u64)>
+fn scan_counts<S, K, V>(ds: &S, j: u32, ctx: &mut MapContext<K, V>) -> Vec<(u64, u64)>
 where
+    S: SplitSource,
     K: WireSize,
     V: WireSize,
 {
     let meta = ds.split_meta(j);
     ctx.note_read(meta.records, meta.bytes);
     ctx.charge(meta.records as f64 * (ops::RECORD_SCAN + ops::HASH_UPSERT));
-    wh_wavelet::sparse::sorted_counts(ds.domain(), ds.scan_split(j).map(|r| r.key))
+    ds.split_counts(j)
 }
 
-/// The reduce-side context of every 1-D builder job (and `SendCoef2d`):
-/// reducers emit `(key, folded value)` records into it, the Close hook
-/// takes them and emits `(slot, coefficient)` records in their place.
-pub(crate) type KeyedOutputs = ReduceContext<(u64, f64)>;
+/// The reduce-side context of every single-job builder: reducers emit
+/// `(key, folded value)` records into it, the Close hook takes them and
+/// emits `(slot, coefficient)` records in their place.
+type KeyedOutputs = ReduceContext<(u64, f64)>;
+
+/// Runs a single-job builder's job and wraps the `(slot, coefficient)`
+/// records its Close hook left as the histogram of `dataset`'s basis.
+fn run_build<S, K, V>(
+    dataset: &S,
+    cluster: &ClusterConfig,
+    spec: JobSpec<K, V, (u64, f64)>,
+) -> Result<BuildResult<S::Histogram>, EngineError>
+where
+    S: SplitSource,
+    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    V: Send + WireSize + 'static,
+{
+    let out = try_run_job(cluster, spec)?;
+    Ok(BuildResult {
+        histogram: S::Histogram::from_slots(dataset.domain(), out.outputs),
+        metrics: out.metrics,
+    })
+}
 
 /// Reducer of the builders that ship additive `f64` parts (local
 /// coefficients, sketch counters): one `(key, Σ parts)` record per key into
@@ -93,23 +140,22 @@ fn emit_top_k(ctx: &mut KeyedOutputs, coefs: Vec<(u64, f64)>, k: usize) {
 }
 
 /// The Close hook of the builders whose reducers emit one summed
-/// coefficient per slot (Send-Coef, 1-D and 2-D): takes the stitched
-/// reducer outputs and emits their top-k in their place. Selection is a
-/// total order on `(|w|, slot)`, so the partition-major arrival order is
-/// irrelevant.
-pub(crate) fn close_with_top_k(ctx: &mut KeyedOutputs, k: usize) {
+/// coefficient per slot (Send-Coef): takes the stitched reducer outputs
+/// and emits their top-k in their place. Selection is a total order on
+/// `(|w|, slot)`, so the partition-major arrival order is irrelevant.
+fn close_with_top_k(ctx: &mut KeyedOutputs, k: usize) {
     let w = ctx.take_outputs();
     emit_top_k(ctx, w, k);
 }
 
 /// The Close hook of the builders whose reducers emit one
 /// `(key, estimated frequency)` per key (Send-V and the three samplers):
-/// takes the stitched reducer outputs, runs the `O(|v| log u)` sparse
-/// transform over them, and emits the top-k coefficients in their place.
-fn close_with_transform(ctx: &mut KeyedOutputs, domain: Domain, k: usize) {
+/// takes the stitched reducer outputs, runs the basis's sparse transform
+/// over them, and emits the top-k coefficients in their place.
+fn close_with_transform<B: Basis>(ctx: &mut KeyedOutputs, domain: Domain, k: usize) {
     let v = ctx.take_outputs();
-    ctx.charge(v.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
-    let coefs = wh_wavelet::sparse::sparse_transform(domain, v);
+    ctx.charge(v.len() as f64 * B::updates_per_key(domain) * ops::COEF_UPDATE);
+    let coefs = B::transform(domain, v);
     emit_top_k(ctx, coefs, k);
 }
 

@@ -3,7 +3,7 @@
 //! counts, and the count-scaling reducer of Basic-S / Improved-S.
 
 use super::{ops, KeyedOutputs};
-use wh_data::Dataset;
+use crate::basis::SplitSource;
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::MapContext;
 use wh_sampling::SamplingConfig;
@@ -11,14 +11,15 @@ use wh_wavelet::hash::FxHashMap;
 
 /// Draws split `j`'s first-level sample and aggregates it into local
 /// counts `s_j`, charging IO/CPU to `ctx`. Returns `(counts, t_j)`.
-pub fn first_level_counts<K, V>(
-    ds: &Dataset,
+pub fn first_level_counts<S, K, V>(
+    ds: &S,
     cfg: &SamplingConfig,
     j: u32,
     sample_seed: u64,
     ctx: &mut MapContext<K, V>,
 ) -> (FxHashMap<u64, u64>, u64)
 where
+    S: SplitSource,
     K: wh_mapreduce::WireSize,
     V: wh_mapreduce::WireSize,
 {

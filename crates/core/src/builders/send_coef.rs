@@ -7,11 +7,12 @@
 //! `log u + 1` coefficients, so the number of non-zero local coefficients
 //! is almost always much larger than the number of distinct keys.
 
-use super::{close_with_top_k, ops, reduce_sum, scan_counts, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
-use wh_data::Dataset;
+use super::{
+    close_with_top_k, ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder,
+};
+use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::WKey;
-use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
+use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 
 /// The Send-Coef baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,12 +33,17 @@ impl SendCoef {
     }
 }
 
-impl HistogramBuilder for SendCoef {
+impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
     fn name(&self) -> &'static str {
         "Send-Coef"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         // Coefficient indices ride in 4-byte keys (domain ≤ 2^32 in the
         // experiments); values are 8-byte doubles (§5 setup).
@@ -46,11 +52,13 @@ impl HistogramBuilder for SendCoef {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
                     let local = scan_counts(&ds, j, ctx);
-                    let coefs = wh_wavelet::sparse::sparse_transform(
-                        domain,
-                        local.iter().map(|&(x, c)| (x, c as f64)),
+                    let coefs =
+                        S::Histogram::transform(domain, local.iter().map(|&(x, c)| (x, c as f64)));
+                    ctx.charge(
+                        local.len() as f64
+                            * S::Histogram::updates_per_key(domain)
+                            * ops::COEF_UPDATE,
                     );
-                    ctx.charge(local.len() as f64 * (domain.log_u() + 1) as f64 * ops::COEF_UPDATE);
                     for (slot, w) in coefs {
                         ctx.emit(WKey::four(slot), w);
                     }
@@ -61,23 +69,21 @@ impl HistogramBuilder for SendCoef {
         // Reducer: w_i = Σ_j w_{i,j}, one record per coefficient into its
         // own partition's output; Close selects over all of them.
         //
-        // Coefficient indices live in [0, u) and the sparse transform can
-        // emit any of them, so `u` is the tight exclusive bound: radix
-        // keys + bounded domain select the dense-reduce strategy, whose
-        // per-partition tables size themselves to each partition's actual
-        // key range (hash partitioning spreads [0, u) across reducers).
+        // The sparse transform can emit any slot below the basis's bound,
+        // so that bound is the tight key-domain hint: radix keys + bounded
+        // domain select the dense-reduce strategy (while the bound fits
+        // its cap; sort-at-reduce or merge above), whose per-partition
+        // tables size themselves to each partition's actual key range
+        // (hash partitioning spreads the slots across reducers).
         let spec = JobSpec::new("send-coef", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(self.engine.with_key_domain(domain.u()))
+            .with_engine(
+                self.engine
+                    .with_key_domain(S::Histogram::slot_bound(domain)),
+            )
             .with_finish(move |ctx| close_with_top_k(ctx, k));
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+        run_build(dataset, cluster, spec)
     }
 }
 

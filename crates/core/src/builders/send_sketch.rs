@@ -10,11 +10,10 @@
 //! (`(log u + 1) · levels · rows` row-updates) is why the paper measures
 //! it as the slowest method by far.
 
-use super::{ops, reduce_sum, scan_counts, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
+use super::{ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder};
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
-use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
+use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sketch::{GcsParams, GroupCountSketch};
 
 /// The Send-Sketch builder (GCS).
@@ -60,7 +59,12 @@ impl HistogramBuilder for SendSketch {
         "Send-Sketch"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &Dataset,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult, EngineError> {
         let domain = dataset.domain();
         let params = self.params_for(dataset);
 
@@ -114,13 +118,7 @@ impl HistogramBuilder for SendSketch {
                     ctx.emit((e.slot, e.value));
                 }
             });
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+        run_build(dataset, cluster, spec)
     }
 }
 

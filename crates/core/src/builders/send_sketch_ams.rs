@@ -7,11 +7,10 @@
 //! the paper (and [13]) moved to the Group-Count Sketch. This builder
 //! exists as the ablation partner of [`super::SendSketch`].
 
-use super::{ops, reduce_sum, scan_counts, BuildResult, HistogramBuilder};
-use crate::histogram::WaveletHistogram;
+use super::{ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder};
 use wh_data::Dataset;
 use wh_mapreduce::wire::WKey;
-use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
+use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sketch::AmsWaveletSketch;
 
 /// The AMS Send-Sketch builder.
@@ -62,7 +61,12 @@ impl HistogramBuilder for SendSketchAms {
         "Send-Sketch-AMS"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &Dataset,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult, EngineError> {
         let domain = dataset.domain();
         assert!(
             domain.log_u() <= 22,
@@ -109,13 +113,7 @@ impl HistogramBuilder for SendSketchAms {
                     ctx.emit((e.slot, e.value));
                 }
             });
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+        run_build(dataset, cluster, spec)
     }
 }
 

@@ -7,11 +7,12 @@
 //! keeps the top-k. Communication is `O(m·u)` in the worst case — the
 //! drawback motivating H-WTopk.
 
-use super::{close_with_transform, ops, scan_counts, BuildResult, HistogramBuilder, KeyedOutputs};
-use crate::histogram::WaveletHistogram;
-use wh_data::Dataset;
+use super::{
+    close_with_transform, ops, run_build, scan_counts, BuildResult, HistogramBuilder, KeyedOutputs,
+};
+use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
-use wh_mapreduce::{run_job, ClusterConfig, EngineConfig, JobSpec, MapTask};
+use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 
 /// The Send-V baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,12 +33,17 @@ impl SendV {
     }
 }
 
-impl HistogramBuilder for SendV {
+impl<S: SplitSource> HistogramBuilder<S> for SendV {
     fn name(&self) -> &'static str {
         "Send-V"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let key_bytes = dataset.key_bytes() as u8;
 
@@ -62,22 +68,19 @@ impl HistogramBuilder for SendV {
             ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
             ctx.emit((key.id, total as f64));
         };
-        // Item keys live in [0, u) and any item can occur, so `u` is the
-        // tight exclusive bound: radix keys + bounded domain select the
-        // dense-reduce strategy, whose per-partition tables size
-        // themselves to each partition's actual key range.
+        // Radix keys + the basis's bounded key domain select the
+        // dense-reduce strategy (while the bound fits its cap), whose
+        // per-partition tables size themselves to each partition's actual
+        // key range.
         let spec = JobSpec::new("send-v", map_tasks, reduce)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+            .with_engine(
+                self.engine
+                    .with_key_domain(S::Histogram::slot_bound(domain)),
+            )
+            .with_finish(move |ctx| close_with_transform::<S::Histogram>(ctx, domain, k));
+        run_build(dataset, cluster, spec)
     }
 }
 

@@ -9,12 +9,12 @@
 //! keeps the top-k. Expected communication is `O(√m/ε)` (Theorem 3).
 
 use super::sample_common::first_level_counts;
-use super::{close_with_transform, ops, BuildResult, HistogramBuilder, KeyedOutputs};
-use crate::histogram::WaveletHistogram;
-use wh_data::{Dataset, SplitMix64};
+use super::{close_with_transform, ops, run_build, BuildResult, HistogramBuilder, KeyedOutputs};
+use crate::basis::{Basis, SplitSource};
+use wh_data::SplitMix64;
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{
-    run_job, ClusterConfig, EngineConfig, JobSpec, MapTask, WireCodec, WireError, WireSize,
+    ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, WireCodec, WireError, WireSize,
 };
 use wh_sampling::{SamplingConfig, TwoLevelAccumulator, TwoLevelPair};
 
@@ -91,18 +91,23 @@ impl TwoLevelS {
     }
 
     /// The effective sampling configuration for `dataset`.
-    pub fn config_for(&self, dataset: &Dataset) -> SamplingConfig {
+    pub fn config_for<S: SplitSource>(&self, dataset: &S) -> SamplingConfig {
         SamplingConfig::new(self.epsilon, dataset.num_splits(), dataset.num_records())
             .with_threshold_exponent(self.threshold_exponent)
     }
 }
 
-impl HistogramBuilder for TwoLevelS {
+impl<S: SplitSource> HistogramBuilder<S> for TwoLevelS {
     fn name(&self) -> &'static str {
         "TwoLevel-S"
     }
 
-    fn build(&self, dataset: &Dataset, cluster: &ClusterConfig, k: usize) -> BuildResult {
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let cfg = self.config_for(dataset);
         let key_bytes = dataset.key_bytes() as u8;
@@ -132,22 +137,19 @@ impl HistogramBuilder for TwoLevelS {
             }
             ctx.emit((key.id, acc.estimate_v(&cfg)));
         };
-        // Sampled item keys live in [0, u); `u` is the tightest static
-        // bound (second-level draws are data-dependent), and the
+        // Sampled item keys stay below the basis's bound, the tightest
+        // static one (second-level draws are data-dependent); the
         // dense-reduce tables shrink to each partition's actual key range
         // at run time, so the loose-looking hint costs nothing.
         let spec = JobSpec::new("two-level-s", map_tasks, reduce)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(self.engine.with_key_domain(domain.u()))
-            .with_finish(move |ctx| close_with_transform(ctx, domain, k));
-
-        let out = run_job(cluster, spec);
-        let histogram = WaveletHistogram::new(domain, out.outputs);
-        BuildResult {
-            histogram,
-            metrics: out.metrics,
-        }
+            .with_engine(
+                self.engine
+                    .with_key_domain(S::Histogram::slot_bound(domain)),
+            )
+            .with_finish(move |ctx| close_with_transform::<S::Histogram>(ctx, domain, k));
+        run_build(dataset, cluster, spec)
     }
 }
 
@@ -155,7 +157,7 @@ impl HistogramBuilder for TwoLevelS {
 mod tests {
     use super::*;
     use crate::builders::ImprovedS;
-    use wh_data::DatasetBuilder;
+    use wh_data::{Dataset, DatasetBuilder};
     use wh_wavelet::Domain;
 
     fn ds(splits: u32) -> Dataset {

@@ -39,7 +39,13 @@
 //! | [`builders::ImprovedS`] | sampling (biased) | 1 | `O(m/ε)` |
 //! | [`builders::TwoLevelS`] | sampling (unbiased) | 1 | `O(√m/ε)` |
 //! | [`builders::SendSketch`] | GCS sketch | 1 | sketch size × m |
+//!
+//! Every builder but the sketches is generic over its dataset
+//! ([`builders::SplitSource`]): handed a `wh_data::twod::Dataset2d` it
+//! runs the same jobs over the 2-D basis and returns a
+//! [`twod::WaveletHistogram2d`].
 
+mod basis;
 pub mod builders;
 pub mod evaluate;
 pub mod histogram;

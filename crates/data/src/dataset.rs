@@ -31,6 +31,41 @@ pub struct SplitMeta {
     pub bytes: u64,
 }
 
+impl SplitMeta {
+    /// Split `j` of `num_records` records of `record_bytes` each, dealt
+    /// as evenly as possible over `num_splits` splits.
+    pub(crate) fn of(j: u32, num_records: u64, num_splits: u32, record_bytes: u32) -> Self {
+        assert!(j < num_splits, "split {j} out of {num_splits}");
+        let m = u64::from(num_splits);
+        let records = num_records / m + u64::from(u64::from(j) < num_records % m);
+        SplitMeta {
+            id: j,
+            records,
+            bytes: records * u64::from(record_bytes),
+        }
+    }
+}
+
+/// Draws `count` (at most `nj`) distinct positions of split `j`'s `0..nj`,
+/// ascending (as the paper's reader processes offsets from a priority
+/// queue), from the stream `seed` names for that split — Floyd's
+/// algorithm, so memory is `O(count)` regardless of `nj`.
+pub(crate) fn sample_positions(seed: u64, j: u32, nj: u64, count: u64) -> Vec<u64> {
+    let count = count.min(nj);
+    let mut chosen = wh_wavelet::hash::FxHashSet::default();
+    let mut rng = SplitMix64::new(record_seed(seed, j, u64::MAX));
+    // For t in nj-count..nj, pick r in [0, t]; if taken, use t itself.
+    for t in (nj - count)..nj {
+        let r = rng.next_below(t + 1);
+        if !chosen.insert(r) {
+            chosen.insert(t);
+        }
+    }
+    let mut positions: Vec<u64> = chosen.into_iter().collect();
+    positions.sort_unstable();
+    positions
+}
+
 /// Key distribution of a dataset.
 #[derive(Debug, Clone, Copy)]
 pub enum Distribution {
@@ -239,16 +274,7 @@ impl Dataset {
     /// Records are distributed as evenly as possible: the first
     /// `n mod m` splits get one extra record.
     pub fn split_meta(&self, j: u32) -> SplitMeta {
-        assert!(j < self.num_splits, "split {j} out of {}", self.num_splits);
-        let m = u64::from(self.num_splits);
-        let base = self.num_records / m;
-        let extra = self.num_records % m;
-        let records = base + u64::from(u64::from(j) < extra);
-        SplitMeta {
-            id: j,
-            records,
-            bytes: records * u64::from(self.record_bytes),
-        }
+        SplitMeta::of(j, self.num_records, self.num_splits, self.record_bytes)
     }
 
     /// All split metadata.
@@ -290,28 +316,12 @@ impl Dataset {
     }
 
     /// Draws `count` record positions of split `j` **without replacement**,
-    /// reading only those records — the RandomRecordReader of Appendix B.
-    ///
-    /// Uses Floyd's algorithm, so memory is `O(count)` regardless of split
-    /// size. Positions are returned in ascending order (as the paper's
-    /// reader processes offsets from a priority queue).
+    /// reading only those records, in ascending position order — the
+    /// RandomRecordReader of Appendix B.
     pub fn sample_split(&self, j: u32, count: u64, sample_seed: u64) -> Vec<Record> {
         let nj = self.split_meta(j).records;
-        let count = count.min(nj);
-        let mut chosen = wh_wavelet::hash::FxHashSet::default();
-        let mut rng = SplitMix64::new(record_seed(self.seed ^ sample_seed, j, u64::MAX));
-        // Floyd's sampling: for t in nj-count..nj, pick r in [0, t]; if taken,
-        // use t itself.
-        for t in (nj - count)..nj {
-            let r = rng.next_below(t + 1);
-            if !chosen.insert(r) {
-                chosen.insert(t);
-            }
-        }
-        let mut positions: Vec<u64> = chosen.into_iter().collect();
-        positions.sort_unstable();
         let split_seed = split_seed(self.seed, j);
-        positions
+        sample_positions(self.seed ^ sample_seed, j, nj, count)
             .into_iter()
             .map(|i| self.record(split_seed, i))
             .collect()

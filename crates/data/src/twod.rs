@@ -15,6 +15,7 @@
 //! the joint distribution is genuinely correlated rather than a product
 //! of its marginals.
 
+use crate::dataset::{sample_positions, SplitMeta};
 use crate::rng::{record_seed, SplitMix64};
 use crate::worldcup::WORLDCUP_RECORD_BYTES;
 use crate::zipf::Zipf;
@@ -61,6 +62,13 @@ pub struct Dataset2d {
 
 impl Dataset2d {
     /// Creates a 2-D dataset; `domain` applies per dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degenerate configurations (zero records/splits, more
+    /// splits than records) and when a cell no longer fits one key of a
+    /// [`Domain`] (`2·log u >` [`Domain::MAX_LOG_U`]) — builders count
+    /// cells as keys of the squared domain.
     pub fn new(
         domain: Domain,
         distribution: Distribution2d,
@@ -70,6 +78,10 @@ impl Dataset2d {
     ) -> Self {
         assert!(num_records > 0 && num_splits > 0);
         assert!(u64::from(num_splits) <= num_records);
+        assert!(
+            2 * domain.log_u() <= Domain::MAX_LOG_U,
+            "a cell of {domain}² does not fit one key"
+        );
         let (zx, zy) = match distribution {
             Distribution2d::IndependentZipf { alpha_x, alpha_y } => (
                 Some(Zipf::new(domain.u(), alpha_x)),
@@ -120,11 +132,9 @@ impl Dataset2d {
         self.record_bytes
     }
 
-    /// Records in split `j`.
-    pub fn split_records(&self, j: u32) -> u64 {
-        assert!(j < self.num_splits);
-        let m = u64::from(self.num_splits);
-        self.num_records / m + u64::from(u64::from(j) < self.num_records % m)
+    /// Metadata for split `j`: the same even deal as [`crate::Dataset`]'s.
+    pub fn split_meta(&self, j: u32) -> SplitMeta {
+        SplitMeta::of(j, self.num_records, self.num_splits, self.record_bytes)
     }
 
     /// `O(1)` access to record `(j, i)`.
@@ -172,7 +182,18 @@ impl Dataset2d {
 
     /// Sequential scan of split `j`.
     pub fn scan_split(&self, j: u32) -> impl Iterator<Item = Record2d> + '_ {
-        (0..self.split_records(j)).map(move |i| self.record_at(j, i))
+        (0..self.split_meta(j).records).map(move |i| self.record_at(j, i))
+    }
+
+    /// Draws `count` record positions of split `j` **without replacement**,
+    /// reading only those records, in ascending position order — the
+    /// same Floyd draw as [`crate::Dataset::sample_split`].
+    pub fn sample_split(&self, j: u32, count: u64, sample_seed: u64) -> Vec<Record2d> {
+        let nj = self.split_meta(j).records;
+        sample_positions(self.seed ^ sample_seed, j, nj, count)
+            .into_iter()
+            .map(|i| self.record_at(j, i))
+            .collect()
     }
 
     /// Exact frequency array (row-major `u×u`), for ground truth on small
@@ -279,8 +300,18 @@ mod tests {
     #[test]
     fn splits_partition_records() {
         let d = Dataset2d::new(Domain::new(4).unwrap(), Distribution2d::Uniform, 1003, 7, 3);
-        let total: u64 = (0..7).map(|j| d.split_records(j)).sum();
+        let total: u64 = (0..7).map(|j| d.split_meta(j).records).sum();
         assert_eq!(total, 1003);
+    }
+
+    #[test]
+    fn sampling_a_whole_split_is_its_scan() {
+        let d = Dataset2d::new(Domain::new(4).unwrap(), Distribution2d::Uniform, 1003, 7, 3);
+        let scan: Vec<Record2d> = d.scan_split(2).collect();
+        assert_eq!(d.sample_split(2, u64::MAX, 1), scan);
+        let some = d.sample_split(2, 40, 1);
+        assert_eq!(some.len(), 40);
+        assert_ne!(some, d.sample_split(2, 40, 2));
     }
 
     #[test]
@@ -339,6 +370,19 @@ mod tests {
             assert_eq!(fold(0), split_0, "{dist:?} split 0");
             assert_eq!(fold(3), split_3, "{dist:?} split 3");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit one key")]
+    fn cells_wider_than_a_key_are_rejected() {
+        let log_u = Domain::MAX_LOG_U / 2 + 1;
+        Dataset2d::new(
+            Domain::new(log_u).unwrap(),
+            Distribution2d::Uniform,
+            10,
+            1,
+            0,
+        );
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl BitSet {
         }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Sets bit `i`.
     ///
     /// # Panics

@@ -30,20 +30,6 @@ pub fn topk_by_magnitude<N: ScoreNode>(nodes: &[N], k: usize) -> Vec<(u64, f64)>
     entries.into_iter().map(|e| (e.slot, e.value)).collect()
 }
 
-/// The exact k items of largest aggregated signed score (classic TPUT's
-/// objective), descending.
-pub fn topk_by_value<N: ScoreNode>(nodes: &[N], k: usize) -> Vec<(u64, f64)> {
-    let total = aggregate_all(nodes);
-    let mut v: Vec<(u64, f64)> = total.into_iter().collect();
-    v.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("no NaN scores")
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    v.truncate(k);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,10 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn magnitude_vs_value_ordering_differ() {
+    fn magnitude_orders_by_absolute_value() {
         let nodes = vec![InMemoryNode::new([(1, -10.0), (2, 5.0), (3, 1.0)])];
         assert_eq!(topk_by_magnitude(&nodes, 2), vec![(1, -10.0), (2, 5.0)]);
-        assert_eq!(topk_by_value(&nodes, 2), vec![(2, 5.0), (3, 1.0)]);
     }
 
     #[test]

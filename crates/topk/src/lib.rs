@@ -10,8 +10,6 @@
 //!
 //! This crate provides:
 //!
-//! * [`tput`] — classic three-round TPUT for non-negative scores (the
-//!   reference point the paper modifies);
 //! * [`two_sided`] — the paper's modified algorithm: two interleaved TPUT
 //!   instances tracking upper/lower bounds `τ⁺/τ⁻`, magnitude thresholds
 //!   `T₁`/`T₂`, and three rounds of pruning. The coordinator logic is a
@@ -27,7 +25,6 @@
 pub mod bitset;
 pub mod exact;
 pub mod node;
-pub mod tput;
 pub mod two_sided;
 
 pub use node::{InMemoryNode, ScoreNode};

@@ -18,9 +18,6 @@ pub trait ScoreNode {
     /// All held items with `|score| > threshold`.
     fn items_above_magnitude(&self, threshold: f64) -> Vec<(u64, f64)>;
 
-    /// All held items with `score > threshold` (classic TPUT's phase 2).
-    fn items_above(&self, threshold: f64) -> Vec<(u64, f64)>;
-
     /// The exact local score of `item` (0 when not held).
     fn score(&self, item: u64) -> f64;
 
@@ -84,17 +81,6 @@ impl ScoreNode for InMemoryNode {
         v
     }
 
-    fn items_above(&self, threshold: f64) -> Vec<(u64, f64)> {
-        let mut v: Vec<(u64, f64)> = self
-            .scores
-            .iter()
-            .filter(|(_, s)| **s > threshold)
-            .map(|(&i, &s)| (i, s))
-            .collect();
-        v.sort_by_key(|&(i, _)| i);
-        v
-    }
-
     fn score(&self, item: u64) -> f64 {
         self.scores.get(&item).copied().unwrap_or(0.0)
     }
@@ -134,12 +120,6 @@ mod tests {
             vec![(1, 5.0), (2, -3.0), (4, -8.0)]
         );
         assert!(n.items_above_magnitude(100.0).is_empty());
-    }
-
-    #[test]
-    fn signed_filter() {
-        let n = node();
-        assert_eq!(n.items_above(1.0), vec![(1, 5.0), (5, 2.0)]);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use crate::bitset::BitSet;
 use crate::node::ScoreNode;
-use crate::tput::TputComm;
 use wh_wavelet::hash::FxHashMap;
 use wh_wavelet::select::{sort_by_magnitude, CoefEntry};
 
@@ -62,21 +61,6 @@ impl Coordinator {
             t1: None,
             t2: None,
         }
-    }
-
-    /// Number of distinct items received so far.
-    pub fn num_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Round-1 threshold `T₁` (available after [`Self::finish_round1`]).
-    pub fn t1(&self) -> Option<f64> {
-        self.t1
-    }
-
-    /// Round-2 threshold `T₂` (available after [`Self::finish_round2`]).
-    pub fn t2(&self) -> Option<f64> {
-        self.t2
     }
 
     fn record(&mut self, node: usize, item: u64, score: f64) {
@@ -261,6 +245,22 @@ fn kth_largest_or_zero(values: &mut [f64], k: usize) -> f64 {
     }
     values.sort_by(|a, b| b.partial_cmp(a).expect("no NaN bounds"));
     values[k - 1].max(0.0)
+}
+
+/// Per-round communication of a TPUT-style run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TputComm {
+    /// `(item, score)` pairs uploaded to the coordinator per round.
+    pub pairs_per_round: Vec<u64>,
+    /// Item ids broadcast to nodes (thresholds are O(1) and ignored).
+    pub broadcast_items: u64,
+}
+
+impl TputComm {
+    /// Total uploaded pairs.
+    pub fn total_pairs(&self) -> u64 {
+        self.pairs_per_round.iter().sum()
+    }
 }
 
 /// Result of an in-memory two-sided TPUT run.

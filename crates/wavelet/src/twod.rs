@@ -13,6 +13,7 @@
 //! the pipeline (top-k selection, TPUT, sketches) is reused verbatim.
 
 use crate::hash::FxHashMap;
+use crate::sparse::{self, SparseCoefs};
 use crate::{haar, Domain};
 
 /// Packs a 2-D coefficient address into one `u64`.
@@ -89,43 +90,48 @@ pub fn inverse2d(domain: Domain, w: &[f64]) -> Vec<f64> {
 /// Sparse 2-D coefficient map: packed slot → value.
 pub type SparseCoefs2d = FxHashMap<u64, f64>;
 
-/// Emits the `(log u + 1)²` coefficient updates caused by adding `weight`
-/// occurrences of cell `(x, y)`.
+/// Computes all non-zero 2-D coefficients of the sparse frequency array
+/// given by `(x, y, count)` cells, as `(packed slot, value)` pairs in
+/// strictly ascending [`pack_slot`] order, no stored zero. Cells may repeat
+/// and arrive in any order; repeated cells accumulate in arrival order.
 ///
-/// The 2-D basis is the tensor product of the 1-D bases, so the update set
-/// is the Cartesian product of the two 1-D root-to-leaf paths and each delta
-/// is the product of the 1-D deltas (with `weight` applied once).
-pub fn coefficient_updates2d(
-    domain: Domain,
-    x: u64,
-    y: u64,
-    weight: f64,
-    mut emit: impl FnMut(u64, f64),
-) {
-    let mut row_path: Vec<(u64, f64)> = Vec::with_capacity(domain.log_u() as usize + 1);
-    crate::sparse::coefficient_updates(domain, x, 1.0, |s, d| row_path.push((s, d)));
-    let mut col_path: Vec<(u64, f64)> = Vec::with_capacity(domain.log_u() as usize + 1);
-    crate::sparse::coefficient_updates(domain, y, 1.0, |s, d| col_path.push((s, d)));
-    for &(rs, rd) in &row_path {
-        for &(cs, cd) in &col_path {
-            emit(pack_slot(rs, cs), weight * rd * cd);
-        }
-    }
-}
-
-/// Sparse 2-D transform over `(x, y, count)` cells.
-pub fn sparse_transform2d<I>(domain: Domain, cells: I) -> SparseCoefs2d
+/// The standard decomposition replayed over the non-zero entries only:
+/// every non-empty row goes through the 1-D [`sparse::sparse_transform`],
+/// the row coefficients are regrouped by column slot, and every non-empty
+/// column goes through it again. Each pass is bit-identical to the dense
+/// cascade over its line (an absent entry standing for the `0.0` the dense
+/// pass reads), so the result is **bit-identical** to the non-zero entries
+/// of [`forward2d`] over the densified input.
+///
+/// Time `O(N log N + N log² u)` for `N` cells, no hashing.
+pub fn sparse_transform2d<I>(domain: Domain, cells: I) -> SparseCoefs
 where
     I: IntoIterator<Item = (u64, u64, f64)>,
 {
-    let mut coefs = SparseCoefs2d::default();
-    for (x, y, c) in cells {
-        coefficient_updates2d(domain, x, y, c, |slot, delta| {
-            *coefs.entry(slot).or_insert(0.0) += delta;
-        });
-    }
-    coefs.retain(|_, v| *v != 0.0);
-    coefs
+    // One pass over `(line, position, value)` entries: every run of equal
+    // `line` is transformed along its positions and comes back transposed,
+    // as `(slot, line, coefficient)` — the other axis' input. The sort is
+    // stable, so a line's entries keep their arrival order.
+    let pass = |mut entries: Vec<(u64, u64, f64)>| {
+        entries.sort_by_key(|&(line, _, _)| line);
+        let mut out = Vec::with_capacity(entries.len());
+        let mut rest = &entries[..];
+        while let Some(&(line, _, _)) = rest.first() {
+            let len = rest.iter().take_while(|e| e.0 == line).count();
+            let along = rest[..len].iter().map(|&(_, position, v)| (position, v));
+            let coefs = sparse::sparse_transform(domain, along);
+            out.extend(coefs.into_iter().map(|(slot, w)| (slot, line, w)));
+            rest = &rest[len..];
+        }
+        out
+    };
+    let by_col_slot = pass(cells.into_iter().collect());
+    let mut out: SparseCoefs = pass(by_col_slot)
+        .into_iter()
+        .map(|(row_slot, col_slot, w)| (pack_slot(row_slot, col_slot), w))
+        .collect();
+    out.sort_unstable_by_key(|&(slot, _)| slot);
+    out
 }
 
 /// Point estimate of cell `(x, y)` from a retained 2-D coefficient set.
@@ -189,13 +195,15 @@ mod tests {
         for &(x, y, c) in &cells {
             v[(x * 8 + y) as usize] += c;
         }
-        let dense = forward2d(domain, &v);
-        for r in 0..8u64 {
-            for c in 0..8u64 {
-                let got = sparse.get(&pack_slot(r, c)).copied().unwrap_or(0.0);
-                let want = dense[(r * 8 + c) as usize];
-                assert!(close(got, want), "({r},{c}): {got} vs {want}");
-            }
+        let dense: SparseCoefs = forward2d(domain, &v)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, w)| w != 0.0)
+            .map(|(i, w)| (pack_slot(i as u64 / 8, i as u64 % 8), w))
+            .collect();
+        assert_eq!(sparse.len(), dense.len());
+        for (got, want) in sparse.iter().zip(&dense) {
+            assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
         }
     }
 
@@ -203,7 +211,9 @@ mod tests {
     fn point_estimate_exact_with_all_coefficients() {
         let domain = Domain::new(2).unwrap();
         let cells = [(0u64, 1u64, 5.0), (3, 3, 2.0), (1, 2, 7.0)];
-        let coefs = sparse_transform2d(domain, cells.iter().copied());
+        let coefs: SparseCoefs2d = sparse_transform2d(domain, cells.iter().copied())
+            .into_iter()
+            .collect();
         let mut v = [0.0; 16];
         for &(x, y, c) in &cells {
             v[(x * 4 + y) as usize] += c;
@@ -214,14 +224,6 @@ mod tests {
                 assert!(close(est, v[(x * 4 + y) as usize]), "({x},{y})");
             }
         }
-    }
-
-    #[test]
-    fn update_count_is_path_product() {
-        let domain = Domain::new(4).unwrap();
-        let mut n = 0;
-        coefficient_updates2d(domain, 7, 12, 1.0, |_, _| n += 1);
-        assert_eq!(n, 25); // (log u + 1)²
     }
 
     #[test]
@@ -238,9 +240,13 @@ mod tests {
         let domain = Domain::new(3).unwrap();
         let split_a = [(1u64, 1u64, 1.0), (4, 2, 2.0)];
         let split_b = [(1u64, 1u64, 3.0), (6, 7, 1.0)];
-        let wa = sparse_transform2d(domain, split_a.iter().copied());
-        let wb = sparse_transform2d(domain, split_b.iter().copied());
-        let wall = sparse_transform2d(domain, split_a.iter().chain(split_b.iter()).copied());
+        let map = |cells: &[(u64, u64, f64)]| -> SparseCoefs2d {
+            sparse_transform2d(domain, cells.iter().copied())
+                .into_iter()
+                .collect()
+        };
+        let (wa, wb) = (map(&split_a), map(&split_b));
+        let wall = map(&[split_a, split_b].concat());
         for (slot, v) in &wall {
             let s = wa.get(slot).copied().unwrap_or(0.0) + wb.get(slot).copied().unwrap_or(0.0);
             assert!(close(*v, s));

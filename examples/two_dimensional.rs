@@ -1,22 +1,22 @@
 //! Two-dimensional wavelet histograms (§3/§4 "Multi-dimensional
-//! wavelets"), end to end through the PR 10 pipeline: build the 2-D
-//! histogram on the MapReduce engine (`Send-Coef-2D`, shipping
-//! `(u16, u16)` coefficient keys through a dense reduce), compile it
-//! into the allocation-free rectangle-query form, publish it through the
-//! epoch-swapped serving tier, and answer batched range-selectivity
-//! queries — with the paper's simulated baselines alongside for the
-//! communication comparison.
+//! wavelets"), end to end: build the 2-D histogram on the MapReduce
+//! engine with the same builders as in 1-D (handing them a `Dataset2d`
+//! is all it takes), compile it into the allocation-free rectangle-query
+//! form, publish it through the epoch-swapped serving tier, and answer
+//! batched range-selectivity queries. The run asserts the paper's 2-D
+//! claims: the exact builders agree, and H-WTopk communicates less than
+//! sending every local coefficient.
 //!
 //! ```text
 //! cargo run --release --example two_dimensional
 //! ```
 
+use wavelet_hist::builders::{Centralized, HWTopk, HistogramBuilder, SendCoef, TwoLevelS};
 use wavelet_hist::data::twod::{Dataset2d, Distribution2d};
 use wavelet_hist::mapreduce::metrics::human_bytes;
 use wavelet_hist::mapreduce::ClusterConfig;
 use wavelet_hist::query::CompiledHistogram2D;
 use wavelet_hist::serve::ServeTier;
-use wavelet_hist::twod::{centralized2d, h_wtopk2d, two_level_s2d, SendCoef2d};
 use wavelet_hist::wavelet::Domain;
 
 fn main() {
@@ -41,21 +41,20 @@ fn main() {
         dataset.num_splits()
     );
 
-    // The engine-built exact path next to the simulated baselines.
-    let engine = SendCoef2d::new().build(&dataset, &cluster, k);
-    let exact = centralized2d(&dataset, &cluster, k);
-    let hw = h_wtopk2d(&dataset, &cluster, k);
-    let tl = two_level_s2d(&dataset, &cluster, k, 0.02, 9);
+    let exact = Centralized::new().build(&dataset, &cluster, k);
+    let send_coef = SendCoef::new().build(&dataset, &cluster, k);
+    let hw = HWTopk::new().build(&dataset, &cluster, k);
+    let tl = TwoLevelS::new(0.02, 9).build(&dataset, &cluster, k);
 
     println!(
         "{:<16} {:>12} {:>12} {:>10}",
         "method", "comm", "scanned", "time"
     );
     for (name, r) in [
-        ("Send-Coef-2D", &engine),
         ("Centralized", &exact),
-        ("H-WTopk (2-D)", &hw),
-        ("TwoLevel-S (2-D)", &tl),
+        ("Send-Coef", &send_coef),
+        ("H-WTopk", &hw),
+        ("TwoLevel-S", &tl),
     ] {
         println!(
             "{name:<16} {:>12} {:>12} {:>9.1}s",
@@ -64,29 +63,41 @@ fn main() {
             r.metrics.sim_time_s,
         );
     }
-    let s = engine.metrics.reduce_strategies;
+    let s = send_coef.metrics.reduce_strategies;
     println!(
-        "\nSend-Coef-2D ran on the pipelined engine \
-         (reduce partitions: {} dense / {} sorted / {} merged — at this \
-         [2^7]² domain the (u16,u16) key hint is above the dense-table \
-         ceiling, so the engine falls back to sort/merge; at [2^6]² and \
-         below it reduces densely)",
+        "\nSend-Coef reduce partitions: {} dense / {} sorted / {} merged — at \
+         this [2^7]² domain the coefficient-address bound is above the \
+         dense-table ceiling, so the engine falls back to sort/merge; at \
+         [2^6]² and below it reduces densely",
         s.dense_reduce, s.sort_at_reduce, s.merge
     );
 
-    // The engine-built histogram reproduces the centralized top-k.
-    let same = engine
-        .histogram
-        .coefficients()
-        .iter()
-        .zip(exact.histogram.coefficients())
-        .all(|(a, b)| (a.1.abs() - b.1.abs()).abs() < 1e-6);
-    println!("Send-Coef-2D matches centralized top-k magnitudes: {same}");
+    // The exact distributed builders retain the centralized top-k.
+    // Magnitudes are compared rank by rank: the band is symmetric, so
+    // several coefficients tie exactly and float summation order decides
+    // which of them a builder ranks (or cuts at k) first.
+    let want = exact.histogram.coefficients();
+    for (name, r) in [("Send-Coef", &send_coef), ("H-WTopk", &hw)] {
+        let got = r.histogram.coefficients();
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(want) {
+            assert!(
+                (g.1.abs() - w.1.abs()).abs() < 1e-6,
+                "{name}: {g:?} vs {w:?}"
+            );
+        }
+    }
+    assert_eq!(hw.metrics.rounds, 3);
+    assert!(
+        hw.metrics.total_comm_bytes() < send_coef.metrics.total_comm_bytes(),
+        "H-WTopk must communicate less than Send-Coef"
+    );
+    println!("Send-Coef and H-WTopk match the centralized top-{k} magnitudes within 1e-6");
 
     // Serve it: compile to the summed-area form, publish to the tier,
     // and answer rectangle selectivities through a handle — the shape a
     // query optimizer's cardinality probe takes.
-    let compiled = CompiledHistogram2D::compile(&engine.histogram);
+    let compiled = CompiledHistogram2D::compile(&send_coef.histogram);
     let tier = ServeTier::new(4);
     let n = dataset.num_records();
     tier.publish2d(1, &compiled, n);

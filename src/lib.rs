@@ -30,7 +30,7 @@ pub use wh_mapreduce as mapreduce;
 pub use wh_sampling as sampling;
 /// Linear sketches (CountSketch, GCS, AMS).
 pub use wh_sketch as sketch;
-/// Distributed top-k protocols (TPUT, two-sided TPUT).
+/// Distributed top-k protocols (two-sided TPUT by magnitude).
 pub use wh_topk as topk;
 /// Haar wavelet machinery (transforms, error tree, selection, SSE, 2-D).
 pub use wh_wavelet as wavelet;

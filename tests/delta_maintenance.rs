@@ -224,7 +224,7 @@ fn maintainer_rejects_keys_outside_its_domain() {
 /// Negative (PR 10): packed 2-D slots (`pack_slot(r, c) = r·2³² + c`,
 /// the key space of `WaveletHistogram2d`) must not alias through the
 /// 1-D maintainer. Feeding one is the same domain violation — 2-D data
-/// goes through `SendCoef2d`, never through `MaintainedHistogram`.
+/// is built from a `Dataset2d`, never through `MaintainedHistogram`.
 #[test]
 #[should_panic(expected = "outside")]
 fn maintainer_rejects_packed_2d_slots() {

@@ -303,8 +303,8 @@ fn deterministic_task_failures_exhaust_the_retry_budget() {
     }
 }
 
-/// Satellite (PR 10): the 2-D build path under chaos. Send-Coef-2D
-/// ships `(u16, u16)` coefficient keys over the wire; a killed,
+/// The 2-D build path under chaos: Send-Coef over a `Dataset2d` ships
+/// packed `(row, col)` coefficient addresses over the wire; a killed,
 /// corrupted, or stalled worker must recover to the **bit-identical**
 /// histogram and logical metrics of the fault-free run, with measured
 /// bytes still equal to accounted bytes — and at zero retries the same
@@ -312,7 +312,7 @@ fn deterministic_task_failures_exhaust_the_retry_budget() {
 #[test]
 fn twod_build_recovers_bit_identically_under_chaos() {
     use wavelet_hist::data::twod::{Dataset2d, Distribution2d};
-    use wavelet_hist::twod::{sequential_send_coef2d, SendCoef2d};
+    use wavelet_hist::twod::sequential_send_coef2d;
 
     let ds = Dataset2d::new(
         Domain::new(5).unwrap(),
@@ -327,7 +327,7 @@ fn twod_build_recovers_bit_identically_under_chaos() {
     let cluster = ClusterConfig::paper_cluster();
     let k = 24;
     let want = sequential_send_coef2d(&ds, k);
-    let clean = SendCoef2d::new()
+    let clean = SendCoef::new()
         .with_engine(chaos_engine(2))
         .build(&ds, &cluster, k);
     assert_eq!(clean.histogram.coefficients(), want.coefficients());
@@ -341,9 +341,7 @@ fn twod_build_recovers_bit_identically_under_chaos() {
     ];
     for (i, &plan) in faults.iter().enumerate() {
         let engine = chaos_engine(2).with_read_deadline_ms(250).with_faults(plan);
-        let got = SendCoef2d::new()
-            .with_engine(engine)
-            .build(&ds, &cluster, k);
+        let got = SendCoef::new().with_engine(engine).build(&ds, &cluster, k);
         assert_eq!(
             got.histogram.coefficients(),
             want.coefficients(),
@@ -353,7 +351,7 @@ fn twod_build_recovers_bit_identically_under_chaos() {
         assert!(got.metrics.recovery.recovered(), "fault #{i}");
         assert_eq!(
             got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
-            "fault #{i}: each (u16, u16) pair crosses the wire once"
+            "fault #{i}: each coefficient pair crosses the wire once"
         );
         validate_measured_shuffle(&got.metrics).expect("recovered 2-D run validates");
     }
@@ -362,7 +360,7 @@ fn twod_build_recovers_bit_identically_under_chaos() {
     let engine = chaos_engine(2)
         .with_task_retries(0)
         .with_faults(FaultPlan::none().kill_worker_before_task(1, 0));
-    match SendCoef2d::new()
+    match SendCoef::new()
         .with_engine(engine)
         .try_build(&ds, &cluster, k)
         .unwrap_err()

@@ -302,8 +302,8 @@ proptest! {
         );
     }
 
-    /// Satellite (PR 10): the `(u16, u16)` coefficient-key codec that
-    /// carries 2-D wavelet slots through the shuffle. Its `u64` image is
+    /// The `(u16, u16)` pair codec, whose `row << 16 | col` image is the
+    /// one 2-D coefficient addresses ship in (as a `WKey`). The image is
     /// strictly order-preserving — `a < b ⇔ a.to_radix() < b.to_radix()`
     /// on full-range pairs, where only the second component breaking the
     /// tie is the case the packing could plausibly get wrong — and the

@@ -63,35 +63,3 @@ proptest! {
         prop_assert!(t2 >= t1 - 1e-12, "T2 {t2} must refine T1 {t1}");
     }
 }
-
-#[test]
-fn classic_tput_matches_reference_on_many_seeds() {
-    use wavelet_hist::topk::exact::topk_by_value;
-    use wavelet_hist::topk::tput::tput_topk;
-    let mut state = 42u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for _trial in 0..25 {
-        let m = 2 + (next() % 6) as usize;
-        let nodes: Vec<InMemoryNode> = (0..m)
-            .map(|_| {
-                let items = next() % 50;
-                InMemoryNode::new((0..items).filter_map(|i| {
-                    let r = next();
-                    (r % 2 == 0).then_some((i, (r % 500) as f64))
-                }))
-            })
-            .collect();
-        let k = 1 + (next() % 10) as usize;
-        let got = tput_topk(&nodes, k).topk;
-        let want = topk_by_value(&nodes, k);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.1 - w.1).abs() < 1e-9, "{g:?} vs {w:?}");
-        }
-    }
-}

@@ -1,16 +1,19 @@
-//! 2-D histograms through the whole pipeline (PR 10): the engine-built
-//! Send-Coef-2D path against its sequential reference, the compiled
-//! rectangle-query form against brute-force truth, and 2-D serving
-//! through the epoch-swapped tier.
+//! 2-D histograms through the whole pipeline: the engine-built 2-D
+//! builds against their references, the compiled rectangle-query form
+//! against brute-force truth, and 2-D serving through the epoch-swapped
+//! tier.
 //!
 //! Four contracts are pinned:
 //!
-//! * **Differential build** — the engine-built 2-D histogram equals the
-//!   sequential `twod.rs` reference **bit for bit** across
-//!   {dense-reduce, sort-at-reduce, merge} × {1, 2, 8} reducers ×
-//!   {1, 4} threads × the reference engine, and (on unix) across forked
-//!   multi-process workers carrying the `(u16, u16)` coefficient keys
-//!   over the wire.
+//! * **Differential build** — a 2-D build is the 1-D builder over the
+//!   standard-decomposition basis, so each builder is held to its 1-D
+//!   contract: Send-Coef equals the sequential `twod.rs` reference and
+//!   Send-V equals `Centralized` **bit for bit**, H-WTopk retains
+//!   `Centralized`'s slots with values within 1e-6, TwoLevel-S is
+//!   bit-identical to itself — across {dense-reduce, sort-at-reduce,
+//!   merge} × {1, 2, 8} reducers × {1, 4} threads × the reference engine,
+//!   and (on unix) across forked multi-process workers carrying the
+//!   packed coefficient addresses over the wire.
 //! * **Error bounds** — against the exact 2-D frequency array, every
 //!   cell estimate errs by at most `√SSE` and every rectangle sum by at
 //!   most `√(area · SSE)` (Cauchy–Schwarz over the per-cell error grid);
@@ -24,11 +27,12 @@
 //! * **Data shapes** — all of the above on correlated 2-D Zipf and on
 //!   WorldCup-style (time × object) data.
 
+use wavelet_hist::builders::{Centralized, HWTopk, HistogramBuilder, SendCoef, SendV, TwoLevelS};
 use wavelet_hist::data::twod::{Dataset2d, Distribution2d};
 use wavelet_hist::mapreduce::{ClusterConfig, EngineConfig, RunMetrics};
 use wavelet_hist::query::{BatchScratch2D, CompiledHistogram2D};
 use wavelet_hist::serve::{ServeError, ServeTier};
-use wavelet_hist::twod::{sequential_send_coef2d, SendCoef2d, WaveletHistogram2d};
+use wavelet_hist::twod::{sequential_send_coef2d, WaveletHistogram2d};
 use wavelet_hist::wavelet::Domain;
 
 const K: usize = 24;
@@ -100,53 +104,127 @@ fn assert_coefs_eq(got: &WaveletHistogram2d, want: &WaveletHistogram2d, ctx: &st
     }
 }
 
-/// Tentpole differential: the engine-built 2-D histogram is bit-identical
-/// to the sequential reference on every reduce strategy, reducer count,
-/// thread count, and engine — and the strategy really varies with the
-/// domain: at `log_u = 5` the tight `(u16, u16)` key-domain hint fits the
-/// engine's dense-domain cap and selects dense-reduce, at `log_u = 7` it
-/// does not and the job runs sort-at-reduce (several reducers) or merge
-/// (one reducer).
+/// The engine-built 2-D builders of the differential, at one engine
+/// configuration.
+fn builders(engine: EngineConfig) -> Vec<Box<dyn HistogramBuilder<Dataset2d>>> {
+    vec![
+        Box::new(SendCoef::new().with_engine(engine)),
+        Box::new(SendV::new().with_engine(engine)),
+        Box::new(HWTopk::new().with_engine(engine)),
+        Box::new(TwoLevelS::new(0.02, 5).with_engine(engine)),
+    ]
+}
+
+/// What the exact builders are compared against, per dataset.
+struct References {
+    sequential: WaveletHistogram2d,
+    centralized: WaveletHistogram2d,
+}
+
+impl References {
+    fn of(ds: &Dataset2d) -> Self {
+        Self {
+            sequential: sequential_send_coef2d(ds, K),
+            centralized: Centralized::new()
+                .build(ds, &ClusterConfig::paper_cluster(), K)
+                .histogram,
+        }
+    }
+
+    /// Holds `got` to its builder's contract: Send-Coef folds per-split
+    /// coefficients exactly as the sequential reference does; Send-V
+    /// transforms the same exact counts `Centralized` does; H-WTopk sums
+    /// floats in protocol order, so it is close to `Centralized`;
+    /// TwoLevel-S has no exact reference (its callers pin it to itself).
+    fn check(&self, builder: &str, got: &WaveletHistogram2d, ctx: &str) {
+        match builder {
+            "Send-Coef" => assert_coefs_eq(got, &self.sequential, ctx),
+            "Send-V" => assert_coefs_eq(got, &self.centralized, ctx),
+            "H-WTopk" => assert_same_top_k(got, &self.centralized, ctx),
+            "TwoLevel-S" => assert!(!got.is_empty(), "{ctx}"),
+            other => panic!("no contract for {other}"),
+        }
+    }
+}
+
+/// Two exact top-k selections whose sums were folded in different float
+/// orders: magnitudes agree rank by rank, a slot both retain has the same
+/// value, and a slot only one retains ties with the k-th magnitude (the
+/// correlated band is symmetric, so coefficients tie exactly and summation
+/// order decides which side of the cut a tied slot lands on) — all to 1e-6.
+fn assert_same_top_k(got: &WaveletHistogram2d, want: &WaveletHistogram2d, ctx: &str) {
+    let (got, want) = (got.coefficients(), want.coefficients());
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            (g.1.abs() - w.1.abs()).abs() < 1e-6,
+            "{g:?} vs {w:?}: {ctx}"
+        );
+    }
+    let kth = want.last().map_or(0.0, |w| w.1.abs());
+    for g in got {
+        match want.iter().find(|w| w.0 == g.0) {
+            Some(w) => assert!((g.1 - w.1).abs() < 1e-6, "{g:?} vs {w:?}: {ctx}"),
+            None => assert!((g.1.abs() - kth).abs() < 1e-6, "{g:?} not retained: {ctx}"),
+        }
+    }
+}
+
+/// Tentpole differential: every engine-built 2-D histogram meets its
+/// builder's contract and is bit-identical to itself on every reduce
+/// strategy, reducer count, thread count, and engine — and the strategy
+/// really varies with the domain: at `log_u = 5` the tight
+/// `row << 16 | col` key-domain hint fits the engine's dense-domain cap
+/// and selects dense-reduce, at `log_u = 7` it does not and the jobs run
+/// sort-at-reduce (several reducers) or merge (one reducer).
 #[test]
 fn engine_built_matches_sequential_reference_across_strategies() {
     let cluster = ClusterConfig::paper_cluster();
     for log_u in [5u32, 7] {
         for (name, ds) in datasets(log_u) {
-            let want = sequential_send_coef2d(&ds, K);
-            for reducers in [1u32, 2, 8] {
-                let mut metrics: Option<RunMetrics> = None;
-                for threads in [1usize, 4] {
-                    let engines = [
-                        EngineConfig::pipelined()
-                            .with_reducers(reducers)
-                            .with_map_parallelism(threads)
-                            .with_reducer_parallelism(threads),
-                        EngineConfig::reference().with_reducers(reducers),
-                    ];
-                    for (e, engine) in engines.into_iter().enumerate() {
-                        let ctx =
-                            format!("{name} log_u={log_u} r={reducers} t={threads} engine={e}");
-                        let got = SendCoef2d::new()
-                            .with_engine(engine)
-                            .build(&ds, &cluster, K);
-                        assert_coefs_eq(&got.histogram, &want, &ctx);
-                        // Logical metrics agree across every execution.
-                        match &metrics {
-                            None => metrics = Some(got.metrics),
-                            Some(m) => assert_eq!(*m, got.metrics, "metrics diverged: {ctx}"),
-                        }
-                        // The pipelined engine must really exercise the
-                        // advertised strategy (the reference engine does
-                        // not plan strategies).
-                        if e == 0 {
-                            let got_s = got.metrics.reduce_strategies;
-                            assert_eq!(got_s.total(), reducers, "{ctx}");
-                            if log_u <= 6 {
-                                assert_eq!(got_s.dense_reduce, got_s.total(), "{ctx}");
-                            } else if reducers > 1 {
-                                assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
-                            } else {
-                                assert_eq!(got_s.merge, 1, "{ctx}");
+            let refs = References::of(&ds);
+            for b in 0..builders(EngineConfig::default()).len() {
+                let mut first: Option<WaveletHistogram2d> = None;
+                for reducers in [1u32, 2, 8] {
+                    let mut metrics: Option<RunMetrics> = None;
+                    for threads in [1usize, 4] {
+                        let engines = [
+                            EngineConfig::pipelined()
+                                .with_reducers(reducers)
+                                .with_map_parallelism(threads)
+                                .with_reducer_parallelism(threads),
+                            EngineConfig::reference().with_reducers(reducers),
+                        ];
+                        for (e, engine) in engines.into_iter().enumerate() {
+                            let builder = builders(engine).swap_remove(b);
+                            let ctx = format!(
+                                "{} {name} log_u={log_u} r={reducers} t={threads} engine={e}",
+                                builder.name()
+                            );
+                            let got = builder.build(&ds, &cluster, K);
+                            refs.check(builder.name(), &got.histogram, &ctx);
+                            let first = first.get_or_insert_with(|| got.histogram.clone());
+                            assert_coefs_eq(&got.histogram, first, &ctx);
+                            // The pipelined engine must really exercise the
+                            // advertised strategy on every partition of
+                            // every round (the reference engine does not
+                            // plan strategies).
+                            if e == 0 {
+                                let rounds = got.metrics.rounds;
+                                let got_s = got.metrics.reduce_strategies;
+                                assert_eq!(got_s.total(), rounds * reducers, "{ctx}");
+                                if log_u <= 6 {
+                                    assert_eq!(got_s.dense_reduce, got_s.total(), "{ctx}");
+                                } else if reducers > 1 {
+                                    assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
+                                } else {
+                                    assert_eq!(got_s.merge, rounds, "{ctx}");
+                                }
+                            }
+                            // Logical metrics agree across every execution.
+                            match &metrics {
+                                None => metrics = Some(got.metrics),
+                                Some(m) => assert_eq!(*m, got.metrics, "metrics diverged: {ctx}"),
                             }
                         }
                     }
@@ -157,39 +235,112 @@ fn engine_built_matches_sequential_reference_across_strategies() {
 }
 
 /// The multi-process leg of the differential: forked map workers carry
-/// the `(u16, u16)` coefficient keys over the wire bit-identically, with
-/// the framed traffic really measured.
+/// the packed coefficient addresses (and, for H-WTopk, the per-split
+/// state) over the wire bit-identically, with the framed traffic really
+/// measured.
 #[cfg(unix)]
 #[test]
 fn engine_built_bit_identical_across_worker_processes() {
     let cluster = ClusterConfig::paper_cluster();
     let ds = zipf2d(5);
-    let want = sequential_send_coef2d(&ds, K);
+    let refs = References::of(&ds);
     for reducers in [1u32, 2, 8] {
-        let in_process = SendCoef2d::new()
-            .with_engine(EngineConfig::default().with_reducers(reducers))
-            .build(&ds, &cluster, K);
-        assert_eq!(
-            in_process.metrics.wire.frames, 0,
-            "in-process runs must not frame traffic"
-        );
-        for workers in [1usize, 2, 4] {
-            let engine = EngineConfig::multi_process()
-                .with_reducers(reducers)
-                .with_map_parallelism(workers);
-            let got = SendCoef2d::new()
-                .with_engine(engine)
-                .build(&ds, &cluster, K);
-            let ctx = format!("r={reducers} w={workers}");
-            assert_coefs_eq(&got.histogram, &want, &ctx);
-            assert_eq!(got.metrics, in_process.metrics, "metrics diverged: {ctx}");
-            assert!(got.metrics.bytes_on_wire() > 0, "{ctx}");
+        let in_process = builders(EngineConfig::default().with_reducers(reducers));
+        for (b, in_process) in in_process.into_iter().enumerate() {
+            let name = in_process.name();
+            let in_process = in_process.build(&ds, &cluster, K);
+            refs.check(name, &in_process.histogram, &format!("{name} r={reducers}"));
             assert_eq!(
-                got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
-                "every shuffled pair crosses the wire exactly once: {ctx}"
+                in_process.metrics.wire.frames, 0,
+                "in-process runs must not frame traffic"
             );
+            for workers in [1usize, 2, 4] {
+                let engine = EngineConfig::multi_process()
+                    .with_reducers(reducers)
+                    .with_map_parallelism(workers);
+                let got = builders(engine).swap_remove(b).build(&ds, &cluster, K);
+                let ctx = format!("{name} r={reducers} w={workers}");
+                assert_coefs_eq(&got.histogram, &in_process.histogram, &ctx);
+                assert_eq!(got.metrics, in_process.metrics, "metrics diverged: {ctx}");
+                assert!(got.metrics.bytes_on_wire() > 0, "{ctx}");
+                assert_eq!(
+                    got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
+                    "every shuffled pair crosses the wire exactly once: {ctx}"
+                );
+            }
         }
     }
+}
+
+/// The per-axis width at which a coefficient address stops fitting
+/// `row << 16 | col`: on both sides of it every builder builds — through
+/// `try_build`, so a failure would be a typed error, not a panic — and
+/// meets the same contract as on the small domains.
+#[test]
+fn builds_on_both_sides_of_the_16_bit_address_boundary() {
+    let cluster = ClusterConfig::paper_cluster();
+    for log_u in [16u32, 17] {
+        let ds = Dataset2d::new(
+            Domain::new(log_u).unwrap(),
+            Distribution2d::Correlated {
+                alpha: 1.1,
+                spread: 2,
+            },
+            600,
+            2,
+            0x2d10,
+        );
+        let refs = References::of(&ds);
+        for builder in builders(EngineConfig::default().with_reducers(2)) {
+            let ctx = format!("{} log_u={log_u}", builder.name());
+            let got = builder.try_build(&ds, &cluster, K).expect(&ctx);
+            refs.check(builder.name(), &got.histogram, &ctx);
+        }
+    }
+}
+
+/// The paper's two 2-D claims, on engine-built results: H-WTopk ships
+/// far fewer pairs than sending every non-zero local coefficient
+/// (Send-Coef's map output), and TwoLevel-S recovers the total mass from
+/// a fraction of the records.
+#[test]
+fn hwtopk_prunes_and_two_level_samples_in_2d() {
+    let cluster = ClusterConfig::paper_cluster();
+    let ds = Dataset2d::new(
+        Domain::new(5).unwrap(),
+        Distribution2d::Correlated {
+            alpha: 1.1,
+            spread: 2,
+        },
+        30_000,
+        6,
+        17,
+    );
+    let send_all = SendCoef::new().build(&ds, &cluster, 10).metrics;
+    let hw = HWTopk::new().build(&ds, &cluster, 10).metrics;
+    assert_eq!(hw.rounds, 3);
+    assert!(
+        hw.map_output_pairs < send_all.map_output_pairs / 2,
+        "tput pairs {} vs send-all {}",
+        hw.map_output_pairs,
+        send_all.map_output_pairs
+    );
+    assert!(hw.total_comm_bytes() < send_all.total_comm_bytes());
+
+    // Total mass through the top coefficient (the 2-D average): slot
+    // (0, 0) packs to 0.
+    let average = |h: &WaveletHistogram2d| {
+        let found = h.coefficients().iter().find(|&&(s, _)| s == 0);
+        found.map_or(0.0, |&(_, v)| v)
+    };
+    let exact = Centralized::new().build(&ds, &cluster, 64);
+    let approx = TwoLevelS::new(0.02, 5).build(&ds, &cluster, 64);
+    let (exact_avg, approx_avg) = (average(&exact.histogram), average(&approx.histogram));
+    assert!(
+        (exact_avg - approx_avg).abs() < 0.25 * exact_avg.abs().max(1.0),
+        "avg {approx_avg} vs exact {exact_avg}"
+    );
+    assert!(approx.metrics.records_scanned < ds.num_records() / 2);
 }
 
 /// Shared truth for the error-bound legs: the estimate grid, its SSE
@@ -220,11 +371,11 @@ fn compiled_estimates_within_brute_force_bounds() {
         let truth = ds.exact_frequency_array();
         let total_energy: f64 = truth.iter().map(|&c| (c as f64) * (c as f64)).sum();
         for k in [16usize, 64] {
-            let result = SendCoef2d::new().build(&ds, &cluster, k);
+            let result = SendCoef::new().build(&ds, &cluster, k);
             let compiled = CompiledHistogram2D::compile(&result.histogram);
             let (_, sse) = estimate_grid(&compiled, &truth, u);
 
-            // Parseval: the transform is orthonormal and Send-Coef-2D
+            // Parseval: the transform is orthonormal and Send-Coef
             // retains the exact top-k coefficients, so the
             // reconstruction's SSE is exactly the dropped energy.
             let retained: f64 = result
@@ -288,7 +439,7 @@ fn full_retention_reconstructs_exactly() {
         let u = ds.domain().u();
         let truth = ds.exact_frequency_array();
         let k_full = (u * u) as usize;
-        let result = SendCoef2d::new().build(&ds, &cluster, k_full);
+        let result = SendCoef::new().build(&ds, &cluster, k_full);
         let compiled = CompiledHistogram2D::compile(&result.histogram);
         let (est, sse) = estimate_grid(&compiled, &truth, u);
         assert!(sse <= 1e-6, "{name}: full-retention SSE {sse}");
@@ -311,7 +462,7 @@ fn batched_rectangles_bit_identical_to_single() {
     for (name, ds) in datasets(5) {
         let u = ds.domain().u();
         let n = ds.num_records();
-        let hist = SendCoef2d::new().build(&ds, &cluster, K).histogram;
+        let hist = SendCoef::new().build(&ds, &cluster, K).histogram;
         let compiled = CompiledHistogram2D::compile(&hist);
         let queries = random_rects(u, 500, 0x7777);
         let mut sums = vec![0.0; queries.len()];
@@ -347,8 +498,8 @@ fn tier_serving_bit_identical_to_direct() {
     let ds = zipf2d(5);
     let u = ds.domain().u();
     let n = ds.num_records();
-    let coarse = CompiledHistogram2D::compile(&SendCoef2d::new().build(&ds, &cluster, 8).histogram);
-    let fine = CompiledHistogram2D::compile(&SendCoef2d::new().build(&ds, &cluster, K).histogram);
+    let coarse = CompiledHistogram2D::compile(&SendCoef::new().build(&ds, &cluster, 8).histogram);
+    let fine = CompiledHistogram2D::compile(&SendCoef::new().build(&ds, &cluster, K).histogram);
 
     let tier = ServeTier::new(4);
     let gen = tier.publish2d(9, &coarse, n);

@@ -2,7 +2,7 @@
 //! algorithm in the workspace leans on, checked over arbitrary signals.
 
 use proptest::prelude::*;
-use wavelet_hist::wavelet::{haar, sparse, sse, tree::ErrorTree, Domain};
+use wavelet_hist::wavelet::{haar, sparse, sse, tree::ErrorTree, twod, Domain};
 
 fn signal(log_u: u32) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1000.0f64..1000.0, 1usize << log_u)
@@ -47,6 +47,59 @@ fn assert_sparse_is_dense(log_u: u32, pairs: &[(u64, f64)]) -> Result<(), TestCa
         );
     }
     Ok(())
+}
+
+/// The same contract in two dimensions, against [`twod::forward2d`] over
+/// the arrival-order accumulated grid: strictly ascending packed slots, no
+/// stored zero, and exactly the non-zero dense coefficients, bit for bit.
+fn assert_sparse2d_is_dense(log_u: u32, cells: &[(u64, u64, f64)]) -> Result<(), TestCaseError> {
+    let domain = Domain::new(log_u).expect("valid");
+    let u = domain.u();
+    let coefs = twod::sparse_transform2d(domain, cells.iter().copied());
+    prop_assert!(
+        coefs.windows(2).all(|w| w[0].0 < w[1].0),
+        "slots not strictly ascending: {coefs:?}"
+    );
+    prop_assert!(
+        coefs.iter().all(|&(_, w)| w != 0.0),
+        "stored zero: {coefs:?}"
+    );
+    let mut v = vec![0.0f64; (u * u) as usize];
+    for &(x, y, c) in cells {
+        v[(x * u + y) as usize] += c;
+    }
+    // Row-major order is ascending packed-slot order.
+    let want: Vec<(u64, u64)> = twod::forward2d(domain, &v)
+        .iter()
+        .enumerate()
+        .filter(|&(_, &w)| w != 0.0)
+        .map(|(i, &w)| (twod::pack_slot(i as u64 / u, i as u64 % u), w.to_bits()))
+        .collect();
+    let got: Vec<(u64, u64)> = coefs.iter().map(|&(s, w)| (s, w.to_bits())).collect();
+    prop_assert_eq!(got, want, "log_u {}", log_u);
+    Ok(())
+}
+
+/// Cells over `[2^log_u]²` at `log_u ∈ {1, 3, 5, 7}`, in two shapes: real
+/// counts spread over the grid, and small signed integer counts packed
+/// into the far 4×4 corner, where duplicate cells and exactly cancelling
+/// row and column siblings are the norm.
+fn sparse_cells() -> impl Strategy<Value = (u32, Vec<(u64, u64, f64)>)> {
+    let raw = prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, -500.0f64..500.0), 0..80);
+    (0usize..4, 0u32..2, raw).prop_map(|(d, shape, raw)| {
+        let packed = shape == 1;
+        let log_u = [1u32, 3, 5, 7][d];
+        let top = (1u64 << log_u) - 1;
+        let mask = if packed { top.min(3) } else { top };
+        let cells = raw
+            .into_iter()
+            .map(|(x, y, c)| {
+                let c = if packed { (c / 100.0).round() } else { c };
+                ((top - mask) | (x & mask), (top - mask) | (y & mask), c)
+            })
+            .collect();
+        (log_u, cells)
+    })
 }
 
 /// Key streams for [`sparse::sorted_counts`]: `log u` on both sides of
@@ -189,6 +242,12 @@ proptest! {
     }
 
     #[test]
+    fn sparse_transform2d_matches_forward2d(cells in sparse_cells()) {
+        let (log_u, cells) = cells;
+        assert_sparse2d_is_dense(log_u, &cells)?;
+    }
+
+    #[test]
     fn sorted_counts_is_the_ascending_frequency_vector(stream in key_stream()) {
         let (log_u, keys) = stream;
         let domain = Domain::new(log_u).expect("valid");
@@ -292,5 +351,60 @@ fn two_dimensional_roundtrip_property() {
         let ev: f64 = v.iter().map(|x| x * x).sum();
         let ew: f64 = w.iter().map(|x| x * x).sum();
         assert!((ev - ew).abs() < 1e-7 * ev.max(1.0));
+    }
+}
+
+#[test]
+fn sparse_transform2d_edge_cases() {
+    for log_u in [1u32, 3, 5, 7] {
+        let domain = Domain::new(log_u).expect("valid");
+        let u = domain.u();
+        assert!(
+            twod::sparse_transform2d(domain, []).is_empty(),
+            "empty input"
+        );
+        // A single cell touches the product of its two root-to-leaf paths,
+        // the far corner's ending in the last packed slot.
+        let corner = [(u - 1, u - 1, 3.0)];
+        let coefs = twod::sparse_transform2d(domain, corner);
+        assert_eq!(
+            coefs.len() as u32,
+            (log_u + 1) * (log_u + 1),
+            "log_u {log_u}"
+        );
+        assert_eq!(coefs.last().unwrap().0, twod::pack_slot(u - 1, u - 1));
+        assert_sparse2d_is_dense(log_u, &corner).unwrap();
+        // Equal row siblings (same row, sibling columns) cancel every
+        // coefficient on their shared column leaf detail; equal column
+        // siblings those on their shared row leaf detail.
+        let (a, b) = (u - 2, u - 1);
+        let leaf = u / 2 + a / 2;
+        let in_row = [(0, a, 2.5), (0, b, 2.5)];
+        let coefs = twod::sparse_transform2d(domain, in_row);
+        assert!(coefs.iter().all(|e| twod::unpack_slot(e.0).1 != leaf));
+        assert_eq!(coefs.len() as u32, (log_u + 1) * log_u, "log_u {log_u}");
+        assert_sparse2d_is_dense(log_u, &in_row).unwrap();
+        let in_col = [(a, 0, 2.5), (b, 0, 2.5)];
+        let coefs = twod::sparse_transform2d(domain, in_col);
+        assert!(coefs.iter().all(|e| twod::unpack_slot(e.0).0 != leaf));
+        assert_eq!(coefs.len() as u32, log_u * (log_u + 1), "log_u {log_u}");
+        assert_sparse2d_is_dense(log_u, &in_col).unwrap();
+        // Opposite siblings on both axes leave the one coefficient that is
+        // a leaf detail in each.
+        let checker = [(a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)];
+        let coefs = twod::sparse_transform2d(domain, checker);
+        assert_eq!(
+            coefs.iter().map(|e| e.0).collect::<Vec<_>>(),
+            [twod::pack_slot(leaf, leaf)]
+        );
+        assert_sparse2d_is_dense(log_u, &checker).unwrap();
+        // Duplicate cells fold in arrival order, as the dense `v[cell] += c`
+        // does: 1e16 + 1 − 1e16 is 0 in this order and 1 in any other.
+        let ordered = [(a, 0, 1e16), (0, b, 4.0), (a, 0, 1.0), (a, 0, -1e16)];
+        assert_eq!(
+            twod::sparse_transform2d(domain, ordered),
+            twod::sparse_transform2d(domain, [(0, b, 4.0)])
+        );
+        assert_sparse2d_is_dense(log_u, &ordered).unwrap();
     }
 }
