@@ -13,10 +13,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use wh_bench::defaults::Defaults;
-use wh_bench::figures::{self, ALL_FIGURES};
+use wh_bench::figures::{self, figure_ids, Sweeps};
 use wh_bench::table;
 
-fn usage() -> ! {
+fn usage(problem: &str) -> ! {
+    eprintln!("figures: {problem}");
     eprintln!(
         "usage: figures [--quick] [--n N] [--logu L] [--m M] [--k K] [--eps E] \
          [--alpha A] [--bandwidth F] [--seed S] [--out DIR] <fig5..fig19|ablations|all>..."
@@ -26,18 +27,15 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
     let mut d = Defaults::default();
     let mut out_dir = PathBuf::from("results");
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        let mut next_f64 = |name: &str| -> f64 {
+        let mut next_f64 = || -> f64 {
             it.next()
                 .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--{name} needs a numeric argument"))
+                .unwrap_or_else(|| usage(&format!("{a} needs a numeric argument")))
         };
         match a.as_str() {
             "--quick" => {
@@ -46,32 +44,43 @@ fn main() {
                     ..Defaults::quick()
                 }
             }
-            "--n" => d.n = next_f64("n") as u64,
-            "--logu" => d.log_u = next_f64("logu") as u32,
-            "--m" => d.m = next_f64("m") as u32,
-            "--k" => d.k = next_f64("k") as usize,
-            "--eps" => d.epsilon = next_f64("eps"),
-            "--alpha" => d.alpha = next_f64("alpha"),
-            "--bandwidth" => d.bandwidth = next_f64("bandwidth"),
-            "--seed" => d.seed = next_f64("seed") as u64,
-            "--out" => out_dir = PathBuf::from(it.next().unwrap_or_else(|| usage())),
-            "-h" | "--help" => usage(),
-            other if other.starts_with("--") => usage(),
+            "--n" => d.n = next_f64() as u64,
+            "--logu" => d.log_u = next_f64() as u32,
+            "--m" => d.m = next_f64() as u32,
+            "--k" => d.k = next_f64() as usize,
+            "--eps" => d.epsilon = next_f64(),
+            "--alpha" => d.alpha = next_f64(),
+            "--bandwidth" => d.bandwidth = next_f64(),
+            "--seed" => d.seed = next_f64() as u64,
+            "--out" => match it.next() {
+                Some(dir) => out_dir = PathBuf::from(dir),
+                None => usage("--out needs a directory"),
+            },
+            "-h" | "--help" => usage("help"),
+            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
             fig => targets.push(fig.to_string()),
         }
     }
     if targets.iter().any(|t| t == "all") {
-        targets = ALL_FIGURES.iter().map(|s| s.to_string()).collect();
+        targets = figure_ids().map(String::from).collect();
         targets.push("ablations".into());
     }
+    // Every id is checked before anything runs: a typo in the last target
+    // must not cost the minutes the earlier figures take.
     if targets.is_empty() {
-        usage();
+        usage("no figure named");
+    }
+    for t in &targets {
+        if t != "ablations" && !figure_ids().any(|id| id == t) {
+            usage(&format!("unknown figure id {t}"));
+        }
     }
 
     println!(
         "defaults: n={} log2u={} m={} k={} eps={:.1e} alpha={} bandwidth={} seed={}",
         d.n, d.log_u, d.m, d.k, d.epsilon, d.alpha, d.bandwidth, d.seed
     );
+    let mut sweeps = Sweeps::new(d);
     for t in &targets {
         let started = Instant::now();
         let rows = if t == "ablations" {
@@ -79,7 +88,7 @@ fn main() {
             rows.extend(figures::ablation_threshold_exponent(&d));
             rows
         } else {
-            figures::run(t, &d)
+            sweeps.figure(t)
         };
         println!(
             "\n=== {t} ({:.1}s wall) ===",

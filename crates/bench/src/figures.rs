@@ -1,62 +1,145 @@
-//! One function per figure of §5. Each returns the measured [`Row`]s;
-//! the `figures` binary prints and persists them.
+//! The sweeps behind the figures of §5. Eleven sweeps feed the fifteen
+//! figures: Figs. 5/6, 7/8, 14/15 and 17/18 are two views — cost and
+//! quality — of the same builds, so [`Sweeps`] runs each sweep once per
+//! process and a figure id only selects which rows and columns it shows.
+//! The `figures` binary prints and persists the rows.
 
 use wh_core::builders::{
-    BasicS, Centralized, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV,
-    TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
 };
 use wh_core::evaluate::Evaluator;
-use wh_data::{Dataset, DatasetBuilder, Distribution};
+use wh_data::Dataset;
 use wh_mapreduce::ClusterConfig;
 use wh_sketch::GcsParams;
-use wh_wavelet::Domain;
 
 use crate::defaults::Defaults;
 use crate::table::Row;
 
-/// All known figure ids, in paper order.
-pub const ALL_FIGURES: [&str; 15] = [
-    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "fig18", "fig19",
+/// The parameter a sweep varies (or, for the last two, the dataset it
+/// runs the cost-vs-SSE sweep on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    K,
+    Epsilon,
+    CostVsSse,
+    Records,
+    RecordBytes,
+    Domain,
+    Splits,
+    Skew,
+    Bandwidth,
+    WorldCup,
+    WorldCupCostVsSse,
+}
+
+/// Every figure in paper order: its id, the sweep it reads, and whether
+/// it reports quality (the SSE column and the reference rows) or cost only.
+const FIGURES: [(&str, Sweep, bool); 15] = [
+    ("fig5", Sweep::K, false),
+    ("fig6", Sweep::K, true),
+    ("fig7", Sweep::Epsilon, true),
+    ("fig8", Sweep::Epsilon, false),
+    ("fig9", Sweep::CostVsSse, true),
+    ("fig10", Sweep::Records, false),
+    ("fig11", Sweep::RecordBytes, false),
+    ("fig12", Sweep::Domain, false),
+    ("fig13", Sweep::Splits, false),
+    ("fig14", Sweep::Skew, false),
+    ("fig15", Sweep::Skew, true),
+    ("fig16", Sweep::Bandwidth, false),
+    ("fig17", Sweep::WorldCup, false),
+    ("fig18", Sweep::WorldCup, true),
+    ("fig19", Sweep::WorldCupCostVsSse, true),
 ];
 
-/// Dispatches a figure by id.
-pub fn run(figure: &str, d: &Defaults) -> Vec<Row> {
-    match figure {
-        "fig5" => fig5(d),
-        "fig6" => fig6(d),
-        "fig7" => fig7(d),
-        "fig8" => fig8(d),
-        "fig9" => fig9(d),
-        "fig10" => fig10(d),
-        "fig11" => fig11(d),
-        "fig12" => fig12(d),
-        "fig13" => fig13(d),
-        "fig14" => fig14(d),
-        "fig15" => fig15(d),
-        "fig16" => fig16(d),
-        "fig17" => fig17(d),
-        "fig18" => fig18(d),
-        "fig19" => fig19(d),
-        other => panic!("unknown figure id {other:?} (known: {ALL_FIGURES:?})"),
+/// All known figure ids, in paper order.
+pub fn figure_ids() -> impl Iterator<Item = &'static str> {
+    FIGURES.iter().map(|&(id, ..)| id)
+}
+
+/// The sweeps already run under one set of [`Defaults`].
+pub struct Sweeps {
+    d: Defaults,
+    done: Vec<(Sweep, Vec<Row>)>,
+}
+
+impl Sweeps {
+    /// No sweep run yet.
+    pub fn new(d: Defaults) -> Self {
+        Self {
+            d,
+            done: Vec::new(),
+        }
+    }
+
+    /// The rows of `figure`, running its sweep unless an earlier figure
+    /// already did.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id [`figure_ids`] does not list.
+    pub fn figure(&mut self, figure: &str) -> Vec<Row> {
+        let &(id, sweep, quality) = FIGURES
+            .iter()
+            .find(|&&(id, ..)| id == figure)
+            .unwrap_or_else(|| panic!("unknown figure id {figure:?}"));
+        let at = self
+            .done
+            .iter()
+            .position(|&(s, _)| s == sweep)
+            .unwrap_or_else(|| {
+                self.done.push((sweep, run_sweep(sweep, &self.d)));
+                self.done.len() - 1
+            });
+        let rows = &self.done[at].1;
+        // A cost figure drops the reference rows (they carry no cost) and
+        // the SSE column; a quality figure shows the sweep as it is.
+        rows.iter()
+            .filter(|r| quality || r.comm_bytes != 0 || r.time_s != 0.0)
+            .map(|r| Row {
+                figure: id.into(),
+                sse: r.sse.filter(|_| quality),
+                ..r.clone()
+            })
+            .collect()
     }
 }
 
-/// The paper's five standard series (§5 defaults; Send-Coef only appears
-/// in fig12).
-fn standard_builders(d: &Defaults) -> Vec<Box<dyn HistogramBuilder>> {
+fn run_sweep(sweep: Sweep, d: &Defaults) -> Vec<Row> {
+    match sweep {
+        Sweep::K => sweep_k(d),
+        Sweep::Epsilon => sweep_epsilon(d),
+        Sweep::CostVsSse => fig9_like(&d.dataset(), d),
+        Sweep::Records => sweep_records(d),
+        Sweep::RecordBytes => sweep_record_bytes(d),
+        Sweep::Domain => sweep_domain(d),
+        Sweep::Splits => sweep_splits(d),
+        Sweep::Skew => sweep_skew(d),
+        Sweep::Bandwidth => sweep_bandwidth(d),
+        Sweep::WorldCup => sweep_worldcup(d),
+        Sweep::WorldCupCostVsSse => fig9_like(&d.worldcup(), d),
+    }
+}
+
+/// The paper's five standard series at sampling error `epsilon` (§5
+/// defaults; Send-Coef only appears in fig12).
+fn standard_builders(epsilon: f64, seed: u64) -> Vec<Box<dyn HistogramBuilder>> {
     vec![
         Box::new(SendV::new()),
         Box::new(HWTopk::new()),
-        Box::new(SendSketch::new(d.seed)),
-        Box::new(ImprovedS::new(d.epsilon, d.seed)),
-        Box::new(TwoLevelS::new(d.epsilon, d.seed)),
+        Box::new(SendSketch::new(seed)),
+        Box::new(ImprovedS::new(epsilon, seed)),
+        Box::new(TwoLevelS::new(epsilon, seed)),
     ]
 }
 
-#[allow(clippy::too_many_arguments)] // an internal table-row helper, not API
+/// The two samplers of [`standard_builders`] — the series of the ε sweeps.
+fn samplers(epsilon: f64, seed: u64) -> Vec<Box<dyn HistogramBuilder>> {
+    standard_builders(epsilon, seed).split_off(3)
+}
+
+/// Builds every builder at one x-position of a sweep: one row each.
 fn measure(
-    figure: &str,
     builders: &[Box<dyn HistogramBuilder>],
     ds: &Dataset,
     cluster: &ClusterConfig,
@@ -70,7 +153,7 @@ fn measure(
         .map(|b| {
             let r = b.build(ds, cluster, k);
             Row {
-                figure: figure.into(),
+                figure: String::new(),
                 series: b.name().into(),
                 x_label: x_label.into(),
                 x,
@@ -82,59 +165,44 @@ fn measure(
         .collect()
 }
 
-/// Fig. 5: communication and running time vs k ∈ {10..50}.
-pub fn fig5(d: &Defaults) -> Vec<Row> {
-    let ds = d.dataset();
-    let cluster = d.cluster();
-    let builders = standard_builders(d);
-    let mut rows = Vec::new();
-    for k in [10usize, 20, 30, 40, 50] {
-        rows.extend(measure(
-            "fig5",
-            &builders,
-            &ds,
-            &cluster,
-            k,
-            &format!("k={k}"),
-            k as f64,
-            None,
-        ));
+/// A quality reference at one x-position: an SSE with no cost attached.
+fn reference(series: &str, x_label: &str, x: f64, sse: f64) -> Row {
+    Row {
+        figure: String::new(),
+        series: series.into(),
+        x_label: x_label.into(),
+        x,
+        comm_bytes: 0,
+        time_s: 0.0,
+        sse: Some(sse),
     }
-    rows
 }
 
-/// Fig. 6: SSE vs k, including the ideal SSE.
-pub fn fig6(d: &Defaults) -> Vec<Row> {
+/// Figs. 5–6: communication, running time and SSE vs k ∈ {10..50}, with
+/// the ideal SSE as reference.
+fn sweep_k(d: &Defaults) -> Vec<Row> {
     let ds = d.dataset();
     let cluster = d.cluster();
     let eval = Evaluator::new(&ds);
-    let builders = standard_builders(d);
+    let builders = standard_builders(d.epsilon, d.seed);
     let mut rows = Vec::new();
     for k in [10usize, 20, 30, 40, 50] {
+        let label = format!("k={k}");
         rows.extend(measure(
-            "fig6",
             &builders,
             &ds,
             &cluster,
             k,
-            &format!("k={k}"),
+            &label,
             k as f64,
             Some(&eval),
         ));
-        rows.push(Row {
-            figure: "fig6".into(),
-            series: "Ideal-SSE".into(),
-            x_label: format!("k={k}"),
-            x: k as f64,
-            comm_bytes: 0,
-            time_s: 0.0,
-            sse: Some(eval.ideal_sse(k)),
-        });
+        rows.push(reference("Ideal-SSE", &label, k as f64, eval.ideal_sse(k)));
     }
     rows
 }
 
-/// ε sweep used by Figs. 7–8 — scaled from the paper's 10⁻⁵..10⁻¹ so the
+/// ε sweep used by Figs. 7–9 — scaled from the paper's 10⁻⁵..10⁻¹ so the
 /// sample stays a sane fraction of the scaled n.
 fn epsilon_sweep(d: &Defaults) -> Vec<f64> {
     [0.25, 1.0, 4.0, 16.0, 64.0]
@@ -143,31 +211,19 @@ fn epsilon_sweep(d: &Defaults) -> Vec<f64> {
         .collect()
 }
 
-/// Fig. 7: SSE vs ε for the samplers (H-WTopk's ideal as reference).
-pub fn fig7(d: &Defaults) -> Vec<Row> {
+/// Figs. 7–8: SSE, communication and running time vs ε for the samplers
+/// (H-WTopk's ideal SSE as reference).
+fn sweep_epsilon(d: &Defaults) -> Vec<Row> {
     let ds = d.dataset();
     let cluster = d.cluster();
     let eval = Evaluator::new(&ds);
+    let exact = eval.sse(&HWTopk::new().build(&ds, &cluster, d.k).histogram);
     let mut rows = Vec::new();
-    let exact = HWTopk::new().build(&ds, &cluster, d.k);
     for eps in epsilon_sweep(d) {
         let label = format!("eps={eps:.1e}");
-        rows.push(Row {
-            figure: "fig7".into(),
-            series: "H-WTopk".into(),
-            x_label: label.clone(),
-            x: eps,
-            comm_bytes: 0,
-            time_s: 0.0,
-            sse: Some(eval.sse(&exact.histogram)),
-        });
-        let builders: Vec<Box<dyn HistogramBuilder>> = vec![
-            Box::new(ImprovedS::new(eps, d.seed)),
-            Box::new(TwoLevelS::new(eps, d.seed)),
-        ];
+        rows.push(reference("H-WTopk", &label, eps, exact));
         rows.extend(measure(
-            "fig7",
-            &builders,
+            &samplers(eps, d.seed),
             &ds,
             &cluster,
             d.k,
@@ -179,112 +235,62 @@ pub fn fig7(d: &Defaults) -> Vec<Row> {
     rows
 }
 
-/// Fig. 8: communication and running time vs ε for the samplers.
-pub fn fig8(d: &Defaults) -> Vec<Row> {
-    let ds = d.dataset();
-    let cluster = d.cluster();
-    let mut rows = Vec::new();
-    for eps in epsilon_sweep(d) {
-        let builders: Vec<Box<dyn HistogramBuilder>> = vec![
-            Box::new(ImprovedS::new(eps, d.seed)),
-            Box::new(TwoLevelS::new(eps, d.seed)),
-        ];
-        rows.extend(measure(
-            "fig8",
-            &builders,
-            &ds,
-            &cluster,
-            d.k,
-            &format!("eps={eps:.1e}"),
-            eps,
-            None,
-        ));
-    }
-    rows
-}
-
-/// Fig. 9: communication / running time **versus SSE** — sweep each
-/// approximation's accuracy knob and report (SSE, cost) pairs.
-pub fn fig9(d: &Defaults) -> Vec<Row> {
-    fig9_like("fig9", &d.dataset(), d)
-}
-
-fn fig9_like(figure: &str, ds: &Dataset, d: &Defaults) -> Vec<Row> {
+/// Figs. 9 and 19: communication / running time **versus SSE** — sweep
+/// each approximation's accuracy knob and report (SSE, cost) pairs.
+fn fig9_like(ds: &Dataset, d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
     let eval = Evaluator::new(ds);
+    let at_sse = |mut row: Row| {
+        row.x = row.sse.expect("measured with an evaluator");
+        row
+    };
     let mut rows = Vec::new();
     // Samplers: accuracy via ε.
     for eps in epsilon_sweep(d) {
-        for b in [
-            Box::new(ImprovedS::new(eps, d.seed)) as Box<dyn HistogramBuilder>,
-            Box::new(TwoLevelS::new(eps, d.seed)),
-        ] {
-            let r = b.build(ds, &cluster, d.k);
-            rows.push(Row {
-                figure: figure.into(),
-                series: b.name().into(),
-                x_label: format!("eps={eps:.1e}"),
-                x: eval.sse(&r.histogram),
-                comm_bytes: r.metrics.total_comm_bytes(),
-                time_s: r.metrics.sim_time_s,
-                sse: Some(eval.sse(&r.histogram)),
-            });
-        }
+        let label = format!("eps={eps:.1e}");
+        let builders = samplers(eps, d.seed);
+        rows.extend(
+            measure(&builders, ds, &cluster, d.k, &label, 0.0, Some(&eval))
+                .into_iter()
+                .map(at_sse),
+        );
     }
     // Sketch: accuracy via space budget (fractions of the paper default).
     let domain = ds.domain();
     for frac in [0.25f64, 1.0, 4.0] {
         let budget = (20.0 * 1024.0 * domain.log_u() as f64 * frac) as usize;
         let params = GcsParams::with_budget(domain, 8, budget, d.seed);
-        let b = SendSketch::new(d.seed).with_params(params);
-        let r = b.build(ds, &cluster, d.k);
-        rows.push(Row {
-            figure: figure.into(),
-            series: "Send-Sketch".into(),
-            x_label: format!("space×{frac}"),
-            x: eval.sse(&r.histogram),
-            comm_bytes: r.metrics.total_comm_bytes(),
-            time_s: r.metrics.sim_time_s,
-            sse: Some(eval.sse(&r.histogram)),
-        });
+        let sketch: [Box<dyn HistogramBuilder>; 1] =
+            [Box::new(SendSketch::new(d.seed).with_params(params))];
+        let label = format!("space×{frac}");
+        rows.extend(
+            measure(&sketch, ds, &cluster, d.k, &label, 0.0, Some(&eval))
+                .into_iter()
+                .map(at_sse),
+        );
     }
     rows
 }
 
 /// Fig. 10: communication and running time vs dataset size n (m grows
 /// with n at fixed split size, as in the paper).
-pub fn fig10(d: &Defaults) -> Vec<Row> {
+fn sweep_records(d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
     let mut rows = Vec::new();
     for scale in [1u64, 2, 4, 8] {
         let n = d.n / 4 * scale;
         let m = (d.m as u64 / 4 * scale).max(4) as u32;
-        let ds = DatasetBuilder::new()
-            .domain(Domain::new(d.log_u).expect("valid"))
-            .distribution(Distribution::Zipf { alpha: d.alpha })
-            .records(n)
-            .splits(m)
-            .record_bytes(d.record_bytes)
-            .seed(d.seed)
-            .build();
+        let ds = Defaults { n, m, ..*d }.dataset();
         // Keep the sample fraction fixed as n grows (the paper fixes ε
         // while n grows; at our scale that would degenerate for small n).
         let eps = d.epsilon * ((d.n as f64) / (n as f64)).sqrt();
-        let builders: Vec<Box<dyn HistogramBuilder>> = vec![
-            Box::new(SendV::new()),
-            Box::new(HWTopk::new()),
-            Box::new(SendSketch::new(d.seed)),
-            Box::new(ImprovedS::new(eps, d.seed)),
-            Box::new(TwoLevelS::new(eps, d.seed)),
-        ];
-        let gb = ds.total_bytes() as f64 / (1 << 20) as f64;
+        let mb = ds.total_bytes() as f64 / (1 << 20) as f64;
         rows.extend(measure(
-            "fig10",
-            &builders,
+            &standard_builders(eps, d.seed),
             &ds,
             &cluster,
             d.k,
-            &format!("{gb:.0}MB"),
+            &format!("{mb:.0}MB"),
             n as f64,
             None,
         ));
@@ -295,38 +301,29 @@ pub fn fig10(d: &Defaults) -> Vec<Row> {
 /// Fig. 11: vary record size 4 B … 100 kB at a fixed record count; splits
 /// scale with the physical bytes (the paper: 1 split at 16 MB up to 1600
 /// at 400 GB).
-pub fn fig11(d: &Defaults) -> Vec<Row> {
+fn sweep_record_bytes(d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
     let n = 1 << 20; // fixed record count (paper: 2^22)
     let mut rows = Vec::new();
-    for rec in [4u32, 100, 1_000, 10_000, 100_000] {
-        let bytes = n * u64::from(rec);
+    for record_bytes in [4u32, 100, 1_000, 10_000, 100_000] {
+        let bytes = n * u64::from(record_bytes);
         // One split per 64 MB-equivalent, clamped.
         let m = (bytes / (64 << 20)).clamp(1, 256) as u32;
-        let ds = DatasetBuilder::new()
-            .domain(Domain::new(d.log_u).expect("valid"))
-            .distribution(Distribution::Zipf { alpha: d.alpha })
-            .records(n)
-            .splits(m)
-            .record_bytes(rec)
-            .seed(d.seed)
-            .build();
+        let ds = Defaults {
+            n,
+            m,
+            record_bytes,
+            ..*d
+        }
+        .dataset();
         let eps = (d.epsilon * ((d.n as f64) / (n as f64)).sqrt()).min(0.1);
-        let builders: Vec<Box<dyn HistogramBuilder>> = vec![
-            Box::new(SendV::new()),
-            Box::new(HWTopk::new()),
-            Box::new(SendSketch::new(d.seed)),
-            Box::new(ImprovedS::new(eps, d.seed)),
-            Box::new(TwoLevelS::new(eps, d.seed)),
-        ];
         rows.extend(measure(
-            "fig11",
-            &builders,
+            &standard_builders(eps, d.seed),
             &ds,
             &cluster,
             d.k,
-            &format!("rec={rec}B"),
-            rec as f64,
+            &format!("rec={record_bytes}B"),
+            record_bytes as f64,
             None,
         ));
     }
@@ -335,22 +332,14 @@ pub fn fig11(d: &Defaults) -> Vec<Row> {
 
 /// Fig. 12: vary the domain size u — the one experiment including
 /// Send-Coef (which degrades with u).
-pub fn fig12(d: &Defaults) -> Vec<Row> {
+fn sweep_domain(d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
+    let mut builders = standard_builders(d.epsilon, d.seed);
+    builders.push(Box::new(SendCoef::new()));
     let mut rows = Vec::new();
     for log_u in [10u32, 12, 14, 16, 18, 20] {
-        let ds = DatasetBuilder::new()
-            .domain(Domain::new(log_u).expect("valid"))
-            .distribution(Distribution::Zipf { alpha: d.alpha })
-            .records(d.n)
-            .splits(d.m)
-            .record_bytes(d.record_bytes)
-            .seed(d.seed)
-            .build();
-        let mut builders = standard_builders(d);
-        builders.push(Box::new(SendCoef::new()));
+        let ds = Defaults { log_u, ..*d }.dataset();
         rows.extend(measure(
-            "fig12",
             &builders,
             &ds,
             &cluster,
@@ -364,23 +353,15 @@ pub fn fig12(d: &Defaults) -> Vec<Row> {
 }
 
 /// Fig. 13: vary the split size β (m = n·rec/β at fixed n).
-pub fn fig13(d: &Defaults) -> Vec<Row> {
+fn sweep_splits(d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
+    let builders = standard_builders(d.epsilon, d.seed);
     let mut rows = Vec::new();
     // Sweep m by powers of two: β doubles as m halves.
     for m in [d.m * 4, d.m * 2, d.m, d.m / 2] {
-        let ds = DatasetBuilder::new()
-            .domain(Domain::new(d.log_u).expect("valid"))
-            .distribution(Distribution::Zipf { alpha: d.alpha })
-            .records(d.n)
-            .splits(m)
-            .record_bytes(d.record_bytes)
-            .seed(d.seed)
-            .build();
+        let ds = Defaults { m, ..*d }.dataset();
         let beta_mb = ds.total_bytes() as f64 / m as f64 / (1 << 20) as f64;
-        let builders = standard_builders(d);
         rows.extend(measure(
-            "fig13",
             &builders,
             &ds,
             &cluster,
@@ -393,48 +374,16 @@ pub fn fig13(d: &Defaults) -> Vec<Row> {
     rows
 }
 
-fn alpha_dataset(d: &Defaults, alpha: f64) -> Dataset {
-    DatasetBuilder::new()
-        .domain(Domain::new(d.log_u).expect("valid"))
-        .distribution(Distribution::Zipf { alpha })
-        .records(d.n)
-        .splits(d.m)
-        .record_bytes(d.record_bytes)
-        .seed(d.seed)
-        .build()
-}
-
-/// Fig. 14: communication and running time vs skew α ∈ {0.8, 1.1, 1.4}.
-pub fn fig14(d: &Defaults) -> Vec<Row> {
+/// Figs. 14–15: communication, running time and SSE vs skew
+/// α ∈ {0.8, 1.1, 1.4}.
+fn sweep_skew(d: &Defaults) -> Vec<Row> {
     let cluster = d.cluster();
+    let builders = standard_builders(d.epsilon, d.seed);
     let mut rows = Vec::new();
     for alpha in [0.8f64, 1.1, 1.4] {
-        let ds = alpha_dataset(d, alpha);
-        let builders = standard_builders(d);
-        rows.extend(measure(
-            "fig14",
-            &builders,
-            &ds,
-            &cluster,
-            d.k,
-            &format!("alpha={alpha}"),
-            alpha,
-            None,
-        ));
-    }
-    rows
-}
-
-/// Fig. 15: SSE vs skew α.
-pub fn fig15(d: &Defaults) -> Vec<Row> {
-    let cluster = d.cluster();
-    let mut rows = Vec::new();
-    for alpha in [0.8f64, 1.1, 1.4] {
-        let ds = alpha_dataset(d, alpha);
+        let ds = Defaults { alpha, ..*d }.dataset();
         let eval = Evaluator::new(&ds);
-        let builders = standard_builders(d);
         rows.extend(measure(
-            "fig15",
             &builders,
             &ds,
             &cluster,
@@ -448,15 +397,14 @@ pub fn fig15(d: &Defaults) -> Vec<Row> {
 }
 
 /// Fig. 16: running time vs available bandwidth B ∈ {10%..100%}.
-pub fn fig16(d: &Defaults) -> Vec<Row> {
+fn sweep_bandwidth(d: &Defaults) -> Vec<Row> {
     let ds = d.dataset();
+    let builders = standard_builders(d.epsilon, d.seed);
     let mut rows = Vec::new();
     for pct in [10u32, 25, 50, 75, 100] {
         let mut cluster = d.cluster();
         cluster.bandwidth_fraction = pct as f64 / 100.0;
-        let builders = standard_builders(d);
         rows.extend(measure(
-            "fig16",
             &builders,
             &ds,
             &cluster,
@@ -469,47 +417,22 @@ pub fn fig16(d: &Defaults) -> Vec<Row> {
     rows
 }
 
-/// Fig. 17: communication and running time on the WorldCup dataset.
-pub fn fig17(d: &Defaults) -> Vec<Row> {
+/// Figs. 17–18: communication, running time and SSE on the WorldCup
+/// dataset, with the ideal SSE as reference.
+fn sweep_worldcup(d: &Defaults) -> Vec<Row> {
     let ds = d.worldcup();
-    let cluster = d.cluster();
-    let builders = standard_builders(d);
-    measure(
-        "fig17", &builders, &ds, &cluster, d.k, "worldcup", 0.0, None,
-    )
-}
-
-/// Fig. 18: SSE on the WorldCup dataset.
-pub fn fig18(d: &Defaults) -> Vec<Row> {
-    let ds = d.worldcup();
-    let cluster = d.cluster();
     let eval = Evaluator::new(&ds);
-    let builders = standard_builders(d);
     let mut rows = measure(
-        "fig18",
-        &builders,
+        &standard_builders(d.epsilon, d.seed),
         &ds,
-        &cluster,
+        &d.cluster(),
         d.k,
         "worldcup",
         0.0,
         Some(&eval),
     );
-    rows.push(Row {
-        figure: "fig18".into(),
-        series: "Ideal-SSE".into(),
-        x_label: "worldcup".into(),
-        x: 0.0,
-        comm_bytes: 0,
-        time_s: 0.0,
-        sse: Some(eval.ideal_sse(d.k)),
-    });
+    rows.push(reference("Ideal-SSE", "worldcup", 0.0, eval.ideal_sse(d.k)));
     rows
-}
-
-/// Fig. 19: communication / running time vs SSE on WorldCup.
-pub fn fig19(d: &Defaults) -> Vec<Row> {
-    fig9_like("fig19", &d.worldcup(), d)
 }
 
 /// The Basic-S combiner ablation: pairs emitted with and without the
@@ -570,22 +493,6 @@ pub fn ablation_threshold_exponent(d: &Defaults) -> Vec<Row> {
     rows
 }
 
-/// Exact-oracle sanity row (not a paper figure; used by `figures all` to
-/// log the centralized baseline cost).
-pub fn oracle_row(d: &Defaults) -> Row {
-    let ds = d.dataset();
-    let r = Centralized::new().build(&ds, &d.cluster(), d.k);
-    Row {
-        figure: "oracle".into(),
-        series: "Centralized".into(),
-        x_label: "default".into(),
-        x: 0.0,
-        comm_bytes: r.metrics.total_comm_bytes(),
-        time_s: r.metrics.sim_time_s,
-        sse: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,9 +501,13 @@ mod tests {
         Defaults::quick()
     }
 
+    fn figure(id: &str) -> Vec<Row> {
+        Sweeps::new(quick()).figure(id)
+    }
+
     #[test]
     fn fig5_shapes_hold_at_quick_scale() {
-        let rows = fig5(&quick());
+        let rows = figure("fig5");
         // 5 series × 5 k-values.
         assert_eq!(rows.len(), 25);
         // At every k: TwoLevel-S communicates less than Send-V by a lot.
@@ -618,7 +529,7 @@ mod tests {
 
     #[test]
     fn fig6_exact_matches_ideal() {
-        let rows = fig6(&quick());
+        let rows = figure("fig6");
         for k in [10.0, 50.0] {
             let sse = |name: &str| {
                 rows.iter()
@@ -634,7 +545,7 @@ mod tests {
 
     #[test]
     fn fig8_costs_fall_with_growing_epsilon() {
-        let rows = fig8(&quick());
+        let rows = figure("fig8");
         let two: Vec<&Row> = rows.iter().filter(|r| r.series == "TwoLevel-S").collect();
         assert!(two.len() >= 3);
         // Communication decreases as ε increases.
@@ -643,8 +554,7 @@ mod tests {
 
     #[test]
     fn fig12_send_coef_degrades_with_u() {
-        let d = quick();
-        let rows = fig12(&d);
+        let rows = figure("fig12");
         let coef: Vec<u64> = rows
             .iter()
             .filter(|r| r.series == "Send-Coef")

@@ -1,7 +1,7 @@
 //! Basic-S: one-round random sampling (§4).
 //!
-//! First-level sample per split, keys aggregated by the Combine function
-//! into `(x, s_j(x))` pairs (set [`BasicS::combined`] to `false` for the
+//! First-level sample per split, keys aggregated in the mapper into
+//! `(x, s_j(x))` pairs (set [`BasicS::combined`] to `false` for the
 //! naive `(x, 1)` emission — an ablation the paper mentions as "a simple
 //! optimization for executing any MapReduce job"). The reducer builds the
 //! scaled estimate `v̂ = s/p`, transforms it, and keeps the top-k.
@@ -33,7 +33,7 @@ impl BasicS {
         }
     }
 
-    /// Enables/disables the Combine aggregation (ablation).
+    /// Enables/disables the in-mapper aggregation (ablation).
     pub fn combined(mut self, combined: bool) -> Self {
         self.combined = combined;
         self

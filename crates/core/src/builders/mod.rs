@@ -11,8 +11,8 @@
 //! [`SplitSource`] and its [`Basis`], so the same jobs, Close hooks, state
 //! rounds, fault recovery and cost accounting build a 1-D
 //! [`WaveletHistogram`] from a [`Dataset`] and a 2-D
-//! [`crate::twod::WaveletHistogram2d`] from a `Dataset2d`. The two sketch
-//! builders are 1-D only: the GCS dyadic groups are ranges of 1-D slots.
+//! [`crate::twod::WaveletHistogram2d`] from a `Dataset2d`. Send-Sketch
+//! is 1-D only: the GCS dyadic groups are ranges of 1-D slots.
 //! This module also holds what the builders share: the counted scan, the
 //! summing reducer, the two Close hooks, and the cost-model constants.
 
@@ -23,7 +23,6 @@ mod improved_s;
 mod sample_common;
 mod send_coef;
 mod send_sketch;
-mod send_sketch_ams;
 mod send_v;
 mod two_level_s;
 
@@ -34,7 +33,6 @@ pub use h_wtopk::HWTopk;
 pub use improved_s::ImprovedS;
 pub use send_coef::SendCoef;
 pub use send_sketch::SendSketch;
-pub use send_sketch_ams::SendSketchAms;
 pub use send_v::SendV;
 pub use two_level_s::TwoLevelS;
 
@@ -113,7 +111,7 @@ fn run_build<S, K, V>(
 ) -> Result<BuildResult<S::Histogram>, EngineError>
 where
     S: SplitSource,
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
 {
     let out = try_run_job(cluster, spec)?;
@@ -171,7 +169,7 @@ pub mod ops {
     pub const COEF_UPDATE: f64 = 2.0;
     /// One priority-queue offer.
     pub const HEAP_OFFER: f64 = 3.0;
-    /// One sketch row-update (GCS/AMS inner loop).
+    /// One sketch row-update (GCS inner loop).
     pub const SKETCH_ROW_UPDATE: f64 = 4.0;
     /// Reducer-side work per received pair.
     pub const REDUCE_PAIR: f64 = 2.0;

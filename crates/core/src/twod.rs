@@ -10,8 +10,9 @@
 //! decomposition over those cells), and every generic builder of
 //! [`crate::builders`] — `Centralized`, Send-V, Send-Coef, H-WTopk and the
 //! three samplers — builds 2-D histograms through the same engine jobs as
-//! in 1-D. [`sequential_send_coef2d`] is the engine-free reference the
-//! differential suites compare those builds against.
+//! in 1-D. [`sequential_send_coef2d`] is the engine-free **oracle** that
+//! `tests/twod_pipeline.rs` and `tests/engine_faults.rs` compare those
+//! builds against bit for bit; no builder calls it.
 
 use crate::basis::{Basis, SplitSource};
 use wh_data::twod::{Dataset2d, Record2d};

@@ -84,7 +84,6 @@ pub enum Distribution {
 #[derive(Debug, Clone)]
 pub struct Dataset {
     domain: Domain,
-    distribution: Distribution,
     num_records: u64,
     num_splits: u32,
     record_bytes: u32,
@@ -207,7 +206,6 @@ impl DatasetBuilder {
         };
         Dataset {
             domain: self.domain,
-            distribution: self.distribution,
             num_records: self.num_records,
             num_splits: self.num_splits,
             record_bytes: self.record_bytes,
@@ -232,11 +230,6 @@ impl Dataset {
     /// The key domain.
     pub fn domain(&self) -> Domain {
         self.domain
-    }
-
-    /// Distribution description.
-    pub fn distribution(&self) -> Distribution {
-        self.distribution
     }
 
     /// Total records `n`.
@@ -264,22 +257,12 @@ impl Dataset {
         self.num_records * u64::from(self.record_bytes)
     }
 
-    /// Dataset seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Metadata for split `j`.
     ///
     /// Records are distributed as evenly as possible: the first
     /// `n mod m` splits get one extra record.
     pub fn split_meta(&self, j: u32) -> SplitMeta {
         SplitMeta::of(j, self.num_records, self.num_splits, self.record_bytes)
-    }
-
-    /// All split metadata.
-    pub fn split_metas(&self) -> Vec<SplitMeta> {
-        (0..self.num_splits).map(|j| self.split_meta(j)).collect()
     }
 
     /// The record at position `i` of the split whose [`split_seed`] is
@@ -360,10 +343,10 @@ mod tests {
     #[test]
     fn split_sizes_partition_n() {
         let ds = small();
-        let total: u64 = ds.split_metas().iter().map(|s| s.records).sum();
-        assert_eq!(total, 10_000);
-        let min = ds.split_metas().iter().map(|s| s.records).min().unwrap();
-        let max = ds.split_metas().iter().map(|s| s.records).max().unwrap();
+        let sizes = || (0..ds.num_splits()).map(|j| ds.split_meta(j).records);
+        assert_eq!(sizes().sum::<u64>(), 10_000);
+        let min = sizes().min().unwrap();
+        let max = sizes().max().unwrap();
         assert!(max - min <= 1);
     }
 

@@ -2,31 +2,25 @@
 //!
 //! The in-memory [`crate::Dataset`] is the workhorse of the experiment
 //! harness, but the paper's sampling mappers read *files*: they seek to
-//! `p·n_j` random byte offsets inside an HDFS split and read only those
-//! records. This module implements that faithfully over local files, for
-//! both record layouts the paper discusses:
+//! `p·n_j` random record offsets inside an HDFS split and read only those
+//! records. This module implements that over local files of
+//! **fixed-length records** (Appendix B, first part): the reader computes
+//! `n_j` from the file size, draws `p·n_j` distinct record indices, and
+//! visits them in ascending offset order. It reports exactly how many
+//! bytes it touched, so IO accounting stays honest when these splits feed
+//! the cost model.
 //!
-//! * **fixed-length records** — the reader computes `n_j` from the file
-//!   size, draws `p·n_j` distinct record indices into a priority queue,
-//!   and visits them in ascending offset order (Appendix B, first part);
-//! * **variable-length records** — each record ends with a 4-byte length
-//!   followed by a newline delimiter. The reader seeks to a random byte
-//!   offset, scans forward to the delimiter, recovers the record start
-//!   from the trailing length, and re-draws offsets that land inside an
-//!   already-sampled record (Appendix B, "Remarks").
-//!
-//! Both readers report exactly how many bytes they touched, so IO
-//! accounting stays honest when these splits feed the cost model.
+//! The file is input from outside the program: a size that is not a whole
+//! number of records, or a file that shrinks after [`FixedSplitReader::open`],
+//! is an `io::Error`, never a panic. Reached today by `tests/file_backed.rs`
+//! only; ROADMAP item 4 decides whether builders read through it.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Error, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::rng::SplitMix64;
 use wh_wavelet::hash::FxHashSet;
-
-/// Magic trailing delimiter for variable-length records.
-const DELIM: u8 = b'\n';
 
 /// Writes `keys` as fixed-length records of `record_bytes` each: an 8-byte
 /// little-endian key followed by zero padding.
@@ -48,34 +42,12 @@ pub fn write_fixed(path: &Path, keys: &[u64], record_bytes: u32) -> std::io::Res
     out.flush()
 }
 
-/// Writes `keys` as variable-length records: an 8-byte key, a payload of
-/// `payload_of(key)` bytes, the 4-byte total record length, and the
-/// delimiter — the layout of Appendix B's "Remarks".
-pub fn write_variable(
-    path: &Path,
-    keys: &[u64],
-    mut payload_of: impl FnMut(u64) -> u32,
-) -> std::io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    for &k in keys {
-        let payload = payload_of(k);
-        let total = 8 + payload + 4 + 1;
-        out.write_all(&k.to_le_bytes())?;
-        // Deterministic filler so files are byte-reproducible.
-        let fill = vec![0xabu8; payload as usize];
-        out.write_all(&fill)?;
-        out.write_all(&total.to_le_bytes())?;
-        out.write_all(&[DELIM])?;
-    }
-    out.flush()
-}
-
 /// A sampling read over a file split: sampled keys plus IO accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleRead {
     /// Keys of the sampled records, in file order.
     pub keys: Vec<u64>,
-    /// Bytes actually read from the file (including delimiter scans).
+    /// Bytes actually read from the file.
     pub bytes_read: u64,
 }
 
@@ -88,20 +60,24 @@ pub struct FixedSplitReader {
 }
 
 impl FixedSplitReader {
-    /// Opens `path`; derives `n_j` from the file size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the file size is not a multiple of `record_bytes`.
+    /// Opens `path`; derives `n_j` from the file size. A `record_bytes`
+    /// too small to hold the 8-byte key is `InvalidInput`; a file whose
+    /// size is not a multiple of `record_bytes` is `InvalidData`.
     pub fn open(path: &Path, record_bytes: u32) -> std::io::Result<Self> {
+        if record_bytes < 8 {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                format!("record size {record_bytes} cannot hold the 8-byte key"),
+            ));
+        }
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        assert!(record_bytes >= 8);
-        assert_eq!(
-            len % u64::from(record_bytes),
-            0,
-            "file size {len} not a multiple of record size {record_bytes}"
-        );
+        if len % u64::from(record_bytes) != 0 {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                format!("file size {len} not a multiple of record size {record_bytes}"),
+            ));
+        }
         Ok(Self {
             file,
             record_bytes,
@@ -159,131 +135,6 @@ impl FixedSplitReader {
     }
 }
 
-/// Reader over a variable-record-length file split.
-#[derive(Debug)]
-pub struct VariableSplitReader {
-    file: File,
-    len: u64,
-}
-
-impl VariableSplitReader {
-    /// Opens `path`.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Self { file, len })
-    }
-
-    /// File length in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
-    /// Sequentially scans all keys (and validates the framing).
-    pub fn scan(&mut self) -> std::io::Result<Vec<u64>> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut reader = BufReader::new(&self.file);
-        let mut keys = Vec::new();
-        let mut pos = 0u64;
-        while pos < self.len {
-            let mut key = [0u8; 8];
-            reader.read_exact(&mut key)?;
-            keys.push(u64::from_le_bytes(key));
-            // Skip payload: we do not know its length until the trailer, so
-            // scan forward byte-wise to the delimiter (payload filler is
-            // 0xab, the length bytes precede the delimiter).
-            let mut record_len = 8u64;
-            let mut tail = [0u8; 1];
-            let mut window = [0u8; 5];
-            loop {
-                reader.read_exact(&mut tail)?;
-                record_len += 1;
-                window.rotate_left(1);
-                window[4] = tail[0];
-                if tail[0] == DELIM {
-                    let framed = u32::from_le_bytes(window[..4].try_into().expect("4-byte length"));
-                    if u64::from(framed) == record_len {
-                        break;
-                    }
-                }
-            }
-            pos += record_len;
-        }
-        Ok(keys)
-    }
-
-    /// The variable-length RandomRecordReader of Appendix B's "Remarks":
-    /// draws `count` random byte offsets, seeks to each, scans forward to
-    /// the record trailer, and derives the containing record's start. An
-    /// offset landing inside an already-sampled record is re-drawn against
-    /// the set of known record extents.
-    pub fn sample(&mut self, count: u64, seed: u64) -> std::io::Result<SampleRead> {
-        if self.len == 0 || count == 0 {
-            return Ok(SampleRead {
-                keys: Vec::new(),
-                bytes_read: 0,
-            });
-        }
-        let mut rng = SplitMix64::new(seed);
-        // (start, len) extents of records already located, keyed by start.
-        let mut extents: Vec<(u64, u64)> = Vec::new();
-        let mut keys = Vec::new();
-        let mut bytes_read = 0u64;
-        let mut attempts = 0u64;
-        let max_attempts = count * 64 + 256;
-        while (keys.len() as u64) < count && attempts < max_attempts {
-            attempts += 1;
-            let off = rng.next_below(self.len);
-            if extents.iter().any(|&(s, l)| off >= s && off < s + l) {
-                continue; // inside a known record — redraw (Appendix B's H)
-            }
-            // Scan forward from `off` to the next trailer.
-            self.file.seek(SeekFrom::Start(off))?;
-            let mut window = [0u8; 5];
-            let mut scanned = 0u64;
-            let mut reader = BufReader::new(&self.file);
-            let mut found: Option<(u64, u64)> = None; // (end_exclusive, record_len)
-            loop {
-                let mut b = [0u8; 1];
-                if reader.read(&mut b)? == 0 {
-                    break; // hit EOF mid-scan; redraw
-                }
-                scanned += 1;
-                window.rotate_left(1);
-                window[4] = b[0];
-                if b[0] == DELIM && scanned >= 5 {
-                    let framed = u32::from_le_bytes(window[..4].try_into().expect("4-byte length"));
-                    let end = off + scanned;
-                    if u64::from(framed) <= end {
-                        let start = end - u64::from(framed);
-                        // Validate: the offset must fall inside this record.
-                        if start <= off {
-                            found = Some((end, u64::from(framed)));
-                            break;
-                        }
-                    }
-                }
-            }
-            bytes_read += scanned;
-            let Some((end, record_len)) = found else {
-                continue;
-            };
-            let start = end - record_len;
-            if extents.iter().any(|&(s, _)| s == start) {
-                continue; // same record found via a different offset
-            }
-            // Read the key at the record start.
-            self.file.seek(SeekFrom::Start(start))?;
-            let mut key = [0u8; 8];
-            self.file.read_exact(&mut key)?;
-            bytes_read += 8;
-            keys.push(u64::from_le_bytes(key));
-            extents.push((start, record_len));
-        }
-        Ok(SampleRead { keys, bytes_read })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,43 +185,6 @@ mod tests {
         let c = r.sample(50, 2).expect("sample");
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn variable_roundtrip_scan() {
-        let path = tmp("var_scan.bin");
-        let keys = test_keys(300);
-        write_variable(&path, &keys, |k| (k % 40) as u32).expect("write");
-        let mut r = VariableSplitReader::open(&path).expect("open");
-        assert_eq!(r.scan().expect("scan"), keys);
-    }
-
-    #[test]
-    fn variable_sample_returns_valid_distinct_records() {
-        let path = tmp("var_sample.bin");
-        let keys = test_keys(400);
-        write_variable(&path, &keys, |k| (k % 60) as u32).expect("write");
-        let mut r = VariableSplitReader::open(&path).expect("open");
-        let s = r.sample(60, 11).expect("sample");
-        assert_eq!(s.keys.len(), 60);
-        assert!(s.bytes_read > 0);
-        let valid: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
-        for k in &s.keys {
-            assert!(valid.contains(k), "sampled key {k} not in file");
-        }
-    }
-
-    #[test]
-    fn variable_sample_covers_long_and_short_records() {
-        // Records with wildly different lengths: longer records are hit by
-        // more random offsets, but the extent bookkeeping dedupes them.
-        let path = tmp("var_mixed.bin");
-        let keys: Vec<u64> = (0..50).collect();
-        write_variable(&path, &keys, |k| if k % 10 == 0 { 500 } else { 5 }).expect("write");
-        let mut r = VariableSplitReader::open(&path).expect("open");
-        let s = r.sample(30, 3).expect("sample");
-        let distinct: std::collections::BTreeSet<u64> = s.keys.iter().copied().collect();
-        assert_eq!(distinct.len(), s.keys.len(), "no duplicate records");
     }
 
     #[test]

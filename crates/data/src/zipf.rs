@@ -184,16 +184,6 @@ impl Zipf {
         }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> u64 {
-        self.n as u64
-    }
-
-    /// The exponent α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Draws one 0-based rank.
     #[inline]
     pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
@@ -247,9 +237,9 @@ impl Zipf {
         }
     }
 
-    /// Exact probability mass of the 0-based rank `r` (for tests and
-    /// analysis; `O(n)` the first time a normaliser is needed — callers
-    /// should compute the normaliser once via [`Zipf::normalizer`]).
+    /// Exact probability mass of the 0-based rank `r`, given
+    /// [`Zipf::normalizer`] — the oracle this module's chi-squared tests
+    /// hold [`Zipf::sample`] against; no builder calls it.
     pub fn pmf(&self, r: u64, normalizer: f64) -> f64 {
         h((r + 1) as f64, self.alpha) / normalizer
     }

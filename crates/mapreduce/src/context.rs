@@ -4,8 +4,8 @@ use crate::metrics::ReduceStrategy;
 use crate::wire::WireSize;
 
 /// Context handed to a map task: emit intermediate pairs and account for
-/// the work done. A job's Combine function, if any, runs once over the
-/// emitted pairs when the task ends.
+/// the work done. Every emitted pair is shuffled: a mapper that wants the
+/// paper's Combine saving aggregates before it emits.
 pub struct MapContext<K, V> {
     pub(crate) split_id: u32,
     pub(crate) pairs: Vec<(K, V)>,

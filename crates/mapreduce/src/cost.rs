@@ -154,24 +154,11 @@ pub fn round_time(
 ) -> f64 {
     let map_makespan = schedule_makespan(cluster, tasks);
     let net = cluster.network_bytes_per_s();
-    let shuffle_s = shuffle_seconds(cluster, shuffle_bytes);
+    let shuffle_s = shuffle_bytes as f64 / net;
     let broadcast_s = (broadcast_bytes as f64) * cluster.num_slaves() as f64 / net;
     let reducer_scale = cluster.machines[cluster.reducer_machine].cpu_scale;
     let reduce_s = reduce.cpu_ops / (cluster.cpu_ops_per_s * reducer_scale);
     cluster.round_overhead_s + broadcast_s + map_makespan + shuffle_s + reduce_s
-}
-
-/// The shuffle term of [`round_time`] in isolation: the time for
-/// `shuffle_bytes` of intermediate pairs to cross the switch into the
-/// single reducer's link.
-///
-/// Split out so the term can be fed *measured* traffic: under
-/// [`crate::EngineMode::MultiProcess`] the coordinator counts the bytes
-/// of every pair that really crossed a worker pipe, and
-/// [`validate_measured_shuffle`] checks that those measured bytes are the
-/// ones this model charges.
-pub fn shuffle_seconds(cluster: &ClusterConfig, shuffle_bytes: u64) -> f64 {
-    shuffle_bytes as f64 / cluster.network_bytes_per_s()
 }
 
 /// Validates the cost model's shuffle input against measured traffic.
@@ -180,8 +167,8 @@ pub fn shuffle_seconds(cluster: &ClusterConfig, shuffle_bytes: u64) -> f64 {
 /// `pair_bytes` summed from the pairs the coordinator actually decoded
 /// off worker pipes. The accounted `shuffle_bytes` — the quantity the
 /// [`round_time`] shuffle term charges — must equal it exactly: both are
-/// the [`crate::wire::WireSize`] total of the post-combine intermediate
-/// pairs, reached by two independent code paths.
+/// the [`crate::wire::WireSize`] total of the intermediate pairs, reached
+/// by two independent code paths.
 ///
 /// The equality holds *through recovery* (PR 8): `pair_bytes` is added
 /// only when a task's `TASK_END` commits, so a retried task's pairs
@@ -208,7 +195,7 @@ pub fn validate_measured_shuffle(metrics: &crate::RunMetrics) -> Result<(), Stri
 }
 
 /// Greedy LPT schedule of map tasks onto machines; returns the makespan.
-pub fn schedule_makespan(cluster: &ClusterConfig, tasks: &[TaskWork]) -> f64 {
+fn schedule_makespan(cluster: &ClusterConfig, tasks: &[TaskWork]) -> f64 {
     let mut durations: Vec<f64> = tasks
         .iter()
         .map(|t| {
@@ -340,16 +327,6 @@ mod tests {
         c.bandwidth_fraction = 1.0;
         let t_full = round_time(&c, &[], ReduceWork::default(), 1 << 30, 0);
         assert!((t_half / t_full - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shuffle_seconds_is_the_round_time_shuffle_term() {
-        let c = ClusterConfig::paper_cluster();
-        let bytes = 12_345_678u64;
-        let with = round_time(&c, &[], ReduceWork::default(), bytes, 0);
-        let without = round_time(&c, &[], ReduceWork::default(), 0, 0);
-        assert!((with - without - shuffle_seconds(&c, bytes)).abs() < 1e-9);
-        assert_eq!(shuffle_seconds(&c, 0), 0.0);
     }
 
     #[test]

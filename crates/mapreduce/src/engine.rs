@@ -4,7 +4,7 @@
 //!  map workers (N threads)          shuffle              reduce workers (P threads)
 //! ┌──────────────────────────┐                        ┌───────────────────────────┐
 //! │ task → MapContext        │   regroup runs by      │ partition 0: k-way merge  │
-//! │   ├─ combine at task end │   partition, splits    │   of m sorted runs        │──┐
+//! │   ├─ count pairs, bytes  │   partition, splits    │   of m sorted runs        │──┐
 //! │   ├─ partition pairs     │   stay in id order     │   → reduce(key, values)   │  │ stitch
 //! │   └─ sort each partition │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
 //! │      run by (key,arrive) │                        │ …                         │  │ + finish
@@ -18,10 +18,9 @@
 //!    sort work happens in parallel, and the old single-threaded global
 //!    sort disappears entirely. Jobs whose keys carry a
 //!    [`RadixKey`](crate::RadixKey) codec ([`crate::JobSpec::with_radix_keys`])
-//!    sort spill runs — and, when the job has a Combine function, the
-//!    task's pairs before grouping — with the LSD radix sort in
-//!    [`crate::radix`]: `O(n · key bytes)` with branch-free inner loops,
-//!    bit-identical to the comparison sort it replaces.
+//!    sort spill runs with the LSD radix sort in [`crate::radix`]:
+//!    `O(n · key bytes)` with branch-free inner loops, bit-identical to
+//!    the comparison sort it replaces.
 //! 2. **The reduce side picks an explicit strategy per job** — recorded
 //!    per partition in [`RunMetrics::reduce_strategies`]:
 //!
@@ -67,7 +66,7 @@ use parking_lot::Mutex;
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
 use crate::dense::DenseReducer;
-use crate::job::{CombineFn, JobOutput, JobSpec, MapTask, PartitionFn};
+use crate::job::{JobOutput, JobSpec, MapTask};
 use crate::metrics::{ReduceStrategy, RunMetrics};
 use crate::radix::{sort_pairs_with, RadixScratch};
 use crate::wire::WireSize;
@@ -76,9 +75,6 @@ use wh_wavelet::hash::FxHasher;
 /// Borrowed form of the shared reduce function, passed into the merge
 /// machinery.
 pub(crate) type ReduceDyn<K, V, R> = dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync;
-
-/// Borrowed form of the shared Combine function.
-type CombineDyn<K, V> = dyn Fn(&K, &mut Vec<V>) + Send + Sync;
 
 /// Which executor [`crate::run_job`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -256,9 +252,9 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The default partitioner: a deterministic Fx hash of the key. With one
-/// reducer every key lands in partition 0 either way; with several, keys
-/// spread evenly without any per-job configuration.
+/// The partitioner: a deterministic Fx hash of the key, taken modulo the
+/// reducer count. With one reducer every key lands in partition 0; with
+/// several, keys spread evenly without any per-job configuration.
 pub fn default_partition<K: Hash>(key: &K) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
@@ -285,65 +281,6 @@ const REDUCE_SPAWN_MIN_PAIRS: u64 = 8192;
 /// pairs they hold. Larger tasks scatter inside the map worker, where
 /// the hashing parallelizes.
 const SCATTER_MIN_PAIRS: usize = 1024;
-
-/// Groups `pairs` by key (preserving each key's value arrival order),
-/// applies the Combine function once per key, and returns the surviving
-/// pairs in ascending key order. This is the **canonical combine
-/// semantics**: the reference engine calls it as is, and the map workers
-/// run the same grouping behind a radix sort when the job has a key codec
-/// ([`sort_by_key`]) — the stable sorts produce the identical permutation.
-///
-/// Keys are sorted and grouped in place; a key is only ever cloned when
-/// the combiner leaves it more than one surviving value.
-pub(crate) fn group_combine<K, V>(mut pairs: Vec<(K, V)>, comb: &CombineDyn<K, V>) -> Vec<(K, V)>
-where
-    K: Ord + Clone,
-{
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    group_sorted(pairs, comb)
-}
-
-/// Grouping half of [`group_combine`]: `pairs` must already be key-sorted
-/// (stably, arrival order within a key).
-fn group_sorted<K, V>(pairs: Vec<(K, V)>, comb: &CombineDyn<K, V>) -> Vec<(K, V)>
-where
-    K: Ord + Clone,
-{
-    let mut out = Vec::new();
-    let mut iter = pairs.into_iter();
-    let Some((mut key, first)) = iter.next() else {
-        return out;
-    };
-    let mut values = vec![first];
-    for (k, v) in iter {
-        if k == key {
-            values.push(v);
-        } else {
-            flush_group(&mut out, key, &mut values, comb);
-            key = k;
-            values.push(v);
-        }
-    }
-    flush_group(&mut out, key, &mut values, comb);
-    out
-}
-
-/// Runs the combiner over one key's values and appends the survivors,
-/// moving the key into the last pair (cloning only for the ones before).
-fn flush_group<K, V>(out: &mut Vec<(K, V)>, key: K, values: &mut Vec<V>, comb: &CombineDyn<K, V>)
-where
-    K: Clone,
-{
-    comb(&key, values);
-    let survivors = values.len();
-    let mut drained = values.drain(..);
-    for v in drained.by_ref().take(survivors.saturating_sub(1)) {
-        out.push((key.clone(), v));
-    }
-    if let Some(last) = drained.next() {
-        out.push((key, last));
-    }
-}
 
 /// Stable sort of `pairs` by key — arrival order within a key survives.
 /// The radix sort produces the identical permutation when the job
@@ -377,7 +314,7 @@ pub(crate) struct TaskSpill<K, V> {
 
 /// Worker-local state of the map phase, recycled across the tasks this
 /// worker executes: the emit buffer handed to each [`MapContext`] and the
-/// radix-sort scratch for combining and for spill runs.
+/// radix-sort scratch for spill runs.
 pub(crate) struct MapWorker<K, V> {
     pairs_buf: Vec<(K, V)>,
     scratch: RadixScratch,
@@ -421,14 +358,12 @@ pub(crate) fn select_strategy(
 /// [`crate::run_job`], which dispatches on [`EngineConfig::mode`].
 pub(crate) fn execute<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
 where
-    K: Ord + Hash + Clone + Send + WireSize + 'static,
+    K: Ord + Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
     let JobSpec {
         map_tasks,
-        combiner,
-        partitioner,
         reduce,
         broadcast_bytes,
         finish,
@@ -440,7 +375,7 @@ where
     let nparts = engine.num_reducers as usize;
     let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
-    // ---- Map phase (parallel): run, combine, partition, sort — all
+    // ---- Map phase (parallel): run, partition, sort — all
     // inside the worker thread that owns the task. ----
     let map_start = Instant::now();
     let task_queue: Vec<Mutex<Option<MapTask<K, V>>>> =
@@ -455,15 +390,7 @@ where
             break;
         }
         let task = task_queue[i].lock().take().expect("each task taken once");
-        let spill = run_one_task(
-            task,
-            nparts,
-            strategy,
-            &combiner,
-            &partitioner,
-            key_codec,
-            state,
-        );
+        let spill = run_one_task(task, nparts, strategy, key_codec, state);
         spills.lock().push(spill);
     };
 
@@ -483,7 +410,6 @@ where
         cluster,
         &engine,
         per_task,
-        &partitioner,
         reduce,
         finish,
         broadcast_bytes,
@@ -514,8 +440,8 @@ fn run_workers(n: usize, work: impl Fn() + Sync) {
     });
 }
 
-/// Runs one map task to a [`TaskSpill`]: execute the closure, combine,
-/// partition (or ship flat), and pre-sort runs when the job merges at
+/// Runs one map task to a [`TaskSpill`]: execute the closure, partition
+/// (or ship flat), and pre-sort runs when the job merges at
 /// reduce time. This is the unit of map work shared **verbatim** by the
 /// threaded executor above and the forked workers of
 /// [`crate::worker::execute_multiprocess`] — sharing it is what makes the
@@ -524,13 +450,11 @@ pub(crate) fn run_one_task<K, V>(
     task: MapTask<K, V>,
     nparts: usize,
     strategy: ReduceStrategy,
-    combiner: &Option<CombineFn<K, V>>,
-    partitioner: &PartitionFn<K>,
     key_codec: Option<fn(&K) -> u64>,
     state: &mut MapWorker<K, V>,
 ) -> TaskSpill<K, V>
 where
-    K: Ord + Clone + Send + WireSize + 'static,
+    K: Ord + Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
 {
     let mut ctx = MapContext::with_buffer(task.split_id, std::mem::take(&mut state.pairs_buf));
@@ -542,10 +466,6 @@ where
         cpu_ops,
         ..
     } = ctx;
-    if let Some(comb) = combiner {
-        sort_by_key(&mut pairs, key_codec, &mut state.scratch);
-        pairs = group_sorted(pairs, comb.as_ref());
-    }
     let mut npairs = 0u64;
     let mut nbytes = 0u64;
     for (k, v) in &pairs {
@@ -565,7 +485,7 @@ where
         let expect = pairs.len() / nparts + 16;
         let mut rs: Vec<Vec<(K, V)>> = (0..nparts).map(|_| Vec::with_capacity(expect)).collect();
         for (k, v) in pairs.drain(..) {
-            let p = (partitioner(&k) % nparts as u64) as usize;
+            let p = (default_partition(&k) % nparts as u64) as usize;
             rs[p].push((k, v));
         }
         (rs, true)
@@ -605,7 +525,6 @@ pub(crate) fn shuffle_reduce_finish<K, V, R>(
     cluster: &ClusterConfig,
     engine: &EngineConfig,
     per_task: Vec<TaskSpill<K, V>>,
-    partitioner: &PartitionFn<K>,
     reduce: crate::job::ReduceFn<K, V, R>,
     finish: Option<crate::job::FinishFn<R>>,
     broadcast_bytes: u64,
@@ -614,7 +533,7 @@ pub(crate) fn shuffle_reduce_finish<K, V, R>(
     wall_map_s: f64,
 ) -> JobOutput<R>
 where
-    K: Ord + Send,
+    K: Ord + Hash + Send,
     V: Send,
     R: Send,
 {
@@ -657,7 +576,7 @@ where
         } else {
             for run in t.runs {
                 for (k, v) in run {
-                    let p = (partitioner(&k) % nparts as u64) as usize;
+                    let p = (default_partition(&k) % nparts as u64) as usize;
                     tails[p].push((k, v));
                 }
             }
@@ -1096,7 +1015,6 @@ fn merge_two<K: Ord, V>(a: Vec<(K, V)>, b: Vec<(K, V)>) -> Vec<(K, V)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn collect_groups_via(
         runs: Vec<Vec<(u32, u32)>>,
@@ -1312,110 +1230,6 @@ mod tests {
     fn empty_partition_reduces_nothing() {
         assert!(collect_groups(vec![]).is_empty());
         assert!(collect_groups(vec![vec![]]).is_empty());
-    }
-
-    #[test]
-    fn group_combine_sorts_keys_and_preserves_value_order() {
-        let pairs = vec![(9u32, 1u64), (2, 2), (9, 3), (2, 4)];
-        let out = group_combine(pairs, &|_k, _vs| {});
-        assert_eq!(out, vec![(2, 2), (2, 4), (9, 1), (9, 3)]);
-    }
-
-    /// A key that counts how often it is cloned — the probe behind the
-    /// no-clone guarantee of [`group_combine`].
-    #[derive(Debug)]
-    struct CountingKey {
-        id: u32,
-        clones: Arc<AtomicUsize>,
-    }
-
-    impl CountingKey {
-        fn new(id: u32, clones: &Arc<AtomicUsize>) -> Self {
-            Self {
-                id,
-                clones: Arc::clone(clones),
-            }
-        }
-    }
-
-    impl Clone for CountingKey {
-        fn clone(&self) -> Self {
-            self.clones.fetch_add(1, Ordering::Relaxed);
-            Self {
-                id: self.id,
-                clones: Arc::clone(&self.clones),
-            }
-        }
-    }
-
-    impl PartialEq for CountingKey {
-        fn eq(&self, other: &Self) -> bool {
-            self.id == other.id
-        }
-    }
-    impl Eq for CountingKey {}
-    impl PartialOrd for CountingKey {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for CountingKey {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.id.cmp(&other.id)
-        }
-    }
-
-    #[test]
-    fn group_combine_never_clones_keys_when_the_combiner_collapses() {
-        let clones = Arc::new(AtomicUsize::new(0));
-        let pairs: Vec<(CountingKey, u64)> = (0..200u64)
-            .map(|i| (CountingKey::new((i % 17) as u32, &clones), i))
-            .collect();
-        let out = group_combine(pairs, &|_k, vs: &mut Vec<u64>| {
-            let total: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(total);
-        });
-        assert_eq!(out.len(), 17);
-        assert_eq!(
-            clones.load(Ordering::Relaxed),
-            0,
-            "collapsing combiner must never clone a key"
-        );
-    }
-
-    #[test]
-    fn group_combine_clones_only_for_extra_survivors() {
-        let clones = Arc::new(AtomicUsize::new(0));
-        // 3 keys × 4 values each, identity combiner: each key keeps 4
-        // values → 3 clones per key beyond the moved one.
-        let pairs: Vec<(CountingKey, u64)> = (0..12u64)
-            .map(|i| (CountingKey::new((i % 3) as u32, &clones), i))
-            .collect();
-        let out = group_combine(pairs, &|_k, _vs| {});
-        assert_eq!(out.len(), 12);
-        assert_eq!(clones.load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn radix_sorted_combine_agrees_with_comparison_sorted() {
-        let comb = |_k: &u32, vs: &mut Vec<u64>| {
-            let total: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(total);
-            vs.push(total / 2);
-        };
-        let pairs: Vec<(u32, u64)> = (0..700u64).map(|i| ((i * 13 % 97) as u32, i)).collect();
-        let want = group_combine(pairs.clone(), &comb);
-
-        let codec: fn(&u32) -> u64 = |k| u64::from(*k);
-        let mut scratch = RadixScratch::default();
-        // Twice, to prove the recycled scratch resets cleanly.
-        for round in 0..2 {
-            let mut got = pairs.clone();
-            sort_by_key(&mut got, Some(codec), &mut scratch);
-            assert_eq!(group_sorted(got, &comb), want, "round={round}");
-        }
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan is empty.
-    pub fn is_none(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Resolves the plan into the concrete faults one spawned child
     /// executes. Faults target first spawns only (`attempt == 0`):
     /// retries must run clean or recovery could never converge.
@@ -116,7 +111,6 @@ mod tests {
             .truncate_worker_after_frame(0, 5)
             .corrupt_worker_frame(2, 7)
             .stall_worker(1, 400);
-        assert!(!plan.is_none());
 
         let w0 = plan.for_worker(0, 0);
         assert_eq!(w0.kill_before_task, None);
@@ -140,8 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_is_none() {
-        assert!(FaultPlan::none().is_none());
-        assert!(FaultPlan::default().is_none());
+    fn the_default_plan_is_the_empty_one() {
+        assert_eq!(FaultPlan::default(), FaultPlan::none());
     }
 }

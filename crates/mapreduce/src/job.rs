@@ -1,8 +1,9 @@
 //! Job specification and the execution entry point.
 //!
-//! A [`JobSpec`] describes one MapReduce round: one map closure per split,
-//! an optional Combine function, a partitioner, and a shared reduce
-//! function. [`run_job`] executes the round on the engine selected by the
+//! A [`JobSpec`] describes one MapReduce round: one map closure per split
+//! and a shared reduce function (mappers combine before they emit — the
+//! paper's `(x, v_j(x))` emission — and keys partition by
+//! [`engine::default_partition`]). [`run_job`] executes the round on the engine selected by the
 //! spec's [`EngineConfig`] — the pipelined partition-parallel engine
 //! ([`crate::engine`]) by default, or the preserved seed engine
 //! ([`crate::reference`]) — and returns the reducer outputs together with
@@ -31,11 +32,6 @@ use crate::wire::{WireCodec, WireError, WireSize};
 /// The boxed closure a map task runs.
 pub type MapFn<K, V> = Box<dyn FnOnce(&mut MapContext<K, V>) + Send>;
 
-/// Shared Combine function: mutates a key's value list in place. The
-/// engines run it once per key and map task, over the task's complete
-/// value list for that key.
-pub type CombineFn<K, V> = Arc<dyn Fn(&K, &mut Vec<V>) + Send + Sync>;
-
 /// Reducer Close hook. Runs once, after every partition has reduced, on
 /// a [`ReduceContext`] that already holds the round's reducer emissions
 /// stitched partition-major (partition index ascending, key order within
@@ -56,9 +52,6 @@ pub type FinishFn<R> = Box<dyn FnOnce(&mut ReduceContext<R>) + Send>;
 /// them in partition-major key order — no shared capture, no lock, and
 /// nothing whose order depends on which thread reduced which partition.
 pub type ReduceFn<K, V, R> = Arc<dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync>;
-
-/// Maps a key to a reduce partition (taken modulo the reducer count).
-pub type PartitionFn<K> = Arc<dyn Fn(&K) -> u64 + Send + Sync>;
 
 /// Fn-pointer decoder for one `(K, V)` pair from a wire byte stream.
 pub(crate) type PairDecodeFn<K, V> = fn(&mut &[u8]) -> Result<(K, V), WireError>;
@@ -103,13 +96,6 @@ pub struct JobSpec<K, V, R> {
     pub name: String,
     /// One map task per split.
     pub map_tasks: Vec<MapTask<K, V>>,
-    /// Optional Combine function, applied per split to each key's values
-    /// **before** communication is measured (exactly Hadoop's combiner
-    /// contract: it may shrink, rewrite, or keep the value list).
-    pub combiner: Option<CombineFn<K, V>>,
-    /// Maps a key to its reduce partition. Defaults to a deterministic
-    /// Fx hash of the key ([`engine::default_partition`]).
-    pub partitioner: PartitionFn<K>,
     /// The reduce function (shared across partitions; within a partition
     /// invoked in key order).
     pub reduce: ReduceFn<K, V, R>,
@@ -145,11 +131,10 @@ pub struct JobSpec<K, V, R> {
 
 impl<K, V, R> JobSpec<K, V, R>
 where
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
 {
-    /// A one-reducer job with default (hash) partitioning, no combiner,
-    /// and the default (pipelined) engine.
+    /// A one-reducer job on the default (pipelined) engine.
     pub fn new(
         name: impl Into<String>,
         map_tasks: Vec<MapTask<K, V>>,
@@ -158,8 +143,6 @@ where
         Self {
             name: name.into(),
             map_tasks,
-            combiner: None,
-            partitioner: Arc::new(engine::default_partition::<K>),
             reduce: Arc::new(reduce),
             broadcast_bytes: 0,
             finish: None,
@@ -171,8 +154,7 @@ where
     }
 
     /// Declares that `K`'s order-preserving [`crate::RadixKey`] image
-    /// drives the engine's radix specializations: combining and spill
-    /// runs sort through the LSD radix sort instead of comparisons, and —
+    /// drives the engine's radix specializations: spill runs sort through the LSD radix sort instead of comparisons, and —
     /// when the engine also carries an [`EngineConfig::key_domain_hint`]
     /// — reduce partitions group through the dense flat-array table
     /// instead of sorting. Outputs and metrics are bit-identical with or
@@ -182,12 +164,6 @@ where
         K: crate::radix::RadixKey,
     {
         self.key_codec = Some(|k: &K| k.to_radix());
-        self
-    }
-
-    /// Sets the combiner.
-    pub fn with_combiner(mut self, f: impl Fn(&K, &mut Vec<V>) + Send + Sync + 'static) -> Self {
-        self.combiner = Some(Arc::new(f));
         self
     }
 
@@ -206,27 +182,6 @@ where
     /// Sets the execution-engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the number of reduce partitions (shorthand for the engine knob).
-    pub fn with_reducers(mut self, n: u32) -> Self {
-        self.engine = self.engine.with_reducers(n);
-        self
-    }
-
-    /// Declares the exclusive key-domain bound (shorthand for the engine
-    /// knob — see [`EngineConfig::key_domain_hint`]). Together with
-    /// [`JobSpec::with_radix_keys`] this selects the dense-reduce
-    /// strategy.
-    pub fn with_key_domain(mut self, domain: u64) -> Self {
-        self.engine = self.engine.with_key_domain(domain);
-        self
-    }
-
-    /// Overrides the partitioner.
-    pub fn with_partitioner(mut self, f: impl Fn(&K) -> u64 + Send + Sync + 'static) -> Self {
-        self.partitioner = Arc::new(f);
         self
     }
 
@@ -283,7 +238,7 @@ pub fn try_run_job<K, V, R>(
     spec: JobSpec<K, V, R>,
 ) -> Result<JobOutput<R>, EngineError>
 where
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
@@ -300,7 +255,7 @@ where
 /// handle multi-process errors).
 pub fn run_job<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
 where
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
@@ -348,23 +303,6 @@ mod tests {
         // 8 pairs × (4 + 8) bytes.
         assert_eq!(out.metrics.shuffle_bytes, 96);
         assert_eq!(out.metrics.rounds, 1);
-    }
-
-    #[test]
-    fn combiner_shrinks_communication() {
-        let cluster = ClusterConfig::single_machine();
-        let tasks = wordcount_tasks(vec![vec![7; 100], vec![7; 50]]);
-        let spec =
-            JobSpec::new("wc", tasks, count_reduce()).with_combiner(|_k, vs: &mut Vec<u64>| {
-                let total: u64 = vs.iter().sum();
-                vs.clear();
-                vs.push(total);
-            });
-        let out = run_job(&cluster, spec);
-        assert_eq!(out.outputs, vec![(7, 150)]);
-        // One combined pair per split.
-        assert_eq!(out.metrics.map_output_pairs, 2);
-        assert_eq!(out.metrics.shuffle_bytes, 24);
     }
 
     #[test]
@@ -511,12 +449,11 @@ mod tests {
         let cluster = ClusterConfig::single_machine();
         let mk = |radix: bool, hint: Option<u64>, reducers: u32| {
             let tasks = wordcount_tasks((0..12).map(|j| vec![j % 7, j % 5, 3]).collect());
-            let mut spec = JobSpec::new("strategy", tasks, count_reduce()).with_reducers(reducers);
+            let engine = EngineConfig::default().with_reducers(reducers);
+            let mut spec = JobSpec::new("strategy", tasks, count_reduce())
+                .with_engine(hint.map_or(engine, |u| engine.with_key_domain(u)));
             if radix {
                 spec = spec.with_radix_keys();
-            }
-            if let Some(u) = hint {
-                spec = spec.with_key_domain(u);
             }
             run_job(&cluster, spec)
         };
@@ -578,7 +515,7 @@ mod tests {
     fn empty_job_multi_reducer_runs_finish() {
         let cluster = ClusterConfig::single_machine();
         let spec: JobSpec<u32, u64, u32> = JobSpec::new("empty", vec![], |_: &u32, _, _| {})
-            .with_reducers(4)
+            .with_engine(EngineConfig::default().with_reducers(4))
             .with_finish(|ctx| ctx.emit(99));
         let out = run_job(&cluster, spec);
         assert_eq!(out.outputs, vec![99]);

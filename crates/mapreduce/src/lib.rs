@@ -2,12 +2,12 @@
 //!
 //! This crate stands in for the Hadoop cluster of the paper's experiments
 //! (§2.2, §5). It really executes MapReduce jobs — user-supplied map
-//! closures run in parallel threads, their emitted pairs are combined,
-//! partitioned, sorted, shuffled and reduced — while every quantity the
-//! paper measures is accounted exactly:
+//! closures run in parallel, their emitted pairs are partitioned,
+//! shuffled, grouped and reduced — while every quantity the paper
+//! measures is accounted exactly:
 //!
-//! * **communication**: bytes of intermediate `(k₂, v₂)` pairs after the
-//!   Combine function, plus Job-Configuration / Distributed-Cache broadcast
+//! * **communication**: bytes of the intermediate `(k₂, v₂)` pairs the
+//!   mappers emit, plus Job-Configuration / Distributed-Cache broadcast
 //!   bytes (the paper's two sideband channels, §3 "System issues");
 //! * **work**: records and bytes scanned by mappers, CPU operations charged
 //!   by the algorithm (hashing, wavelet updates, sketch updates…);
@@ -17,65 +17,74 @@
 //!   16-machine heterogeneous setup (100 Mbps switch, default 50%
 //!   available bandwidth, one reducer pinned to a fixed machine).
 //!
-//! Multi-round algorithms (H-WTopk needs three rounds) keep per-split state
-//! in a [`state::StateStore`], mirroring the paper's trick of persisting
-//! mapper state to a local HDFS file between rounds (Appendix A) — which is
-//! also why that state is *not* charged as communication.
+//! ## One job shape
 //!
-//! ## Execution engine
+//! A [`JobSpec`] is map tasks, one shared reduce function and an optional
+//! Close hook ([`JobSpec::with_finish`]) over the stitched reducer
+//! emissions. There is no engine-side Combine function and no custom
+//! partitioner: the paper's mappers combine before they emit (Send-V's
+//! `(x, v_j(x))` pairs *are* the combined form, §3), and keys partition by
+//! [`engine::default_partition`]. Multi-round algorithms (H-WTopk needs
+//! three rounds) keep per-split state in a [`state::StateStore`],
+//! mirroring the paper's trick of persisting mapper state to a local HDFS
+//! file between rounds (Appendix A) — which is also why that state is
+//! *not* charged as communication. [`EngineConfig`] carries the execution
+//! knobs (mode, reducer count, map and reduce parallelism, key-domain
+//! hint, recovery settings); none of them changes an output or a logical
+//! metric.
 //!
-//! Since PR 2 the runtime is a pipelined, partition-parallel engine
-//! ([`engine`]):
+//! ## Three engine modes, one result
 //!
 //! ```text
-//! map workers ──▶ per-partition sorted spills ──▶ k-way merge per
-//! (parallel)      (combine + partition + sort     partition ──▶ parallel
-//!                  inside the worker thread)      reduce, deterministic
-//!                                                 output stitching
+//! map workers ──▶ per-partition spill runs ──▶ one reduce strategy per
+//! (parallel)      (partition inside the        partition ──▶ parallel
+//!                  worker)                      reduce, deterministic
+//!                                               output stitching
 //! ```
 //!
-//! The old engine — one global `O(n log n)` sort and a sequential reduce —
-//! survives as [`reference::run_job_reference`], the executable
-//! specification that differential tests compare against.
-//! [`EngineConfig`] exposes the knobs (reducer count, map and reduce
-//! parallelism, key-domain hint); [`RunMetrics`] carries real per-phase
-//! wall-clock next to the simulated cluster time.
+//! * [`EngineMode::Pipelined`] (default, [`engine`]): map tasks on worker
+//!   threads, reduce partitions in parallel, outputs and charged CPU
+//!   stitched in partition order. Workers recycle their buffers across
+//!   tasks and partitions; tiny jobs skip thread spawns on both sides.
+//! * [`EngineMode::Reference`] ([`reference::run_job_reference`]): one
+//!   global `O(n log n)` sort and a sequential reduce — the executable
+//!   specification the differential suites compare the other two against.
+//! * [`EngineMode::MultiProcess`] ([`worker`], [`transport`]): map workers
+//!   are forked child processes streaming their spills back as
+//!   length-prefixed frames in the [`wire::WireCodec`] encoding, so the
+//!   paper's communication is *measured* from real framed traffic
+//!   ([`RunMetrics::wire`], [`metrics::WireTraffic`]) instead of only
+//!   accounted, and the measured bytes validate the [`cost`] model's
+//!   shuffle term ([`cost::validate_measured_shuffle`]). Jobs opt in with
+//!   [`JobSpec::with_wire_codec`]; failures surface as a typed
+//!   [`EngineError`] through [`try_run_job`].
 //!
-//! Since PR 3 the engine is radix-specialized for the small-integer keys
-//! every algorithm in the paper shuffles: a job whose key type implements
-//! the sealed [`RadixKey`] trait ([`JobSpec::with_radix_keys`]) sorts its
-//! spills (and groups its combiner input) through the LSD radix/counting
+//! Within a partition the reduce function always sees key groups in key
+//! order and each group's values in `(split id, arrival order)` order, so
+//! outputs and logical metrics are bit-identical across modes, reducer
+//! counts, thread counts and worker topologies.
+//!
+//! ## Radix keys and reduce strategies
+//!
+//! Every algorithm in the paper shuffles small-integer keys. A job whose
+//! key type implements the sealed [`RadixKey`] trait
+//! ([`JobSpec::with_radix_keys`]) sorts through the LSD radix/counting
 //! sort in [`radix`] — the exact permutation of the comparison sort it
-//! replaces. Map workers reuse their buffers across tasks, and tiny jobs
-//! skip thread spawns on both the map and reduce sides.
+//! replaces — and the engine picks one [`ReduceStrategy`] per job,
+//! recorded per partition in [`RunMetrics::reduce_strategies`]: dense
+//! flat-array aggregation when a radix codec and a bounded key domain
+//! ([`EngineConfig::key_domain_hint`]) are declared, one stable radix sort
+//! per partition when only the codec is, and the k-way merge of spills
+//! pre-sorted in the map workers otherwise.
 //!
-//! Since PR 4 the bounded-domain specialization reaches the reduce side
-//! too: the engine selects an explicit per-job [`ReduceStrategy`] — dense
-//! flat-array aggregation when a radix codec and a bounded domain are
-//! declared, one stable radix sort per partition when only the codec is,
-//! and the k-way merge of pre-sorted spills otherwise — recording the
-//! choice per partition in [`RunMetrics::reduce_strategies`]. Reduce
-//! workers recycle their scratch (radix buffers + dense table) across
-//! partitions exactly like map workers recycle theirs across tasks.
+//! ## Recovery in the multi-process mode
 //!
-//! Since PR 7 the engine also runs **distributed**:
-//! [`EngineMode::MultiProcess`] forks map workers as child processes that
-//! stream their spills back over length-prefixed frames in the
-//! [`wire::WireCodec`] encoding ([`transport`], [`worker`]), so the
-//! paper's communication is *measured* from real framed traffic
-//! ([`RunMetrics::wire`], [`metrics::WireTraffic`]) instead of only
-//! accounted. Jobs opt in with [`JobSpec::with_wire_codec`]; outputs and
-//! logical metrics stay bit-identical to the in-process engines, worker
-//! failures surface as a typed [`EngineError`] through [`try_run_job`],
-//! and the measured bytes validate the [`cost`] model's shuffle term
-//! ([`cost::validate_measured_shuffle`]).
-//!
-//! Since PR 8 the multi-process mode is **self-healing**: every frame
-//! carries a CRC32C trailer (the `crc` module) so silent corruption surfaces as
-//! [`EngineError::CorruptFrame`]; coordinator readers run under an idle
-//! read deadline ([`EngineConfig::read_deadline_ms`]) so a hung worker
-//! becomes [`EngineError::WorkerTimeout`] instead of a hang; and a worker
-//! that dies, stalls, or sends a bad stream gets its *unfinished* tasks
+//! Every frame carries a CRC32C trailer (the `crc` module) so silent
+//! corruption surfaces as [`EngineError::CorruptFrame`]; coordinator
+//! readers run under an idle read deadline
+//! ([`EngineConfig::read_deadline_ms`]) so a hung worker becomes
+//! [`EngineError::WorkerTimeout`] instead of a hang; and a worker that
+//! dies, stalls, or sends a bad stream gets its *unfinished* tasks
 //! re-executed on a respawned worker with bounded attempts and backoff
 //! ([`EngineConfig::max_task_retries`]). Partial spills and state frames
 //! from the failed attempt are discarded — only completed `TASK_END`s

@@ -193,12 +193,12 @@ pub struct RunMetrics {
     /// Number of MapReduce rounds executed.
     pub rounds: u32,
     /// Bytes of intermediate pairs shuffled from mappers to reducers
-    /// (after Combine) — the paper's headline communication metric.
+    /// — the paper's headline communication metric.
     pub shuffle_bytes: u64,
     /// Bytes broadcast to all slaves through the Job Configuration or
     /// Distributed Cache.
     pub broadcast_bytes: u64,
-    /// Intermediate pairs shuffled (after Combine).
+    /// Intermediate pairs shuffled.
     pub map_output_pairs: u64,
     /// Records read by mappers across all splits.
     pub records_scanned: u64,
@@ -208,8 +208,8 @@ pub struct RunMetrics {
     pub cpu_ops: f64,
     /// Simulated wall-clock seconds on the configured cluster.
     pub sim_time_s: f64,
-    /// Real elapsed seconds of the map phase: task execution, in-mapper
-    /// combining, and per-partition spill preparation. What a spill is
+    /// Real elapsed seconds of the map phase: task execution and
+    /// per-partition spill preparation. What a spill is
     /// depends on the job's [`ReduceStrategy`]: the `Merge` strategy
     /// pre-sorts each partition run inside the map worker, while
     /// `SortAtReduce` and `DenseReduce` ship runs unsorted (ordering is

@@ -7,10 +7,10 @@
 //! declare (via [`crate::JobSpec::with_radix_keys`]) that its key type has
 //! an **order-preserving** `u64` image, unlocking:
 //!
-//! * an LSD (least-significant-digit) radix sort for spill runs and
-//!   combiner grouping — `O(n · bytes(max key))` with branch-free inner
-//!   loops instead of `O(n log n)` branch-missy comparisons, producing the
-//!   *exact* permutation of the stable comparison sort it replaces;
+//! * an LSD (least-significant-digit) radix sort for spill runs —
+//!   `O(n · bytes(max key))` with branch-free inner loops instead of
+//!   `O(n log n)` branch-missy comparisons, producing the *exact*
+//!   permutation of the stable comparison sort it replaces;
 //! * the dense-domain reduce table (the crate's `dense` module) when the
 //!   job also carries an [`crate::EngineConfig::key_domain_hint`].
 //!
@@ -63,36 +63,6 @@ impl RadixKey for u64 {
     }
 }
 
-macro_rules! signed_radix {
-    ($($t:ty => $u:ty, $flip:expr);* $(;)?) => {
-        $(
-            impl sealed::Sealed for $t {}
-            impl RadixKey for $t {
-                #[inline]
-                fn to_radix(&self) -> u64 {
-                    // Flip the sign bit: two's-complement order becomes
-                    // unsigned order, widened zero-extended.
-                    u64::from((*self as $u) ^ $flip)
-                }
-            }
-        )*
-    };
-}
-
-signed_radix! {
-    i8 => u8, 0x80;
-    i16 => u16, 0x8000;
-    i32 => u32, 0x8000_0000;
-}
-
-impl sealed::Sealed for i64 {}
-impl RadixKey for i64 {
-    #[inline]
-    fn to_radix(&self) -> u64 {
-        (*self as u64) ^ (1 << 63)
-    }
-}
-
 impl sealed::Sealed for WKey {}
 impl RadixKey for WKey {
     /// `WKey` orders, hashes, and equates by `id` alone (the size field is
@@ -100,23 +70,6 @@ impl RadixKey for WKey {
     #[inline]
     fn to_radix(&self) -> u64 {
         self.id
-    }
-}
-
-impl sealed::Sealed for (u32, u32) {}
-impl RadixKey for (u32, u32) {
-    /// Lexicographic tuple order equals the order of the packed image.
-    #[inline]
-    fn to_radix(&self) -> u64 {
-        (u64::from(self.0) << 32) | u64::from(self.1)
-    }
-}
-
-impl sealed::Sealed for (u16, u16) {}
-impl RadixKey for (u16, u16) {
-    #[inline]
-    fn to_radix(&self) -> u64 {
-        (u64::from(self.0) << 16) | u64::from(self.1)
     }
 }
 
@@ -146,20 +99,9 @@ pub(crate) struct RadixScratch {
     dst: Vec<u32>,
 }
 
-/// Sorts `pairs` stably by key through the key's radix image — the exact
-/// permutation `pairs.sort_by(|a, b| a.0.cmp(&b.0))` would produce, ties
-/// preserving arrival order.
-///
-/// This is the self-contained entry point (fresh scratch per call); use
-/// [`RadixSorter`] to recycle the scratch across runs the way engine map
-/// workers do.
-pub fn sort_pairs<K: RadixKey, V>(pairs: &mut [(K, V)]) {
-    RadixSorter::new().sort(pairs);
-}
-
-/// A reusable radix sorter: [`sort_pairs`] with its scratch buffers kept
-/// alive across calls, so sorting a stream of spill-sized runs allocates
-/// only on the largest run seen.
+/// The radix sort with its scratch buffers kept alive across calls, the
+/// way engine map workers recycle theirs: sorting a stream of spill-sized
+/// runs allocates only on the largest run seen.
 #[derive(Debug, Default)]
 pub struct RadixSorter {
     scratch: RadixScratch,
@@ -171,7 +113,9 @@ impl RadixSorter {
         Self::default()
     }
 
-    /// Sorts `pairs` stably by key — see [`sort_pairs`].
+    /// Sorts `pairs` stably by key through the key's radix image — the
+    /// exact permutation `pairs.sort_by(|a, b| a.0.cmp(&b.0))` would
+    /// produce, ties preserving arrival order.
     pub fn sort<K: RadixKey, V>(&mut self, pairs: &mut [(K, V)]) {
         sort_pairs_with(pairs, |k: &K| k.to_radix(), &mut self.scratch);
     }
@@ -198,9 +142,9 @@ pub(crate) fn sort_pairs_with<K, V>(
     assert!(n <= u32::MAX as usize, "spill run exceeds u32 indexing");
 
     // Extract radixes once, tracking the minimum and maximum (they bound
-    // the digit count) and whether the run is already sorted (combined
-    // spills arrive in key order, so this O(n) scan routinely saves the
-    // whole sort).
+    // the digit count) and whether the run is already sorted (mappers
+    // that emit from a sorted local vector ship runs in key order, so this
+    // O(n) scan routinely saves the whole sort).
     let keyed = &mut scratch.keyed;
     keyed.clear();
     keyed.reserve(n);
@@ -431,7 +375,7 @@ mod tests {
             let pairs = scrambled(500, modulus);
             let want = reference_sort(&pairs);
             let mut got = pairs;
-            sort_pairs(&mut got);
+            RadixSorter::new().sort(&mut got);
             assert_eq!(got, want, "modulus={modulus}");
         }
     }
@@ -439,7 +383,7 @@ mod tests {
     #[test]
     fn ties_preserve_arrival_order() {
         let mut pairs: Vec<(u32, u32)> = (0..300).map(|i| (i % 3, i)).collect();
-        sort_pairs(&mut pairs);
+        RadixSorter::new().sort(&mut pairs);
         for w in pairs.windows(2) {
             assert!(
                 w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
@@ -451,13 +395,13 @@ mod tests {
     #[test]
     fn tiny_and_trivial_inputs() {
         let mut empty: Vec<(u64, ())> = vec![];
-        sort_pairs(&mut empty);
+        RadixSorter::new().sort(&mut empty);
         assert!(empty.is_empty());
         let mut one = vec![(5u64, 'x')];
-        sort_pairs(&mut one);
+        RadixSorter::new().sort(&mut one);
         assert_eq!(one, vec![(5, 'x')]);
         let mut below_threshold = vec![(3u8, 0), (1, 1), (2, 2), (1, 3)];
-        sort_pairs(&mut below_threshold);
+        RadixSorter::new().sort(&mut below_threshold);
         assert_eq!(below_threshold, vec![(1, 1), (1, 3), (2, 2), (3, 0)]);
     }
 
@@ -465,7 +409,7 @@ mod tests {
     fn already_sorted_fast_path_is_a_no_op() {
         let mut pairs: Vec<(u64, u64)> = (0..200).map(|i| (i / 2, i)).collect();
         let want = pairs.clone();
-        sort_pairs(&mut pairs);
+        RadixSorter::new().sort(&mut pairs);
         assert_eq!(pairs, want);
     }
 
@@ -482,30 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_images_preserve_order() {
-        let xs: [i64; 7] = [i64::MIN, -55, -1, 0, 1, 99, i64::MAX];
-        for w in xs.windows(2) {
-            assert!(w[0].to_radix() < w[1].to_radix(), "{w:?}");
-        }
-        let ys: [i32; 5] = [i32::MIN, -2, 0, 3, i32::MAX];
-        for w in ys.windows(2) {
-            assert!(w[0].to_radix() < w[1].to_radix(), "{w:?}");
-        }
-        assert!((-7i8).to_radix() < 0i8.to_radix());
-        assert!((-7i16).to_radix() < 7i16.to_radix());
-    }
-
-    #[test]
-    fn tuple_images_are_lexicographic() {
-        let a = (1u32, u32::MAX);
-        let b = (2u32, 0u32);
-        assert!(a < b && a.to_radix() < b.to_radix());
-        let c = (7u16, 3u16);
-        let d = (7u16, 4u16);
-        assert!(c < d && c.to_radix() < d.to_radix());
-    }
-
-    #[test]
     fn wkey_image_ignores_the_size_field() {
         assert_eq!(WKey::new(9, 4).to_radix(), WKey::new(9, 8).to_radix());
         assert!(WKey::four(3).to_radix() < WKey::four(5).to_radix());
@@ -516,7 +436,7 @@ mod tests {
         ];
         // Below the threshold this exercises the fallback; correctness is
         // what matters.
-        sort_pairs(&mut pairs);
+        RadixSorter::new().sort(&mut pairs);
         assert_eq!(
             pairs,
             vec![
@@ -538,7 +458,7 @@ mod tests {
                 .collect();
             let want = reference_sort(&pairs);
             let mut got = pairs;
-            sort_pairs(&mut got);
+            RadixSorter::new().sort(&mut got);
             assert_eq!(got, want, "lo={lo}");
         }
     }
@@ -547,7 +467,7 @@ mod tests {
     fn rebase_keeps_ties_in_arrival_order() {
         let base = 0xdead_beef_0000u64;
         let mut pairs: Vec<(u64, u32)> = (0..300).map(|i| (base + u64::from(i % 3), i)).collect();
-        sort_pairs(&mut pairs);
+        RadixSorter::new().sort(&mut pairs);
         for w in pairs.windows(2) {
             assert!(
                 w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
@@ -563,7 +483,7 @@ mod tests {
             .collect();
         let want = reference_sort(&pairs);
         let mut got = pairs;
-        sort_pairs(&mut got);
+        RadixSorter::new().sort(&mut got);
         assert_eq!(got, want);
     }
 }

@@ -9,9 +9,7 @@
 //! `tests/engine_parallel.rs` enforce that.
 //!
 //! Select it with [`crate::EngineConfig::reference`] or call
-//! [`run_job_reference`] directly. Its comparison-sorted
-//! `group_combine` defines the combine semantics the pipelined engine's
-//! radix-sorted grouping must reproduce.
+//! [`run_job_reference`] directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -20,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
-use crate::engine::group_combine;
+use crate::engine::default_partition;
 use crate::job::{JobOutput, JobSpec, MapTask};
 use crate::metrics::RunMetrics;
 use crate::wire::WireSize;
@@ -37,14 +35,12 @@ struct TaskResult<K, V> {
 /// engine; kept for differential testing and benchmarking.
 pub fn run_job_reference<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
 where
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
     let JobSpec {
         map_tasks,
-        combiner,
-        partitioner,
         reduce,
         broadcast_bytes,
         finish,
@@ -77,9 +73,6 @@ where
                 let mut ctx = MapContext::new(task.split_id);
                 (task.run)(&mut ctx);
                 let mut pairs = ctx.pairs;
-                if let Some(comb) = &combiner {
-                    pairs = group_combine(pairs, comb.as_ref());
-                }
                 // Hadoop sorts each spill by key within the mapper; we sort
                 // here so shuffle concatenation stays deterministic.
                 pairs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -118,7 +111,7 @@ where
         for (k, v) in t.pairs {
             metrics.map_output_pairs += 1;
             metrics.shuffle_bytes += k.wire_bytes() + v.wire_bytes();
-            let p = partitioner(&k) % u64::from(num_reducers);
+            let p = default_partition(&k) % u64::from(num_reducers);
             shuffled.push((p, k, t.split_id, v));
         }
     }

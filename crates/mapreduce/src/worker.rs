@@ -13,8 +13,8 @@
 //!  coordinator                               worker w (forked child)
 //!  ───────────                               ───────────────────────
 //!  split tasks round-robin ──fork──────────▶ runs its tasks via
-//!  one pipe per worker                       run_one_task (combine,
-//!  reader thread per pipe ◀──framed spill──  partition, pre-sort),
+//!  one pipe per worker                       run_one_task
+//!  reader thread per pipe ◀──framed spill──  (partition, pre-sort),
 //!  (idle read deadline)                      streams TASK/RUN/PAIRS
 //!  decode + CRC-verify frames                frames + per-task state
 //!  commit tasks at TASK_END                  journal, then WORKER_END,
@@ -100,7 +100,7 @@ mod unix {
         run_one_task, select_strategy, shuffle_reduce_finish, MapWorker, TaskSpill,
     };
     use crate::fault::ChildFaults;
-    use crate::job::{JobOutput, JobSpec, MapTask, PairCodec, PartitionFn};
+    use crate::job::{JobOutput, JobSpec, MapTask, PairCodec};
     use crate::metrics::{RecoveryStats, ReduceStrategy, WireTraffic};
     use crate::state::{StateOp, StateStore};
     use crate::transport::process::{self, DeadlineReader, Exit};
@@ -123,14 +123,12 @@ mod unix {
         spec: JobSpec<K, V, R>,
     ) -> Result<JobOutput<R>, EngineError>
     where
-        K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+        K: Ord + std::hash::Hash + Send + WireSize + 'static,
         V: Send + WireSize + 'static,
         R: Send,
     {
         let JobSpec {
             map_tasks,
-            combiner,
-            partitioner,
             reduce,
             broadcast_bytes,
             finish,
@@ -154,7 +152,6 @@ mod unix {
                 cluster,
                 &engine,
                 Vec::new(),
-                &partitioner,
                 reduce,
                 finish,
                 broadcast_bytes,
@@ -236,8 +233,6 @@ mod unix {
                                 write_end,
                                 nparts,
                                 strategy,
-                                &combiner,
-                                &partitioner,
                                 key_codec,
                                 codec,
                                 state.as_deref(),
@@ -430,7 +425,6 @@ mod unix {
             cluster,
             &engine,
             per_task,
-            &partitioner,
             reduce,
             finish,
             broadcast_bytes,
@@ -470,15 +464,13 @@ mod unix {
         write_end: File,
         nparts: usize,
         strategy: ReduceStrategy,
-        combiner: &Option<crate::job::CombineFn<K, V>>,
-        partitioner: &PartitionFn<K>,
         key_codec: Option<fn(&K) -> u64>,
         codec: PairCodec<K, V>,
         state: Option<&StateStore>,
         faults: ChildFaults,
     ) -> std::io::Result<()>
     where
-        K: Ord + Clone + Send + WireSize + 'static,
+        K: Ord + std::hash::Hash + Send + WireSize + 'static,
         V: Send + WireSize + 'static,
     {
         if let Some(ms) = faults.stall_ms {
@@ -495,15 +487,7 @@ mod unix {
             if faults.kill_before_task == Some(local_idx as u32) {
                 process::die_by_signal();
             }
-            let spill = run_one_task(
-                task,
-                nparts,
-                strategy,
-                combiner,
-                partitioner,
-                key_codec,
-                &mut worker_state,
-            );
+            let spill = run_one_task(task, nparts, strategy, key_codec, &mut worker_state);
             payload.clear();
             spill.split_id.encode_wire(&mut payload);
             u8::from(spill.scattered).encode_wire(&mut payload);

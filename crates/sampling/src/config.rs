@@ -62,11 +62,6 @@ impl SamplingConfig {
         (1.0 / (self.epsilon * self.epsilon * self.n as f64)).min(1.0)
     }
 
-    /// Expected total first-level sample size `p·n` (≈ `1/ε²`).
-    pub fn expected_sample_size(&self) -> f64 {
-        self.p() * self.n as f64
-    }
-
     /// Second-level count threshold `1/(ε·m^γ)` (γ = ½ by default — the
     /// paper's `1/(ε√m)`): local counts at or above it are sent exactly,
     /// smaller ones are subsampled.
@@ -81,15 +76,10 @@ impl SamplingConfig {
     }
 
     /// The number of first-level samples split `j` (with `n_j` records)
-    /// should draw: `round(p·n_j)`.
-    pub fn split_sample_size(&self, n_j: u64) -> u64 {
-        ((self.p() * n_j as f64).round() as u64).min(n_j)
-    }
-
-    /// Like [`Self::split_sample_size`], but with *stochastic rounding* of
-    /// the fractional part, seeded by `seed`. This matches Bernoulli
-    /// coin-flip sampling in expectation even when `p·n_j < 1` (very large
-    /// ε), where deterministic rounding would silently sample nothing.
+    /// should draw: `p·n_j` with *stochastic rounding* of the fractional
+    /// part, seeded by `seed`. This matches Bernoulli coin-flip sampling
+    /// in expectation even when `p·n_j < 1` (very large ε), where
+    /// deterministic rounding would silently sample nothing.
     pub fn split_sample_size_seeded(&self, n_j: u64, seed: u64) -> u64 {
         let target = self.p() * n_j as f64;
         let base = target.floor();
@@ -109,7 +99,6 @@ mod tests {
         let c = SamplingConfig::new(1e-3, 64, 1 << 24);
         let expect = 1.0 / (1e-6 * (1 << 24) as f64);
         assert!((c.p() - expect).abs() < 1e-12);
-        assert!((c.expected_sample_size() - 1e6).abs() < 1.0);
     }
 
     #[test]
@@ -119,7 +108,7 @@ mod tests {
         assert!(c.p() < 1.0);
         let c = SamplingConfig::new(1e-6, 4, 100);
         assert_eq!(c.p(), 1.0);
-        assert_eq!(c.split_sample_size(25), 25);
+        assert_eq!(c.split_sample_size_seeded(25, 3), 25);
     }
 
     #[test]

@@ -22,16 +22,10 @@ pub fn emit(counts: &FxHashMap<u64, u64>, epsilon: f64, t_j: u64) -> Vec<(u64, u
     out
 }
 
-/// Upper bound on pairs one split can emit: `⌈1/ε⌉` (plus one for rounding
-/// slack); used by tests and the experiment tables.
-pub fn per_split_bound(epsilon: f64) -> u64 {
-    (1.0 / epsilon).ceil() as u64 + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic::local_counts;
+    use crate::local_counts;
 
     #[test]
     fn cutoff_filters_small_counts() {
@@ -52,10 +46,12 @@ mod tests {
     fn emission_respects_per_split_bound() {
         // Uniform worst case: many distinct keys with count 1.
         let counts = local_counts(0..10_000u64);
-        let eps = 0.01;
+        let eps = 0.01f64;
+        // At most ⌈1/ε⌉ pairs per split (plus one for rounding slack).
+        let per_split_bound = (1.0 / eps).ceil() as usize + 1;
         let e = emit(&counts, eps, 10_000);
         // cutoff = 100: nothing survives, well under the 1/ε bound.
-        assert!(e.len() as u64 <= per_split_bound(eps));
+        assert!(e.len() <= per_split_bound);
 
         // Skewed case: a few heavy keys.
         let mut keys = Vec::new();
@@ -67,7 +63,7 @@ mod tests {
         let counts = local_counts(keys);
         let e = emit(&counts, eps, 10_000);
         assert_eq!(e.len(), 50);
-        assert!(e.len() as u64 <= per_split_bound(eps));
+        assert!(e.len() <= per_split_bound);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! `1/p`. They differ in what each split emits about its local sample
 //! counts `s_j(x)`:
 //!
-//! * **Basic-S** ([`basic`]): every sampled key, optionally aggregated by
-//!   the Combine function into `(x, s_j(x))` pairs. Communication
-//!   `O(1/ε²)`.
+//! * **Basic-S** (no module here: `wh-core`'s builder emits the local
+//!   counts as they are): every sampled key, aggregated in the mapper
+//!   into `(x, s_j(x))` pairs or, for the ablation, one pair per sampled
+//!   record. Communication `O(1/ε²)`.
 //! * **Improved-S** ([`improved`]): only keys with `s_j(x) ≥ ε·t_j`; at
 //!   most `1/ε` pairs per split, `O(m/ε)` total — but the estimator
 //!   becomes **biased** (small counts are silently dropped).
@@ -23,10 +24,23 @@
 //! The numeric workhorses live here as pure functions over local count
 //! maps; `wh-core` wires them into MapReduce jobs.
 
-pub mod basic;
 pub mod config;
 pub mod improved;
 pub mod two_level;
 
 pub use config::SamplingConfig;
 pub use two_level::{TwoLevelAccumulator, TwoLevelPair};
+
+/// Aggregates sampled keys into local counts `s_j` — the input the
+/// emission functions take, built here for their unit tests (the builders
+/// count through `wh-core`'s shared sampler).
+#[cfg(test)]
+pub(crate) fn local_counts(
+    sampled_keys: impl IntoIterator<Item = u64>,
+) -> wh_wavelet::hash::FxHashMap<u64, u64> {
+    let mut counts = wh_wavelet::hash::FxHashMap::default();
+    for k in sampled_keys {
+        *counts.entry(k).or_insert(0) += 1;
+    }
+    counts
+}

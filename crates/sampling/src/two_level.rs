@@ -81,7 +81,7 @@ impl TwoLevelAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic::local_counts;
+    use crate::local_counts;
 
     fn cfg(epsilon: f64, m: u32, n: u64) -> SamplingConfig {
         SamplingConfig::new(epsilon, m, n)

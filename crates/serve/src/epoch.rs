@@ -124,11 +124,6 @@ impl<T> EpochReader<T> {
         }
         &self.cached
     }
-
-    /// The epoch of the cached snapshot (no refresh).
-    pub fn cached_epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +139,7 @@ mod tests {
 
         assert_eq!(swap.store(Arc::new(2)), 1);
         assert_eq!(**reader.get(&swap), 2);
-        assert_eq!(reader.cached_epoch(), 1);
+        assert_eq!(reader.epoch, 1);
 
         assert_eq!(swap.store(Arc::new(3)), 2);
         assert_eq!(swap.store(Arc::new(4)), 3);

@@ -6,9 +6,8 @@
 //! coefficient slots. One sub-bucketed CountSketch per level estimates the
 //! **energy** (squared L2 mass) of any group at that level, so the heavy
 //! coefficients can be found by best-first descent from the root instead of
-//! probing all `u` slots — this is the query-time advantage over the AMS
-//! approach, bought with `log_b u`-times more work per update (the paper's
-//! "GCS-8" balances the two with `b = 8`).
+//! probing all `u` slots, bought with `log_b u`-times more work per update
+//! (the paper's "GCS-8" balances the two with `b = 8`).
 //!
 //! Per level, each row hashes the *group* to a bucket and the *item* to a
 //! sub-bucket inside it, with a 4-wise sign on the item:
@@ -21,7 +20,6 @@
 //! of squared sub-counters in the group's bucket; value estimates at level
 //! 0 use the plain CountSketch estimator.
 
-use crate::count_sketch::median;
 use crate::hash::PolyHash;
 use wh_wavelet::select::{sort_by_magnitude, CoefEntry};
 use wh_wavelet::Domain;
@@ -77,6 +75,14 @@ impl GcsParams {
 fn num_levels(domain: Domain, branching: usize) -> usize {
     let lb = branching.trailing_zeros();
     (domain.log_u() as usize).div_ceil(lb as usize) + 1
+}
+
+/// In-place median (lower median for even lengths).
+fn median(values: &mut [f64]) -> f64 {
+    assert!(!values.is_empty(), "median of empty slice");
+    let mid = (values.len() - 1) / 2;
+    values.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("no NaN"));
+    values[mid]
 }
 
 /// One level's sketch.
@@ -175,21 +181,6 @@ impl GroupCountSketch {
         }
     }
 
-    /// The sketch parameters.
-    pub fn params(&self) -> &GcsParams {
-        &self.params
-    }
-
-    /// The signal domain.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// Number of hierarchy levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Adds `delta` to coefficient `slot`; returns row-updates performed
     /// (for CPU accounting).
     pub fn update_coefficient(&mut self, slot: u64, delta: f64) -> u64 {
@@ -234,7 +225,7 @@ impl GroupCountSketch {
     }
 
     /// Estimated energy of the level-`l` group `g`.
-    pub fn group_energy(&self, level: usize, group: u64) -> f64 {
+    fn group_energy(&self, level: usize, group: u64) -> f64 {
         self.levels[level].group_energy(group)
     }
 
@@ -368,14 +359,6 @@ impl GroupCountSketch {
         panic!("counter index {global_index} out of range");
     }
 
-    /// Non-zero counters across all levels (what a mapper ships).
-    pub fn nonzero_counters(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.table.iter().filter(|x| **x != 0.0).count())
-            .sum()
-    }
-
     /// Total counters across all levels.
     pub fn total_counters(&self) -> usize {
         self.levels.iter().map(|l| l.table.len()).sum()
@@ -400,7 +383,7 @@ mod tests {
     fn levels_cover_domain() {
         let domain = Domain::new(12).unwrap();
         let g = GroupCountSketch::new(domain, test_params(1));
-        assert_eq!(g.num_levels(), 5); // ceil(12/3) + 1
+        assert_eq!(g.levels.len(), 5); // ceil(12/3) + 1
         assert_eq!(g.groups_at_level(0), 1 << 12);
         assert_eq!(g.groups_at_level(4), 1);
     }
@@ -466,7 +449,7 @@ mod tests {
         let domain = Domain::new(9).unwrap();
         let mut g = GroupCountSketch::new(domain, test_params(2));
         let ops = g.update_coefficient(1, 1.0);
-        assert_eq!(ops, (g.num_levels() * 5) as u64);
+        assert_eq!(ops, (g.levels.len() * 5) as u64);
         let key_ops = g.update_key(3, 1.0);
         assert_eq!(key_ops, ops * 10); // (log u + 1) coefficient updates
     }
@@ -480,6 +463,14 @@ mod tests {
         let budget = 20 * 1024 * 20;
         assert!(bytes <= budget * 2, "sketch {bytes} B vs budget {budget} B");
         assert!(bytes >= budget / 8, "sketch suspiciously small: {bytes} B");
+    }
+
+    #[test]
+    fn median_lower_of_even() {
+        let mut v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&mut v), 2.0);
+        let mut v = [3.0, 1.0, 2.0];
+        assert_eq!(median(&mut v), 2.0);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Brute-force references for distributed top-k — the oracles the protocol
-//! implementations are tested against.
+//! Brute-force references for distributed top-k — the **oracles** the
+//! protocol is tested against: [`topk_by_magnitude`] is what
+//! `tests/topk_properties.rs` and `two_sided.rs`'s unit tests hold
+//! `two_sided_topk` to. Nothing on the build path calls this module.
 
 use crate::node::ScoreNode;
 use wh_wavelet::hash::FxHashMap;

@@ -180,11 +180,6 @@ impl IncrementalTransform {
             .chain(self.details.iter().map(|(&s, &v)| (s, v)))
     }
 
-    /// Number of non-zero coefficients.
-    pub fn num_nonzero(&self) -> usize {
-        usize::from(self.average_coefficient() != 0.0) + self.details.len()
-    }
-
     /// The `k` largest-magnitude coefficients (deterministic tie-breaks;
     /// see [`top_k_magnitude`]). The selection is a full scan of the
     /// non-zero set — a shortcut over "previous top-k ∪ touched slots"
@@ -239,7 +234,7 @@ mod tests {
             );
             nonzero += usize::from(w != 0.0);
         }
-        assert_eq!(t.num_nonzero(), nonzero);
+        assert_eq!(t.coefficients().count(), nonzero);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
     fn log_u_zero_is_the_identity_transform() {
         let domain = Domain::new(0).unwrap();
         let mut t = IncrementalTransform::new(domain);
-        assert_eq!(t.num_nonzero(), 0);
+        assert_eq!(t.coefficients().count(), 0);
         t.apply_delta([(0u64, 4u64)]);
         t.apply_delta([(0u64, 3u64)]);
         assert_eq!(t.coefficients().collect::<Vec<_>>(), vec![(0, 7.0)]);

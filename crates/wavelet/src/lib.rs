@@ -120,12 +120,6 @@ pub fn slot_level(slot: u64) -> Option<(u32, u64)> {
     }
 }
 
-/// Inverse of [`slot_level`]: the 0-based slot of detail `(j, k)`.
-#[inline]
-pub fn level_slot(j: u32, k: u64) -> u64 {
-    (1u64 << j) + k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +155,7 @@ mod tests {
         assert_eq!(slot_level(7), Some((2, 3)));
         for slot in 1..1000u64 {
             let (j, k) = slot_level(slot).unwrap();
-            assert_eq!(level_slot(j, k), slot);
+            assert_eq!((1u64 << j) + k, slot);
         }
     }
 

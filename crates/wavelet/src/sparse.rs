@@ -255,8 +255,9 @@ fn merge_counts(a: &[(u64, u64)], b: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
 
 /// Densifies a sparse coefficient run into a full vector of length `u`.
 ///
-/// Intended for tests, SSE evaluation and small-u reconstruction; for large
-/// `u` prefer [`crate::tree::ErrorTree`].
+/// A test **oracle**, not a build step: `tests/wavelet_properties.rs` and
+/// this module's tests densify a sparse run to compare it slot for slot
+/// with [`crate::haar::forward`].
 pub fn densify(domain: Domain, coefs: &[(u64, f64)]) -> Vec<f64> {
     let mut w = vec![0.0; domain.u() as usize];
     for &(slot, val) in coefs {

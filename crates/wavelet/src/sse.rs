@@ -11,6 +11,11 @@
 //!
 //! This is how the experiments of §5 (Figs. 6, 7, 15, 18) evaluate quality
 //! without materialising huge reconstructions.
+//!
+//! Nothing on the build or serve path calls this module: it is the quality
+//! **oracle** behind `wh-core`'s `Evaluator` (the SSE column of `figures`,
+//! the examples and the benchmark's correctness checks) and the Parseval
+//! properties of `tests/wavelet_properties.rs`.
 
 use crate::select::CoefEntry;
 
@@ -48,11 +53,6 @@ pub fn ideal_sse(exact: &[f64], k: usize) -> f64 {
     sq[k..].iter().sum()
 }
 
-/// Energy `‖v‖²` of a dense vector.
-pub fn energy(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum()
-}
-
 /// Relative SSE: `SSE / ‖v‖²`, the paper's "percent of the dataset's
 /// energy" framing (§5: "the SSE is less than 1% of the original dataset's
 /// energy").
@@ -67,7 +67,7 @@ pub fn relative_sse(sse: f64, total_energy: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::haar::forward;
+    use crate::haar::{energy, forward};
     use crate::select::top_k_magnitude;
 
     fn close(a: f64, b: f64) -> bool {

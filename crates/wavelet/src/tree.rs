@@ -6,6 +6,16 @@
 //! the retained coefficients whose support overlaps the range. This is the
 //! query side of the histogram — what a query optimiser would call per
 //! selectivity estimate.
+//!
+//! The serving path does not probe through this module: `wh-query` calls
+//! [`ErrorTree::segments`] once per compile and answers from the compiled
+//! form. The per-query walks here ([`ErrorTree::point_estimate`],
+//! [`ErrorTree::range_sum`], [`ErrorTree::prefix_sum`],
+//! [`ErrorTree::reconstruct`]) back `WaveletHistogram`'s convenience
+//! methods and are the brute-force **oracle** that
+//! `tests/query_serving.rs`, `tests/serve_tier.rs`,
+//! `tests/delta_maintenance.rs` and `tests/wavelet_properties.rs` hold the
+//! compiled and maintained forms against.
 
 use crate::hash::FxHashMap;
 use crate::{slot_level, Domain};

@@ -66,7 +66,8 @@ pub fn forward2d(domain: Domain, v: &[f64]) -> Vec<f64> {
     a
 }
 
-/// Dense 2-D inverse transform.
+/// Dense 2-D inverse transform — the round-trip **oracle** of
+/// `tests/wavelet_properties.rs`; no builder or probe inverts densely.
 pub fn inverse2d(domain: Domain, w: &[f64]) -> Vec<f64> {
     let u = domain.u() as usize;
     assert_eq!(w.len(), u * u, "expected a {u}×{u} row-major array");

@@ -6,7 +6,7 @@
 //! cargo run --release --example sketch_vs_sample
 //! ```
 
-use wavelet_hist::builders::{HistogramBuilder, SendSketch, SendSketchAms, TwoLevelS};
+use wavelet_hist::builders::{HistogramBuilder, SendSketch, TwoLevelS};
 use wavelet_hist::data::Dataset;
 use wavelet_hist::evaluate::Evaluator;
 use wavelet_hist::mapreduce::metrics::human_bytes;
@@ -55,18 +55,6 @@ fn main() {
             r.metrics.records_scanned,
         );
     }
-
-    // The older AMS sketch at the default budget, for contrast: cheaper
-    // updates than GCS, but its extraction probes every coefficient.
-    let r = SendSketchAms::new(5).build(&dataset, &cluster, k);
-    println!(
-        "{:<28} {:>12} {:>9.1}s {:>12.3e} {:>12}",
-        "Send-Sketch (AMS)",
-        human_bytes(r.metrics.total_comm_bytes()),
-        r.metrics.sim_time_s,
-        eval.sse(&r.histogram),
-        r.metrics.records_scanned,
-    );
 
     println!(
         "\n→ the paper's Fig. 9 conclusion: at comparable SSE the sampler\n\

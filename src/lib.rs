@@ -22,13 +22,13 @@
 //! println!("{} — {}", result.histogram.len(), result.metrics);
 //! ```
 
-/// Seeded dataset generators (Zipf, WorldCup-like, 2-D).
+/// Seeded dataset generators (Zipf, WorldCup-like, 2-D) and the fixed-record file reader.
 pub use wh_data as data;
 /// The MapReduce runtime and cluster cost model.
 pub use wh_mapreduce as mapreduce;
-/// The sampling algorithms (Basic-S, Improved-S, TwoLevel-S).
+/// Sampling parameters and the Improved-S / TwoLevel-S emission rules.
 pub use wh_sampling as sampling;
-/// Linear sketches (CountSketch, GCS, AMS).
+/// The Group-Count Sketch behind Send-Sketch.
 pub use wh_sketch as sketch;
 /// Distributed top-k protocols (two-sided TPUT by magnitude).
 pub use wh_topk as topk;

@@ -25,8 +25,7 @@
 use std::time::{Duration, Instant};
 
 use wavelet_hist::builders::{
-    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendSketchAms, SendV,
-    TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
 };
 use wavelet_hist::data::{Dataset, DatasetBuilder};
 use wavelet_hist::mapreduce::cost::validate_measured_shuffle;
@@ -59,7 +58,6 @@ fn builders(engine: EngineConfig) -> Vec<Box<dyn HistogramBuilder>> {
         Box::new(ImprovedS::new(eps, 3).with_engine(engine)),
         Box::new(TwoLevelS::new(eps, 3).with_engine(engine)),
         Box::new(SendSketch::new(5).with_engine(engine)),
-        Box::new(SendSketchAms::new(5).with_engine(engine)),
     ]
 }
 

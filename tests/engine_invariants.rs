@@ -3,14 +3,13 @@
 
 use proptest::prelude::*;
 use wavelet_hist::mapreduce::wire::WKey;
-use wavelet_hist::mapreduce::{run_job, ClusterConfig, JobSpec, MapContext, MapTask, WireSize};
+use wavelet_hist::mapreduce::{
+    run_job, ClusterConfig, EngineConfig, JobSpec, MapContext, MapTask, WireSize,
+};
 
 type Outputs = Vec<(u64, u64)>;
 
-fn count_job(
-    splits: Vec<Vec<u64>>,
-    combine: bool,
-) -> (Outputs, wavelet_hist::mapreduce::RunMetrics) {
+fn count_job(splits: Vec<Vec<u64>>) -> (Outputs, wavelet_hist::mapreduce::RunMetrics) {
     let tasks: Vec<MapTask<WKey, u64>> = splits
         .into_iter()
         .enumerate()
@@ -28,14 +27,7 @@ fn count_job(
             ctx.emit((k.id, vs.iter().sum()));
         },
     );
-    let mut spec = JobSpec::new("prop", tasks, reduce);
-    if combine {
-        spec = spec.with_combiner(|_k, vs: &mut Vec<u64>| {
-            let s: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(s);
-        });
-    }
+    let spec = JobSpec::new("prop", tasks, reduce);
     let out = run_job(&ClusterConfig::paper_cluster(), spec);
     (out.outputs, out.metrics)
 }
@@ -62,7 +54,8 @@ fn strategy_count_job(
             })
         })
         .collect();
-    let mut spec = JobSpec::new(
+    let engine = EngineConfig::default().with_reducers(reducers);
+    let spec = JobSpec::new(
         "strategy-acct",
         tasks,
         |k: &WKey, vs: &[u64], ctx: &mut wavelet_hist::mapreduce::ReduceContext<(u64, u64)>| {
@@ -70,10 +63,11 @@ fn strategy_count_job(
         },
     )
     .with_radix_keys()
-    .with_reducers(reducers);
-    if hinted {
-        spec = spec.with_key_domain(64);
-    }
+    .with_engine(if hinted {
+        engine.with_key_domain(64)
+    } else {
+        engine
+    });
     let out = run_job(&ClusterConfig::paper_cluster(), spec);
     (out.outputs, out.metrics)
 }
@@ -84,7 +78,7 @@ proptest! {
     #[test]
     fn reduce_totals_conserve_records(splits in splits_strategy()) {
         let n: u64 = splits.iter().map(|s| s.len() as u64).sum();
-        let (outputs, metrics) = count_job(splits, false);
+        let (outputs, metrics) = count_job(splits);
         let total: u64 = outputs.iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(total, n, "counts conserved through shuffle");
         prop_assert_eq!(metrics.records_scanned, n);
@@ -94,20 +88,9 @@ proptest! {
     }
 
     #[test]
-    fn combiner_preserves_results_and_shrinks_comm(splits in splits_strategy()) {
-        let (mut plain, m_plain) = count_job(splits.clone(), false);
-        let (mut combined, m_combined) = count_job(splits, true);
-        plain.sort_unstable();
-        combined.sort_unstable();
-        prop_assert_eq!(plain, combined, "combiner must not change the answer");
-        prop_assert!(m_combined.shuffle_bytes <= m_plain.shuffle_bytes);
-        prop_assert!(m_combined.map_output_pairs <= m_plain.map_output_pairs);
-    }
-
-    #[test]
     fn engine_is_deterministic(splits in splits_strategy()) {
-        let (a, ma) = count_job(splits.clone(), true);
-        let (b, mb) = count_job(splits, true);
+        let (a, ma) = count_job(splits.clone());
+        let (b, mb) = count_job(splits);
         prop_assert_eq!(a, b);
         prop_assert_eq!(ma, mb);
     }

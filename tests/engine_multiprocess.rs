@@ -10,11 +10,11 @@
 
 use proptest::prelude::*;
 use wavelet_hist::builders::{
-    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendSketchAms, SendV,
-    TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
 };
 use wavelet_hist::data::{Dataset, DatasetBuilder};
 use wavelet_hist::mapreduce::cost::validate_measured_shuffle;
+use wavelet_hist::mapreduce::engine::default_partition;
 use wavelet_hist::mapreduce::wire::WKey;
 use wavelet_hist::mapreduce::{
     try_run_job, ClusterConfig, EngineConfig, EngineError, JobSpec, MapContext, MapTask,
@@ -42,7 +42,6 @@ fn builders(engine: EngineConfig) -> Vec<Box<dyn HistogramBuilder>> {
         Box::new(ImprovedS::new(eps, 3).with_engine(engine)),
         Box::new(TwoLevelS::new(eps, 3).with_engine(engine)),
         Box::new(SendSketch::new(5).with_engine(engine)),
-        Box::new(SendSketchAms::new(5).with_engine(engine)),
     ]
 }
 
@@ -222,7 +221,7 @@ fn truncated_stream_is_reported() {
 
 fn probe_err<K, V, R>(spec: JobSpec<K, V, R>) -> EngineError
 where
-    K: Ord + std::hash::Hash + Clone + Send + WireSize + 'static,
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
@@ -314,9 +313,6 @@ fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
                 ctx.emit((k.id, vs.iter().sum()));
             },
         )
-        // Partition = key mod reducers: the expected layout below needs no
-        // knowledge of the engine's default hash.
-        .with_partitioner(|k: &WKey| k.id)
         .with_wire_codec()
         .with_engine(engine)
         .with_finish(move |ctx| {
@@ -341,8 +337,11 @@ fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
         }
     }
     for reducers in [1u32, 2, 8] {
+        // The expected layout comes from the engine's exported partition
+        // function, not from a copy of its hash.
+        let part = move |k: &u64| default_partition(&WKey::four(*k)) % u64::from(reducers);
         let stitched: Vec<(u64, u64)> = (0..u64::from(reducers))
-            .flat_map(|p| (0..KEYS).filter(move |k| k % u64::from(reducers) == p))
+            .flat_map(|p| (0..KEYS).filter(move |k| part(k) == p))
             .filter(|&k| counts[k as usize] > 0)
             .map(|k| (k, counts[k as usize]))
             .collect();
@@ -367,16 +366,15 @@ fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
     }
 }
 
-/// The engine's one combine path — group once at task end, radix-sorted
-/// with a key codec and comparison-sorted without — on forked workers: a
-/// combiner job yields the same outputs and logical metrics on all three
-/// engines, with and without radix keys, with and without a key-domain
-/// hint, at 1 and 4 reducers. The combiner leaves two survivors per key
-/// and the reducer digests values order-sensitively, so a regrouping
-/// that reordered or re-ran the combiner would show; the pair count is
-/// recomputed from the raw input, independent of every engine.
+/// Every reduce strategy on forked workers: a job mixing one flat spill
+/// with seven scattered ones yields the same outputs and logical metrics
+/// on all three engines, with and without radix keys, with and without a
+/// key-domain hint, at 1 and 4 reducers (merge, sort-at-reduce and dense
+/// reduce between them). The reducer digests values order-sensitively,
+/// so a shuffle that reordered a key's values would show; the pair count
+/// is recomputed from the raw input, independent of every engine.
 #[test]
-fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
+fn order_sensitive_job_identical_on_pipelined_reference_and_forked_workers() {
     const KEYS: u64 = 2_000;
     // One split too small to scatter in the worker, seven large enough to.
     let split_len = |j: u64| if j == 0 { 40 } else { 3_000 };
@@ -393,7 +391,7 @@ fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
             })
             .collect();
         let mut spec = JobSpec::new(
-            "mp-combine",
+            "mp-strategies",
             tasks,
             |k: &WKey, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, u64)>| {
                 ctx.charge(vs.len() as f64);
@@ -403,11 +401,6 @@ fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
                 ctx.emit((k.id, vs.len() as u64, digest));
             },
         )
-        .with_combiner(|_k, vs: &mut Vec<u64>| {
-            let (total, count) = (vs.iter().sum(), vs.len() as u64);
-            vs.clear();
-            vs.extend([total, count]);
-        })
         .with_wire_codec()
         .with_engine(engine);
         if radix {
@@ -416,14 +409,7 @@ fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
         let out = try_run_job(&ClusterConfig::paper_cluster(), spec).unwrap();
         (out.outputs, out.metrics)
     };
-    let combined_pairs: u64 = (0..8u64)
-        .map(|j| {
-            let mut keys: Vec<u64> = (0..split_len(j)).map(|i| key_of(j, i)).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            2 * keys.len() as u64
-        })
-        .sum();
+    let emitted_pairs: u64 = (0..8u64).map(split_len).sum();
     for reducers in [1u32, 4] {
         for radix in [false, true] {
             for hint in [None, Some(KEYS)] {
@@ -433,8 +419,8 @@ fn combiner_job_identical_on_pipelined_reference_and_forked_workers() {
                 };
                 let ctx = format!("R={reducers} radix={radix} hint={hint:?}");
                 let (want, want_metrics) = job(configure(EngineConfig::reference()), radix);
-                assert_eq!(want_metrics.map_output_pairs, combined_pairs, "{ctx}");
-                assert_eq!(want_metrics.shuffle_bytes, combined_pairs * 12, "{ctx}");
+                assert_eq!(want_metrics.map_output_pairs, emitted_pairs, "{ctx}");
+                assert_eq!(want_metrics.shuffle_bytes, emitted_pairs * 12, "{ctx}");
                 for (mode, base) in [
                     ("pipelined", EngineConfig::pipelined()),
                     (

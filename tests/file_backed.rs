@@ -1,13 +1,15 @@
-//! Integration of the file-backed split readers (Appendix B) with the
+//! Integration of the file-backed split reader (Appendix B) with the
 //! sampling machinery: materialise a dataset to disk, sample it through
 //! the RandomRecordReader, and check the statistics line up with the
-//! in-memory path.
+//! in-memory path — and that hostile bytes (a file that is not a whole
+//! number of records, or that shrinks under the reader) are an
+//! `io::Error`, never a panic.
 
 use std::path::PathBuf;
 
-use wavelet_hist::data::file::{
-    write_fixed, write_variable, FixedSplitReader, VariableSplitReader,
-};
+use std::io::ErrorKind;
+
+use wavelet_hist::data::file::{write_fixed, FixedSplitReader};
 use wavelet_hist::data::Dataset;
 use wavelet_hist::sampling::SamplingConfig;
 
@@ -41,7 +43,7 @@ fn file_sampler_draws_the_configured_fraction() {
     let path = materialise_split(&ds, 0, "fraction.bin", 16);
     let mut reader = FixedSplitReader::open(&path, 16).expect("open");
     let cfg = SamplingConfig::new(0.02, ds.num_splits(), ds.num_records());
-    let t_j = cfg.split_sample_size(reader.num_records());
+    let t_j = cfg.split_sample_size_seeded(reader.num_records(), 9);
     let sample = reader.sample(t_j, 9).expect("sample");
     assert_eq!(sample.keys.len() as u64, t_j);
     // IO accounting: only the sampled records were read.
@@ -67,24 +69,50 @@ fn file_sample_key_distribution_tracks_source() {
 }
 
 #[test]
-fn variable_length_reader_handles_paper_remarks_layout() {
-    // Variable-length records with skew-dependent payloads, as the
-    // Appendix B remarks describe.
-    let keys: Vec<u64> = (0..3_000u64).map(|i| i % 300).collect();
-    let path = tmp("variable.bin");
-    write_variable(&path, &keys, |k| 10 + (k % 90) as u32).expect("write");
-    let mut reader = VariableSplitReader::open(&path).expect("open");
-    assert_eq!(reader.scan().expect("scan"), keys);
-    let sample = reader.sample(200, 17).expect("sample");
-    assert_eq!(sample.keys.len(), 200);
-    for k in &sample.keys {
-        assert!(*k < 300);
-    }
-    // Byte-offset sampling is length-biased per draw, but the reader
-    // never returns the same record twice.
-    let positions: std::collections::BTreeSet<u64> = sample.keys.iter().copied().collect();
-    assert!(
-        positions.len() > 50,
-        "sample should cover many distinct keys"
-    );
+fn empty_file_is_an_empty_split() {
+    let path = tmp("hostile-empty.bin");
+    std::fs::write(&path, []).expect("write");
+    let mut reader = FixedSplitReader::open(&path, 16).expect("open");
+    assert_eq!(reader.num_records(), 0);
+    assert!(reader.scan().expect("scan").is_empty());
+    let sample = reader.sample(10, 1).expect("sample");
+    assert!(sample.keys.is_empty());
+    assert_eq!(sample.bytes_read, 0);
+}
+
+#[test]
+fn malformed_files_and_record_sizes_are_errors_not_panics() {
+    let path = tmp("hostile-short.bin");
+    // Ten 16-byte records, one byte short.
+    std::fs::write(&path, vec![0u8; 159]).expect("write");
+    let err = FixedSplitReader::open(&path, 16).expect_err("one byte short");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    // A record too small to hold the key, on a file whose size it divides.
+    std::fs::write(&path, vec![0u8; 7 * 20]).expect("write");
+    let err = FixedSplitReader::open(&path, 7).expect_err("record_bytes = 7");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    let err = FixedSplitReader::open(&tmp("hostile-absent.bin"), 16).expect_err("no file");
+    assert_eq!(err.kind(), ErrorKind::NotFound);
+}
+
+#[test]
+fn file_truncated_after_open_fails_scan_and_sample() {
+    let path = tmp("hostile-truncated.bin");
+    let keys: Vec<u64> = (0..1_000).collect();
+    write_fixed(&path, &keys, 16).expect("write");
+    let mut reader = FixedSplitReader::open(&path, 16).expect("open");
+    assert_eq!(reader.num_records(), 1_000);
+    // Someone else cuts the file mid-record while the reader holds it.
+    let cut = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("reopen");
+    cut.set_len(500 * 16 + 3).expect("truncate");
+    let err = reader.scan().expect_err("scan past the new end");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    // Sampling every record index must touch the missing half.
+    let err = reader
+        .sample(1_000, 5)
+        .expect_err("sample past the new end");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
 }

@@ -18,8 +18,7 @@
 //!   sharing one compiled histogram.
 
 use wavelet_hist::builders::{
-    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendSketchAms, SendV,
-    TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
 };
 use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
 use wavelet_hist::mapreduce::ClusterConfig;
@@ -38,7 +37,6 @@ fn builders() -> Vec<(&'static str, Box<dyn HistogramBuilder>)> {
         ("Improved-S", Box::new(ImprovedS::new(eps, 3))),
         ("TwoLevel-S", Box::new(TwoLevelS::new(eps, 3))),
         ("Send-Sketch", Box::new(SendSketch::new(5))),
-        ("Send-Sketch-AMS", Box::new(SendSketchAms::new(5))),
     ]
 }
 

@@ -18,8 +18,7 @@
 //!   form.
 
 use wavelet_hist::builders::{
-    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendSketchAms, SendV,
-    TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
 };
 use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
 use wavelet_hist::mapreduce::ClusterConfig;
@@ -39,7 +38,6 @@ fn builders() -> Vec<(&'static str, Box<dyn HistogramBuilder>)> {
         ("Improved-S", Box::new(ImprovedS::new(eps, 3))),
         ("TwoLevel-S", Box::new(TwoLevelS::new(eps, 3))),
         ("Send-Sketch", Box::new(SendSketch::new(5))),
-        ("Send-Sketch-AMS", Box::new(SendSketchAms::new(5))),
     ]
 }
 

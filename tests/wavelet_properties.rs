@@ -202,8 +202,8 @@ proptest! {
     #[test]
     fn parseval_energy_preserved(v in signal(5)) {
         let w = haar::forward(&v);
-        let ev = sse::energy(&v);
-        let ew = sse::energy(&w);
+        let ev = haar::energy(&v);
+        let ew = haar::energy(&w);
         prop_assert!((ev - ew).abs() < 1e-7 * (1.0 + ev));
     }
 
@@ -324,7 +324,7 @@ proptest! {
     #[test]
     fn ideal_sse_plus_retained_energy_is_total(v in signal(5), k in 0usize..40) {
         let w = haar::forward(&v);
-        let total = sse::energy(&w);
+        let total = haar::energy(&w);
         let ideal = sse::ideal_sse(&w, k);
         let mut sq: Vec<f64> = w.iter().map(|c| c * c).collect();
         sq.sort_by(|a, b| b.partial_cmp(a).expect("no NaN"));
