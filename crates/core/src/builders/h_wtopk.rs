@@ -1,36 +1,36 @@
 //! H-WTopk: the paper's three-round exact algorithm (§3, Appendix A).
 //!
+//! The three rounds are one job whose map task per split runs once per
+//! round and keeps its state in its own closure.
+//!
 //! Round 1 — each mapper scans its split, computes the local wavelet
 //! coefficients with the sparse `O(|v_j| log u)` transform, and emits its
 //! local top-k and bottom-k (marking the k-th highest/lowest values). All
-//! other local coefficients are written to per-split state (the HDFS state
+//! other local coefficients stay in the mapper's state (the HDFS state
 //! file of Appendix A — free of network cost). The reducer/coordinator
 //! forms partial sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
 //!
-//! Round 2 — `T₁/m` is pushed through the Job Configuration; mappers read
-//! their state (no input scan!) and emit remaining coefficients with
-//! `|w_{i,j}| > T₁/m`. The coordinator refines bounds, derives `T₂`, and
-//! prunes to a candidate set `R`.
+//! Round 2 — `T₁/m` is pushed through the Job Configuration (the round's
+//! 8-byte broadcast); mappers read their state (no input scan!) and emit
+//! remaining coefficients with `|w_{i,j}| > T₁/m`. The coordinator
+//! refines bounds, derives `T₂`, and prunes to a candidate set `R`.
 //!
-//! Round 3 — `R` rides the Distributed Cache; mappers emit local scores of
-//! candidates never sent before. The coordinator finalises exact sums and
-//! picks the top-k by magnitude.
+//! Round 3 — `R` rides the Distributed Cache (sorted ids, 4 bytes each);
+//! mappers emit local scores of candidates never sent before. The
+//! coordinator finalises exact sums and picks the top-k by magnitude.
 //!
 //! The coordinator logic is `wh_topk::Coordinator` — the same state machine
 //! the in-memory driver uses — so protocol correctness is tested once,
 //! against brute force, in `wh-topk`.
 
-use std::sync::Arc;
-
 use super::{ops, scan_counts, BuildResult, HistogramBuilder};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{
-    try_run_job, ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext,
-    RunMetrics, StateStore,
+    ClusterConfig, EngineConfig, EngineError, JobSpec, MapContext, MapTask, ReduceContext,
+    RunMetrics,
 };
 use wh_topk::Coordinator;
-use wh_wavelet::hash::FxHashSet;
 use wh_wavelet::select::TopBottomK;
 
 /// Round-1/2/3 message payload: `(flags, split, coefficient)`.
@@ -87,6 +87,66 @@ impl HWTopk {
     }
 }
 
+/// Round 1 of split `j`'s mapper: scan, transform, emit the local top-k
+/// and bottom-k (marking the k-th highest and lowest) and return every
+/// unsent coefficient, still in the transform's ascending slot order.
+fn emit_top_bottom<S: SplitSource>(
+    ds: &S,
+    j: u32,
+    k: usize,
+    ctx: &mut MapContext<WKey, Payload>,
+) -> Vec<(u64, f64)> {
+    let domain = ds.domain();
+    let local = scan_counts(ds, j, ctx);
+    let coefs = S::Histogram::transform(domain, local.iter().map(|&(x, c)| (x, c as f64)));
+    ctx.charge(local.len() as f64 * S::Histogram::updates_per_key(domain) * ops::COEF_UPDATE);
+    let mut tb = TopBottomK::new(k);
+    for &(slot, w) in &coefs {
+        tb.offer(slot, w);
+    }
+    ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
+    let top = tb.top();
+    let bottom = tb.bottom();
+    let full = coefs.len() >= k;
+    let kth_high_slot = if full {
+        top.last().map(|e| e.slot)
+    } else {
+        None
+    };
+    let kth_low_slot = if full {
+        bottom.last().map(|e| e.slot)
+    } else {
+        None
+    };
+    // Union of top and bottom sets in slot order, deduplicated.
+    let mut sent: Vec<(u64, f64)> = top
+        .iter()
+        .chain(&bottom)
+        .map(|e| (e.slot, e.value))
+        .collect();
+    sent.sort_unstable_by_key(|&(slot, _)| slot);
+    sent.dedup_by_key(|&mut (slot, _)| slot);
+    for &(slot, w) in &sent {
+        let mut flags = 0u8;
+        if kth_high_slot == Some(slot) {
+            flags |= FLAG_KTH_HIGH;
+        }
+        if kth_low_slot == Some(slot) {
+            flags |= FLAG_KTH_LOW;
+        }
+        ctx.emit(WKey::four(slot), payload(flags, j, w));
+    }
+    // Held until round 3, so sized exactly: `sent` is a subset of
+    // `coefs`.
+    let mut remaining = Vec::with_capacity(coefs.len() - sent.len());
+    remaining.extend(
+        coefs
+            .into_iter()
+            .filter(|&(slot, _)| sent.binary_search_by_key(&slot, |&(s, _)| s).is_err()),
+    );
+    remaining
+}
+
 impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     fn name(&self) -> &'static str {
         "H-WTopk"
@@ -100,93 +160,68 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let m = dataset.num_splits() as usize;
-        let state = Arc::new(StateStore::new());
+        // Candidate ids ride the Distributed Cache as 4-byte ids, or 8
+        // when the basis has slots past u32 (2-D above [2^16]²).
+        let slot_bound = S::Histogram::slot_bound(domain);
+        let id_bytes = if slot_bound <= 1 << 32 { 4 } else { 8 };
         let mut metrics = RunMetrics::default();
         let mut coordinator = Coordinator::new(m, k);
 
-        // ---------- Round 1 ----------
+        // One task per split serves all three rounds. Its un-sent
+        // coefficients stay in its own closure between rounds — the HDFS
+        // state file of Appendix A, free of network cost: under the
+        // multi-process engine they never leave the worker that computed
+        // them.
         let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
-                let state = Arc::clone(&state);
-                MapTask::new(j, move |ctx| {
-                    let local = scan_counts(&ds, j, ctx);
-                    let coefs =
-                        S::Histogram::transform(domain, local.iter().map(|&(x, c)| (x, c as f64)));
-                    ctx.charge(
-                        local.len() as f64
-                            * S::Histogram::updates_per_key(domain)
-                            * ops::COEF_UPDATE,
-                    );
-                    let mut tb = TopBottomK::new(k);
-                    for &(slot, w) in &coefs {
-                        tb.offer(slot, w);
+                let mut remaining: Vec<(u64, f64)> = Vec::new();
+                MapTask::new(j, move |ctx| match ctx.round() {
+                    0 => remaining = emit_top_bottom(&ds, j, k, ctx),
+                    // Round 2 reads its state (no input scan!) and sends
+                    // what clears T₁/m, keeping the rest in place.
+                    1 => {
+                        let tau = ctx.broadcast().try_into().map(f64::from_le_bytes);
+                        let tau = tau.expect("round 2 broadcasts T1/m as one f64");
+                        ctx.charge(remaining.len() as f64);
+                        remaining.retain(|&(slot, w)| {
+                            let send = w.abs() > tau;
+                            if send {
+                                ctx.emit(WKey::four(slot), payload(0, j, w));
+                            }
+                            !send
+                        });
                     }
-                    ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
-                    let top = tb.top();
-                    let bottom = tb.bottom();
-                    let full = coefs.len() >= k;
-                    let kth_high_slot = if full {
-                        top.last().map(|e| e.slot)
-                    } else {
-                        None
-                    };
-                    let kth_low_slot = if full {
-                        bottom.last().map(|e| e.slot)
-                    } else {
-                        None
-                    };
-                    // Union of top and bottom sets in slot order, deduplicated.
-                    let mut sent: Vec<(u64, f64)> = top
-                        .iter()
-                        .chain(&bottom)
-                        .map(|e| (e.slot, e.value))
-                        .collect();
-                    sent.sort_unstable_by_key(|&(slot, _)| slot);
-                    sent.dedup_by_key(|&mut (slot, _)| slot);
-                    for &(slot, w) in &sent {
-                        let mut flags = 0u8;
-                        if kth_high_slot == Some(slot) {
-                            flags |= FLAG_KTH_HIGH;
+                    // Round 3 sends its scores of the candidates in R: a
+                    // linear merge of two slot-sorted lists.
+                    _ => {
+                        ctx.charge(remaining.len() as f64);
+                        let candidates = decode_ids(ctx.broadcast(), id_bytes);
+                        let mut cands = candidates.iter().peekable();
+                        for (slot, w) in std::mem::take(&mut remaining) {
+                            while cands.next_if(|&&c| c < slot).is_some() {}
+                            if cands.peek() == Some(&&slot) {
+                                ctx.emit(WKey::four(slot), payload(0, j, w));
+                            }
                         }
-                        if kth_low_slot == Some(slot) {
-                            flags |= FLAG_KTH_LOW;
-                        }
-                        ctx.emit(WKey::four(slot), payload(flags, j, w));
                     }
-                    // Persist un-sent coefficients for rounds 2–3, still in
-                    // the transform's slot order. The wire-encoded save
-                    // path keeps the state process-safe: under the
-                    // multi-process engine these bytes ride the journal
-                    // back to the coordinator (the paper's local HDFS
-                    // state file — still free of *charged* network).
-                    let mut remaining = coefs;
-                    remaining.retain(|&(slot, _)| {
-                        sent.binary_search_by_key(&slot, |&(s, _)| s).is_err()
-                    });
-                    state.save_wire(j, &remaining);
                 })
             })
             .collect();
         // All three rounds key their messages by wavelet coefficient
         // slot, and rounds 2–3 only re-send slots already seen in round 1
         // — so the basis's slot bound is the tight exclusive bound for
-        // every round, and one hinted engine config serves all of them
-        // (the dense-reduce tables size themselves to each partition's
-        // actual, typically much narrower, key range per round).
-        let engine = self
-            .engine
-            .with_key_domain(S::Histogram::slot_bound(domain));
-        let out = try_run_job(
-            cluster,
-            JobSpec::new("h-wtopk-r1", map_tasks, forward_messages)
-                .with_radix_keys()
-                .with_wire_codec()
-                .with_state_store(Arc::clone(&state))
-                .with_engine(engine),
-        )?;
-        metrics.absorb(&out.metrics);
+        // every round (the dense-reduce tables size themselves to each
+        // partition's actual, typically much narrower, key range).
+        let spec = JobSpec::new("h-wtopk", map_tasks, forward_messages)
+            .with_radix_keys()
+            .with_wire_codec()
+            .with_engine(self.engine.with_key_domain(slot_bound));
+        let mut job = spec.start(cluster)?;
 
+        // ---------- Round 1 ----------
+        let out = job.round(&[])?;
+        metrics.absorb(&out.metrics);
         // Coordinator: group round-1 messages per node.
         let per_node = group_per_node(&out.outputs, m);
         let mut kth_high: Vec<Option<f64>> = vec![None; m];
@@ -204,67 +239,22 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
             coordinator.absorb_round1(j, pairs, &[], kth_high[j], kth_low[j]);
         }
         let t1 = coordinator.finish_round1();
-        let tau = t1 / m as f64;
 
-        // ---------- Round 2 ----------
-        let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
-            .map(|j| {
-                let state = Arc::clone(&state);
-                MapTask::new(j, move |ctx| {
-                    let remaining: Vec<(u64, f64)> = state.take_wire(j).unwrap_or_default();
-                    ctx.charge(remaining.len() as f64);
-                    let (send, keep): (Vec<_>, Vec<_>) =
-                        remaining.into_iter().partition(|&(_, w)| w.abs() > tau);
-                    for &(slot, w) in &send {
-                        ctx.emit(WKey::four(slot), payload(0, j, w));
-                    }
-                    state.save_wire(j, &keep);
-                })
-            })
-            .collect();
-        // T₁/m rides the Job Configuration: one 8-byte double.
-        let out = try_run_job(
-            cluster,
-            JobSpec::new("h-wtopk-r2", map_tasks, forward_messages)
-                .with_radix_keys()
-                .with_wire_codec()
-                .with_state_store(Arc::clone(&state))
-                .with_engine(engine)
-                .with_broadcast(8),
-        )?;
+        // ---------- Round 2: T₁/m rides the Job Configuration ----------
+        let out = job.round(&(t1 / m as f64).to_le_bytes())?;
         metrics.absorb(&out.metrics);
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round2(j, pairs);
         }
-        let (_t2, candidates) = coordinator.finish_round2();
+        let (_t2, mut candidates) = coordinator.finish_round2();
 
-        // ---------- Round 3 ----------
-        let candidate_set: Arc<FxHashSet<u64>> = Arc::new(candidates.iter().copied().collect());
-        let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
-            .map(|j| {
-                let state = Arc::clone(&state);
-                let cands = Arc::clone(&candidate_set);
-                MapTask::new(j, move |ctx| {
-                    let remaining: Vec<(u64, f64)> = state.take_wire(j).unwrap_or_default();
-                    ctx.charge(remaining.len() as f64);
-                    for &(slot, w) in &remaining {
-                        if cands.contains(&slot) {
-                            ctx.emit(WKey::four(slot), payload(0, j, w));
-                        }
-                    }
-                })
-            })
-            .collect();
-        // R rides the Distributed Cache: 4 bytes per candidate id.
-        let out = try_run_job(
-            cluster,
-            JobSpec::new("h-wtopk-r3", map_tasks, forward_messages)
-                .with_radix_keys()
-                .with_wire_codec()
-                .with_state_store(Arc::clone(&state))
-                .with_engine(engine)
-                .with_broadcast(4 * candidates.len() as u64),
-        )?;
+        // ---------- Round 3: R rides the Distributed Cache ----------
+        candidates.sort_unstable();
+        let mut ids = Vec::with_capacity(candidates.len() * id_bytes);
+        for c in &candidates {
+            ids.extend_from_slice(&c.to_le_bytes()[..id_bytes]);
+        }
+        let out = job.round(&ids)?;
         metrics.absorb(&out.metrics);
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round3(j, pairs);
@@ -273,6 +263,19 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         let histogram = S::Histogram::from_slots(domain, coordinator.finish());
         Ok(BuildResult { histogram, metrics })
     }
+}
+
+/// The candidate ids of a round-3 broadcast, `width` little-endian bytes
+/// each.
+fn decode_ids(bytes: &[u8], width: usize) -> Vec<u64> {
+    bytes
+        .chunks_exact(width)
+        .map(|id| {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(id);
+            u64::from_le_bytes(le)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Map- and reduce-side execution contexts.
 
+use std::sync::Arc;
+
 use crate::metrics::ReduceStrategy;
 use crate::wire::WireSize;
 
@@ -8,6 +10,8 @@ use crate::wire::WireSize;
 /// paper's Combine saving aggregates before it emits.
 pub struct MapContext<K, V> {
     pub(crate) split_id: u32,
+    round: u32,
+    broadcast: Arc<[u8]>,
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) records_read: u64,
     pub(crate) bytes_read: u64,
@@ -18,6 +22,8 @@ impl<K, V> std::fmt::Debug for MapContext<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MapContext")
             .field("split_id", &self.split_id)
+            .field("round", &self.round)
+            .field("broadcast", &self.broadcast.len())
             .field("pairs", &self.pairs.len())
             .field("records_read", &self.records_read)
             .field("bytes_read", &self.bytes_read)
@@ -31,17 +37,21 @@ where
     K: WireSize,
     V: WireSize,
 {
-    pub(crate) fn new(split_id: u32) -> Self {
-        Self::with_buffer(split_id, Vec::new())
-    }
-
-    /// A context whose emit buffer reuses `buffer`'s allocation — how map
-    /// workers recycle the pair buffer across the tasks they execute
-    /// instead of reallocating it per task.
-    pub(crate) fn with_buffer(split_id: u32, mut buffer: Vec<(K, V)>) -> Self {
+    /// A context for `split_id`'s task in round `round`, whose emit
+    /// buffer reuses `buffer`'s allocation — how map workers recycle the
+    /// pair buffer across the tasks they execute instead of reallocating
+    /// it per task.
+    pub(crate) fn new(
+        split_id: u32,
+        round: u32,
+        broadcast: &Arc<[u8]>,
+        mut buffer: Vec<(K, V)>,
+    ) -> Self {
         buffer.clear();
         Self {
             split_id,
+            round,
+            broadcast: Arc::clone(broadcast),
             pairs: buffer,
             records_read: 0,
             bytes_read: 0,
@@ -52,6 +62,21 @@ where
     /// The split this task processes.
     pub fn split_id(&self) -> u32 {
         self.split_id
+    }
+
+    /// The round this run of the task belongs to, from 0. A task runs
+    /// once per round of its job, so a multi-round mapper dispatches on
+    /// this and keeps whatever it needs next round in its own closure.
+    pub fn round(&self) -> u32 {
+        self.round
+    }
+
+    /// This round's broadcast: the bytes the coordinator handed
+    /// [`crate::Job::round`] (the paper's Job Configuration / Distributed
+    /// Cache), bit-exact in every engine mode. Empty when nothing was
+    /// broadcast.
+    pub fn broadcast(&self) -> &[u8] {
+        &self.broadcast
     }
 
     /// Emits one intermediate `(k₂, v₂)` pair.
@@ -138,8 +163,10 @@ mod tests {
 
     #[test]
     fn map_context_accumulates() {
-        let mut ctx: MapContext<u32, f64> = MapContext::new(3);
+        let mut ctx: MapContext<u32, f64> = MapContext::new(3, 1, &Arc::from(&[7u8][..]), vec![]);
         assert_eq!(ctx.split_id(), 3);
+        assert_eq!(ctx.round(), 1);
+        assert_eq!(ctx.broadcast(), [7]);
         ctx.emit(1, 2.0);
         ctx.emit(2, 4.0);
         ctx.note_read(10, 40);

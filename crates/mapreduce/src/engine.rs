@@ -51,14 +51,14 @@
 //! The determinism contract of the seed engine is preserved exactly: within
 //! a partition, the reduce function observes key groups in key order and
 //! each group's values in `(split id, arrival order)` order. The seed
-//! engine itself survives as [`crate::reference::run_job_reference`] — an
-//! executable specification that differential tests compare this engine
-//! against.
+//! engine itself survives as [`crate::reference`] — an executable
+//! specification that differential tests compare this engine against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -118,12 +118,13 @@ pub struct EngineConfig {
     /// smaller than an actual key **panics** (fail loudly rather than
     /// mis-group). Ignored by the reference engine.
     pub key_domain_hint: Option<u64>,
-    /// Multi-process mode only: how many times the coordinator may
-    /// re-execute a failed worker's *unfinished* tasks on a respawned
-    /// worker before surfacing the failure as an error. `0` disables
-    /// recovery (the first failure aborts the job, PR 7 behavior).
-    /// Completed tasks are never re-run, and recovered runs are
-    /// bit-identical to fault-free runs — see [`crate::worker`].
+    /// Multi-process mode only: how many times per round the coordinator
+    /// may respawn a worker slot to re-execute its failed worker's
+    /// *unfinished* tasks before surfacing the failure as an error. `0`
+    /// disables recovery (the first failure aborts the job). Committed
+    /// tasks are only replayed to rebuild state, never re-sent, and
+    /// recovered runs are bit-identical to fault-free runs — see
+    /// [`crate::worker`].
     pub max_task_retries: u32,
     /// Base backoff before a respawn, in milliseconds; doubles per
     /// consecutive retry round.
@@ -169,10 +170,10 @@ impl EngineConfig {
         }
     }
 
-    /// The multi-process engine: map workers as forked child processes
-    /// shipping spills over the wire encoding. `map_parallelism` becomes
-    /// the worker-*process* count (`0` = one per core, capped at the
-    /// task count).
+    /// The multi-process engine: map workers as child processes, forked
+    /// once per job, shipping spills over the wire encoding.
+    /// `map_parallelism` becomes the worker-*process* count (`0` = one
+    /// per core, capped at the task count).
     pub fn multi_process() -> Self {
         Self {
             mode: EngineMode::MultiProcess,
@@ -354,23 +355,22 @@ pub(crate) fn select_strategy(
     }
 }
 
-/// Executes one round on the pipelined engine. Entry point is
-/// [`crate::run_job`], which dispatches on [`EngineConfig::mode`].
-pub(crate) fn execute<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
+/// Executes round `round` of `spec`'s job on the pipelined engine; the
+/// tasks stay in `spec`, state and all, for the next round. Entry point
+/// is [`crate::Job::round`], which dispatches on [`EngineConfig::mode`].
+pub(crate) fn execute<K, V, R>(
+    cluster: &ClusterConfig,
+    spec: &mut JobSpec<K, V, R>,
+    round: u32,
+    broadcast: &Arc<[u8]>,
+) -> JobOutput<R>
 where
     K: Ord + Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
-    let JobSpec {
-        map_tasks,
-        reduce,
-        broadcast_bytes,
-        finish,
-        engine,
-        key_codec,
-        ..
-    } = spec;
+    let engine = spec.engine;
+    let key_codec = spec.key_codec;
     assert!(engine.num_reducers >= 1, "need at least one reducer");
     let nparts = engine.num_reducers as usize;
     let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
@@ -378,8 +378,8 @@ where
     // ---- Map phase (parallel): run, partition, sort — all
     // inside the worker thread that owns the task. ----
     let map_start = Instant::now();
-    let task_queue: Vec<Mutex<Option<MapTask<K, V>>>> =
-        map_tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let task_queue: Vec<Mutex<&mut MapTask<K, V>>> =
+        spec.map_tasks.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let spills: Mutex<Vec<TaskSpill<K, V>>> = Mutex::new(Vec::with_capacity(task_queue.len()));
     let workers = engine.map_workers(task_queue.len());
@@ -389,8 +389,10 @@ where
         if i >= task_queue.len() {
             break;
         }
-        let task = task_queue[i].lock().take().expect("each task taken once");
-        let spill = run_one_task(task, nparts, strategy, key_codec, state);
+        let mut task = task_queue[i].lock();
+        let spill = run_one_task(
+            &mut task, round, broadcast, nparts, strategy, key_codec, state,
+        );
         spills.lock().push(spill);
     };
 
@@ -402,19 +404,17 @@ where
         run_workers(workers, || run_tasks(&mut MapWorker::new()));
     }
 
+    drop(task_queue);
     let mut per_task = spills.into_inner();
     per_task.sort_by_key(|t| t.split_id);
     let wall_map_s = map_start.elapsed().as_secs_f64();
 
     shuffle_reduce_finish(
         cluster,
-        &engine,
         per_task,
-        reduce,
-        finish,
-        broadcast_bytes,
+        spec,
+        broadcast.len() as u64,
         strategy,
-        key_codec,
         wall_map_s,
     )
 }
@@ -440,14 +440,15 @@ fn run_workers(n: usize, work: impl Fn() + Sync) {
     });
 }
 
-/// Runs one map task to a [`TaskSpill`]: execute the closure, partition
-/// (or ship flat), and pre-sort runs when the job merges at
+/// Runs one map task's round to a [`TaskSpill`]: execute the closure,
+/// partition (or ship flat), and pre-sort runs when the job merges at
 /// reduce time. This is the unit of map work shared **verbatim** by the
-/// threaded executor above and the forked workers of
-/// [`crate::worker::execute_multiprocess`] — sharing it is what makes the
-/// two modes bit-identical by construction.
+/// threaded executor above and the forked workers of [`crate::worker`] —
+/// sharing it is what makes the two modes bit-identical by construction.
 pub(crate) fn run_one_task<K, V>(
-    task: MapTask<K, V>,
+    task: &mut MapTask<K, V>,
+    round: u32,
+    broadcast: &Arc<[u8]>,
     nparts: usize,
     strategy: ReduceStrategy,
     key_codec: Option<fn(&K) -> u64>,
@@ -457,7 +458,12 @@ where
     K: Ord + Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
 {
-    let mut ctx = MapContext::with_buffer(task.split_id, std::mem::take(&mut state.pairs_buf));
+    let mut ctx = MapContext::new(
+        task.split_id,
+        round,
+        broadcast,
+        std::mem::take(&mut state.pairs_buf),
+    );
     (task.run)(&mut ctx);
     let MapContext {
         mut pairs,
@@ -515,21 +521,17 @@ where
 }
 
 /// Everything after the map phase: regroup spills into per-partition
-/// reduce inputs, reduce (optionally in parallel), stitch outputs, run
-/// the Close hook, and assemble [`RunMetrics`]. `per_task` must be
-/// sorted by split id. Shared by the threaded executor and the
-/// multi-process coordinator ([`crate::worker`]) — everything downstream
-/// of map transport is the same code in both modes.
-#[allow(clippy::too_many_arguments)]
+/// reduce inputs, reduce `spec`'s function (optionally in parallel),
+/// stitch outputs, run the Close hook, and assemble [`RunMetrics`].
+/// `per_task` must be sorted by split id. Shared by the threaded executor
+/// and the multi-process coordinator ([`crate::worker`]) — everything
+/// downstream of map transport is the same code in both modes.
 pub(crate) fn shuffle_reduce_finish<K, V, R>(
     cluster: &ClusterConfig,
-    engine: &EngineConfig,
     per_task: Vec<TaskSpill<K, V>>,
-    reduce: crate::job::ReduceFn<K, V, R>,
-    finish: Option<crate::job::FinishFn<R>>,
+    spec: &mut JobSpec<K, V, R>,
     broadcast_bytes: u64,
     strategy: ReduceStrategy,
-    key_codec: Option<fn(&K) -> u64>,
     wall_map_s: f64,
 ) -> JobOutput<R>
 where
@@ -537,6 +539,7 @@ where
     V: Send,
     R: Send,
 {
+    let (engine, reduce, key_codec) = (spec.engine, spec.reduce.as_ref(), spec.key_codec);
     let nparts = engine.num_reducers as usize;
     // ---- Shuffle: regroup spill runs into per-partition merge inputs
     // (runs stay in split-id order) and account communication. ----
@@ -616,7 +619,7 @@ where
         let mut out = Vec::with_capacity(nparts);
         for runs in partitions {
             let mut rctx = ReduceContext::new();
-            reduce_partition(runs, plan, &mut scratch, reduce.as_ref(), &mut rctx);
+            reduce_partition(runs, plan, &mut scratch, reduce, &mut rctx);
             out.push(rctx);
         }
         out
@@ -639,7 +642,7 @@ where
                 }
                 let runs = slots[p].lock().0.take().expect("each partition taken once");
                 let mut rctx = ReduceContext::new();
-                reduce_partition(runs, plan, &mut scratch, reduce.as_ref(), &mut rctx);
+                reduce_partition(runs, plan, &mut scratch, reduce, &mut rctx);
                 slots[p].lock().1 = Some(rctx);
             }
         });
@@ -661,7 +664,7 @@ where
         reduce_cpu += rctx.cpu_ops;
         outputs.append(&mut rctx.outputs);
     }
-    if let Some(f) = finish {
+    if let Some(f) = spec.finish.as_mut() {
         // The Close hook sees the stitched reducer emissions and may
         // replace them (`ReduceContext::take_outputs`) or append to them.
         let mut rctx = ReduceContext::new();

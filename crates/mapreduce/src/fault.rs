@@ -2,14 +2,21 @@
 //!
 //! A [`FaultPlan`] rides on [`crate::EngineConfig`] and arms exactly one
 //! run of `EngineMode::MultiProcess` with reproducible failures: kill
-//! worker *w* right before its *t*-th local task, truncate worker *w*'s
-//! stream after its *n*-th frame, corrupt one frame's checksum, or stall
-//! a worker long enough to trip the coordinator's read deadline. Every
-//! fault fires on a worker's **first** spawn only — a respawned worker
-//! runs clean — which is what makes recovery testable: the chaos suite
+//! worker *w* right before its *t*-th task, truncate worker *w*'s stream
+//! after its *n*-th frame, corrupt one frame's checksum, or stall a worker
+//! long enough to trip the coordinator's read deadline. Every fault fires
+//! on a worker's **first** spawn only — a respawned worker runs clean —
+//! which is what makes recovery testable: the chaos suite
 //! (`tests/engine_faults.rs`) injects a fault, lets the coordinator
-//! re-execute the lost tasks, and asserts the recovered output is
-//! bit-identical to a fault-free run.
+//! respawn the worker (which replays what it lost) and re-execute the
+//! lost tasks, and asserts the recovered output is bit-identical to a
+//! fault-free run.
+//!
+//! A worker lives for its whole job, so task and frame ordinals count
+//! over every round it serves: with `n_w` tasks on the worker, round
+//! `r`'s local task `i` is task ordinal `r·n_w + i`, and frame ordinals
+//! run on from one round's `ROUND_END` into the next round's frames.
+//! That is how a plan reaches the later rounds of a multi-round job.
 //!
 //! The plan is plain `Copy` data (worker indices, frame ordinals,
 //! millisecond counts), so [`crate::EngineConfig`] keeps its
@@ -20,16 +27,17 @@ use crate::transport::WriterFaults;
 /// Declarative fault schedule for one multi-process run. `default()` is
 /// the empty plan (no faults). Worker indices refer to the coordinator's
 /// spawn order (tasks are assigned round-robin, so worker `w` owns
-/// global tasks `w, w + nworkers, …`); task indices are *local* to the
-/// worker's assignment; frame ordinals count the worker's frames from 0.
+/// global tasks `w, w + nworkers, …`); task ordinals count the tasks the
+/// worker runs, round after round, and frame ordinals its frames, both
+/// from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Kill worker `.0` with `SIGKILL` immediately before it runs its
-    /// local task `.1` — the stand-in for a machine crash mid-job.
+    /// task ordinal `.1` — the stand-in for a machine crash mid-job.
     pub kill_before_task: Option<(u32, u32)>,
     /// Cut worker `.0`'s stream after `.1` whole frames: the pipe ends
-    /// with a partial header while the worker itself exits cleanly — a
-    /// torn connection rather than a dead process.
+    /// with a partial header while the worker itself finishes the round
+    /// and exits cleanly — a torn connection rather than a dead process.
     pub truncate_after_frame: Option<(u32, u32)>,
     /// Flip a bit in the CRC32C trailer of worker `.0`'s frame `.1`,
     /// modeling silent corruption between encoder and decoder.
@@ -46,7 +54,7 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Arms a `SIGKILL` of `worker` before its local task `task`.
+    /// Arms a `SIGKILL` of `worker` before its task ordinal `task`.
     pub fn kill_worker_before_task(mut self, worker: u32, task: u32) -> Self {
         self.kill_before_task = Some((worker, task));
         self

@@ -1,13 +1,15 @@
-//! Job specification and the execution entry point.
+//! Job specification, the running job, and the execution entry points.
 //!
-//! A [`JobSpec`] describes one MapReduce round: one map closure per split
-//! and a shared reduce function (mappers combine before they emit — the
+//! A [`JobSpec`] describes a MapReduce job: one map closure per split and
+//! a shared reduce function (mappers combine before they emit — the
 //! paper's `(x, v_j(x))` emission — and keys partition by
-//! [`engine::default_partition`]). [`run_job`] executes the round on the engine selected by the
-//! spec's [`EngineConfig`] — the pipelined partition-parallel engine
-//! ([`crate::engine`]) by default, or the preserved seed engine
-//! ([`crate::reference`]) — and returns the reducer outputs together with
-//! exact [`RunMetrics`].
+//! [`engine::default_partition`]). [`JobSpec::start`] turns it into a
+//! running [`Job`], and every [`Job::round`] executes one MapReduce round
+//! on the engine selected by the spec's [`EngineConfig`] — the pipelined
+//! partition-parallel engine ([`crate::engine`]) by default, the seed
+//! engine ([`crate::reference`]), or forked workers ([`crate::worker`]) —
+//! returning the reducer outputs together with exact [`RunMetrics`].
+//! [`try_run_job`] is the one-round job.
 //!
 //! Determinism: mappers may run in any thread interleaving, reduce
 //! partitions may run on any number of threads, and the engine may pick
@@ -25,22 +27,22 @@ use crate::cost::ClusterConfig;
 use crate::engine::{self, EngineConfig, EngineMode};
 use crate::metrics::RunMetrics;
 use crate::reference;
-use crate::state::StateStore;
 use crate::transport::EngineError;
 use crate::wire::{WireCodec, WireError, WireSize};
+use crate::worker::Workers;
 
-/// The boxed closure a map task runs.
-pub type MapFn<K, V> = Box<dyn FnOnce(&mut MapContext<K, V>) + Send>;
+/// The boxed closure a map task runs, once per round of its job.
+pub type MapFn<K, V> = Box<dyn FnMut(&mut MapContext<K, V>) + Send>;
 
-/// Reducer Close hook. Runs once, after every partition has reduced, on
-/// a [`ReduceContext`] that already holds the round's reducer emissions
-/// stitched partition-major (partition index ascending, key order within
-/// a partition) — on every engine mode. Whatever the context holds when
-/// the hook returns is the job output: a hook that only `emit`s appends
-/// to the reducer emissions, a hook that calls
+/// Reducer Close hook. Runs after every partition has reduced, once per
+/// round, on a [`ReduceContext`] that already holds the round's reducer
+/// emissions stitched partition-major (partition index ascending, key
+/// order within a partition) — on every engine mode. Whatever the context
+/// holds when the hook returns is the round's output: a hook that only
+/// `emit`s appends to the reducer emissions, a hook that calls
 /// [`ReduceContext::take_outputs`] consumes them and emits the aggregate
 /// in their place.
-pub type FinishFn<R> = Box<dyn FnOnce(&mut ReduceContext<R>) + Send>;
+pub type FinishFn<R> = Box<dyn FnMut(&mut ReduceContext<R>) + Send>;
 
 /// Shared reduce function: receives each `(key, values-of-that-key)` group
 /// in key order; `values` preserves the deterministic shuffle order.
@@ -72,7 +74,11 @@ impl<K, V> Clone for PairCodec<K, V> {
 }
 impl<K, V> Copy for PairCodec<K, V> {}
 
-/// One map task: a closure run against its [`MapContext`].
+/// One map task: a closure run against its [`MapContext`] once per round.
+/// What the closure captures mutably is the task's own state across
+/// rounds — the paper's mapper-local state file (Appendix A), which never
+/// crosses the network: in-process engines keep the task between rounds,
+/// and the multi-process engine keeps it in the worker that ran it.
 pub struct MapTask<K, V> {
     /// The split this task reads (its id is echoed into the context).
     pub split_id: u32,
@@ -82,7 +88,7 @@ pub struct MapTask<K, V> {
 
 impl<K, V> MapTask<K, V> {
     /// Convenience constructor.
-    pub fn new(split_id: u32, run: impl FnOnce(&mut MapContext<K, V>) + Send + 'static) -> Self {
+    pub fn new(split_id: u32, run: impl FnMut(&mut MapContext<K, V>) + Send + 'static) -> Self {
         Self {
             split_id,
             run: Box::new(run),
@@ -90,7 +96,8 @@ impl<K, V> MapTask<K, V> {
     }
 }
 
-/// A single MapReduce round.
+/// A MapReduce job: its map tasks, reduce function and Close hook run
+/// once per round.
 pub struct JobSpec<K, V, R> {
     /// Human-readable job name (diagnostics only).
     pub name: String,
@@ -99,12 +106,9 @@ pub struct JobSpec<K, V, R> {
     /// The reduce function (shared across partitions; within a partition
     /// invoked in key order).
     pub reduce: ReduceFn<K, V, R>,
-    /// Bytes pushed to every slave through Job Configuration /
-    /// Distributed Cache before the round starts.
-    pub broadcast_bytes: u64,
     /// Reducer Close hook (the paper's Close interface, Appendix B): runs
-    /// once after every partition finished, over their stitched emissions
-    /// — where histograms are assembled from aggregated state. See
+    /// after every partition finished, over their stitched emissions —
+    /// where histograms are assembled from aggregated state. See
     /// [`FinishFn`].
     pub finish: Option<FinishFn<R>>,
     /// Execution-engine knobs: reducer count and parallelism, key-domain
@@ -122,11 +126,6 @@ pub struct JobSpec<K, V, R> {
     /// Required by (and only used in) [`EngineMode::MultiProcess`],
     /// where worker processes ship their spills as encoded bytes.
     pub(crate) pair_codec: Option<PairCodec<K, V>>,
-    /// The per-split state store this job's map tasks use across rounds,
-    /// when any ([`JobSpec::with_state_store`]). The multi-process mode
-    /// needs the handle to replay worker-side `save_wire`/`take_wire`
-    /// journals in the coordinator; in-process modes ignore it.
-    pub(crate) state: Option<Arc<StateStore>>,
 }
 
 impl<K, V, R> JobSpec<K, V, R>
@@ -144,12 +143,10 @@ where
             name: name.into(),
             map_tasks,
             reduce: Arc::new(reduce),
-            broadcast_bytes: 0,
             finish: None,
             engine: EngineConfig::default(),
             key_codec: None,
             pair_codec: None,
-            state: None,
         }
     }
 
@@ -167,14 +164,8 @@ where
         self
     }
 
-    /// Sets the broadcast payload size.
-    pub fn with_broadcast(mut self, bytes: u64) -> Self {
-        self.broadcast_bytes = bytes;
-        self
-    }
-
     /// Sets the reducer Close hook.
-    pub fn with_finish(mut self, f: impl FnOnce(&mut ReduceContext<R>) + Send + 'static) -> Self {
+    pub fn with_finish(mut self, f: impl FnMut(&mut ReduceContext<R>) + Send + 'static) -> Self {
         self.finish = Some(Box::new(f));
         self
     }
@@ -205,14 +196,68 @@ where
         self
     }
 
-    /// Hands the job the [`StateStore`] its map tasks read and write
-    /// across rounds. In-process engines don't need this (tasks capture
-    /// the store's `Arc` directly); the multi-process coordinator uses
-    /// the handle to replay the wire-state journal its forked workers
-    /// record through [`StateStore::save_wire`]/[`StateStore::take_wire`].
-    pub fn with_state_store(mut self, store: Arc<StateStore>) -> Self {
-        self.state = Some(store);
-        self
+    /// Starts the job on `cluster`; its rounds then run through
+    /// [`Job::round`]. Nothing executes yet. Under
+    /// [`EngineMode::MultiProcess`] the map tasks move to worker slots
+    /// (a job without a wire codec is refused here), and the first round
+    /// forks one worker per slot that lives until the job is dropped.
+    pub fn start(mut self, cluster: &ClusterConfig) -> Result<Job<'_, K, V, R>, EngineError> {
+        let workers = match self.engine.mode {
+            EngineMode::MultiProcess => Some(Workers::new(&mut self)?),
+            EngineMode::Pipelined | EngineMode::Reference => None,
+        };
+        Ok(Job {
+            cluster,
+            spec: self,
+            rounds: 0,
+            workers,
+        })
+    }
+}
+
+/// A started [`JobSpec`]: runs its rounds one [`Job::round`] at a time.
+///
+/// Each round runs every map task once more — the task keeps its own
+/// state from round to round — with that round's broadcast readable
+/// through [`MapContext::broadcast`], then shuffles, reduces and runs the
+/// Close hook. Under [`EngineMode::MultiProcess`] the worker processes
+/// forked by the first round serve every later one, and dropping the job
+/// kills and reaps them.
+pub struct Job<'c, K, V, R> {
+    cluster: &'c ClusterConfig,
+    spec: JobSpec<K, V, R>,
+    rounds: u32,
+    workers: Option<Workers<K, V>>,
+}
+
+impl<K, V, R> Job<'_, K, V, R>
+where
+    K: Ord + std::hash::Hash + Send + WireSize + 'static,
+    V: Send + WireSize + 'static,
+    R: Send,
+{
+    /// Runs the next round with `broadcast` pushed to every map task
+    /// (Job Configuration / Distributed Cache; accounted as
+    /// [`RunMetrics::broadcast_bytes`], its length). The in-process modes
+    /// are infallible; only [`EngineMode::MultiProcess`] can return
+    /// `Err`: a worker lost beyond its retries, a protocol violation, or
+    /// a broadcast too large for one frame
+    /// ([`EngineError::FrameTooLarge`], after which the job is still
+    /// usable — nothing ran).
+    pub fn round(&mut self, broadcast: &[u8]) -> Result<JobOutput<R>, EngineError> {
+        let (cluster, spec, round) = (self.cluster, &mut self.spec, self.rounds);
+        let out = match &mut self.workers {
+            Some(workers) => workers.round(cluster, spec, broadcast)?,
+            None => {
+                let broadcast = Arc::from(broadcast);
+                match spec.engine.mode {
+                    EngineMode::Reference => reference::execute(cluster, spec, round, &broadcast),
+                    _ => engine::execute(cluster, spec, round, &broadcast),
+                }
+            }
+        };
+        self.rounds += 1;
+        Ok(out)
     }
 }
 
@@ -228,11 +273,11 @@ pub struct JobOutput<R> {
     pub metrics: RunMetrics,
 }
 
-/// Executes one MapReduce round on `cluster` with the engine selected by
-/// `spec.engine.mode`, surfacing multi-process transport failures as a
-/// typed [`EngineError`]. The in-process modes are infallible; only
-/// [`EngineMode::MultiProcess`] can return `Err` (missing wire codec,
-/// dead worker, truncated frame, unsupported platform).
+/// Executes a one-round job on `cluster` — `spec.start(cluster)?.round(&[])`
+/// — surfacing multi-process failures as a typed [`EngineError`]. The
+/// in-process modes are infallible; only [`EngineMode::MultiProcess`] can
+/// return `Err` (missing wire codec, dead worker, truncated frame,
+/// unsupported platform).
 pub fn try_run_job<K, V, R>(
     cluster: &ClusterConfig,
     spec: JobSpec<K, V, R>,
@@ -242,17 +287,11 @@ where
     V: Send + WireSize + 'static,
     R: Send,
 {
-    match spec.engine.mode {
-        EngineMode::Pipelined => Ok(engine::execute(cluster, spec)),
-        EngineMode::Reference => Ok(reference::run_job_reference(cluster, spec)),
-        EngineMode::MultiProcess => crate::worker::execute_multiprocess(cluster, spec),
-    }
+    spec.start(cluster)?.round(&[])
 }
 
-/// Executes one MapReduce round on `cluster` with the engine selected by
-/// `spec.engine.mode`, panicking on transport failure (the historical
-/// interface — in-process modes cannot fail; use [`try_run_job`] to
-/// handle multi-process errors).
+/// [`try_run_job`], panicking on transport failure (the historical
+/// interface — in-process modes cannot fail).
 pub fn run_job<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
 where
     K: Ord + std::hash::Hash + Send + WireSize + 'static,
@@ -361,8 +400,8 @@ mod tests {
     fn broadcast_is_accounted() {
         let cluster = ClusterConfig::paper_cluster();
         let tasks = wordcount_tasks(vec![vec![1]]);
-        let spec = JobSpec::new("bcast", tasks, count_reduce()).with_broadcast(1 << 20);
-        let out = run_job(&cluster, spec);
+        let spec = JobSpec::new("bcast", tasks, count_reduce());
+        let out = spec.start(&cluster).unwrap().round(&[0; 1 << 20]).unwrap();
         assert_eq!(out.metrics.broadcast_bytes, 1 << 20);
         assert_eq!(out.metrics.total_comm_bytes(), (1 << 20) + 12);
     }

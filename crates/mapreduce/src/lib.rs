@@ -24,14 +24,20 @@
 //! emissions. There is no engine-side Combine function and no custom
 //! partitioner: the paper's mappers combine before they emit (Send-V's
 //! `(x, v_j(x))` pairs *are* the combined form, §3), and keys partition by
-//! [`engine::default_partition`]. Multi-round algorithms (H-WTopk needs
-//! three rounds) keep per-split state in a [`state::StateStore`],
-//! mirroring the paper's trick of persisting mapper state to a local HDFS
-//! file between rounds (Appendix A) — which is also why that state is
-//! *not* charged as communication. [`EngineConfig`] carries the execution
-//! knobs (mode, reducer count, map and reduce parallelism, key-domain
-//! hint, recovery settings); none of them changes an output or a logical
-//! metric.
+//! [`engine::default_partition`]. [`JobSpec::start`] gives a running
+//! [`Job`], and each [`Job::round`] runs every task once more with that
+//! round's broadcast bytes — the paper's Job Configuration / Distributed
+//! Cache, accounted as communication — readable through
+//! [`MapContext::broadcast`]; [`try_run_job`] is the one-round job.
+//! Multi-round algorithms (H-WTopk needs three rounds) keep per-split
+//! state in the task's own closure, mirroring the paper's trick of
+//! persisting mapper state to a local file between rounds (Appendix A) —
+//! which is also why that state is *not* charged as communication, and
+//! why the multi-process mode forks its workers once per job and keeps
+//! each task in the worker that ran it. [`EngineConfig`] carries the
+//! execution knobs (mode, reducer count, map and reduce parallelism,
+//! key-domain hint, recovery settings); none of them changes an output or
+//! a logical metric.
 //!
 //! ## Three engine modes, one result
 //!
@@ -46,12 +52,13 @@
 //!   threads, reduce partitions in parallel, outputs and charged CPU
 //!   stitched in partition order. Workers recycle their buffers across
 //!   tasks and partitions; tiny jobs skip thread spawns on both sides.
-//! * [`EngineMode::Reference`] ([`reference::run_job_reference`]): one
-//!   global `O(n log n)` sort and a sequential reduce — the executable
+//! * [`EngineMode::Reference`] ([`mod@reference`]): one global
+//!   `O(n log n)` sort and a sequential reduce — the executable
 //!   specification the differential suites compare the other two against.
 //! * [`EngineMode::MultiProcess`] ([`worker`], [`transport`]): map workers
-//!   are forked child processes streaming their spills back as
-//!   length-prefixed frames in the [`wire::WireCodec`] encoding, so the
+//!   are child processes forked once per job, taking each round's
+//!   broadcast down one pipe and streaming their spills back up another
+//!   as length-prefixed frames in the [`wire::WireCodec`] encoding, so the
 //!   paper's communication is *measured* from real framed traffic
 //!   ([`RunMetrics::wire`], [`metrics::WireTraffic`]) instead of only
 //!   accounted, and the measured bytes validate the [`cost`] model's
@@ -84,13 +91,14 @@
 //! readers run under an idle read deadline
 //! ([`EngineConfig::read_deadline_ms`]) so a hung worker becomes
 //! [`EngineError::WorkerTimeout`] instead of a hang; and a worker that
-//! dies, stalls, or sends a bad stream gets its *unfinished* tasks
-//! re-executed on a respawned worker with bounded attempts and backoff
-//! ([`EngineConfig::max_task_retries`]). Partial spills and state frames
-//! from the failed attempt are discarded — only completed `TASK_END`s
-//! commit — so recovered runs stay bit-identical to fault-free runs, with
-//! the activity reported in [`RunMetrics::recovery`]
-//! ([`metrics::RecoveryStats`]). A deterministic [`FaultPlan`] on
+//! dies, stalls, or sends a bad stream is replaced with bounded attempts
+//! and backoff ([`EngineConfig::max_task_retries`]): recovery is replay —
+//! the new worker re-runs the earlier rounds and the round's committed
+//! tasks silently, which rebuilds its tasks' state, and streams only the
+//! *unfinished* tasks. Partial spills from the failed attempt are
+//! discarded — only completed `TASK_END`s commit — so recovered runs stay
+//! bit-identical to fault-free runs, with the activity reported in
+//! [`RunMetrics::recovery`] ([`metrics::RecoveryStats`]). A deterministic [`FaultPlan`] on
 //! [`EngineConfig`] (kill/truncate/corrupt/stall) drives the chaos
 //! differential suite in `tests/engine_faults.rs`.
 
@@ -104,7 +112,6 @@ pub mod job;
 pub mod metrics;
 pub mod radix;
 pub mod reference;
-pub mod state;
 pub mod transport;
 pub mod wire;
 pub mod worker;
@@ -113,11 +120,9 @@ pub use context::{MapContext, ReduceContext};
 pub use cost::{ClusterConfig, MachineSpec};
 pub use engine::{EngineConfig, EngineMode};
 pub use fault::FaultPlan;
-pub use job::{run_job, try_run_job, JobOutput, JobSpec, MapTask};
+pub use job::{run_job, try_run_job, Job, JobOutput, JobSpec, MapTask};
 pub use metrics::{RecoveryStats, ReduceStrategy, ReduceStrategyCounts, RunMetrics, WireTraffic};
 pub use radix::RadixKey;
-pub use reference::run_job_reference;
-pub use state::StateStore;
 pub use transport::EngineError;
 pub use wire::{WireCodec, WireError, WireSize};
 pub use worker::in_map_worker;

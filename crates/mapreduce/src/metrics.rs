@@ -92,22 +92,26 @@ pub struct WireTraffic {
     /// [`RunMetrics::shuffle_bytes`], and equal to it by construction
     /// (`cost::validate_measured_shuffle` checks exactly this).
     pub pair_bytes: u64,
-    /// Physical bytes through the framed pipes, including the 5-byte
-    /// frame headers and control/state frames.
+    /// Physical bytes through the framed worker → coordinator pipes,
+    /// including the 9 bytes of frame header and CRC trailer and the
+    /// control frames.
     pub frame_bytes: u64,
     /// Frames received by the coordinator.
     pub frames: u64,
-    /// Bytes of per-split state journal payloads shipped between rounds
-    /// (the paper persists this to local HDFS, so it is accounted apart
-    /// from communication).
+    /// Bytes of per-split map-task state shipped between rounds. Always
+    /// zero: a task's state stays in the worker process that computed it
+    /// (the paper's local state file, Appendix A), and a respawned worker
+    /// rebuilds it by replay instead of receiving it.
     pub state_bytes: u64,
-    /// Worker processes forked for the map phase.
+    /// Worker processes forked for the map phase, first spawns only: a
+    /// job forks its workers in its first round and keeps them, so a
+    /// multi-round job's total equals its worker count.
     pub workers: u32,
     /// Mapper↔reducer communication rounds that actually crossed the
-    /// wire. A job with broadcast bytes counts one (its reduce output
-    /// feeds the next round's broadcast); a terminal job counts zero
-    /// extra — so H-WTopk's three MapReduce rounds measure exactly the
-    /// paper's two communication rounds.
+    /// wire. A round with a broadcast counts one (the previous round's
+    /// reduce output fed it); a round without counts zero — so H-WTopk's
+    /// three MapReduce rounds measure exactly the paper's two
+    /// communication rounds.
     pub comm_rounds: u32,
 }
 
@@ -148,6 +152,10 @@ pub struct RecoveryStats {
     pub corrupt_frames: u32,
     /// Total worker processes launched, first spawns included.
     pub attempts: u32,
+    /// Tasks a respawned worker re-ran silently to rebuild its splits'
+    /// state: every task of the rounds before the failed one, plus the
+    /// failed round's already-committed tasks. Their pairs are discarded.
+    pub tasks_replayed: u64,
 }
 
 impl RecoveryStats {
@@ -163,6 +171,7 @@ impl RecoveryStats {
         self.timeouts += other.timeouts;
         self.corrupt_frames += other.corrupt_frames;
         self.attempts += other.attempts;
+        self.tasks_replayed += other.tasks_replayed;
     }
 }
 
@@ -324,12 +333,13 @@ impl fmt::Display for RunMetrics {
         {
             write!(
                 f,
-                " recovery={}t/{}w ({} timeouts, {} corrupt, {} attempts)",
+                " recovery={}t/{}w ({} timeouts, {} corrupt, {} attempts, {} replayed)",
                 self.recovery.tasks_retried,
                 self.recovery.workers_respawned,
                 self.recovery.timeouts,
                 self.recovery.corrupt_frames,
                 self.recovery.attempts,
+                self.recovery.tasks_replayed,
             )?;
         }
         Ok(())
@@ -389,6 +399,7 @@ mod tests {
                 timeouts: 1,
                 corrupt_frames: 0,
                 attempts: 3,
+                tasks_replayed: 5,
             },
         };
         let b = a;
@@ -411,6 +422,7 @@ mod tests {
         assert_eq!(a.recovery.workers_respawned, 2);
         assert_eq!(a.recovery.timeouts, 2);
         assert_eq!(a.recovery.attempts, 6);
+        assert_eq!(a.recovery.tasks_replayed, 10);
     }
 
     #[test]
@@ -431,6 +443,7 @@ mod tests {
                 timeouts: 1,
                 corrupt_frames: 1,
                 attempts: 5,
+                tasks_replayed: 7,
             },
             ..Default::default()
         };

@@ -8,10 +8,10 @@
 //! ([`crate::engine`]) — differential property tests in
 //! `tests/engine_parallel.rs` enforce that.
 //!
-//! Select it with [`crate::EngineConfig::reference`] or call
-//! [`run_job_reference`] directly.
+//! Select it with [`crate::EngineConfig::reference`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -30,30 +30,28 @@ struct TaskResult<K, V> {
     records_read: u64,
 }
 
-/// Executes one round on the seed engine (global sort + sequential
-/// reduce). Same output contract as [`crate::run_job`] with the default
-/// engine; kept for differential testing and benchmarking.
-pub fn run_job_reference<K, V, R>(cluster: &ClusterConfig, spec: JobSpec<K, V, R>) -> JobOutput<R>
+/// Executes round `round` of `spec`'s job on the seed engine (global
+/// sort + sequential reduce). Same output contract as the pipelined
+/// engine; kept for differential testing.
+pub(crate) fn execute<K, V, R>(
+    cluster: &ClusterConfig,
+    spec: &mut JobSpec<K, V, R>,
+    round: u32,
+    broadcast: &Arc<[u8]>,
+) -> JobOutput<R>
 where
     K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
     R: Send,
 {
-    let JobSpec {
-        map_tasks,
-        reduce,
-        broadcast_bytes,
-        finish,
-        engine,
-        ..
-    } = spec;
+    let engine = spec.engine;
     let num_reducers = engine.num_reducers;
     assert!(num_reducers >= 1, "need at least one reducer");
 
     // ---- Map phase (parallel) ----
     let map_start = Instant::now();
-    let task_queue: Vec<Mutex<Option<MapTask<K, V>>>> =
-        map_tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let task_queue: Vec<Mutex<&mut MapTask<K, V>>> =
+        spec.map_tasks.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<TaskResult<K, V>>> = Mutex::new(Vec::with_capacity(task_queue.len()));
     // Honors the map-parallelism knob (same resolution as the pipelined
@@ -69,8 +67,8 @@ where
                 if i >= task_queue.len() {
                     break;
                 }
-                let task = task_queue[i].lock().take().expect("each task taken once");
-                let mut ctx = MapContext::new(task.split_id);
+                let mut task = task_queue[i].lock();
+                let mut ctx = MapContext::new(task.split_id, round, broadcast, Vec::new());
                 (task.run)(&mut ctx);
                 let mut pairs = ctx.pairs;
                 // Hadoop sorts each spill by key within the mapper; we sort
@@ -90,6 +88,7 @@ where
         // std::thread::scope joins all workers and re-raises any panic.
     });
 
+    drop(task_queue);
     let mut per_task = results.into_inner();
     per_task.sort_by_key(|t| t.split_id);
     let wall_map_s = map_start.elapsed().as_secs_f64();
@@ -98,7 +97,7 @@ where
     let shuffle_start = Instant::now();
     let mut metrics = RunMetrics {
         rounds: 1,
-        broadcast_bytes,
+        broadcast_bytes: broadcast.len() as u64,
         ..Default::default()
     };
     let mut task_work = Vec::with_capacity(per_task.len());
@@ -135,9 +134,9 @@ where
                 break;
             }
         }
-        reduce(&key, &values, &mut rctx);
+        (spec.reduce)(&key, &values, &mut rctx);
     }
-    if let Some(f) = finish {
+    if let Some(f) = spec.finish.as_mut() {
         f(&mut rctx);
     }
     let wall_reduce_s = reduce_start.elapsed().as_secs_f64();

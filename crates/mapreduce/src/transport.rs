@@ -1,8 +1,8 @@
 //! Length-prefixed frame transport for the multi-process engine mode.
 //!
-//! The distributed engine ([`crate::worker`]) moves map output between
-//! forked worker processes and the coordinator over Unix pipes. Every
-//! message is one *frame*:
+//! The distributed engine ([`crate::worker`]) moves round frames down to
+//! forked worker processes and map output back up to the coordinator,
+//! one Unix pipe each way per worker. Every message is one *frame*:
 //!
 //! ```text
 //! [len: u32 LE][tag: u8][payload: len bytes][crc32c: u32 LE]
@@ -37,19 +37,18 @@ pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 /// header, small enough to stream (a worker never buffers a whole run).
 pub(crate) const PAIR_CHUNK_BYTES: usize = 64 << 10;
 
-/// Frame tags of the worker → coordinator protocol, in the order a worker
-/// emits them: for each task a `TASK_BEGIN`, then per partition run a
-/// `RUN_BEGIN` followed by `PAIRS` chunks, then `TASK_END`; state-store
-/// journal ops (`STATE_SAVE`/`STATE_TAKE`) interleave after their task;
-/// one final `WORKER_END` closes the stream.
+/// Frame tags. Down the coordinator → worker pipe goes one `ROUND` per
+/// round: the round index, then the round's broadcast bytes. Up the
+/// worker → coordinator pipe, per round and in this order: for each task
+/// a `TASK_BEGIN`, then per partition run a `RUN_BEGIN` followed by
+/// `PAIRS` chunks, then `TASK_END`; one `ROUND_END` closes the round.
 pub(crate) mod tag {
     pub const TASK_BEGIN: u8 = 1;
     pub const RUN_BEGIN: u8 = 2;
     pub const PAIRS: u8 = 3;
     pub const TASK_END: u8 = 4;
-    pub const STATE_SAVE: u8 = 5;
-    pub const STATE_TAKE: u8 = 6;
-    pub const WORKER_END: u8 = 7;
+    pub const ROUND_END: u8 = 5;
+    pub const ROUND: u8 = 6;
 }
 
 /// Typed failure of a multi-process job. Everything the coordinator can
@@ -255,6 +254,11 @@ impl<W: Write> FrameWriter<W> {
 
     pub fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+
+    /// Whether an injected truncation has cut the stream.
+    pub fn is_cut(&self) -> bool {
+        self.dead
     }
 
     /// Consumes the writer, returning the underlying sink (used by tests
@@ -665,7 +669,7 @@ mod tests {
 
     #[test]
     fn flipped_trailer_bit_is_a_corrupt_frame() {
-        let mut bytes = frame_bytes(&[(tag::WORKER_END, &[])]);
+        let mut bytes = frame_bytes(&[(tag::ROUND_END, &[])]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         let mut r = FrameReader::new(bytes.as_slice());
@@ -713,7 +717,7 @@ mod tests {
         );
         w.write_frame(tag::TASK_BEGIN, b"ok").unwrap();
         w.write_frame(tag::TASK_END, &[]).unwrap();
-        w.write_frame(tag::WORKER_END, &[9]).unwrap();
+        w.write_frame(tag::ROUND_END, &[9]).unwrap();
         // One whole frame, then 3 bytes of a header, then silence.
         assert_eq!(w.frames, 1);
         let mut r = FrameReader::new(w.inner.as_slice());
@@ -803,10 +807,10 @@ mod tests {
 
     #[test]
     fn empty_payload_frames_work() {
-        let bytes = frame_bytes(&[(tag::WORKER_END, &[])]);
+        let bytes = frame_bytes(&[(tag::ROUND_END, &[])]);
         let mut r = FrameReader::new(bytes.as_slice());
         let (t, p) = r.read_frame().unwrap().unwrap();
-        assert_eq!(t, tag::WORKER_END);
+        assert_eq!(t, tag::ROUND_END);
         assert!(p.is_empty());
         assert!(r.read_frame().unwrap().is_none());
     }

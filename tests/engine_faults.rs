@@ -19,22 +19,31 @@
 //!   retried task's pairs exactly once), while `frame_bytes`/`frames`
 //!   include the discarded partial traffic, and
 //!   [`RunMetrics::recovery`] reports what happened.
+//! * **Recovery across rounds is replay** — workers serve a whole job, so
+//!   fault ordinals count over every round a worker runs and reach
+//!   H-WTopk's rounds 2 and 3; the respawned worker replays exactly the
+//!   earlier rounds and the round's committed tasks
+//!   ([`RecoveryStats::tasks_replayed`]) and streams only the rest.
 
 #![cfg(unix)]
 
+use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use wavelet_hist::builders::{
-    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, SplitSource,
+    TwoLevelS,
 };
+use wavelet_hist::data::twod::{Dataset2d, Distribution2d};
 use wavelet_hist::data::{Dataset, DatasetBuilder};
 use wavelet_hist::mapreduce::cost::validate_measured_shuffle;
 use wavelet_hist::mapreduce::wire::WKey;
 use wavelet_hist::mapreduce::{
     try_run_job, ClusterConfig, EngineConfig, EngineError, FaultPlan, JobSpec, MapContext, MapTask,
-    ReduceContext, RunMetrics,
+    RecoveryStats, ReduceContext, RunMetrics,
 };
 use wavelet_hist::wavelet::Domain;
+use wavelet_hist::BuildResult;
 
 const SPLITS: usize = 8;
 
@@ -139,8 +148,8 @@ fn every_builder_recovers_bit_identically_from_worker_kills() {
                     "{name}: measured vs accounted W={workers} kill@{t}"
                 );
                 // Killing worker 0 before its first task fires in every
-                // round of every builder; other indices may fall outside
-                // a round's task count, so only t == 0 asserts recovery.
+                // builder (task ordinal 0 is the first round's first
+                // task), so t == 0 asserts recovery.
                 if t == 0 {
                     assert!(
                         got.metrics.recovery.recovered(),
@@ -309,19 +318,9 @@ fn deterministic_task_failures_exhaust_the_retry_budget() {
 /// faults surface as typed errors from `try_build`.
 #[test]
 fn twod_build_recovers_bit_identically_under_chaos() {
-    use wavelet_hist::data::twod::{Dataset2d, Distribution2d};
     use wavelet_hist::twod::sequential_send_coef2d;
 
-    let ds = Dataset2d::new(
-        Domain::new(5).unwrap(),
-        Distribution2d::Correlated {
-            alpha: 1.1,
-            spread: 2,
-        },
-        8_000,
-        SPLITS as u32,
-        0x2d10,
-    );
+    let ds = dataset2d();
     let cluster = ClusterConfig::paper_cluster();
     let k = 24;
     let want = sequential_send_coef2d(&ds, k);
@@ -387,4 +386,135 @@ fn recovery_stats_report_the_retry_exactly() {
     assert_eq!(metrics.recovery.workers_respawned, 1);
     assert_eq!(metrics.recovery.attempts, 5);
     validate_measured_shuffle(&metrics).expect("recovered run validates");
+}
+
+fn dataset2d() -> Dataset2d {
+    Dataset2d::new(
+        Domain::new(5).unwrap(),
+        Distribution2d::Correlated {
+            alpha: 1.1,
+            spread: 2,
+        },
+        8_000,
+        SPLITS as u32,
+        0x2d10,
+    )
+}
+
+/// H-WTopk on `workers` forked workers under `faults`.
+fn hwtopk<S>(ds: &S, workers: usize, faults: FaultPlan) -> BuildResult<S::Histogram>
+where
+    S: SplitSource,
+    HWTopk: HistogramBuilder<S>,
+{
+    HWTopk::new()
+        .with_engine(chaos_engine(workers).with_faults(faults))
+        .build(ds, &ClusterConfig::paper_cluster(), 12)
+}
+
+/// A recovered build must be the fault-free one, down to the measured
+/// pair bytes, and must have respawned `respawns` workers that replayed
+/// `replayed` tasks and re-streamed `retried`.
+fn assert_recovered<H: PartialEq + Debug>(
+    got: &BuildResult<H>,
+    want: &BuildResult<H>,
+    (replayed, retried, respawns): (u64, u64, u32),
+    ctx: &str,
+) {
+    assert_eq!(got.histogram, want.histogram, "{ctx}");
+    assert_eq!(got.metrics, want.metrics, "{ctx}: logical metrics");
+    assert_eq!(
+        got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
+        "{ctx}: measured vs accounted"
+    );
+    let RecoveryStats {
+        tasks_replayed,
+        tasks_retried,
+        workers_respawned,
+        attempts,
+        ..
+    } = got.metrics.recovery;
+    assert_eq!(
+        (tasks_replayed, tasks_retried, workers_respawned),
+        (replayed, retried, respawns),
+        "{ctx}: replayed, retried, respawned"
+    );
+    assert_eq!(attempts, got.metrics.wire.workers + respawns, "{ctx}");
+}
+
+/// Kills one of H-WTopk's `workers` before every task of rounds 2 and 3.
+/// With `n` tasks per worker, worker `w` dies before round `r`'s local
+/// task `i` at task ordinal `r·n + i`; its respawn replays the `r·n`
+/// tasks of the earlier rounds plus the `i` the round committed, and
+/// streams the other `n − i`.
+fn kill_in_rounds_two_and_three<S>(ds: &S, workers: usize)
+where
+    S: SplitSource,
+    HWTopk: HistogramBuilder<S>,
+    S::Histogram: PartialEq + Debug,
+{
+    let want = hwtopk(ds, workers, FaultPlan::none());
+    let n = (SPLITS / workers) as u32;
+    for round in [1u32, 2] {
+        for t in 0..SPLITS as u32 {
+            let (w, i) = (t % workers as u32, t / workers as u32);
+            let got = hwtopk(
+                ds,
+                workers,
+                FaultPlan::none().kill_worker_before_task(w, round * n + i),
+            );
+            let expect = (u64::from(round * n + i), u64::from(n - i), 1);
+            let ctx = format!("W={workers} kill before round {} task {t}", round + 1);
+            assert_recovered(&got, &want, expect, &ctx);
+        }
+    }
+}
+
+/// The cross-round matrix: a kill before any task of H-WTopk's rounds 2
+/// and 3, under 1/2/4 workers, recovers by replay to the bit-identical
+/// fault-free build.
+#[test]
+fn h_wtopk_recovers_by_replay_from_kills_in_rounds_two_and_three() {
+    let ds = dataset();
+    for workers in [1usize, 2, 4] {
+        kill_in_rounds_two_and_three(&ds, workers);
+    }
+}
+
+/// The same matrix on the 2-D build, whose state lists hold packed
+/// `(row, col)` coefficient slots.
+#[test]
+fn twod_h_wtopk_recovers_by_replay_from_kills_in_rounds_two_and_three() {
+    kill_in_rounds_two_and_three(&dataset2d(), 2);
+}
+
+/// Frame faults reach round 3 too: frame ordinals run on across rounds.
+/// On one worker, a fault-free build of `F` frames puts round 3's
+/// `ROUND_END` at ordinal `F − 1` and its last `TASK_END` at `F − 2`.
+#[test]
+fn h_wtopk_recovers_from_a_cut_or_corrupt_frame_in_round_three() {
+    let ds = dataset();
+    let n = SPLITS as u64;
+    let want = hwtopk(&ds, 1, FaultPlan::none());
+    let frames = want.metrics.wire.frames as u32;
+
+    // The last TASK_END is cut mid-header: the round's last task never
+    // commits, so the respawn replays rounds 1–2 and the 7 committed
+    // tasks and streams the 8th.
+    let got = hwtopk(
+        &ds,
+        1,
+        FaultPlan::none().truncate_worker_after_frame(0, frames - 2),
+    );
+    assert_recovered(&got, &want, (2 * n + n - 1, 1, 1), "cut last TASK_END");
+
+    // A corrupt ROUND_END: every task has committed, and no round
+    // follows, so the lost worker is never replaced.
+    let got = hwtopk(
+        &ds,
+        1,
+        FaultPlan::none().corrupt_worker_frame(0, frames - 1),
+    );
+    assert_recovered(&got, &want, (0, 0, 0), "corrupt ROUND_END");
+    assert_eq!(got.metrics.recovery.corrupt_frames, 1);
 }

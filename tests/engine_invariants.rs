@@ -149,19 +149,42 @@ fn wire_sizes_of_workspace_payloads() {
 }
 
 #[test]
-fn state_store_survives_rounds() {
-    use wavelet_hist::mapreduce::StateStore;
-    let store = StateStore::new();
-    // Round 1 writes per-split state from worker threads.
-    std::thread::scope(|s| {
-        for j in 0..16u32 {
-            let store = &store;
-            s.spawn(move || store.save_wire(j, &vec![(j as u64, 0.5f64)]));
-        }
-    });
-    // Round 2 reads it back.
-    for j in 0..16u32 {
-        let st: Vec<(u64, f64)> = store.take_wire(j).expect("state persisted");
-        assert_eq!(st[0].0, j as u64);
+fn task_state_survives_rounds() {
+    // Round 1 leaves per-split state in each task's own closure, round 2
+    // reads it back — with threads between rounds, and on forked workers
+    // that keep the state in the process that made it.
+    let mut engines = vec![EngineConfig::pipelined(), EngineConfig::reference()];
+    if cfg!(unix) {
+        engines.push(EngineConfig::multi_process().with_map_parallelism(3));
+    }
+    for engine in engines {
+        let tasks: Vec<MapTask<WKey, u64>> = (0..16u32)
+            .map(|j| {
+                let mut kept: Vec<(u64, f64)> = Vec::new();
+                MapTask::new(j, move |ctx: &mut MapContext<WKey, u64>| {
+                    if ctx.round() == 0 {
+                        kept = vec![(u64::from(j), 0.5)];
+                    } else {
+                        for &(x, _) in &kept {
+                            ctx.emit(WKey::four(x), x * 10);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let spec = JobSpec::new(
+            "state",
+            tasks,
+            |k: &WKey, vs: &[u64], ctx: &mut wavelet_hist::mapreduce::ReduceContext<(u64, u64)>| {
+                ctx.emit((k.id, vs[0]));
+            },
+        )
+        .with_wire_codec()
+        .with_engine(engine);
+        let cluster = ClusterConfig::paper_cluster();
+        let mut job = spec.start(&cluster).unwrap();
+        assert!(job.round(&[]).unwrap().outputs.is_empty(), "{engine:?}");
+        let want: Outputs = (0..16).map(|j| (j, j * 10)).collect();
+        assert_eq!(job.round(&[]).unwrap().outputs, want, "{engine:?}");
     }
 }

@@ -8,6 +8,8 @@
 
 #![cfg(unix)]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use wavelet_hist::builders::{
     BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendSketch, SendV, TwoLevelS,
@@ -15,10 +17,11 @@ use wavelet_hist::builders::{
 use wavelet_hist::data::{Dataset, DatasetBuilder};
 use wavelet_hist::mapreduce::cost::validate_measured_shuffle;
 use wavelet_hist::mapreduce::engine::default_partition;
+use wavelet_hist::mapreduce::transport::MAX_FRAME_BYTES;
 use wavelet_hist::mapreduce::wire::WKey;
 use wavelet_hist::mapreduce::{
-    try_run_job, ClusterConfig, EngineConfig, EngineError, JobSpec, MapContext, MapTask,
-    ReduceContext, RunMetrics, WireSize,
+    try_run_job, ClusterConfig, EngineConfig, EngineError, EngineMode, JobSpec, MapContext,
+    MapTask, ReduceContext, RunMetrics, WireSize,
 };
 use wavelet_hist::wavelet::Domain;
 
@@ -110,9 +113,12 @@ fn h_wtopk_reports_two_communication_rounds() {
     assert_eq!(got.metrics.wire.comm_rounds, 2);
     assert_eq!(got.histogram.coefficients(), want.histogram.coefficients());
     assert_eq!(got.metrics, want.metrics);
-    // Rounds 2–3 ship per-split state through the journal, and that
-    // traffic is counted separately from shuffled pairs.
-    assert!(got.metrics.wire.state_bytes > 0);
+    assert_eq!(got.metrics.broadcast_bytes, want.metrics.broadcast_bytes);
+    // The workers fork once for all three rounds, and per-split state
+    // never crosses a pipe: it stays in the worker that computed it.
+    assert_eq!(got.metrics.recovery.attempts, 2);
+    assert_eq!(got.metrics.wire.workers, 2);
+    assert_eq!(got.metrics.wire.state_bytes, 0);
 }
 
 /// One digest row per reduced key: `(key, value count, value sum)`.
@@ -189,7 +195,7 @@ fn killed_worker_is_reaped_and_reported() {
 }
 
 /// Satellite (c), truncation half: a worker that exits *cleanly* without
-/// finishing its stream (no `WORKER_END`) is a truncated stream, not a
+/// finishing its round (no `ROUND_END`) is a truncated stream, not a
 /// success.
 #[test]
 fn truncated_stream_is_reported() {
@@ -362,6 +368,63 @@ fn close_hook_consumes_the_stitched_reducer_emissions_on_every_engine() {
                 assert_eq!(job(engine, true), consumed, "{ctx}: consuming hook");
                 assert_eq!(job(engine, false), appended, "{ctx}: emit-only hook");
             }
+        }
+    }
+}
+
+/// Broadcasts reach every task bit-exact on every engine, and task state
+/// carries from round to round: each task compares what it was sent with
+/// the payload it expects and counts its rounds in its own closure. A
+/// payload too large for one frame is a typed error on forked workers —
+/// after which the job still runs — and arrives like any other
+/// in-process.
+#[test]
+fn broadcasts_arrive_bit_exact_on_every_engine() {
+    let kib: Vec<u8> = (0..5 * 1024 + 3).map(|i| (i * 31 % 251) as u8).collect();
+    let huge = vec![0x5a; MAX_FRAME_BYTES as usize];
+    let payloads = Arc::new(vec![Vec::new(), kib, huge, vec![9]]);
+    let cluster = ClusterConfig::single_machine();
+    for engine in [
+        EngineConfig::pipelined(),
+        EngineConfig::reference(),
+        EngineConfig::multi_process().with_map_parallelism(2),
+    ] {
+        let tasks: Vec<MapTask<u32, u64>> = (0..3u32)
+            .map(|j| {
+                let payloads = Arc::clone(&payloads);
+                let mut rounds_seen = 0u64;
+                MapTask::new(j, move |ctx: &mut MapContext<u32, u64>| {
+                    let sent = payloads.iter().position(|p| p == ctx.broadcast());
+                    rounds_seen += 1;
+                    ctx.emit(j, rounds_seen * 100 + sent.map_or(99, |i| i as u64));
+                })
+            })
+            .collect();
+        let spec = JobSpec::new(
+            "bcast-exact",
+            tasks,
+            |k: &u32, vs: &[u64], ctx: &mut ReduceContext<(u32, u64)>| ctx.emit((*k, vs[0])),
+        )
+        .with_wire_codec()
+        .with_engine(engine);
+        let mut job = spec.start(&cluster).unwrap();
+        let mut rounds = 0u64;
+        for (i, payload) in payloads.iter().enumerate() {
+            let got = job.round(payload);
+            if engine.mode == EngineMode::MultiProcess
+                && payload.len() + 4 > MAX_FRAME_BYTES as usize
+            {
+                assert!(
+                    matches!(got, Err(EngineError::FrameTooLarge { .. })),
+                    "{got:?}"
+                );
+                continue;
+            }
+            rounds += 1;
+            let out = got.unwrap();
+            let want: Vec<(u32, u64)> = (0..3).map(|j| (j, rounds * 100 + i as u64)).collect();
+            assert_eq!(out.outputs, want, "{:?} payload {i}", engine.mode);
+            assert_eq!(out.metrics.broadcast_bytes, payload.len() as u64);
         }
     }
 }
