@@ -8,7 +8,7 @@
 //! range (`max − min + 1` radixes, never the full domain), and key groups
 //! are delivered to the reduce function in ascending key order with
 //! values in `(split id, arrival order)` order — the exact sequence of
-//! the sort/merge strategies it replaces, with no sort at all.
+//! the sort-at-reduce route, with no sort at all.
 //!
 //! The [`DenseReducer`] is owned by a reduce worker and **reused across
 //! every partition that worker reduces**: the slot array is reset via a
@@ -27,7 +27,7 @@ use crate::engine::ReduceDyn;
 pub(crate) const FIRST_ARRIVAL: u32 = 1 << 31;
 
 /// Flat-array reduce-side grouper for a bounded key domain: the dense
-/// counterpart of the sort-at-reduce and merge strategies. One per reduce
+/// counterpart of the sort-at-reduce route. One per reduce
 /// worker thread, recycled across every partition that worker reduces.
 ///
 /// The shape is a counting sort that never moves keys: a counting pass
@@ -98,7 +98,7 @@ impl<K, V> DenseReducer<K, V> {
     /// invokes `reduce` once per key, key groups in ascending key order
     /// and each group's values in `(split id, arrival order)` order —
     /// `runs` must arrive in split-id order with arrival order inside
-    /// each run, exactly the shape the no-merge shuffle ships.
+    /// each run, exactly the shape the shuffle ships.
     ///
     /// # Panics
     ///

@@ -3,37 +3,36 @@
 //! ```text
 //!  map workers (N threads)          shuffle              reduce workers (P threads)
 //! ┌──────────────────────────┐                        ┌───────────────────────────┐
-//! │ task → MapContext        │   regroup runs by      │ partition 0: k-way merge  │
-//! │   ├─ count pairs, bytes  │   partition, splits    │   of m sorted runs        │──┐
-//! │   ├─ partition pairs     │   stay in id order     │   → reduce(key, values)   │  │ stitch
-//! │   └─ sort each partition │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
-//! │      run by (key,arrive) │                        │ …                         │  │ + finish
-//! │      = the "spill"       │                        │ partition R-1: …          │──┘
+//! │ task → MapContext        │   regroup runs by      │ partition 0: dense table  │
+//! │   ├─ count pairs, bytes  │   partition, splits    │   or one stable sort      │──┐
+//! │   └─ partition pairs,    │   stay in id order     │   → reduce(key, values)   │  │ stitch
+//! │      arrival order kept  │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
+//! │      = the "spill"       │                        │ …                         │  │ + finish
+//! │                          │                        │ partition R-1: …          │──┘
 //! └──────────────────────────┘                        └───────────────────────────┘
 //! ```
 //!
 //! Three properties make this both fast and exactly deterministic:
 //!
-//! 1. **Spills are pre-sorted per partition inside the map workers.** The
-//!    sort work happens in parallel, and the old single-threaded global
-//!    sort disappears entirely. Jobs whose keys carry a
-//!    [`RadixKey`](crate::RadixKey) codec ([`crate::JobSpec::with_radix_keys`])
-//!    sort spill runs with the LSD radix sort in [`crate::radix`]:
-//!    `O(n · key bytes)` with branch-free inner loops, bit-identical to
-//!    the comparison sort it replaces.
-//! 2. **The reduce side picks an explicit strategy per job** — recorded
+//! 1. **Map workers partition and never sort.** A spill is the task's
+//!    pairs in arrival order, one run per partition — or one flat run
+//!    that the shuffle scatters, for tasks too small to be worth `R`
+//!    partition buffers. What a map worker ships does not depend on how
+//!    its partitions will be reduced.
+//! 2. **Each partition picks its route where it is reduced** — recorded
 //!    per partition in [`RunMetrics::reduce_strategies`]:
 //!
 //!    | [`ReduceStrategy`] | when | what a partition does |
 //!    |---|---|---|
-//!    | `DenseReduce` | radix codec + [`EngineConfig::key_domain_hint`] small enough for a flat array | aggregates its unsorted runs straight into a recycled slot array sized to the partition's actual key range (`dense::DenseReducer`) — no sort, no merge |
-//!    | `SortAtReduce` | radix codec, several partitions, domain too wide (or absent) | radix-sorts its split-ordered run concatenation once, stably, then groups adjacent keys |
-//!    | `Merge` | no codec, or a single partition without a dense domain | k-way merges runs pre-sorted inside the map workers (`m`-entry heap, `O(n log m)` comparisons on `(key, split)` only) |
+//!    | `DenseReduce` | radix codec, [`EngineConfig::key_domain_hint`] ≤ 2²², fewer than 2³¹ pairs | aggregates its runs straight into a recycled slot array sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
+//!    | `SortAtReduce` | otherwise | one stable sort of its split-ordered run concatenation, then groups adjacent keys |
 //!
-//!    For the non-`Merge` strategies the map workers skip the per-run
-//!    sort entirely and ship runs in arrival order. Every strategy
-//!    delivers the identical sequence to the reduce function, so outputs
-//!    are bit-identical across strategies (differential tests enforce it).
+//!    Jobs whose keys carry a [`RadixKey`](crate::RadixKey) codec
+//!    ([`crate::JobSpec::with_radix_keys`]) sort with the LSD radix sort
+//!    in [`crate::radix`] — `O(n · key bytes)`, bit-identical to the
+//!    stable comparison sort that jobs without one use. Both routes
+//!    deliver the identical sequence to the reduce function, so outputs
+//!    are bit-identical across routes (differential tests enforce it).
 //! 3. **Reduce partitions run in parallel with deterministic stitching.**
 //!    Every partition gets its own [`ReduceContext`]; outputs and charged
 //!    CPU are recombined in partition-index order, so the result — outputs,
@@ -41,12 +40,12 @@
 //!    `reducer_parallelism`, including 1.
 //!
 //! Workers recycle their buffers across work items on both sides: map
-//! workers keep the emit buffer and the radix-sort scratch per worker,
-//! not per task, and reduce workers keep a radix scratch plus a
-//! `DenseReducer` table per thread, recycled across the partitions that
-//! thread reduces. Tiny jobs skip thread machinery entirely: the map
-//! loop runs inline when only one worker would be spawned, and the
-//! reduce phase stays serial below a pair-count spawn threshold.
+//! workers keep the emit buffer per worker, not per task, and reduce
+//! workers keep a radix scratch plus a `DenseReducer` table per thread,
+//! recycled across the partitions that thread reduces. Tiny jobs skip
+//! thread machinery entirely: the map loop runs inline when only one
+//! worker would be spawned, and the reduce phase stays serial below a
+//! pair-count spawn threshold.
 //!
 //! The determinism contract of the seed engine is preserved exactly: within
 //! a partition, the reduce function observes key groups in key order and
@@ -54,8 +53,6 @@
 //! engine itself survives as [`crate::reference`] — an executable
 //! specification that differential tests compare this engine against.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,8 +69,8 @@ use crate::radix::{sort_pairs_with, RadixScratch};
 use crate::wire::WireSize;
 use wh_wavelet::hash::FxHasher;
 
-/// Borrowed form of the shared reduce function, passed into the merge
-/// machinery.
+/// Borrowed form of the shared reduce function, passed into the reduce
+/// routes.
 pub(crate) type ReduceDyn<K, V, R> = dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync;
 
 /// Which executor [`crate::run_job`] dispatches to.
@@ -98,7 +95,8 @@ pub enum EngineMode {
 /// they only trade memory, parallelism, and constant factors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Executor selection (pipelined vs the seed reference engine).
+    /// Executor selection: the pipelined engine, the seed reference
+    /// engine, or forked map-worker processes.
     pub mode: EngineMode,
     /// Number of reduce partitions (the paper always uses 1).
     pub num_reducers: u32,
@@ -263,7 +261,7 @@ pub fn default_partition<K: Hash>(key: &K) -> u64 {
 }
 
 /// Domains above this cap fall back from the reduce-side `DenseReducer`
-/// to the sort-based strategies: a `u32` slot per domain value must stay
+/// to sort-at-reduce: a `u32` slot per domain value must stay
 /// small enough (≤ 16 MiB per worker here) that a flat array is an
 /// optimization, not a memory liability. The table additionally sizes
 /// itself to each partition's actual key range, so this bounds the worst
@@ -276,33 +274,18 @@ const DENSE_DOMAIN_MAX: u64 = 1 << 22;
 /// in. Thread count never changes outputs, so this is timing-only.
 const REDUCE_SPAWN_MIN_PAIRS: u64 = 8192;
 
-/// Tasks with fewer pairs than this ship a flat (unpartitioned) spill in
-/// sort-at-reduce mode and let the shuffle scatter it: allocating
+/// Tasks of a multi-partition job with fewer pairs than this ship a flat
+/// (unpartitioned) spill and let the shuffle scatter it: allocating
 /// `num_reducers` per-task partition buffers would cost more than the
 /// pairs they hold. Larger tasks scatter inside the map worker, where
 /// the hashing parallelizes.
 const SCATTER_MIN_PAIRS: usize = 1024;
 
-/// Stable sort of `pairs` by key — arrival order within a key survives.
-/// The radix sort produces the identical permutation when the job
-/// declared a key codec.
-fn sort_by_key<K: Ord, V>(
-    pairs: &mut [(K, V)],
-    key_codec: Option<fn(&K) -> u64>,
-    scratch: &mut RadixScratch,
-) {
-    match key_codec {
-        Some(codec) => sort_pairs_with(pairs, codec, scratch),
-        None => pairs.sort_by(|a, b| a.0.cmp(&b.0)),
-    }
-}
-
-/// One map task's spill, plus the task's accounting. `scattered` spills
-/// carry one run per partition (sorted by `(key, arrival order)` when
-/// the job merges at reduce time); flat spills carry the task's pairs as
-/// a single unpartitioned list — the shape tiny tasks ship in
-/// sort-at-reduce mode, where per-task partition buffers would cost more
-/// than the pairs they hold and the shuffle scatters instead.
+/// One map task's spill, plus the task's accounting. Pairs keep their
+/// arrival order. `scattered` spills carry one run per partition; flat
+/// spills carry the task's pairs as a single unpartitioned list — the
+/// shape tiny tasks ship in, where per-task partition buffers would cost
+/// more than the pairs they hold and the shuffle scatters instead.
 pub(crate) struct TaskSpill<K, V> {
     pub(crate) split_id: u32,
     pub(crate) runs: Vec<Vec<(K, V)>>,
@@ -314,44 +297,16 @@ pub(crate) struct TaskSpill<K, V> {
 }
 
 /// Worker-local state of the map phase, recycled across the tasks this
-/// worker executes: the emit buffer handed to each [`MapContext`] and the
-/// radix-sort scratch for spill runs.
+/// worker executes: the emit buffer handed to each [`MapContext`].
 pub(crate) struct MapWorker<K, V> {
     pairs_buf: Vec<(K, V)>,
-    scratch: RadixScratch,
 }
 
 impl<K, V> MapWorker<K, V> {
     pub(crate) fn new() -> Self {
         Self {
             pairs_buf: Vec::new(),
-            scratch: RadixScratch::default(),
         }
-    }
-}
-
-/// Reduce-strategy selection, fixed per job because it also decides what
-/// the map workers ship:
-///
-/// * `DenseReduce` (codec + bounded domain): partitions aggregate their
-///   unsorted runs straight into a flat slot array — nobody sorts
-///   anything, on either side.
-/// * `SortAtReduce` (codec, several partitions, domain too wide): each
-///   partition radix-sorts its split-ordered run concatenation once
-///   (stable, runs in split-id order), which is the exact merge sequence
-///   at strictly less data movement than sorted spills + merge.
-/// * `Merge` otherwise: map workers pre-sort their runs (that is what
-///   parallelizes the sort work when everything reduces in one place or
-///   keys carry no codec) and partitions k-way merge them.
-pub(crate) fn select_strategy(
-    has_codec: bool,
-    domain_hint: Option<u64>,
-    nparts: usize,
-) -> ReduceStrategy {
-    match (has_codec, domain_hint) {
-        (true, Some(u)) if u <= DENSE_DOMAIN_MAX => ReduceStrategy::DenseReduce,
-        (true, _) if nparts > 1 => ReduceStrategy::SortAtReduce,
-        _ => ReduceStrategy::Merge,
     }
 }
 
@@ -370,13 +325,11 @@ where
     R: Send,
 {
     let engine = spec.engine;
-    let key_codec = spec.key_codec;
     assert!(engine.num_reducers >= 1, "need at least one reducer");
     let nparts = engine.num_reducers as usize;
-    let strategy = select_strategy(key_codec.is_some(), engine.key_domain_hint, nparts);
 
-    // ---- Map phase (parallel): run, partition, sort — all
-    // inside the worker thread that owns the task. ----
+    // ---- Map phase (parallel): run and partition, inside the worker
+    // thread that owns the task. ----
     let map_start = Instant::now();
     let task_queue: Vec<Mutex<&mut MapTask<K, V>>> =
         spec.map_tasks.iter_mut().map(Mutex::new).collect();
@@ -390,9 +343,7 @@ where
             break;
         }
         let mut task = task_queue[i].lock();
-        let spill = run_one_task(
-            &mut task, round, broadcast, nparts, strategy, key_codec, state,
-        );
+        let spill = run_one_task(&mut task, round, broadcast, nparts, state);
         spills.lock().push(spill);
     };
 
@@ -409,14 +360,7 @@ where
     per_task.sort_by_key(|t| t.split_id);
     let wall_map_s = map_start.elapsed().as_secs_f64();
 
-    shuffle_reduce_finish(
-        cluster,
-        per_task,
-        spec,
-        broadcast.len() as u64,
-        strategy,
-        wall_map_s,
-    )
+    shuffle_reduce_finish(cluster, per_task, spec, broadcast.len() as u64, wall_map_s)
 }
 
 /// Runs `work` on `n` scoped threads and joins every one of them,
@@ -441,22 +385,20 @@ fn run_workers(n: usize, work: impl Fn() + Sync) {
 }
 
 /// Runs one map task's round to a [`TaskSpill`]: execute the closure,
-/// partition (or ship flat), and pre-sort runs when the job merges at
-/// reduce time. This is the unit of map work shared **verbatim** by the
-/// threaded executor above and the forked workers of [`crate::worker`] —
-/// sharing it is what makes the two modes bit-identical by construction.
+/// then partition its pairs or ship them flat, in arrival order. This is
+/// the unit of map work shared **verbatim** by the threaded executor
+/// above and the forked workers of [`crate::worker`] — sharing it is what
+/// makes the two modes bit-identical by construction.
 pub(crate) fn run_one_task<K, V>(
     task: &mut MapTask<K, V>,
     round: u32,
     broadcast: &Arc<[u8]>,
     nparts: usize,
-    strategy: ReduceStrategy,
-    key_codec: Option<fn(&K) -> u64>,
     state: &mut MapWorker<K, V>,
 ) -> TaskSpill<K, V>
 where
-    K: Ord + Hash + Send + WireSize + 'static,
-    V: Send + WireSize + 'static,
+    K: Hash + WireSize,
+    V: WireSize,
 {
     let mut ctx = MapContext::new(
         task.split_id,
@@ -478,12 +420,12 @@ where
         npairs += 1;
         nbytes += k.wire_bytes() + v.wire_bytes();
     }
-    let (mut runs, scattered): (Vec<Vec<(K, V)>>, bool) = if nparts == 1 {
+    let (runs, scattered): (Vec<Vec<(K, V)>>, bool) = if nparts == 1 {
         (vec![std::mem::take(&mut pairs)], true)
-    } else if strategy != ReduceStrategy::Merge && pairs.len() < SCATTER_MIN_PAIRS {
-        // Tiny task in a no-merge mode: ship the pairs flat and let
-        // the shuffle scatter them — R per-task partition buffers
-        // would cost more than the pairs they hold.
+    } else if pairs.len() < SCATTER_MIN_PAIRS {
+        // Tiny task: ship the pairs flat and let the shuffle scatter
+        // them — R per-task partition buffers would cost more than the
+        // pairs they hold.
         (vec![std::mem::take(&mut pairs)], false)
     } else {
         // Reserve the expected per-partition share up front so the
@@ -499,13 +441,6 @@ where
     // The (now empty) emit buffer keeps its allocation for the next
     // task this worker picks up.
     state.pairs_buf = pairs;
-    if strategy == ReduceStrategy::Merge {
-        // Only the merge strategy consumes pre-sorted runs; the dense
-        // and sort-at-reduce partitions take them in arrival order.
-        for run in &mut runs {
-            sort_by_key(run, key_codec, &mut state.scratch);
-        }
-    }
     TaskSpill {
         split_id: task.split_id,
         runs,
@@ -531,7 +466,6 @@ pub(crate) fn shuffle_reduce_finish<K, V, R>(
     per_task: Vec<TaskSpill<K, V>>,
     spec: &mut JobSpec<K, V, R>,
     broadcast_bytes: u64,
-    strategy: ReduceStrategy,
     wall_map_s: f64,
 ) -> JobOutput<R>
 where
@@ -539,9 +473,9 @@ where
     V: Send,
     R: Send,
 {
-    let (engine, reduce, key_codec) = (spec.engine, spec.reduce.as_ref(), spec.key_codec);
+    let (engine, reduce) = (spec.engine, spec.reduce.as_ref());
     let nparts = engine.num_reducers as usize;
-    // ---- Shuffle: regroup spill runs into per-partition merge inputs
+    // ---- Shuffle: regroup spill runs into per-partition reduce inputs
     // (runs stay in split-id order) and account communication. ----
     let shuffle_start = Instant::now();
     let mut metrics = RunMetrics {
@@ -557,8 +491,7 @@ where
     // consolidated tail run per partition. Tasks arrive in split-id
     // order, and a tail is flushed ahead of any scattered run that
     // follows it, so every partition's runs stay in (split id, arrival)
-    // order — which is all the dense-reduce and sort-at-reduce paths
-    // need.
+    // order — which is all either reduce route needs.
     let mut tails: Vec<Vec<(K, V)>> = (0..nparts).map(|_| Vec::new()).collect();
     for t in per_task {
         task_work.push(t.work);
@@ -605,12 +538,8 @@ where
     .min(nparts)
     .max(1);
 
-    // What a partition needs to execute the selected strategy: the codec
-    // (dense + sort-at-reduce) and the declared domain (dense asserts
-    // against it).
     let plan = ReducePlan {
-        strategy,
-        codec: key_codec,
+        codec: spec.key_codec,
         domain_hint: engine.key_domain_hint,
         dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
     };
@@ -692,18 +621,16 @@ where
     JobOutput { outputs, metrics }
 }
 
-/// Everything a reduce worker needs to execute the job's strategy on one
-/// partition. One per job; `Copy` so worker threads capture it by value.
+/// Everything a reduce worker needs to pick and run one partition's
+/// route. One per job; `Copy` so worker threads capture it by value.
 struct ReducePlan<K> {
-    strategy: ReduceStrategy,
     codec: Option<fn(&K) -> u64>,
     domain_hint: Option<u64>,
-    /// Pair count at which a `DenseReduce` partition is re-planned to
-    /// sort-at-reduce: the dense table tags group indices into `u32`
-    /// slots, so a partition holding `FIRST_ARRIVAL` (2³¹) or more pairs
-    /// would overflow its indexing. Production plans use exactly that
-    /// constant; tests shrink it to exercise the fallback without 2³¹
-    /// pairs of memory.
+    /// Pair count from which a partition cannot reduce densely: the
+    /// dense table tags group indices into `u32` slots, so a partition
+    /// holding `FIRST_ARRIVAL` (2³¹) or more pairs would overflow its
+    /// indexing. Production plans use exactly that constant; tests shrink
+    /// it to exercise the fallback without 2³¹ pairs of memory.
     dense_pair_cap: usize,
 }
 
@@ -732,33 +659,25 @@ impl<K, V> ReduceScratch<K, V> {
     }
 }
 
-/// Reduces one partition under the job's [`ReduceStrategy`] and invokes
-/// `reduce` per key group — key groups in key order, values in
-/// `(split id, arrival order)` order, identically for every strategy:
+/// Reduces one partition and invokes `reduce` per key group — key groups
+/// in key order, values in `(split id, arrival order)` order. The runs
+/// arrive unsorted, in split-id order, and the partition takes one of
+/// two routes, decided here:
 ///
-/// * `DenseReduce`: runs arrive **unsorted** and aggregate into the
+/// * `DenseReduce` when the job has a key codec and a domain hint no
+///   wider than [`DENSE_DOMAIN_MAX`], and the partition holds fewer pairs
+///   than [`ReducePlan::dense_pair_cap`]: the runs aggregate into the
 ///   recycled flat table, which emits groups in ascending radix (= key)
 ///   order.
-/// * `SortAtReduce`: runs arrive **unsorted**; the partition radix-sorts
-///   its split-ordered concatenation once. The sort is stable, so equal
-///   keys keep `(split id, arrival order)` — the exact merge sequence,
-///   with no merge.
-/// * `Merge`: runs arrive pre-sorted from the map workers and are k-way
-///   merged.
+/// * `SortAtReduce` otherwise: one stable sort of the split-ordered run
+///   concatenation — radix with a codec, comparison without — so equal
+///   keys keep `(split id, arrival order)`; then adjacent grouping.
 ///
-/// The strategy that ran is recorded on the context, which the stitching
-/// loop folds into [`RunMetrics::reduce_strategies`].
-///
-/// `DenseReduce` is re-planned here, per partition, when the partition's
-/// pair count reaches [`ReducePlan::dense_pair_cap`]: the dense table's
-/// tagged-u32 indexing cannot address that many pairs, so the partition
-/// falls back to sort-at-reduce — both strategies consume unsorted
-/// split-ordered runs and deliver the identical key-group sequence, so
-/// the downgrade changes only the execution route. The strategy recorded
-/// on the context (and thus in [`RunMetrics::reduce_strategies`]) is the
-/// one that actually ran.
+/// Both routes deliver the identical key-group sequence. The route that
+/// ran is recorded on the context, which the stitching loop folds into
+/// [`RunMetrics::reduce_strategies`].
 fn reduce_partition<K, V, R>(
-    runs: Vec<Vec<(K, V)>>,
+    mut runs: Vec<Vec<(K, V)>>,
     plan: ReducePlan<K>,
     scratch: &mut ReduceScratch<K, V>,
     reduce: &ReduceDyn<K, V, R>,
@@ -766,67 +685,36 @@ fn reduce_partition<K, V, R>(
 ) where
     K: Ord,
 {
-    rctx.strategy = Some(plan.strategy);
-    match plan.strategy {
-        ReduceStrategy::DenseReduce => {
-            let codec = plan.codec.expect("dense reduce requires a key codec");
-            let hint = plan
-                .domain_hint
-                .expect("dense reduce requires a key_domain_hint");
-            let total: usize = runs.iter().map(Vec::len).sum();
-            if total >= plan.dense_pair_cap {
-                rctx.strategy = Some(ReduceStrategy::SortAtReduce);
-                sort_at_reduce(runs, total, codec, scratch, reduce, rctx);
+    let total: usize = runs.iter().map(Vec::len).sum();
+    match (plan.codec, plan.domain_hint) {
+        (Some(codec), Some(domain))
+            if domain <= DENSE_DOMAIN_MAX && total < plan.dense_pair_cap =>
+        {
+            rctx.strategy = Some(ReduceStrategy::DenseReduce);
+            scratch.dense.reduce_runs(runs, codec, domain, reduce, rctx);
+        }
+        (codec, _) => {
+            rctx.strategy = Some(ReduceStrategy::SortAtReduce);
+            let mut all = if runs.len() == 1 {
+                runs.pop().expect("one run")
             } else {
-                scratch.dense.reduce_runs(runs, codec, hint, reduce, rctx);
+                let mut all = Vec::with_capacity(total);
+                for run in runs {
+                    all.extend(run);
+                }
+                all
+            };
+            match codec {
+                Some(codec) => sort_pairs_with(&mut all, codec, &mut scratch.radix),
+                None => all.sort_by(|a, b| a.0.cmp(&b.0)),
             }
+            reduce_sorted_run(all, reduce, rctx);
         }
-        ReduceStrategy::SortAtReduce => {
-            let codec = plan.codec.expect("sort-at-reduce requires a key codec");
-            let total: usize = runs.iter().map(Vec::len).sum();
-            sort_at_reduce(runs, total, codec, scratch, reduce, rctx);
-        }
-        ReduceStrategy::Merge => match runs.len() {
-            0 => {}
-            1 => {
-                let run = runs.into_iter().next().expect("one run");
-                reduce_sorted_run(run, reduce, rctx);
-            }
-            _ => merge_runs(runs, reduce, rctx),
-        },
     }
 }
 
-/// The sort-at-reduce body: one stable radix sort of the split-ordered
-/// run concatenation, then adjacent grouping — shared by the
-/// `SortAtReduce` strategy and the dense-overflow fallback.
-fn sort_at_reduce<K, V, R>(
-    runs: Vec<Vec<(K, V)>>,
-    total: usize,
-    codec: fn(&K) -> u64,
-    scratch: &mut ReduceScratch<K, V>,
-    reduce: &ReduceDyn<K, V, R>,
-    rctx: &mut ReduceContext<R>,
-) where
-    K: Ord,
-{
-    let mut all = match runs.len() {
-        0 => Vec::new(),
-        1 => runs.into_iter().next().expect("one run"),
-        _ => {
-            let mut all = Vec::with_capacity(total);
-            for run in runs {
-                all.extend(run);
-            }
-            all
-        }
-    };
-    sort_pairs_with(&mut all, codec, &mut scratch.radix);
-    reduce_sorted_run(all, reduce, rctx);
-}
-
 /// Groups adjacent equal keys of one already-sorted run — no comparisons
-/// beyond equality, no heap.
+/// beyond equality.
 fn reduce_sorted_run<K, V, R>(
     run: Vec<(K, V)>,
     reduce: &ReduceDyn<K, V, R>,
@@ -852,230 +740,90 @@ fn reduce_sorted_run<K, V, R>(
     reduce(&key, &values, rctx);
 }
 
-/// Heap entry of the k-way merge. Ordering compares `(key, run index)`
-/// only — runs are stored in split-id order, so the merge yields the
-/// global `(key, split id, arrival order)` sequence. The carried value
-/// never participates in comparisons.
-struct MergeEntry<K, V> {
-    key: K,
-    run: usize,
-    value: V,
-}
-
-impl<K: Ord, V> PartialEq for MergeEntry<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
-    }
-}
-
-impl<K: Ord, V> Eq for MergeEntry<K, V> {}
-
-impl<K: Ord, V> PartialOrd for MergeEntry<K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, V> Ord for MergeEntry<K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.run.cmp(&other.run))
-    }
-}
-
-/// Fan-in above which the merge switches from the binary heap to the
-/// pairwise ladder: wide heaps pay `2·log₂ m` branchy sift steps per
-/// element, while the ladder's sequential two-way merges cost exactly
-/// `log₂ m` predictable comparisons plus streaming copies.
-const HEAP_MERGE_MAX_RUNS: usize = 8;
-
-/// Partitions at most this many pairs skip the merge machinery entirely:
-/// concatenating the runs (split-id order) and stably re-sorting by key
-/// yields the identical `(key, split id, arrival order)` sequence with
-/// one tiny sort instead of a heap or ladder over dozens of micro-runs —
-/// the regime the sampling builders put every partition in.
-const MERGE_CONCAT_MAX_PAIRS: usize = 4096;
-
-/// Merges `m` sorted runs and feeds key groups straight into `reduce` —
-/// the shuffle never materializes a global concatenated vector and never
-/// compares partition ids. Narrow fan-ins use the `m`-entry min-heap
-/// (O(1) extra memory); wide fan-ins use [`ladder_merge`].
-fn merge_runs<K, V, R>(
-    runs: Vec<Vec<(K, V)>>,
-    reduce: &ReduceDyn<K, V, R>,
-    rctx: &mut ReduceContext<R>,
-) where
-    K: Ord,
-{
-    let total: usize = runs.iter().map(Vec::len).sum();
-    if total <= MERGE_CONCAT_MAX_PAIRS {
-        // Stable sort of the split-ordered concatenation = the exact
-        // merge sequence, cheaper than merging many tiny runs.
-        let mut all = Vec::with_capacity(total);
-        for run in runs {
-            all.extend(run);
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        reduce_sorted_run(all, reduce, rctx);
-        return;
-    }
-    if runs.len() > HEAP_MERGE_MAX_RUNS {
-        let merged = ladder_merge(runs);
-        reduce_sorted_run(merged, reduce, rctx);
-        return;
-    }
-    let mut iters: Vec<std::vec::IntoIter<(K, V)>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<MergeEntry<K, V>>> = BinaryHeap::with_capacity(iters.len());
-    for (run, it) in iters.iter_mut().enumerate() {
-        if let Some((key, value)) = it.next() {
-            heap.push(Reverse(MergeEntry { key, run, value }));
-        }
-    }
-    let mut values: Vec<V> = Vec::new();
-    while let Some(Reverse(MergeEntry { key, run, value })) = heap.pop() {
-        values.clear();
-        values.push(value);
-        if let Some((k, v)) = iters[run].next() {
-            heap.push(Reverse(MergeEntry {
-                key: k,
-                run,
-                value: v,
-            }));
-        }
-        while heap.peek().is_some_and(|Reverse(entry)| entry.key == key) {
-            let Reverse(MergeEntry {
-                run: r, value: v, ..
-            }) = heap.pop().expect("peeked entry");
-            values.push(v);
-            if let Some((k2, v2)) = iters[r].next() {
-                heap.push(Reverse(MergeEntry {
-                    key: k2,
-                    run: r,
-                    value: v2,
-                }));
-            }
-        }
-        reduce(&key, &values, rctx);
-    }
-}
-
-/// Pairwise-merge ladder: merges adjacent runs two at a time until one
-/// sorted run remains. Runs stay in split-id order and ties always take
-/// from the left (lower split), so the result is the exact
-/// `(key, split id, arrival order)` sequence of the heap merge. Peak
-/// memory is one extra copy of the partition, freed level by level.
-fn ladder_merge<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    let mut level = runs;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    level.into_iter().next().unwrap_or_default()
-}
-
-/// Stable two-way merge; ties take from `a` (the lower split ids).
-fn merge_two<K: Ord, V>(a: Vec<(K, V)>, b: Vec<(K, V)>) -> Vec<(K, V)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter();
-    let mut ib = b.into_iter();
-    let mut na = ia.next();
-    let mut nb = ib.next();
-    loop {
-        match (na.take(), nb.take()) {
-            (Some(x), Some(y)) => {
-                if x.0 <= y.0 {
-                    out.push(x);
-                    na = ia.next();
-                    nb = Some(y);
-                } else {
-                    out.push(y);
-                    nb = ib.next();
-                    na = Some(x);
-                }
-            }
-            (Some(x), None) => {
-                out.push(x);
-                out.extend(ia);
-                break;
-            }
-            (None, Some(y)) => {
-                out.push(y);
-                out.extend(ib);
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn collect_groups_via(
+    type Groups = Vec<(u32, Vec<u32>)>;
+
+    /// The three plans a partition can be handed, with the route each
+    /// must take: codec + dense domain, codec alone (radix sort), neither
+    /// (comparison sort).
+    fn plans() -> [(ReducePlan<u32>, ReduceStrategy); 3] {
+        let radix = ReducePlan {
+            codec: Some(|k: &u32| u64::from(*k)),
+            domain_hint: None,
+            dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
+        };
+        let dense = ReducePlan {
+            domain_hint: Some(1 << 20),
+            ..radix
+        };
+        let generic = ReducePlan {
+            codec: None,
+            ..radix
+        };
+        [
+            (dense, ReduceStrategy::DenseReduce),
+            (radix, ReduceStrategy::SortAtReduce),
+            (generic, ReduceStrategy::SortAtReduce),
+        ]
+    }
+
+    /// Reduces one partition under `plan`, returning its key groups and
+    /// the route that ran.
+    fn reduce_with(
         runs: Vec<Vec<(u32, u32)>>,
-        strategy: ReduceStrategy,
-    ) -> Vec<(u32, Vec<u32>)> {
-        let mut rctx = ReduceContext::new();
-        let mut scratch = ReduceScratch::new();
+        plan: ReducePlan<u32>,
+        scratch: &mut ReduceScratch<u32, u32>,
+    ) -> (Groups, Option<ReduceStrategy>) {
         let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
             ctx.emit((*k, vs.to_vec()));
         };
-        let plan = ReducePlan {
-            strategy,
-            codec: Some(|k: &u32| u64::from(*k)),
-            domain_hint: Some(1 << 20),
-            dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
-        };
-        reduce_partition(runs, plan, &mut scratch, &reduce, &mut rctx);
-        assert_eq!(rctx.strategy, Some(strategy), "strategy recorded");
-        rctx.outputs
+        let mut rctx = ReduceContext::new();
+        reduce_partition(runs, plan, scratch, &reduce, &mut rctx);
+        (rctx.outputs, rctx.strategy)
     }
 
-    fn collect_groups(runs: Vec<Vec<(u32, u32)>>) -> Vec<(u32, Vec<u32>)> {
-        collect_groups_via(runs, ReduceStrategy::Merge)
+    /// Asserts that every route reduces `runs` to `want`, each taking the
+    /// route its plan names.
+    fn assert_every_route_yields(runs: Vec<Vec<(u32, u32)>>, want: &Groups) {
+        for (plan, route) in plans() {
+            let (got, ran) = reduce_with(runs.clone(), plan, &mut ReduceScratch::new());
+            assert_eq!(ran, Some(route));
+            assert_eq!(&got, want, "{route:?}, codec: {}", plan.codec.is_some());
+        }
     }
 
     #[test]
-    fn merge_yields_key_then_run_order() {
-        // Runs are per split (split order = vector order).
+    fn every_route_yields_key_then_run_order() {
+        // Runs are per split (split order = vector order), pairs in
+        // arrival order. Equal keys across runs take the lower split
+        // first: key 1 is 11, 12 from split 0 before 21 from split 1.
         let runs = vec![
-            vec![(1, 10), (1, 11), (5, 12)],
-            vec![(1, 20), (2, 21)],
-            vec![(2, 30), (5, 31), (9, 32)],
+            vec![(5, 10), (1, 11), (1, 12)],
+            vec![(2, 20), (1, 21)],
+            vec![(9, 30), (2, 31), (5, 32)],
         ];
-        assert_eq!(
-            collect_groups(runs),
-            vec![
-                (1, vec![10, 11, 20]),
-                (2, vec![21, 30]),
-                (5, vec![12, 31]),
-                (9, vec![32]),
-            ]
-        );
+        let want = vec![
+            (1, vec![11, 12, 21]),
+            (2, vec![20, 31]),
+            (5, vec![10, 32]),
+            (9, vec![30]),
+        ];
+        assert_every_route_yields(runs, &want);
     }
 
     #[test]
-    fn all_merge_routes_yield_the_specified_sequence() {
-        // Concat (≤ MERGE_CONCAT_MAX_PAIRS total), heap (m ≤ 8), and
-        // ladder (m > 8) must all produce the sequence of a stable global
-        // sort by (key, run index). Runs of 600 pairs put m ≥ 7 above the
-        // concat threshold; smaller m exercises the concat route.
+    fn every_route_yields_the_specified_sequence() {
+        // Many runs, heavy ties: every route must produce the sequence of
+        // a stable global sort by (key, run index).
         let mk_runs = |m: usize| -> Vec<Vec<(u32, u32)>> {
             (0..m)
                 .map(|r| {
-                    let mut run: Vec<(u32, u32)> = (0..600)
+                    (0..600)
                         .map(|i| ((i * (r as u32 + 3)) % 17, (r * 1000 + i as usize) as u32))
-                        .collect();
-                    run.sort_by_key(|&(k, _)| k);
-                    run
+                        .collect()
                 })
                 .collect()
         };
@@ -1086,91 +834,41 @@ mod tests {
                 .flat_map(|(r, run)| run.into_iter().map(move |(k, v)| (k, r, v)))
                 .collect();
             expected_pairs.sort_by_key(|&(k, r, _)| (k, r));
-            let mut expected: Vec<(u32, Vec<u32>)> = Vec::new();
+            let mut expected: Groups = Vec::new();
             for (k, _, v) in expected_pairs {
                 match expected.last_mut() {
                     Some((key, vs)) if *key == k => vs.push(v),
                     _ => expected.push((k, vec![v])),
                 }
             }
-            assert_eq!(collect_groups(mk_runs(m)), expected, "m={m}");
-            // The no-merge routes take **unsorted** runs and must yield
-            // the same sequence: sort-at-reduce via one stable radix sort
-            // of the concatenation, dense reduce via flat-array
-            // aggregation in radix order.
-            let unsorted = || -> Vec<Vec<(u32, u32)>> {
-                mk_runs(m)
-                    .into_iter()
-                    .map(|mut run| {
-                        // Undo the per-run sort: arrival order is value order.
-                        run.sort_by_key(|&(_, v)| v);
-                        run
-                    })
-                    .collect()
-            };
-            assert_eq!(
-                collect_groups_via(unsorted(), ReduceStrategy::SortAtReduce),
-                expected,
-                "m={m} (sort-at-reduce)"
-            );
-            assert_eq!(
-                collect_groups_via(unsorted(), ReduceStrategy::DenseReduce),
-                expected,
-                "m={m} (dense reduce)"
-            );
+            assert_every_route_yields(mk_runs(m), &expected);
         }
     }
 
     #[test]
     fn reduce_scratch_recycles_across_partitions_and_strategies() {
-        // One scratch driven through every strategy in sequence, the way
-        // a reduce worker thread recycles it across partitions.
+        // One scratch driven through every route in sequence, the way a
+        // reduce worker thread recycles it across partitions.
         let mut scratch = ReduceScratch::new();
-        let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
-            ctx.emit((*k, vs.to_vec()));
-        };
-        let sorted_runs = || vec![vec![(1u32, 1u32), (3, 2)], vec![(1, 3), (7, 4)]];
-        let unsorted_runs = || vec![vec![(3u32, 2u32), (1, 1)], vec![(7, 4), (1, 3)]];
+        let runs = || vec![vec![(3u32, 2u32), (1, 1)], vec![(7, 4), (1, 3)]];
         let want = vec![(1, vec![1, 3]), (3, vec![2]), (7, vec![4])];
         for round in 0..3 {
-            for (strategy, runs) in [
-                (ReduceStrategy::DenseReduce, unsorted_runs()),
-                (ReduceStrategy::SortAtReduce, unsorted_runs()),
-                (ReduceStrategy::Merge, sorted_runs()),
-            ] {
-                let mut rctx = ReduceContext::new();
-                let plan = ReducePlan {
-                    strategy,
-                    codec: Some(|k: &u32| u64::from(*k)),
-                    domain_hint: Some(64),
-                    dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
-                };
-                reduce_partition(runs, plan, &mut scratch, &reduce, &mut rctx);
-                assert_eq!(rctx.outputs, want, "round {round}, {strategy:?}");
-                assert_eq!(rctx.strategy, Some(strategy));
+            for (plan, route) in plans() {
+                let (got, ran) = reduce_with(runs(), plan, &mut scratch);
+                assert_eq!(got, want, "round {round}, {route:?}");
+                assert_eq!(ran, Some(route));
             }
         }
     }
 
-    /// Drives one partition through a `DenseReduce` plan with the given
-    /// pair cap and returns the outputs plus the strategy that ran.
-    fn dense_with_cap(
-        runs: Vec<Vec<(u32, u32)>>,
-        cap: usize,
-    ) -> (Vec<(u32, Vec<u32>)>, Option<ReduceStrategy>) {
-        let mut rctx = ReduceContext::new();
-        let mut scratch = ReduceScratch::new();
-        let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
-            ctx.emit((*k, vs.to_vec()));
-        };
+    /// Drives one partition through a dense plan with the given pair cap
+    /// and returns the outputs plus the route that ran.
+    fn dense_with_cap(runs: Vec<Vec<(u32, u32)>>, cap: usize) -> (Groups, Option<ReduceStrategy>) {
         let plan = ReducePlan {
-            strategy: ReduceStrategy::DenseReduce,
-            codec: Some(|k: &u32| u64::from(*k)),
-            domain_hint: Some(1 << 20),
             dense_pair_cap: cap,
+            ..plans()[0].0
         };
-        reduce_partition(runs, plan, &mut scratch, &reduce, &mut rctx);
-        (rctx.outputs, rctx.strategy)
+        reduce_with(runs, plan, &mut ReduceScratch::new())
     }
 
     #[test]
@@ -1214,25 +912,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_two_is_stable_on_ties() {
-        let a = vec![(1u32, 'a'), (3, 'b')];
-        let b = vec![(1u32, 'c'), (3, 'd')];
-        assert_eq!(
-            merge_two(a, b),
-            vec![(1, 'a'), (1, 'c'), (3, 'b'), (3, 'd')]
-        );
-    }
-
-    #[test]
     fn single_run_fast_path_groups_adjacent() {
-        let runs = vec![vec![(3, 1), (3, 2), (4, 3)]];
-        assert_eq!(collect_groups(runs), vec![(3, vec![1, 2]), (4, vec![3])]);
+        let runs = vec![vec![(4, 3), (3, 1), (3, 2)]];
+        assert_every_route_yields(runs, &vec![(3, vec![1, 2]), (4, vec![3])]);
     }
 
     #[test]
     fn empty_partition_reduces_nothing() {
-        assert!(collect_groups(vec![]).is_empty());
-        assert!(collect_groups(vec![vec![]]).is_empty());
+        assert_every_route_yields(vec![], &vec![]);
+        assert_every_route_yields(vec![vec![]], &vec![]);
     }
 
     #[test]

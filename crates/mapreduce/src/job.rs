@@ -12,8 +12,8 @@
 //! [`try_run_job`] is the one-round job.
 //!
 //! Determinism: mappers may run in any thread interleaving, reduce
-//! partitions may run on any number of threads, and the engine may pick
-//! any reduce-side strategy (dense reduce / sort-at-reduce / merge — see
+//! partitions may run on any number of threads, and each partition may
+//! take either reduce route (dense reduce / sort-at-reduce — see
 //! [`crate::ReduceStrategy`]), but within a partition the reduce function
 //! always observes key groups in key order with each group's values in
 //! `(split id, arrival order)` order, and outputs are stitched in
@@ -116,9 +116,9 @@ pub struct JobSpec<K, V, R> {
     pub engine: EngineConfig,
     /// Order-preserving `u64` key codec, installed by
     /// [`JobSpec::with_radix_keys`] when `K` implements
-    /// [`crate::RadixKey`]. Drives the pipelined engine's radix sorts
-    /// and (with [`EngineConfig::key_domain_hint`]) the dense reduce
-    /// table; `None` falls back to comparison sorting. Kept
+    /// [`crate::RadixKey`]. Drives the pipelined engine's reduce-side
+    /// radix sort and (with [`EngineConfig::key_domain_hint`]) the dense
+    /// reduce table; `None` falls back to comparison sorting. Kept
     /// crate-private so only the sealed trait can supply codecs — the
     /// engine's determinism contract depends on order preservation.
     pub(crate) key_codec: Option<fn(&K) -> u64>,
@@ -151,11 +151,12 @@ where
     }
 
     /// Declares that `K`'s order-preserving [`crate::RadixKey`] image
-    /// drives the engine's radix specializations: spill runs sort through the LSD radix sort instead of comparisons, and —
-    /// when the engine also carries an [`EngineConfig::key_domain_hint`]
-    /// — reduce partitions group through the dense flat-array table
-    /// instead of sorting. Outputs and metrics are bit-identical with or
-    /// without this call; it is purely an execution strategy.
+    /// drives the engine's radix specializations: reduce partitions sort
+    /// through the LSD radix sort instead of comparisons, and — when the
+    /// engine also carries an [`EngineConfig::key_domain_hint`] — group
+    /// through the dense flat-array table instead of sorting. Outputs and
+    /// metrics are bit-identical with or without this call; it is purely
+    /// an execution strategy.
     pub fn with_radix_keys(mut self) -> Self
     where
         K: crate::radix::RadixKey,
@@ -505,20 +506,21 @@ mod tests {
             mk(true, Some(8), 1).metrics.reduce_strategies.dense_reduce,
             1
         );
-        // Codec without a usable domain, several partitions → one radix
-        // sort per partition; a domain too wide for a flat array falls
-        // back the same way.
-        assert_eq!(
-            mk(true, None, 3).metrics.reduce_strategies.sort_at_reduce,
-            3
-        );
-        let wide = mk(true, Some(1 << 30), 2);
-        assert_eq!(wide.metrics.reduce_strategies.sort_at_reduce, 2);
-        // Single partition without a dense domain, or no codec at all →
-        // pre-sorted spills + merge.
-        assert_eq!(mk(true, None, 1).metrics.reduce_strategies.merge, 1);
-        assert_eq!(mk(false, None, 2).metrics.reduce_strategies.merge, 2);
-        // Strategies are an execution detail: same outputs and equal
+        // Everything else sorts at reduce, one partition or several: a
+        // codec without a domain, a domain too wide for a flat array, or
+        // no codec at all (a domain hint alone is not enough).
+        for (radix, hint, reducers) in [
+            (true, None, 3),
+            (true, None, 1),
+            (true, Some(1 << 30), 2),
+            (false, None, 2),
+            (false, Some(8), 2),
+        ] {
+            let s = mk(radix, hint, reducers).metrics.reduce_strategies;
+            assert_eq!(s.sort_at_reduce, reducers, "{radix} {hint:?} {reducers}");
+            assert_eq!(s.total(), reducers);
+        }
+        // Routes are an execution detail: same outputs and equal
         // metrics (under ==) as the sort-at-reduce run.
         let sorted = mk(true, None, 4);
         assert_eq!(dense.outputs, sorted.outputs);

@@ -42,9 +42,9 @@
 //! ## Three engine modes, one result
 //!
 //! ```text
-//! map workers ──▶ per-partition spill runs ──▶ one reduce strategy per
-//! (parallel)      (partition inside the        partition ──▶ parallel
-//!                  worker)                      reduce, deterministic
+//! map workers ──▶ per-partition spill runs ──▶ dense table or one sort
+//! (parallel)      (partitioned inside the      per partition ──▶ parallel
+//!                  worker, never sorted)        reduce, deterministic
 //!                                               output stitching
 //! ```
 //!
@@ -71,18 +71,19 @@
 //! outputs and logical metrics are bit-identical across modes, reducer
 //! counts, thread counts and worker topologies.
 //!
-//! ## Radix keys and reduce strategies
+//! ## Radix keys and the two reduce routes
 //!
 //! Every algorithm in the paper shuffles small-integer keys. A job whose
 //! key type implements the sealed [`RadixKey`] trait
 //! ([`JobSpec::with_radix_keys`]) sorts through the LSD radix/counting
 //! sort in [`radix`] — the exact permutation of the comparison sort it
-//! replaces — and the engine picks one [`ReduceStrategy`] per job,
-//! recorded per partition in [`RunMetrics::reduce_strategies`]: dense
+//! replaces. Map workers never sort; each reduce partition picks its
+//! route where it runs, recorded per partition in
+//! [`RunMetrics::reduce_strategies`] ([`ReduceStrategy`]): dense
 //! flat-array aggregation when a radix codec and a bounded key domain
-//! ([`EngineConfig::key_domain_hint`]) are declared, one stable radix sort
-//! per partition when only the codec is, and the k-way merge of spills
-//! pre-sorted in the map workers otherwise.
+//! ([`EngineConfig::key_domain_hint`]) are declared and the partition
+//! fits the table, one stable sort of its runs otherwise (radix with a
+//! codec, comparison without).
 //!
 //! ## Recovery in the multi-process mode
 //!

@@ -2,44 +2,40 @@
 
 use std::fmt;
 
-/// Which reduce-side execution strategy the pipelined engine ran for one
-/// reduce partition. Purely an execution detail: every strategy delivers
-/// the identical key-group sequence to the reduce function — key groups in
+/// Which of its two routes the pipelined engine took to reduce one
+/// partition. Purely an execution detail: both routes deliver the
+/// identical key-group sequence to the reduce function — key groups in
 /// key order, values in `(split id, arrival order)` order — so outputs are
-/// bit-identical across strategies (differential tests enforce it).
+/// bit-identical across routes (differential tests enforce it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceStrategy {
     /// Flat slot-array aggregation over a bounded key domain: pairs
     /// scatter into a recycled table sized to the partition's actual key
     /// range, groups are emitted in ascending radix (= key) order — no
-    /// sort, no merge. Selected when the job declares radix keys and an
+    /// sort. Taken when the job declares radix keys and an
     /// [`crate::EngineConfig::key_domain_hint`] small enough for a flat
-    /// array.
+    /// array, and the partition fits the table's indexing.
     DenseReduce,
-    /// One stable radix sort of the partition's split-ordered run
-    /// concatenation (runs arrive unsorted from the map workers), then a
-    /// linear grouping pass. Selected for radix jobs with several
-    /// partitions whose domain is too wide for the dense table.
+    /// One stable sort of the partition's split-ordered run concatenation
+    /// (radix with a key codec, comparison without), then a linear
+    /// grouping pass. Taken by every partition the dense table does not.
     SortAtReduce,
-    /// K-way merge of per-task runs pre-sorted inside the map workers —
-    /// the generic `Ord` path, and the only strategy available without a
-    /// radix codec.
-    Merge,
 }
 
-/// How many reduce partitions of a run executed under each
-/// [`ReduceStrategy`]. Lives in [`RunMetrics`] as observability for the
-/// engine's strategy selection; like the `wall_*` fields it is **excluded
-/// from `PartialEq`** — two runs that differ only in execution strategy
-/// still compare equal, which is exactly the determinism contract the
-/// differential tests pin.
+/// How many reduce partitions of a run took each [`ReduceStrategy`].
+/// Lives in [`RunMetrics`] as observability for the engine's route
+/// choice; like the `wall_*` fields it is **excluded from `PartialEq`** —
+/// two runs that differ only in execution route still compare equal,
+/// which is exactly the determinism contract the differential tests pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReduceStrategyCounts {
     /// Partitions that aggregated through the dense flat-array table.
     pub dense_reduce: u32,
-    /// Partitions that radix-sorted their concatenated runs once.
+    /// Partitions that sorted their concatenated runs once.
     pub sort_at_reduce: u32,
-    /// Partitions that k-way merged pre-sorted runs.
+    /// Always 0: the engine no longer has a merge route. The field stays
+    /// because the benchmark's `mapreduce.reduce_merge` row still reads
+    /// it.
     pub merge: u32,
 }
 
@@ -49,21 +45,19 @@ impl ReduceStrategyCounts {
         match strategy {
             ReduceStrategy::DenseReduce => self.dense_reduce += 1,
             ReduceStrategy::SortAtReduce => self.sort_at_reduce += 1,
-            ReduceStrategy::Merge => self.merge += 1,
         }
     }
 
     /// Total partitions recorded (equals the reducer count for a
     /// pipelined round; the reference engine records nothing).
     pub fn total(&self) -> u32 {
-        self.dense_reduce + self.sort_at_reduce + self.merge
+        self.dense_reduce + self.sort_at_reduce
     }
 
     /// Accumulates another round's counts.
     fn absorb(&mut self, other: &ReduceStrategyCounts) {
         self.dense_reduce += other.dense_reduce;
         self.sort_at_reduce += other.sort_at_reduce;
-        self.merge += other.merge;
     }
 }
 
@@ -71,8 +65,8 @@ impl fmt::Display for ReduceStrategyCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dense:{}/sort:{}/merge:{}",
-            self.dense_reduce, self.sort_at_reduce, self.merge
+            "dense:{}/sort:{}",
+            self.dense_reduce, self.sort_at_reduce
         )
     }
 }
@@ -188,15 +182,15 @@ impl RecoveryStats {
 ///   machine- and load-dependent. These are what `wh-bench` regresses on.
 ///
 /// A third, in-between family is the [`ReduceStrategyCounts`]: which
-/// reduce-side strategy each partition ran under. Deterministic for a
-/// fixed configuration, but an execution detail that legitimately differs
+/// reduce route each partition took. Deterministic for a fixed
+/// configuration, but an execution detail that legitimately differs
 /// between configurations producing identical results.
 ///
 /// `PartialEq` intentionally compares **only the logical fields** —
-/// wall-clock and strategy counts are excluded — so the determinism
-/// contract (`a == b` for identical runs, across engines, strategies, and
+/// wall-clock and route counts are excluded — so the determinism
+/// contract (`a == b` for identical runs, across engines, routes, and
 /// thread counts) keeps holding even though wall-clock never repeats
-/// exactly and strategies differ by design.
+/// exactly and routes differ by design.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunMetrics {
     /// Number of MapReduce rounds executed.
@@ -218,23 +212,20 @@ pub struct RunMetrics {
     /// Simulated wall-clock seconds on the configured cluster.
     pub sim_time_s: f64,
     /// Real elapsed seconds of the map phase: task execution and
-    /// per-partition spill preparation. What a spill is
-    /// depends on the job's [`ReduceStrategy`]: the `Merge` strategy
-    /// pre-sorts each partition run inside the map worker, while
-    /// `SortAtReduce` and `DenseReduce` ship runs unsorted (ordering is
-    /// the reduce side's job there).
+    /// partitioning the emitted pairs into spill runs. Map workers never
+    /// sort; ordering is the reduce side's job.
     pub wall_map_s: f64,
     /// Real elapsed seconds of the shuffle (regrouping spill runs into
     /// per-partition reduce inputs; accounting).
     pub wall_shuffle_s: f64,
     /// Real elapsed seconds of the reduce phase: per-partition grouping
-    /// under the selected [`ReduceStrategy`] (flat slot-array
-    /// aggregation, one stable radix sort, or a k-way merge of pre-sorted
-    /// runs), reduce calls, the Close hook, and output stitching.
+    /// by the route each partition took ([`ReduceStrategy`]: flat
+    /// slot-array aggregation or one stable sort), reduce calls, the
+    /// Close hook, and output stitching.
     pub wall_reduce_s: f64,
-    /// Per-strategy count of reduce partitions in this run (pipelined
+    /// Per-route count of reduce partitions in this run (pipelined
     /// engine only; the reference engine records nothing). Excluded from
-    /// `PartialEq` like the wall-clock fields: strategy selection is an
+    /// `PartialEq` like the wall-clock fields: the route choice is an
     /// execution detail that must never affect result comparison.
     pub reduce_strategies: ReduceStrategyCounts,
     /// Measured framed traffic of the multi-process mode (all zero for
@@ -500,7 +491,6 @@ mod tests {
         sorted
             .reduce_strategies
             .record(ReduceStrategy::SortAtReduce);
-        sorted.reduce_strategies.record(ReduceStrategy::Merge);
         assert_ne!(dense.reduce_strategies, sorted.reduce_strategies);
         assert_eq!(dense, sorted, "strategy counts must not break equality");
     }
@@ -512,18 +502,17 @@ mod tests {
         c.record(ReduceStrategy::DenseReduce);
         c.record(ReduceStrategy::DenseReduce);
         c.record(ReduceStrategy::SortAtReduce);
-        c.record(ReduceStrategy::Merge);
         assert_eq!(c.dense_reduce, 2);
         assert_eq!(c.sort_at_reduce, 1);
-        assert_eq!(c.merge, 1);
-        assert_eq!(c.total(), 4);
-        assert_eq!(c.to_string(), "dense:2/sort:1/merge:1");
+        assert_eq!(c.merge, 0);
+        assert_eq!(c.total(), 3);
+        assert_eq!(c.to_string(), "dense:2/sort:1");
         let m = RunMetrics {
             rounds: 1,
             reduce_strategies: c,
             ..Default::default()
         };
-        assert!(m.to_string().contains("strategies=dense:2/sort:1/merge:1"));
+        assert!(m.to_string().contains("strategies=dense:2/sort:1"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Radix key codecs and the LSD radix sort behind the map-path spill.
+//! Radix key codecs and the LSD radix sort behind the reduce-side sort.
 //!
 //! Every algorithm in the paper shuffles *small-integer* keys — item keys
 //! from a bounded domain `[0, u)`, wavelet coefficient indices, sketch
 //! counter indices — yet a generic engine would treat them as opaque `Ord`
-//! values and comparison-sort every spill run. [`RadixKey`] lets a job
-//! declare (via [`crate::JobSpec::with_radix_keys`]) that its key type has
-//! an **order-preserving** `u64` image, unlocking:
+//! values and comparison-sort every reduce partition. [`RadixKey`] lets a
+//! job declare (via [`crate::JobSpec::with_radix_keys`]) that its key type
+//! has an **order-preserving** `u64` image, unlocking:
 //!
-//! * an LSD (least-significant-digit) radix sort for spill runs —
+//! * an LSD (least-significant-digit) radix sort for reduce partitions —
 //!   `O(n · bytes(max key))` with branch-free inner loops instead of
 //!   `O(n log n)` branch-missy comparisons, producing the *exact*
 //!   permutation of the stable comparison sort it replaces;
@@ -75,7 +75,7 @@ impl RadixKey for WKey {
 
 /// Below this length the constant factors of digit histograms outweigh
 /// the comparison sort's `log n`; measured crossover sits near 32–64
-/// pairs, and tiny spill runs (sampling builders) are the common case.
+/// pairs, and tiny partitions (sampling builders) are the common case.
 const RADIX_MIN_LEN: usize = 48;
 
 /// Index bits of the packed `radix·2²⁴ | index` representation: runs
@@ -87,8 +87,8 @@ const PACK_IDX_BITS: u32 = 24;
 /// Reusable scratch of the radix sort: the ping-pong working buffers
 /// (packed `u64`s on the narrow-key fast path, `(radix, index)` tuples
 /// otherwise) plus the destination map of the final in-place
-/// permutation. One per map worker, recycled across every task and spill
-/// run that worker processes.
+/// permutation. One per reduce worker, recycled across every partition
+/// that worker sorts.
 #[derive(Debug, Default)]
 pub(crate) struct RadixScratch {
     keyed: Vec<(u64, u32)>,
@@ -100,8 +100,8 @@ pub(crate) struct RadixScratch {
 }
 
 /// The radix sort with its scratch buffers kept alive across calls, the
-/// way engine map workers recycle theirs: sorting a stream of spill-sized
-/// runs allocates only on the largest run seen.
+/// way engine reduce workers recycle theirs: sorting a stream of runs
+/// allocates only on the largest run seen.
 #[derive(Debug, Default)]
 pub struct RadixSorter {
     scratch: RadixScratch,
@@ -139,7 +139,7 @@ pub(crate) fn sort_pairs_with<K, V>(
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         return;
     }
-    assert!(n <= u32::MAX as usize, "spill run exceeds u32 indexing");
+    assert!(n <= u32::MAX as usize, "run exceeds u32 indexing");
 
     // Extract radixes once, tracking the minimum and maximum (they bound
     // the digit count) and whether the run is already sorted (mappers

@@ -115,12 +115,10 @@ mod unix {
     use std::time::{Duration, Instant};
 
     use crate::cost::ClusterConfig;
-    use crate::engine::{
-        run_one_task, select_strategy, shuffle_reduce_finish, EngineConfig, MapWorker, TaskSpill,
-    };
+    use crate::engine::{run_one_task, shuffle_reduce_finish, EngineConfig, MapWorker, TaskSpill};
     use crate::fault::ChildFaults;
     use crate::job::{JobOutput, JobSpec, MapTask, PairCodec};
-    use crate::metrics::{RecoveryStats, ReduceStrategy, WireTraffic};
+    use crate::metrics::{RecoveryStats, WireTraffic};
     use crate::transport::process::{self, DeadlineReader, Exit};
     use crate::transport::{
         tag, EngineError, FrameReader, FrameWriter, WriterFaults, MAX_FRAME_BYTES, PAIR_CHUNK_BYTES,
@@ -148,13 +146,12 @@ mod unix {
 
     /// The map side of a multi-process job: its worker slots, every
     /// round's broadcast so far (what a respawned worker replays), and
-    /// the job's fixed map-side plan.
+    /// what every round needs: the partition count, the pair codec and
+    /// the engine settings.
     pub(crate) struct Workers<K, V> {
         slots: Vec<Slot<K, V>>,
         history: Vec<Vec<u8>>,
         nparts: usize,
-        strategy: ReduceStrategy,
-        key_codec: Option<fn(&K) -> u64>,
         codec: PairCodec<K, V>,
         engine: EngineConfig,
     }
@@ -209,8 +206,6 @@ mod unix {
                 slots,
                 history: Vec::new(),
                 nparts,
-                strategy: select_strategy(spec.key_codec.is_some(), engine.key_domain_hint, nparts),
-                key_codec: spec.key_codec,
                 codec,
                 engine,
             })
@@ -319,14 +314,8 @@ mod unix {
             per_task.sort_by_key(|t| t.split_id);
             let wall_map_s = map_start.elapsed().as_secs_f64();
 
-            let mut out = shuffle_reduce_finish(
-                cluster,
-                per_task,
-                spec,
-                broadcast.len() as u64,
-                self.strategy,
-                wall_map_s,
-            );
+            let mut out =
+                shuffle_reduce_finish(cluster, per_task, spec, broadcast.len() as u64, wall_map_s);
             out.metrics.wire = wire;
             out.metrics.recovery = recovery;
             Ok(out)
@@ -506,15 +495,7 @@ mod unix {
             for (round, broadcast) in self.history[..finished].iter().enumerate() {
                 let broadcast = Arc::from(broadcast.as_slice());
                 for task in &mut tasks {
-                    run_one_task(
-                        task,
-                        round as u32,
-                        &broadcast,
-                        self.nparts,
-                        self.strategy,
-                        self.key_codec,
-                        &mut out.worker,
-                    );
+                    run_one_task(task, round as u32, &broadcast, self.nparts, &mut out.worker);
                 }
             }
             if let Some(committed) = resume {
@@ -558,15 +539,7 @@ mod unix {
                     process::die_by_signal();
                 }
                 out.ordinal += 1;
-                let spill = run_one_task(
-                    task,
-                    round,
-                    &broadcast,
-                    self.nparts,
-                    self.strategy,
-                    self.key_codec,
-                    &mut out.worker,
-                );
+                let spill = run_one_task(task, round, &broadcast, self.nparts, &mut out.worker);
                 if !committed.contains(&spill.split_id) {
                     out.send(&spill, self.codec)?;
                     sent += 1;
@@ -582,7 +555,7 @@ mod unix {
 
     /// A worker's side of its up-pipe, kept for the worker's whole life:
     /// the framed writer (frame ordinals run on across rounds), the
-    /// recycled map-side buffers, and the task ordinal an armed kill
+    /// recycled emit buffer, and the task ordinal an armed kill
     /// waits for.
     struct Upstream<K, V> {
         writer: FrameWriter<BufWriter<File>>,

@@ -65,12 +65,13 @@ fn main() {
     }
     let s = send_coef.metrics.reduce_strategies;
     println!(
-        "\nSend-Coef reduce partitions: {} dense / {} sorted / {} merged — at \
-         this [2^7]² domain the coefficient-address bound is above the \
-         dense-table ceiling, so the engine falls back to sort/merge; at \
-         [2^6]² and below it reduces densely",
-        s.dense_reduce, s.sort_at_reduce, s.merge
+        "\nSend-Coef reduce partitions: {} dense / {} sorted — at this [2^7]² \
+         domain the coefficient-address bound is above the dense-table \
+         ceiling, so every partition sorts at reduce; at [2^6]² and below \
+         it reduces densely",
+        s.dense_reduce, s.sort_at_reduce
     );
+    assert_eq!(s.sort_at_reduce, s.total());
 
     // The exact distributed builders retain the centralized top-k.
     // Magnitudes are compared rank by rank: the band is symmetric, so

@@ -37,7 +37,7 @@ fn splits_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
 }
 
 /// [`count_job`] with radix keys and (optionally) the bounded-domain
-/// hint — the knobs that pick the engine's reduce strategy.
+/// hint — the knobs that pick each partition's reduce route.
 fn strategy_count_job(
     splits: Vec<Vec<u64>>,
     reducers: u32,
@@ -109,11 +109,7 @@ proptest! {
         prop_assert_eq!(dense_m.reduce_strategies.dense_reduce, reducers);
         prop_assert_eq!(dense_m.reduce_strategies.total(), reducers);
         prop_assert_eq!(sorted_m.reduce_strategies.total(), reducers);
-        if reducers > 1 {
-            prop_assert_eq!(sorted_m.reduce_strategies.sort_at_reduce, reducers);
-        } else {
-            prop_assert_eq!(sorted_m.reduce_strategies.merge, 1);
-        }
+        prop_assert_eq!(sorted_m.reduce_strategies.sort_at_reduce, reducers);
         prop_assert_eq!(dense_out, sorted_out);
         // `==` compares logical fields only: strategy selection must
         // never break the determinism contract.

@@ -1,7 +1,8 @@
 //! Property and differential tests of the pipelined execution engine:
 //! multi-reducer equivalence for every builder, determinism across
-//! thread counts and reduce strategies (dense reduce / sort-at-reduce /
-//! merge), and pipelined-vs-seed engine equivalence on randomized jobs.
+//! thread counts and reduce routes (dense reduce / sort-at-reduce, radix
+//! and comparison), and pipelined-vs-seed engine equivalence on
+//! randomized jobs.
 
 use proptest::prelude::*;
 use wavelet_hist::builders::{
@@ -310,7 +311,7 @@ proptest! {
         );
     }
 
-    /// Satellite (PR 3): the radix spill sort and the dense reduce a
+    /// Satellite (PR 3): the radix sort and the dense reduce a
     /// key-domain hint selects are byte-identical to the comparison paths
     /// on random mapper-combined jobs — outputs *and* metrics — at
     /// any reducer count.
@@ -354,21 +355,21 @@ proptest! {
         prop_assert_eq!(specialized.1, reference.1);
     }
 
-    /// Tentpole (PR 4): the dense-reduce strategy is byte-identical —
-    /// outputs *and* metrics, charged CPU included — to sort-at-reduce,
-    /// to the merge path, and to the preserved seed engine, on random
-    /// bounded-domain jobs, for 1/2/8 reducers and 1/2/8 reduce threads.
+    /// Tentpole (PR 4): the dense-reduce route is byte-identical —
+    /// outputs *and* metrics, charged CPU included — to sort-at-reduce
+    /// with and without a radix codec, and to the preserved seed engine,
+    /// on random bounded-domain jobs, for 1/2/8 reducers and 1/2/8 reduce
+    /// threads.
     #[test]
     fn dense_reduce_equals_every_strategy_and_engine(splits in splits_strategy()) {
         for reducers in [1u32, 2, 8] {
             let base = EngineConfig::pipelined().with_reducers(reducers);
-            // No codec → pre-sorted spills + k-way merge.
-            let merge = strategy_probe_job(splits.clone(), base, false);
-            // Codec without a hint → one radix sort per partition when
-            // R > 1 (merge again when R = 1).
+            // No codec → one comparison sort per partition.
+            let comparison = strategy_probe_job(splits.clone(), base, false);
+            // Codec without a hint → one radix sort per partition.
             let sorted = strategy_probe_job(splits.clone(), base, true);
-            prop_assert_eq!(&merge.0, &sorted.0, "reducers={}", reducers);
-            prop_assert_eq!(&merge.1, &sorted.1, "reducers={}", reducers);
+            prop_assert_eq!(&comparison.0, &sorted.0, "reducers={}", reducers);
+            prop_assert_eq!(&comparison.1, &sorted.1, "reducers={}", reducers);
             // Codec + bounded domain → dense reduce, at every thread count.
             for threads in [1usize, 2, 8] {
                 let dense = strategy_probe_job(
@@ -377,11 +378,11 @@ proptest! {
                     true,
                 );
                 prop_assert_eq!(
-                    &merge.0, &dense.0,
+                    &comparison.0, &dense.0,
                     "reducers={} threads={}", reducers, threads
                 );
                 prop_assert_eq!(
-                    &merge.1, &dense.1,
+                    &comparison.1, &dense.1,
                     "reducers={} threads={}", reducers, threads
                 );
             }
@@ -391,8 +392,8 @@ proptest! {
                 EngineConfig::reference().with_reducers(reducers),
                 false,
             );
-            prop_assert_eq!(&merge.0, &reference.0, "reducers={}", reducers);
-            prop_assert_eq!(&merge.1, &reference.1, "reducers={}", reducers);
+            prop_assert_eq!(&comparison.0, &reference.0, "reducers={}", reducers);
+            prop_assert_eq!(&comparison.1, &reference.1, "reducers={}", reducers);
         }
     }
 

@@ -10,10 +10,10 @@
 //!   contract: Send-Coef equals the sequential `twod.rs` reference and
 //!   Send-V equals `Centralized` **bit for bit**, H-WTopk retains
 //!   `Centralized`'s slots with values within 1e-6, TwoLevel-S is
-//!   bit-identical to itself — across {dense-reduce, sort-at-reduce,
-//!   merge} × {1, 2, 8} reducers × {1, 4} threads × the reference engine,
-//!   and (on unix) across forked multi-process workers carrying the
-//!   packed coefficient addresses over the wire.
+//!   bit-identical to itself — across {dense-reduce, sort-at-reduce} ×
+//!   {1, 2, 8} reducers × {1, 4} threads × the reference engine, and (on
+//!   unix) across forked multi-process workers carrying the packed
+//!   coefficient addresses over the wire on both routes.
 //! * **Error bounds** — against the exact 2-D frequency array, every
 //!   cell estimate errs by at most `√SSE` and every rectangle sum by at
 //!   most `√(area · SSE)` (Cauchy–Schwarz over the per-cell error grid);
@@ -172,11 +172,11 @@ fn assert_same_top_k(got: &WaveletHistogram2d, want: &WaveletHistogram2d, ctx: &
 
 /// Tentpole differential: every engine-built 2-D histogram meets its
 /// builder's contract and is bit-identical to itself on every reduce
-/// strategy, reducer count, thread count, and engine — and the strategy
+/// route, reducer count, thread count, and engine — and the route
 /// really varies with the domain: at `log_u = 5` the tight
 /// `row << 16 | col` key-domain hint fits the engine's dense-domain cap
-/// and selects dense-reduce, at `log_u = 7` it does not and the jobs run
-/// sort-at-reduce (several reducers) or merge (one reducer).
+/// and selects dense-reduce, at `log_u = 7` it does not and every
+/// partition sorts at reduce.
 #[test]
 fn engine_built_matches_sequential_reference_across_strategies() {
     let cluster = ClusterConfig::paper_cluster();
@@ -206,19 +206,17 @@ fn engine_built_matches_sequential_reference_across_strategies() {
                             let first = first.get_or_insert_with(|| got.histogram.clone());
                             assert_coefs_eq(&got.histogram, first, &ctx);
                             // The pipelined engine must really exercise the
-                            // advertised strategy on every partition of
+                            // advertised route on every partition of
                             // every round (the reference engine does not
-                            // plan strategies).
+                            // plan routes).
                             if e == 0 {
                                 let rounds = got.metrics.rounds;
                                 let got_s = got.metrics.reduce_strategies;
                                 assert_eq!(got_s.total(), rounds * reducers, "{ctx}");
                                 if log_u <= 6 {
                                     assert_eq!(got_s.dense_reduce, got_s.total(), "{ctx}");
-                                } else if reducers > 1 {
-                                    assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
                                 } else {
-                                    assert_eq!(got_s.merge, rounds, "{ctx}");
+                                    assert_eq!(got_s.sort_at_reduce, got_s.total(), "{ctx}");
                                 }
                             }
                             // Logical metrics agree across every execution.
@@ -237,36 +235,47 @@ fn engine_built_matches_sequential_reference_across_strategies() {
 /// The multi-process leg of the differential: forked map workers carry
 /// the packed coefficient addresses (and, for H-WTopk, the per-split
 /// state) over the wire bit-identically, with the framed traffic really
-/// measured.
+/// measured — at `log_u = 5`, where partitions reduce densely, and at
+/// `log_u = 7`, where they sort the workers' unsorted runs at reduce.
 #[cfg(unix)]
 #[test]
 fn engine_built_bit_identical_across_worker_processes() {
     let cluster = ClusterConfig::paper_cluster();
-    let ds = zipf2d(5);
-    let refs = References::of(&ds);
-    for reducers in [1u32, 2, 8] {
-        let in_process = builders(EngineConfig::default().with_reducers(reducers));
-        for (b, in_process) in in_process.into_iter().enumerate() {
-            let name = in_process.name();
-            let in_process = in_process.build(&ds, &cluster, K);
-            refs.check(name, &in_process.histogram, &format!("{name} r={reducers}"));
-            assert_eq!(
-                in_process.metrics.wire.frames, 0,
-                "in-process runs must not frame traffic"
-            );
-            for workers in [1usize, 2, 4] {
-                let engine = EngineConfig::multi_process()
-                    .with_reducers(reducers)
-                    .with_map_parallelism(workers);
-                let got = builders(engine).swap_remove(b).build(&ds, &cluster, K);
-                let ctx = format!("{name} r={reducers} w={workers}");
-                assert_coefs_eq(&got.histogram, &in_process.histogram, &ctx);
-                assert_eq!(got.metrics, in_process.metrics, "metrics diverged: {ctx}");
-                assert!(got.metrics.bytes_on_wire() > 0, "{ctx}");
+    for log_u in [5u32, 7] {
+        let ds = zipf2d(log_u);
+        let refs = References::of(&ds);
+        for reducers in [1u32, 2, 8] {
+            let in_process = builders(EngineConfig::default().with_reducers(reducers));
+            for (b, in_process) in in_process.into_iter().enumerate() {
+                let name = in_process.name();
+                let ctx = format!("{name} log_u={log_u} r={reducers}");
+                let in_process = in_process.build(&ds, &cluster, K);
+                refs.check(name, &in_process.histogram, &ctx);
                 assert_eq!(
-                    got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
-                    "every shuffled pair crosses the wire exactly once: {ctx}"
+                    in_process.metrics.wire.frames, 0,
+                    "in-process runs must not frame traffic"
                 );
+                for workers in [1usize, 2, 4] {
+                    let engine = EngineConfig::multi_process()
+                        .with_reducers(reducers)
+                        .with_map_parallelism(workers);
+                    let got = builders(engine).swap_remove(b).build(&ds, &cluster, K);
+                    let ctx = format!("{ctx} w={workers}");
+                    assert_coefs_eq(&got.histogram, &in_process.histogram, &ctx);
+                    assert_eq!(got.metrics, in_process.metrics, "metrics diverged: {ctx}");
+                    let routes = got.metrics.reduce_strategies;
+                    let ran = if log_u <= 6 {
+                        routes.dense_reduce
+                    } else {
+                        routes.sort_at_reduce
+                    };
+                    assert_eq!(ran, routes.total(), "{ctx}");
+                    assert!(got.metrics.bytes_on_wire() > 0, "{ctx}");
+                    assert_eq!(
+                        got.metrics.wire.pair_bytes, got.metrics.shuffle_bytes,
+                        "every shuffled pair crosses the wire exactly once: {ctx}"
+                    );
+                }
             }
         }
     }
