@@ -72,9 +72,9 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
         // The sparse transform can emit any slot below the basis's bound,
         // so that bound is the tight key-domain hint: radix keys + bounded
         // domain select the dense-reduce strategy (while the bound fits
-        // its cap; sort-at-reduce or merge above), whose per-partition
-        // tables size themselves to each partition's actual key range
-        // (hash partitioning spreads the slots across reducers).
+        // its cap; sort-at-reduce above). Partition `p` of `R` receives
+        // the slots `≡ p (mod R)` and indexes its table by `slot / R`, so
+        // each table spans `1/R` of the partition's actual key range.
         let spec = JobSpec::new("send-coef", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()

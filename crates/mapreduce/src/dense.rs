@@ -5,10 +5,15 @@
 //! and a bounded key domain ([`crate::EngineConfig::key_domain_hint`]),
 //! reduce partitions stop sorting: a partition's unsorted runs aggregate
 //! straight into a slot array sized to that partition's *actual* key
-//! range (`max − min + 1` radixes, never the full domain), and key groups
-//! are delivered to the reduce function in ascending key order with
-//! values in `(split id, arrival order)` order — the exact sequence of
-//! the sort-at-reduce route, with no sort at all.
+//! range, and key groups are delivered to the reduce function in
+//! ascending key order with values in `(split id, arrival order)` order —
+//! the exact sequence of the sort-at-reduce route, with no sort at all.
+//!
+//! The partitioner sends a radix to partition `radix mod R`
+//! ([`crate::engine::default_partition`]), so partition `p` of `R` holds
+//! only radixes `≡ p (mod R)`. The table is therefore indexed by the
+//! quotient `radix / R`: `(max − min)/R + 1` slots, never the full
+//! domain, and `R` partitions together walk one domain's worth of slots.
 //!
 //! The [`DenseReducer`] is owned by a reduce worker and **reused across
 //! every partition that worker reduces**: the slot array is reset via a
@@ -47,13 +52,14 @@ pub(crate) const FIRST_ARRIVAL: u32 = 1 << 31;
 /// from the radix image (the sealed [`crate::RadixKey`] contract makes
 /// radix order *be* key order).
 pub(crate) struct DenseReducer<K, V> {
-    /// The one per-radix table, indexed by `radix − lo` and sized to the
-    /// widest partition key range seen so far. During the counting pass
-    /// an entry is the slot's pair count; the prefix pass rewrites
-    /// entries to `FIRST_ARRIVAL | group index`; the placement pass turns
-    /// them into plain next-arena-position cursors. All-zero again after
-    /// every partition (a vectorized fill in dense-scan mode, a touched
-    /// walk in sparse mode).
+    /// The one per-key table, indexed by the quotient offset
+    /// `radix / R − lo` (`lo` the partition's smallest quotient) and sized
+    /// to the widest partition quotient range seen so far. During the
+    /// counting pass an entry is the slot's pair count; the prefix pass
+    /// rewrites entries to `FIRST_ARRIVAL | group index`; the placement
+    /// pass turns them into plain next-arena-position cursors. All-zero
+    /// again after every partition (a vectorized fill in dense-scan mode,
+    /// a touched walk in sparse mode).
     slots: Vec<u32>,
     /// Each group's key, parked by its first-arriving pair and `take`n at
     /// emission — sized to the group count, not the key range.
@@ -71,10 +77,10 @@ pub(crate) struct DenseReducer<K, V> {
     arena: Vec<Option<V>>,
     /// The contiguous value list handed to each reduce call.
     values: Vec<V>,
-    /// Per-pair slot offsets (`radix − lo`) stashed by the counting pass
-    /// so no later pass invokes the codec again. `u32` on purpose: slot
-    /// offsets are bounded by the domain cap, and halving the stash
-    /// halves the traffic of the two hottest passes.
+    /// Per-pair slot offsets (`radix / R − lo`) stashed by the counting
+    /// pass so no later pass invokes the codec or divides again. `u32` on
+    /// purpose: slot offsets are bounded by the domain cap, and halving
+    /// the stash halves the traffic of the two hottest passes.
     radixes: Vec<u32>,
 }
 
@@ -94,22 +100,25 @@ impl<K, V> DenseReducer<K, V> {
         }
     }
 
-    /// Reduces one partition: groups the (unsorted) `runs` by key and
-    /// invokes `reduce` once per key, key groups in ascending key order
-    /// and each group's values in `(split id, arrival order)` order —
-    /// `runs` must arrive in split-id order with arrival order inside
-    /// each run, exactly the shape the shuffle ships.
+    /// Reduces partition `part` of `nparts`: groups the (unsorted) `runs`
+    /// by key and invokes `reduce` once per key, key groups in ascending
+    /// key order and each group's values in `(split id, arrival order)`
+    /// order — `runs` must arrive in split-id order with arrival order
+    /// inside each run, exactly the shape the shuffle ships.
     ///
     /// # Panics
     ///
-    /// Panics when a key's radix reaches `domain_hint` — a broken
-    /// [`crate::EngineConfig::key_domain_hint`] must fail loudly rather
-    /// than mis-group.
+    /// Panics when a key's radix reaches `domain_hint`, or is not
+    /// `≡ part (mod nparts)` — a broken
+    /// [`crate::EngineConfig::key_domain_hint`] or partitioner must fail
+    /// loudly rather than mis-group (two radixes of one residue class
+    /// never share a quotient).
     pub(crate) fn reduce_runs<R>(
         &mut self,
         runs: Vec<Vec<(K, V)>>,
         radix_of: impl Fn(&K) -> u64,
         domain_hint: u64,
+        (part, nparts): (u32, u32),
         reduce: &ReduceDyn<K, V, R>,
         rctx: &mut ReduceContext<R>,
     ) {
@@ -126,12 +135,13 @@ impl<K, V> DenseReducer<K, V> {
             "dense reduce requires a u32-sized key domain"
         );
 
-        // Counting pass: extract every radix once, tracking the
-        // partition's actual key range so the slot arrays cover
-        // `max − min + 1` entries instead of the full declared domain.
+        // Counting pass: extract every radix once, stash its quotient by
+        // `nparts`, and track the partition's actual key range so the slot
+        // arrays cover `(max − min)/nparts + 1` entries instead of the
+        // full declared domain.
         self.radixes.clear();
         self.radixes.reserve(total);
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        let (mut lo, mut hi, mut stray) = (u64::MAX, 0u64, false);
         for run in &runs {
             for (k, _) in run {
                 let r = radix_of(k);
@@ -140,13 +150,20 @@ impl<K, V> DenseReducer<K, V> {
                 // Truncation is safe: `hi` tracks the untruncated image,
                 // and the assert below rejects anything over the domain
                 // cap before the stash is ever used.
-                self.radixes.push(r as u32);
+                let r = r as u32;
+                stray |= r % nparts != part;
+                self.radixes.push(r / nparts);
             }
         }
         assert!(
             hi < domain_hint,
             "key radix {hi} outside the declared key_domain_hint {domain_hint}"
         );
+        assert!(
+            !stray,
+            "a key radix of partition {part} is not ≡ {part} (mod {nparts})"
+        );
+        let (lo, hi) = (lo / u64::from(nparts), hi / u64::from(nparts));
         let width = (hi - lo + 1) as usize;
         if self.slots.len() < width {
             // Fresh entries are zero; previously used ones were zeroed by
@@ -302,17 +319,28 @@ impl<K, V> DenseReducer<K, V> {
 mod tests {
     use super::*;
 
-    fn dense_reduce_groups(
+    /// Reduces `runs` as partition `part.0` of `part.1`.
+    fn reduce_partition_groups(
         table: &mut DenseReducer<u32, u64>,
         runs: Vec<Vec<(u32, u64)>>,
         hint: u64,
+        part: (u32, u32),
     ) -> Vec<(u32, Vec<u64>)> {
         let mut rctx = ReduceContext::new();
         let reduce = |k: &u32, vs: &[u64], ctx: &mut ReduceContext<(u32, Vec<u64>)>| {
             ctx.emit((*k, vs.to_vec()));
         };
-        table.reduce_runs(runs, |k| u64::from(*k), hint, &reduce, &mut rctx);
+        table.reduce_runs(runs, |k| u64::from(*k), hint, part, &reduce, &mut rctx);
         rctx.outputs
+    }
+
+    /// Reduces `runs` as the only partition of a one-reducer job.
+    fn dense_reduce_groups(
+        table: &mut DenseReducer<u32, u64>,
+        runs: Vec<Vec<(u32, u64)>>,
+        hint: u64,
+    ) -> Vec<(u32, Vec<u64>)> {
+        reduce_partition_groups(table, runs, hint, (0, 1))
     }
 
     #[test]
@@ -347,6 +375,24 @@ mod tests {
             table.slots.len(),
             10,
             "the slot table must cover max − min + 1 radixes, not the domain"
+        );
+    }
+
+    #[test]
+    fn reducer_slot_array_indexed_by_the_residue_quotient() {
+        // Partition 3 of 15 holds radixes ≡ 3 (mod 15); keys in
+        // [1008, 1158] span quotients 67..=77: eleven slots, not 151.
+        let runs = vec![vec![(1158u32, 1u64), (1008, 2)], vec![(1083, 3), (1008, 4)]];
+        let mut table = DenseReducer::new();
+        let got = reduce_partition_groups(&mut table, runs, 4096, (3, 15));
+        assert_eq!(
+            got,
+            vec![(1008, vec![2, 4]), (1083, vec![3]), (1158, vec![1])]
+        );
+        assert_eq!(
+            table.slots.len(),
+            (1158 - 1008) / 15 + 1,
+            "the slot table must cover (max − min)/R + 1 quotients"
         );
     }
 
@@ -405,5 +451,19 @@ mod tests {
     fn reducer_rejects_keys_outside_the_hint() {
         let mut table: DenseReducer<u32, u64> = DenseReducer::new();
         dense_reduce_groups(&mut table, vec![vec![(8u32, 1u64), (1, 2)]], 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not ≡ 2 (mod 4)")]
+    fn reducer_rejects_keys_outside_its_residue_class() {
+        // 6 ≡ 2 (mod 4) belongs here; 10 does too, but 7 does not — and
+        // 7 / 4 = 6 / 4, so reducing it would silently merge two keys.
+        let mut table: DenseReducer<u32, u64> = DenseReducer::new();
+        reduce_partition_groups(
+            &mut table,
+            vec![vec![(6u32, 1u64), (10, 2), (7, 3)]],
+            16,
+            (2, 4),
+        );
     }
 }

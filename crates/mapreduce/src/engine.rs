@@ -24,7 +24,7 @@
 //!
 //!    | [`ReduceStrategy`] | when | what a partition does |
 //!    |---|---|---|
-//!    | `DenseReduce` | radix codec, [`EngineConfig::key_domain_hint`] ≤ 2²², fewer than 2³¹ pairs | aggregates its runs straight into a recycled slot array sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
+//!    | `DenseReduce` | radix codec, [`EngineConfig::key_domain_hint`] ≤ 2²², fewer than 2³¹ pairs | aggregates its runs straight into a recycled slot array indexed by `radix / R` and sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
 //!    | `SortAtReduce` | otherwise | one stable sort of its split-ordered run concatenation, then groups adjacent keys |
 //!
 //!    Jobs whose keys carry a [`RadixKey`](crate::RadixKey) codec
@@ -98,7 +98,10 @@ pub struct EngineConfig {
     /// Executor selection: the pipelined engine, the seed reference
     /// engine, or forked map-worker processes.
     pub mode: EngineMode,
-    /// Number of reduce partitions (the paper always uses 1).
+    /// Number of reduce partitions `R` (the paper always uses 1). Keys go
+    /// to partitions by [`default_partition`] mod `R`: a radix key to
+    /// partition `radix mod R`, which makes each partition's dense table
+    /// `R` times narrower.
     pub num_reducers: u32,
     /// Map-side worker threads; `0` means one per available core, capped
     /// at the task count. Both engines honor it, so a benchmark can pin
@@ -251,13 +254,23 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The partitioner: a deterministic Fx hash of the key, taken modulo the
-/// reducer count. With one reducer every key lands in partition 0; with
-/// several, keys spread evenly without any per-job configuration.
+/// The multiplicative inverse of the Fx seed mod 2⁶⁴: multiplying an Fx
+/// state by it undoes the hasher's final multiply.
+const FX_SEED_INVERSE: u64 = 0x2040_003d_7809_70bd;
+
+/// The partitioner, taken modulo the reducer count `R`: an Fx hash with
+/// its final multiply undone. A key that hashes as one integer — every
+/// [`RadixKey`](crate::RadixKey) does — maps to that integer, its radix,
+/// so partition `p` holds exactly the radixes `≡ p (mod R)`, as under
+/// Hadoop's `HashPartitioner`, and its dense reduce table spans `1/R` of
+/// the key range. Keys that hash as several words (tuples, strings) are
+/// still Fx-mixed, so they still spread. The price is Hadoop's too: keys
+/// that all share one residue mod `R` land in one partition — a load
+/// imbalance, never a correctness issue.
 pub fn default_partition<K: Hash>(key: &K) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
-    h.finish()
+    h.finish().wrapping_mul(FX_SEED_INVERSE)
 }
 
 /// Domains above this cap fall back from the reduce-side `DenseReducer`
@@ -541,14 +554,15 @@ where
     let plan = ReducePlan {
         codec: spec.key_codec,
         domain_hint: engine.key_domain_hint,
+        nparts: engine.num_reducers,
         dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
     };
     let contexts: Vec<ReduceContext<R>> = if threads <= 1 {
         let mut scratch = ReduceScratch::new();
         let mut out = Vec::with_capacity(nparts);
-        for runs in partitions {
+        for (p, runs) in partitions.into_iter().enumerate() {
             let mut rctx = ReduceContext::new();
-            reduce_partition(runs, plan, &mut scratch, reduce, &mut rctx);
+            reduce_partition(runs, p as u32, plan, &mut scratch, reduce, &mut rctx);
             out.push(rctx);
         }
         out
@@ -571,7 +585,7 @@ where
                 }
                 let runs = slots[p].lock().0.take().expect("each partition taken once");
                 let mut rctx = ReduceContext::new();
-                reduce_partition(runs, plan, &mut scratch, reduce, &mut rctx);
+                reduce_partition(runs, p as u32, plan, &mut scratch, reduce, &mut rctx);
                 slots[p].lock().1 = Some(rctx);
             }
         });
@@ -626,6 +640,9 @@ where
 struct ReducePlan<K> {
     codec: Option<fn(&K) -> u64>,
     domain_hint: Option<u64>,
+    /// The job's partition count `R`: the dense table indexes partition
+    /// `p`'s keys by `radix / R`, every radix there being `≡ p (mod R)`.
+    nparts: u32,
     /// Pair count from which a partition cannot reduce densely: the
     /// dense table tags group indices into `u32` slots, so a partition
     /// holding `FIRST_ARRIVAL` (2³¹) or more pairs would overflow its
@@ -659,7 +676,7 @@ impl<K, V> ReduceScratch<K, V> {
     }
 }
 
-/// Reduces one partition and invokes `reduce` per key group — key groups
+/// Reduces partition `part` and invokes `reduce` per key group — key groups
 /// in key order, values in `(split id, arrival order)` order. The runs
 /// arrive unsorted, in split-id order, and the partition takes one of
 /// two routes, decided here:
@@ -678,6 +695,7 @@ impl<K, V> ReduceScratch<K, V> {
 /// [`RunMetrics::reduce_strategies`].
 fn reduce_partition<K, V, R>(
     mut runs: Vec<Vec<(K, V)>>,
+    part: u32,
     plan: ReducePlan<K>,
     scratch: &mut ReduceScratch<K, V>,
     reduce: &ReduceDyn<K, V, R>,
@@ -691,7 +709,8 @@ fn reduce_partition<K, V, R>(
             if domain <= DENSE_DOMAIN_MAX && total < plan.dense_pair_cap =>
         {
             rctx.strategy = Some(ReduceStrategy::DenseReduce);
-            scratch.dense.reduce_runs(runs, codec, domain, reduce, rctx);
+            let dense = &mut scratch.dense;
+            dense.reduce_runs(runs, codec, domain, (part, plan.nparts), reduce, rctx);
         }
         (codec, _) => {
             rctx.strategy = Some(ReduceStrategy::SortAtReduce);
@@ -753,6 +772,7 @@ mod tests {
         let radix = ReducePlan {
             codec: Some(|k: &u32| u64::from(*k)),
             domain_hint: None,
+            nparts: 1,
             dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
         };
         let dense = ReducePlan {
@@ -781,7 +801,7 @@ mod tests {
             ctx.emit((*k, vs.to_vec()));
         };
         let mut rctx = ReduceContext::new();
-        reduce_partition(runs, plan, scratch, &reduce, &mut rctx);
+        reduce_partition(runs, 0, plan, scratch, &reduce, &mut rctx);
         (rctx.outputs, rctx.strategy)
     }
 
@@ -928,10 +948,28 @@ mod tests {
         let a = default_partition(&42u64);
         let b = default_partition(&42u64);
         assert_eq!(a, b);
-        // Different keys land in different partitions (mod small R).
+        // Integer keys go to `radix mod R`: consecutive keys fill every
+        // partition.
         let hits: std::collections::HashSet<u64> =
             (0..64u64).map(|k| default_partition(&k) % 8).collect();
-        assert!(hits.len() >= 4, "hash spreads keys across partitions");
+        assert_eq!(hits.len(), 8, "integer keys cycle through partitions");
+        // Keys that hash as several words stay Fx-mixed, so they spread
+        // over all 8 partitions too — whether their words vary in the
+        // last position or only in the first.
+        let spread = |keys: Vec<u64>| -> usize {
+            keys.into_iter()
+                .map(|h| h % 8)
+                .collect::<std::collections::HashSet<u64>>()
+                .len()
+        };
+        let strings = (0..64)
+            .map(|i| default_partition(&format!("key-{i}")))
+            .collect();
+        let firsts = (0..64u32).map(|i| default_partition(&(i, 7u32))).collect();
+        let lasts = (0..64u64).map(|i| default_partition(&(7u64, i))).collect();
+        assert_eq!(spread(strings), 8, "strings spread over 8 partitions");
+        assert_eq!(spread(firsts), 8, "tuples spread by their first word");
+        assert_eq!(spread(lasts), 8, "tuples spread by their last word");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use wavelet_hist::mapreduce::{
     run_job, ClusterConfig, EngineConfig, JobSpec, MapContext, MapTask, ReduceContext,
 };
 use wavelet_hist::wavelet::Domain;
-use wavelet_hist::WaveletHistogram;
 
 fn dataset() -> Dataset {
     DatasetBuilder::new()
@@ -39,36 +38,33 @@ fn builders(engine: EngineConfig) -> Vec<Box<dyn HistogramBuilder>> {
     ]
 }
 
-/// Histogram equality up to float associativity: multi-reducer runs
-/// insert into shared accumulators in a different (but deterministic)
-/// order, so coefficient sums may differ in the last bits.
-fn assert_histograms_close(a: &WaveletHistogram, b: &WaveletHistogram, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: histogram size");
-    for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
-        assert_eq!(x.0, y.0, "{what}: slot mismatch");
-        assert!(
-            (x.1 - y.1).abs() <= 1e-9 * (1.0 + y.1.abs()),
-            "{what}: {x:?} vs {y:?}"
-        );
-    }
-}
-
 /// Satellite (a): for every builder, R reducers produce the same
-/// histogram and the same logical metrics as a single reducer.
+/// histogram, bit for bit, and the same logical metrics as a single
+/// reducer — at 15 (the paper cluster's count) and at 16, a power of two,
+/// where the partitioner's residue classes are most structured.
 #[test]
 fn every_builder_multi_reducer_equals_single_reducer() {
     let ds = dataset();
     let cluster = ClusterConfig::paper_cluster();
     let k = 16;
-    for (single, multi) in builders(EngineConfig::default())
-        .into_iter()
-        .zip(builders(EngineConfig::default().with_reducers(4)))
-    {
-        let name = single.name();
-        let a = single.build(&ds, &cluster, k);
-        let b = multi.build(&ds, &cluster, k);
-        assert_histograms_close(&a.histogram, &b.histogram, name);
-        assert_eq!(a.metrics, b.metrics, "{name}: logical metrics");
+    for reducers in [4, 15, 16] {
+        for (single, multi) in builders(EngineConfig::default())
+            .into_iter()
+            .zip(builders(EngineConfig::default().with_reducers(reducers)))
+        {
+            let name = single.name();
+            let a = single.build(&ds, &cluster, k);
+            let b = multi.build(&ds, &cluster, k);
+            assert_eq!(
+                a.histogram.coefficients(),
+                b.histogram.coefficients(),
+                "{name}, R={reducers}"
+            );
+            assert_eq!(
+                a.metrics, b.metrics,
+                "{name}, R={reducers}: logical metrics"
+            );
+        }
     }
 }
 
@@ -274,8 +270,33 @@ where
     assert_eq!(got, want);
 }
 
+/// The partitioner's image of every sealed `RadixKey` impl is its radix,
+/// so partition `p` of `R` holds exactly the radixes `≡ p (mod R)`.
+fn assert_partition_is_radix(x: u64) {
+    use wavelet_hist::mapreduce::engine::default_partition;
+    use wavelet_hist::mapreduce::RadixKey;
+    assert_eq!(default_partition(&x), x.to_radix());
+    assert_eq!(default_partition(&WKey::four(x)), WKey::four(x).to_radix());
+    let (a, b, c) = (x as u32, x as u16, x as u8);
+    assert_eq!(default_partition(&a), a.to_radix());
+    assert_eq!(default_partition(&b), b.to_radix());
+    assert_eq!(default_partition(&c), c.to_radix());
+}
+
+#[test]
+fn default_partition_is_the_radix_at_the_extremes() {
+    for x in [0, 1, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+        assert_partition_is_radix(x);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn default_partition_is_the_radix_for_every_impl(x in 0u64..=u64::MAX) {
+        assert_partition_is_radix(x);
+    }
 
     /// Satellite (PR 3): the LSD radix sort produces the identical
     /// permutation as the stable comparison sort for **every** sealed
