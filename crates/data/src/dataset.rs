@@ -6,7 +6,8 @@
 //! dataset seed, so scans are repeatable and random access is `O(1)` — see
 //! the crate docs for why.
 
-use crate::rng::{position_seed, record_seed, split_seed, SplitMix64};
+use crate::draw::sample_positions;
+use crate::rng::{position_seed, split_seed, SplitMix64};
 use crate::worldcup::WorldCupModel;
 use crate::zipf::Zipf;
 use wh_wavelet::Domain;
@@ -44,26 +45,6 @@ impl SplitMeta {
             bytes: records * u64::from(record_bytes),
         }
     }
-}
-
-/// Draws `count` (at most `nj`) distinct positions of split `j`'s `0..nj`,
-/// ascending (as the paper's reader processes offsets from a priority
-/// queue), from the stream `seed` names for that split — Floyd's
-/// algorithm, so memory is `O(count)` regardless of `nj`.
-pub(crate) fn sample_positions(seed: u64, j: u32, nj: u64, count: u64) -> Vec<u64> {
-    let count = count.min(nj);
-    let mut chosen = wh_wavelet::hash::FxHashSet::default();
-    let mut rng = SplitMix64::new(record_seed(seed, j, u64::MAX));
-    // For t in nj-count..nj, pick r in [0, t]; if taken, use t itself.
-    for t in (nj - count)..nj {
-        let r = rng.next_below(t + 1);
-        if !chosen.insert(r) {
-            chosen.insert(t);
-        }
-    }
-    let mut positions: Vec<u64> = chosen.into_iter().collect();
-    positions.sort_unstable();
-    positions
 }
 
 /// Key distribution of a dataset.
@@ -300,7 +281,9 @@ impl Dataset {
 
     /// Draws `count` record positions of split `j` **without replacement**,
     /// reading only those records, in ascending position order — the
-    /// RandomRecordReader of Appendix B.
+    /// RandomRecordReader of Appendix B. The positions come from
+    /// [`crate::draw::floyd`], ascending by construction; its bitset takes
+    /// `⌈n_j/64⌉` words whatever `count` is.
     pub fn sample_split(&self, j: u32, count: u64, sample_seed: u64) -> Vec<Record> {
         let nj = self.split_meta(j).records;
         let split_seed = split_seed(self.seed, j);

@@ -19,8 +19,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Error, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::draw::floyd;
 use crate::rng::SplitMix64;
-use wh_wavelet::hash::FxHashSet;
 
 /// Writes `keys` as fixed-length records of `record_bytes` each: an 8-byte
 /// little-endian key followed by zero padding.
@@ -104,22 +104,12 @@ impl FixedSplitReader {
     }
 
     /// The Appendix-B RandomRecordReader: draws `count` distinct record
-    /// indices (Floyd's algorithm into a sorted queue), seeks to each in
-    /// ascending order, and reads only those records.
+    /// indices with [`floyd`] seeded by `seed`, seeks to each in ascending
+    /// order, and reads only those records. The draw's bitset takes
+    /// `⌈n_j/64⌉` words: at most 1/64 of the file's bytes, since a record
+    /// holds at least its 8-byte key.
     pub fn sample(&mut self, count: u64, seed: u64) -> std::io::Result<SampleRead> {
-        let count = count.min(self.num_records);
-        let mut chosen: FxHashSet<u64> = FxHashSet::default();
-        let mut rng = SplitMix64::new(seed);
-        if self.num_records > 0 {
-            for t in (self.num_records - count)..self.num_records {
-                let r = rng.next_below(t + 1);
-                if !chosen.insert(r) {
-                    chosen.insert(t);
-                }
-            }
-        }
-        let mut offsets: Vec<u64> = chosen.into_iter().collect();
-        offsets.sort_unstable();
+        let offsets = floyd(SplitMix64::new(seed), self.num_records, count);
         let mut keys = Vec::with_capacity(offsets.len());
         let mut buf = [0u8; 8];
         for idx in &offsets {

@@ -20,6 +20,7 @@
 //! scale.
 
 pub mod dataset;
+pub mod draw;
 pub mod file;
 pub mod rng;
 pub mod twod;

@@ -15,7 +15,8 @@
 //! the joint distribution is genuinely correlated rather than a product
 //! of its marginals.
 
-use crate::dataset::{sample_positions, SplitMeta};
+use crate::dataset::SplitMeta;
+use crate::draw::sample_positions;
 use crate::rng::{record_seed, SplitMix64};
 use crate::worldcup::WORLDCUP_RECORD_BYTES;
 use crate::zipf::Zipf;
@@ -187,7 +188,9 @@ impl Dataset2d {
 
     /// Draws `count` record positions of split `j` **without replacement**,
     /// reading only those records, in ascending position order — the
-    /// same Floyd draw as [`crate::Dataset::sample_split`].
+    /// same [`crate::draw::floyd`] draw as [`crate::Dataset::sample_split`],
+    /// ascending by construction, with a bitset of `⌈n_j/64⌉` words
+    /// whatever `count` is.
     pub fn sample_split(&self, j: u32, count: u64, sample_seed: u64) -> Vec<Record2d> {
         let nj = self.split_meta(j).records;
         sample_positions(self.seed ^ sample_seed, j, nj, count)

@@ -9,8 +9,9 @@ use std::path::PathBuf;
 
 use std::io::ErrorKind;
 
+use wavelet_hist::data::draw::floyd;
 use wavelet_hist::data::file::{write_fixed, FixedSplitReader};
-use wavelet_hist::data::Dataset;
+use wavelet_hist::data::{Dataset, SplitMix64};
 use wavelet_hist::sampling::SamplingConfig;
 
 fn tmp(name: &str) -> PathBuf {
@@ -49,6 +50,30 @@ fn file_sampler_draws_the_configured_fraction() {
     // IO accounting: only the sampled records were read.
     assert_eq!(sample.bytes_read, t_j * 16);
     assert!(sample.bytes_read < reader.num_records() * 16 / 10);
+}
+
+#[test]
+fn file_sampler_reads_exactly_the_drawn_positions() {
+    // Record i holds key i, so the sampled keys are the positions read.
+    for (n, count, seed, record_bytes) in [
+        (0, 10, 1, 16),      // an empty split
+        (100, 500, 2, 16),   // more than the split: every record
+        (1_000, 100, 3, 24), // 1000 = 15·64 + 40: a partial last word
+        (65, 64, 4, 16),     // all but one, one record past a word
+        (4_096, 256, 5, 8),  // whole words only
+    ] {
+        let path = tmp(&format!("drawn-{n}-{count}.bin"));
+        write_fixed(&path, &(0..n).collect::<Vec<u64>>(), record_bytes).expect("write");
+        let mut reader = FixedSplitReader::open(&path, record_bytes).expect("open");
+        let drawn = floyd(SplitMix64::new(seed), n, count);
+        assert_eq!(drawn.len() as u64, count.min(n));
+        let sample = reader.sample(count, seed).expect("sample");
+        assert_eq!(sample.keys, drawn, "n = {n}, count = {count}");
+        assert_eq!(
+            sample.bytes_read,
+            drawn.len() as u64 * u64::from(record_bytes)
+        );
+    }
 }
 
 #[test]
