@@ -31,10 +31,16 @@
 //!
 //! Memory is `O(D·log u)` for `D` distinct keys ever seen — the dirty-path
 //! ancestors — independent of the domain size `u` (which may be `2^40`).
+//!
+//! [`IncrementalTransform::apply_delta`] reports the coefficients it
+//! rewrote — slot 0 and the details on the dirty paths, `O(d·log u)` of
+//! them — because those are the only ones a delta can change. A top-k
+//! selection kept beside the transform (`wh-core`'s
+//! `MaintainedHistogram`) updates itself from those reports instead of
+//! rescanning the non-zero set.
 
 use crate::haar;
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::select::{top_k_magnitude, CoefEntry};
+use crate::hash::FxHashMap;
 use crate::Domain;
 
 /// A sparse Haar transform kept current under streaming count deltas.
@@ -55,7 +61,7 @@ pub struct IncrementalTransform {
     avgs: Vec<FxHashMap<u64, f64>>,
     /// Non-zero detail coefficients: slot (`≥ 1`) → value. Details that
     /// recompute to exactly `0.0` are removed, matching the zero-dropping
-    /// of [`top_k_magnitude`] and the builders.
+    /// of [`crate::select::top_k_magnitude`] and the builders.
     details: FxHashMap<u64, f64>,
 }
 
@@ -75,7 +81,7 @@ impl IncrementalTransform {
     /// to [`Self::new`] followed by one [`Self::apply_delta`].
     pub fn from_counts(domain: Domain, counts: impl IntoIterator<Item = (u64, u64)>) -> Self {
         let mut t = Self::new(domain);
-        t.apply_delta(counts);
+        t.apply_delta(counts, |_, _| {});
         t
     }
 
@@ -114,13 +120,24 @@ impl IncrementalTransform {
     /// Keys may repeat; zero counts are ignored. `O(d·log u)` for `d`
     /// distinct dirtied keys. An empty delta leaves the state untouched.
     ///
+    /// Calls `rewrote(slot, new value)` once for every coefficient the
+    /// delta rewrote, with `0.0` for a detail that left the non-zero set:
+    /// slot 0 and the details on the dirty root-to-leaf paths. No other
+    /// coefficient changed, which is what lets a caller keep a selection
+    /// over the non-zero set current without rescanning it. Never called
+    /// when the delta carried no count.
+    ///
     /// # Panics
     ///
     /// Panics when a key lies outside the domain, or when a count would
     /// overflow `u64`.
-    pub fn apply_delta(&mut self, delta: impl IntoIterator<Item = (u64, u64)>) {
+    pub fn apply_delta(
+        &mut self,
+        delta: impl IntoIterator<Item = (u64, u64)>,
+        mut rewrote: impl FnMut(u64, f64),
+    ) {
         let domain = self.domain();
-        let mut dirty: FxHashSet<u64> = FxHashSet::default();
+        let mut dirty: Vec<u64> = Vec::new();
         for (x, c) in delta {
             assert!(domain.contains(x), "key {x} outside {domain}");
             if c == 0 {
@@ -129,21 +146,25 @@ impl IncrementalTransform {
             let slot = self.counts.entry(x).or_insert(0);
             *slot = slot.checked_add(c).expect("count overflow");
             self.total = self.total.checked_add(c).expect("total overflow");
-            dirty.insert(x);
+            dirty.push(x);
         }
         if dirty.is_empty() {
             return;
         }
-        // Recompute the dirtied ancestor paths bottom-up. `dirty` holds
-        // positions at level `q`; their parents at level `p = q − 1` get
-        // the exact `forward_in_place` pass expressions.
+        dirty.sort_unstable();
+        dirty.dedup();
+        // Recompute the dirtied ancestor paths bottom-up. `dirty` holds the
+        // sorted, distinct positions at level `q`; halving keeps them
+        // sorted, so their parents at level `p = q − 1` are one shift and
+        // an adjacent dedup away, and get the exact `forward_in_place`
+        // pass expressions.
         for q in (1..=self.log_u).rev() {
             let p = q - 1;
-            let mut parents: FxHashSet<u64> = FxHashSet::default();
-            for &t in &dirty {
-                parents.insert(t >> 1);
+            for t in &mut dirty {
+                *t >>= 1;
             }
-            for &t in &parents {
+            dirty.dedup();
+            for &t in &dirty {
                 let a = self.level_value(q, 2 * t);
                 let b = self.level_value(q, 2 * t + 1);
                 let (avg, det) = haar::pair(a, b);
@@ -154,9 +175,10 @@ impl IncrementalTransform {
                 } else {
                     self.details.insert(slot, det);
                 }
+                rewrote(slot, det);
             }
-            dirty = parents;
         }
+        rewrote(0, self.average_coefficient());
     }
 
     /// The coefficient at slot 0 (the overall average term).
@@ -179,21 +201,13 @@ impl IncrementalTransform {
             .into_iter()
             .chain(self.details.iter().map(|(&s, &v)| (s, v)))
     }
-
-    /// The `k` largest-magnitude coefficients (deterministic tie-breaks;
-    /// see [`top_k_magnitude`]). The selection is a full scan of the
-    /// non-zero set — a shortcut over "previous top-k ∪ touched slots"
-    /// would be unsound, because a delta can *shrink* the k-th magnitude
-    /// and let an untouched coefficient enter.
-    pub fn top_coefficients(&self, k: usize) -> Vec<CoefEntry> {
-        top_k_magnitude(self.coefficients(), k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::haar::forward;
+    use crate::select::top_k_magnitude;
 
     /// Deterministic pseudo-random (key, count) stream.
     fn synth(domain: Domain, n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -253,7 +267,7 @@ mod tests {
         let all = synth(domain, 300, 0xabc);
         let mut t = IncrementalTransform::new(domain);
         for chunk in all.chunks(37) {
-            t.apply_delta(chunk.iter().copied());
+            t.apply_delta(chunk.iter().copied(), |_, _| {});
         }
         let one_shot = IncrementalTransform::from_counts(domain, all.iter().copied());
         assert_eq!(t, one_shot);
@@ -266,11 +280,11 @@ mod tests {
         let a = synth(domain, 120, 1);
         let b = synth(domain, 80, 2);
         let mut ab = IncrementalTransform::new(domain);
-        ab.apply_delta(a.iter().copied());
-        ab.apply_delta(b.iter().copied());
+        ab.apply_delta(a.iter().copied(), |_, _| {});
+        ab.apply_delta(b.iter().copied(), |_, _| {});
         let mut ba = IncrementalTransform::new(domain);
-        ba.apply_delta(b.iter().copied());
-        ba.apply_delta(a.iter().copied());
+        ba.apply_delta(b.iter().copied(), |_, _| {});
+        ba.apply_delta(a.iter().copied(), |_, _| {});
         assert_eq!(ab, ba);
     }
 
@@ -279,8 +293,8 @@ mod tests {
         let domain = Domain::new(5).unwrap();
         let mut t = IncrementalTransform::from_counts(domain, [(3u64, 2u64), (17, 1)]);
         let before = t.clone();
-        t.apply_delta(std::iter::empty());
-        t.apply_delta([(9u64, 0u64), (3, 0)]);
+        t.apply_delta(std::iter::empty(), |_, _| {});
+        t.apply_delta([(9u64, 0u64), (3, 0)], |_, _| {});
         assert_eq!(t, before);
         assert_eq!(t.total_count(), 3);
         assert_eq!(t.distinct_keys(), 2);
@@ -294,10 +308,47 @@ mod tests {
         let mut t = IncrementalTransform::from_counts(domain, [(2u64, 1u64)]);
         let leaf_slot = (1u64 << 2) + 1; // detail over keys {2, 3}
         assert!(t.coefficients().any(|(s, _)| s == leaf_slot));
-        t.apply_delta([(3u64, 1u64)]);
+        t.apply_delta([(3u64, 1u64)], |_, _| {});
         // Equal siblings: the leaf detail is exactly zero and must vanish.
         assert!(!t.coefficients().any(|(s, _)| s == leaf_slot));
         assert_bit_identical(&t, &dense_of(domain, &[(2, 1), (3, 1)]));
+    }
+
+    #[test]
+    fn apply_delta_reports_every_coefficient_it_changed() {
+        let domain = Domain::new(6).unwrap();
+        let mut t = IncrementalTransform::new(domain);
+        let check = |t: &mut IncrementalTransform, delta: &[(u64, u64)]| {
+            let before: FxHashMap<u64, f64> = t.coefficients().collect();
+            let mut rewritten = Vec::new();
+            t.apply_delta(delta.iter().copied(), |slot, value| {
+                rewritten.push((slot, value))
+            });
+            let after: FxHashMap<u64, f64> = t.coefficients().collect();
+            let mut seen = FxHashMap::default();
+            for &(slot, value) in &rewritten {
+                assert!(
+                    seen.insert(slot, value).is_none(),
+                    "slot {slot} reported twice"
+                );
+                let now = after.get(&slot).copied().unwrap_or(0.0);
+                assert_eq!(value.to_bits(), now.to_bits(), "slot {slot}");
+            }
+            for slot in before.keys().chain(after.keys()) {
+                if before.get(slot).map(|v| v.to_bits()) != after.get(slot).map(|v| v.to_bits()) {
+                    assert!(seen.contains_key(slot), "slot {slot} changed unreported");
+                }
+            }
+            assert_eq!(rewritten.is_empty(), delta.iter().all(|&(_, c)| c == 0));
+        };
+        for chunk in synth(domain, 400, 0x5eed).chunks(23) {
+            check(&mut t, chunk);
+        }
+        // Sibling cancellation: keys 2 and 3 brought to equal counts.
+        let (a, b) = (t.count(2), t.count(3));
+        check(&mut t, &[(if a < b { 2 } else { 3 }, a.abs_diff(b))]);
+        check(&mut t, &[(2, 5), (3, 5)]);
+        assert!(!t.coefficients().any(|(s, _)| s == (1 << 5) + 1));
     }
 
     #[test]
@@ -307,7 +358,7 @@ mod tests {
         let t = IncrementalTransform::from_counts(domain, deltas.iter().copied());
         let dense = dense_of(domain, &deltas);
         let want = top_k_magnitude(dense.iter().enumerate().map(|(s, &c)| (s as u64, c)), 10);
-        let got = t.top_coefficients(10);
+        let got = top_k_magnitude(t.coefficients(), 10);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.slot, w.slot);
@@ -319,7 +370,7 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_domain_key_rejected() {
         let mut t = IncrementalTransform::new(Domain::new(3).unwrap());
-        t.apply_delta([(8u64, 1u64)]);
+        t.apply_delta([(8u64, 1u64)], |_, _| {});
     }
 
     #[test]
@@ -327,8 +378,8 @@ mod tests {
         let domain = Domain::new(0).unwrap();
         let mut t = IncrementalTransform::new(domain);
         assert_eq!(t.coefficients().count(), 0);
-        t.apply_delta([(0u64, 4u64)]);
-        t.apply_delta([(0u64, 3u64)]);
+        t.apply_delta([(0u64, 4u64)], |_, _| {});
+        t.apply_delta([(0u64, 3u64)], |_, _| {});
         assert_eq!(t.coefficients().collect::<Vec<_>>(), vec![(0, 7.0)]);
     }
 }

@@ -184,6 +184,98 @@ proptest! {
     }
 }
 
+/// One step of a random delta sequence over `[2^6]`: `kind == 0` makes
+/// the two halves of the `2^(level+1)`-leaf block holding `key` equal leaf
+/// by leaf, which cancels that block's detail to exactly 0; `kind == 1`
+/// does that, one merge each, to every detail the snapshot retains, which
+/// drains the top of the selection; otherwise the step merges `delta`.
+fn step_strategy() -> impl Strategy<Value = (Vec<(u64, u64)>, u64, u32, u32)> {
+    (delta_strategy(), 0u64..64, 0u32..6, 0u32..3)
+}
+
+/// The delta that raises each leaf of `key`'s block to its mirror leaf in
+/// the other half, and the slot of the detail that this cancels.
+fn cancelling_delta(m: &MaintainedHistogram, key: u64, level: u32) -> (Vec<(u64, u64)>, u64) {
+    let half = 1u64 << level;
+    let start = key & !(2 * half - 1);
+    let mut delta = Vec::new();
+    for i in 0..half {
+        let (left, right) = (start + i, start + half + i);
+        let (l, r) = (m.transform().count(left), m.transform().count(right));
+        delta.push(if l < r { (left, r - l) } else { (right, l - r) });
+    }
+    let p = m.domain().log_u() - level - 1;
+    (delta, (1u64 << p) + (start >> (level + 1)))
+}
+
+/// Merges `delta`, then checks the snapshot bit for bit against a full
+/// scan of the maintained coefficients and the dense oracle of `applied`.
+fn merge_and_check(
+    m: &mut MaintainedHistogram,
+    applied: &mut Vec<(u64, u64)>,
+    delta: Vec<(u64, u64)>,
+) {
+    m.merge_delta(delta.iter().copied());
+    applied.extend(delta);
+    let full = WaveletHistogram::new(
+        m.domain(),
+        top_k_magnitude(m.transform().coefficients(), m.k())
+            .into_iter()
+            .map(|e| (e.slot, e.value)),
+    );
+    let snap = m.snapshot();
+    assert_bit_identical("vs full scan", &snap, &full);
+    assert_bit_identical(
+        "vs dense oracle",
+        &snap,
+        &dense_oracle(m.domain(), applied, m.k()),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every merge of a random sequence — sibling cancellations to
+    /// exactly 0 included — the snapshot selected from the frontier is
+    /// bit-identical to a full-scan selection over the maintained
+    /// coefficients and to the dense oracle, at budgets from 0 to more
+    /// than the non-zero count.
+    #[test]
+    fn every_merge_snapshots_what_a_full_scan_selects(
+        steps in prop::collection::vec(step_strategy(), 1..12),
+        pick in 0usize..5,
+    ) {
+        let domain = Domain::new(6).unwrap();
+        let log_u = domain.log_u();
+        let mut m = MaintainedHistogram::new(domain, [0, 1, 2, K, 65][pick]);
+        let mut applied: Vec<(u64, u64)> = Vec::new();
+        for (delta, key, level, kind) in steps {
+            let targets: Vec<(u64, u32)> = match kind {
+                0 => vec![(key, level)],
+                1 => m
+                    .snapshot()
+                    .coefficients()
+                    .iter()
+                    .filter(|c| c.0 > 0)
+                    .map(|c| {
+                        let p = 63 - c.0.leading_zeros();
+                        ((c.0 - (1 << p)) << (log_u - p), log_u - p - 1)
+                    })
+                    .collect(),
+                _ => {
+                    merge_and_check(&mut m, &mut applied, delta);
+                    continue;
+                }
+            };
+            for (key, level) in targets {
+                let (delta, cancelled) = cancelling_delta(&m, key, level);
+                merge_and_check(&mut m, &mut applied, delta);
+                prop_assert!(!m.transform().coefficients().any(|(s, _)| s == cancelled));
+            }
+        }
+    }
+}
+
 /// A delta can *shrink* the k-th magnitude: sibling counts cancel a
 /// detail coefficient to exactly zero, so a previously unselected slot
 /// must enter the top-k. Re-selection that only rescored "old top-k ∪
