@@ -19,19 +19,22 @@
 //! mappers emit local scores of candidates never sent before. The
 //! coordinator finalises exact sums and picks the top-k by magnitude.
 //!
-//! The coordinator logic is `wh_topk::Coordinator` — the same state machine
-//! the in-memory driver uses — so protocol correctness is tested once,
-//! against brute force, in `wh-topk`.
+//! Both sides of the protocol live in `wh-topk` and are shared with its
+//! in-memory executor `two_sided_topk`: each map task holds a
+//! `wh_topk::InMemoryNode`, which answers the three rounds and keeps what
+//! it has not sent, and the coordinator is `wh_topk::Coordinator`. So the
+//! brute-force tests of `two_sided_topk` check the code this builder
+//! runs; this file only moves the messages.
 
 use super::{ops, scan_counts, BuildResult, HistogramBuilder};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{
-    ClusterConfig, EngineConfig, EngineError, JobSpec, MapContext, MapTask, ReduceContext,
-    RunMetrics,
+    ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext, RunMetrics,
 };
-use wh_topk::Coordinator;
-use wh_wavelet::select::TopBottomK;
+use wh_topk::node::Round1;
+use wh_topk::{Coordinator, InMemoryNode};
+use wh_wavelet::select::CoefEntry;
 
 /// Round-1/2/3 message payload: `(flags, split, coefficient)`.
 /// Wire size 12 B — 4 B split id + 8 B double; the mark flags replace the
@@ -43,6 +46,15 @@ const FLAG_KTH_LOW: u8 = 2;
 
 fn payload(flags: u8, split: u32, w: f64) -> Payload {
     WSized::new((flags, split, w), 12)
+}
+
+/// The mark flags a round-1 message for `slot` carries.
+fn marks(sent: &Round1, slot: u64) -> u8 {
+    let flag = |mark: Option<CoefEntry>, flag| match mark {
+        Some(e) if e.slot == slot => flag,
+        _ => 0,
+    };
+    flag(sent.kth_high, FLAG_KTH_HIGH) | flag(sent.kth_low, FLAG_KTH_LOW)
 }
 
 /// One message as the coordinator receives it:
@@ -87,66 +99,6 @@ impl HWTopk {
     }
 }
 
-/// Round 1 of split `j`'s mapper: scan, transform, emit the local top-k
-/// and bottom-k (marking the k-th highest and lowest) and return every
-/// unsent coefficient, still in the transform's ascending slot order.
-fn emit_top_bottom<S: SplitSource>(
-    ds: &S,
-    j: u32,
-    k: usize,
-    ctx: &mut MapContext<WKey, Payload>,
-) -> Vec<(u64, f64)> {
-    let domain = ds.domain();
-    let local = scan_counts(ds, j, ctx);
-    let coefs = S::Histogram::transform(domain, local.iter().map(|&(x, c)| (x, c as f64)));
-    ctx.charge(local.len() as f64 * S::Histogram::updates_per_key(domain) * ops::COEF_UPDATE);
-    let mut tb = TopBottomK::new(k);
-    for &(slot, w) in &coefs {
-        tb.offer(slot, w);
-    }
-    ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
-    let top = tb.top();
-    let bottom = tb.bottom();
-    let full = coefs.len() >= k;
-    let kth_high_slot = if full {
-        top.last().map(|e| e.slot)
-    } else {
-        None
-    };
-    let kth_low_slot = if full {
-        bottom.last().map(|e| e.slot)
-    } else {
-        None
-    };
-    // Union of top and bottom sets in slot order, deduplicated.
-    let mut sent: Vec<(u64, f64)> = top
-        .iter()
-        .chain(&bottom)
-        .map(|e| (e.slot, e.value))
-        .collect();
-    sent.sort_unstable_by_key(|&(slot, _)| slot);
-    sent.dedup_by_key(|&mut (slot, _)| slot);
-    for &(slot, w) in &sent {
-        let mut flags = 0u8;
-        if kth_high_slot == Some(slot) {
-            flags |= FLAG_KTH_HIGH;
-        }
-        if kth_low_slot == Some(slot) {
-            flags |= FLAG_KTH_LOW;
-        }
-        ctx.emit(WKey::four(slot), payload(flags, j, w));
-    }
-    // Held until round 3, so sized exactly: `sent` is a subset of
-    // `coefs`.
-    let mut remaining = Vec::with_capacity(coefs.len() - sent.len());
-    remaining.extend(
-        coefs
-            .into_iter()
-            .filter(|&(slot, _)| sent.binary_search_by_key(&slot, |&(s, _)| s).is_err()),
-    );
-    remaining
-}
-
 impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     fn name(&self) -> &'static str {
         "H-WTopk"
@@ -175,34 +127,42 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
-                let mut remaining: Vec<(u64, f64)> = Vec::new();
+                let mut node = InMemoryNode::default();
                 MapTask::new(j, move |ctx| match ctx.round() {
-                    0 => remaining = emit_top_bottom(&ds, j, k, ctx),
+                    // Round 1 scans, transforms, and sends the local top-k
+                    // and bottom-k with the k-th highest and lowest marked.
+                    0 => {
+                        let local = scan_counts(&ds, j, ctx);
+                        let coefs = S::Histogram::transform(
+                            domain,
+                            local.iter().map(|&(x, c)| (x, c as f64)),
+                        );
+                        let updates = S::Histogram::updates_per_key(domain);
+                        ctx.charge(local.len() as f64 * updates * ops::COEF_UPDATE);
+                        ctx.charge(coefs.len() as f64 * 2.0 * ops::HEAP_OFFER);
+                        node = InMemoryNode::from_sorted(coefs);
+                        let sent = node.round1(k);
+                        for &(slot, w) in &sent.sent {
+                            ctx.emit(WKey::four(slot), payload(marks(&sent, slot), j, w));
+                        }
+                    }
                     // Round 2 reads its state (no input scan!) and sends
-                    // what clears T₁/m, keeping the rest in place.
+                    // what clears T₁/m.
                     1 => {
                         let tau = ctx.broadcast().try_into().map(f64::from_le_bytes);
                         let tau = tau.expect("round 2 broadcasts T1/m as one f64");
-                        ctx.charge(remaining.len() as f64);
-                        remaining.retain(|&(slot, w)| {
-                            let send = w.abs() > tau;
-                            if send {
-                                ctx.emit(WKey::four(slot), payload(0, j, w));
-                            }
-                            !send
-                        });
+                        ctx.charge(node.len() as f64);
+                        for (slot, w) in node.round2(tau) {
+                            ctx.emit(WKey::four(slot), payload(0, j, w));
+                        }
                     }
-                    // Round 3 sends its scores of the candidates in R: a
-                    // linear merge of two slot-sorted lists.
+                    // Round 3 sends its scores of the candidates in R and
+                    // drops its state: the protocol is over.
                     _ => {
-                        ctx.charge(remaining.len() as f64);
+                        ctx.charge(node.len() as f64);
                         let candidates = decode_ids(ctx.broadcast(), id_bytes);
-                        let mut cands = candidates.iter().peekable();
-                        for (slot, w) in std::mem::take(&mut remaining) {
-                            while cands.next_if(|&&c| c < slot).is_some() {}
-                            if cands.peek() == Some(&&slot) {
-                                ctx.emit(WKey::four(slot), payload(0, j, w));
-                            }
+                        for (slot, w) in std::mem::take(&mut node).round3(&candidates) {
+                            ctx.emit(WKey::four(slot), payload(0, j, w));
                         }
                     }
                 })
@@ -236,7 +196,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
             }
         }
         for (j, pairs) in per_node.iter().enumerate() {
-            coordinator.absorb_round1(j, pairs, &[], kth_high[j], kth_low[j]);
+            coordinator.absorb_round1(j, pairs, kth_high[j], kth_low[j]);
         }
         let t1 = coordinator.finish_round1();
 
@@ -246,10 +206,9 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round2(j, pairs);
         }
-        let (_t2, mut candidates) = coordinator.finish_round2();
+        let (_t2, candidates) = coordinator.finish_round2();
 
-        // ---------- Round 3: R rides the Distributed Cache ----------
-        candidates.sort_unstable();
+        // ---------- Round 3: R rides the Distributed Cache (ascending) ----------
         let mut ids = Vec::with_capacity(candidates.len() * id_bytes);
         for c in &candidates {
             ids.extend_from_slice(&c.to_le_bytes()[..id_bytes]);

@@ -2,7 +2,6 @@
 //! wavelet representation of a frequency vector.
 
 use serde::{Deserialize, Serialize};
-use wh_topk::{two_sided_topk, InMemoryNode};
 use wh_wavelet::select::{sort_by_magnitude, CoefEntry};
 use wh_wavelet::tree::ErrorTree;
 use wh_wavelet::Domain;
@@ -161,44 +160,6 @@ impl WaveletHistogram {
     pub fn retained_energy(&self) -> f64 {
         self.coefs.iter().map(|&(_, v)| v * v).sum()
     }
-
-    /// Merges a delta segment's Haar coefficients into this histogram by
-    /// linearity of the transform and re-selects the best `k` terms —
-    /// the coefficient-space delta-build path for histograms whose full
-    /// transform is no longer around (e.g. one shipped by an approximate
-    /// builder).
-    ///
-    /// The base's retained coefficients and the delta's coefficients are
-    /// treated as two nodes of the distributed top-k problem the paper
-    /// already solves — per-slot scores summing across nodes — and the
-    /// re-selection runs `wh-topk`'s exact two-sided algorithm, so the
-    /// result is the true magnitude top-`k` of the summed coefficient
-    /// sets, with deterministic tie-breaking. An empty delta therefore
-    /// reduces to re-selecting `k` of the base's own terms.
-    ///
-    /// **Exactness caveat:** this is exact *relative to what the base
-    /// retains*. Coefficients the base already pruned stay lost, so the
-    /// merged histogram approximates the concatenated data unless the base
-    /// held every non-zero coefficient. For the maintained, bit-exact path
-    /// use `wh_core::incremental::MaintainedHistogram`, which keeps the
-    /// full non-zero set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a delta slot lies outside the domain.
-    pub fn merge_delta(
-        &self,
-        delta: impl IntoIterator<Item = (u64, f64)>,
-        k: usize,
-    ) -> WaveletHistogram {
-        let domain = self.domain();
-        let base = InMemoryNode::new(self.coefs.iter().copied());
-        let delta = InMemoryNode::new(delta.into_iter().inspect(|&(slot, _)| {
-            assert!(slot < domain.u(), "delta slot {slot} outside {domain}");
-        }));
-        let merged = two_sided_topk(&[base, delta], k);
-        WaveletHistogram::new(domain, merged.topk)
-    }
 }
 
 #[cfg(test)]
@@ -285,59 +246,5 @@ mod tests {
         let domain = Domain::new(4).unwrap();
         let h = WaveletHistogram::new(domain, [(0, 3.0), (2, -4.0)]);
         assert!((h.retained_energy() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_delta_with_full_retention_is_exact() {
-        // When the base retains *every* non-zero coefficient, coefficient-
-        // space merging matches the transform of the summed signals.
-        let a: Vec<f64> = (0..32).map(|i| ((i * 3) % 7) as f64).collect();
-        let b: Vec<f64> = (0..32).map(|i| ((i * 5) % 4) as f64).collect();
-        let (ha, _) = hist_from_signal(&a, 32);
-        let wb = forward(&b);
-        let merged = ha.merge_delta(
-            wb.iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0.0)
-                .map(|(s, &c)| (s as u64, c)),
-            32,
-        );
-        let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        for x in 0..32u64 {
-            let want = sum[x as usize];
-            let got = merged.point_estimate(x);
-            assert!((got - want).abs() < 1e-9, "key {x}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn merge_delta_of_nothing_reselects_the_base() {
-        let v: Vec<f64> = (0..64).map(|i| ((i * 11) % 17) as f64).collect();
-        let (h, _) = hist_from_signal(&v, 12);
-        let same = h.merge_delta(std::iter::empty(), 12);
-        assert_eq!(h, same);
-        // A smaller budget prunes from the bottom of the magnitude order.
-        let pruned = h.merge_delta(std::iter::empty(), 5);
-        assert_eq!(pruned.coefficients(), &h.coefficients()[..5]);
-    }
-
-    #[test]
-    fn merge_delta_can_churn_the_topk_membership() {
-        let domain = Domain::new(4).unwrap();
-        // Base top-2 is slots {0, 3}; the delta shrinks slot 3 and boosts
-        // slot 7, so the merged top-2 must swap membership.
-        let base = WaveletHistogram::new(domain, [(0, 10.0), (3, 5.0), (7, 1.0)]);
-        let merged = base.merge_delta([(3u64, -4.5), (7u64, 3.0)], 2);
-        let slots: Vec<u64> = merged.coefficients().iter().map(|&(s, _)| s).collect();
-        assert_eq!(slots, vec![0, 7]);
-        assert!((merged.coefficient(7).unwrap() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn merge_delta_rejects_out_of_domain_slots() {
-        let domain = Domain::new(2).unwrap();
-        let h = WaveletHistogram::new(domain, [(0, 1.0)]);
-        let _ = h.merge_delta([(4u64, 1.0)], 2);
     }
 }

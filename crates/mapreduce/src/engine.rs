@@ -281,12 +281,6 @@ pub fn default_partition<K: Hash>(key: &K) -> u64 {
 /// case only.
 const DENSE_DOMAIN_MAX: u64 = 1 << 22;
 
-/// Jobs whose map output is at most this many pairs reduce serially: the
-/// per-thread spawn/join cost exceeds the reduce work itself, which is
-/// exactly the regime the sampling builders (a few thousand pairs) live
-/// in. Thread count never changes outputs, so this is timing-only.
-const REDUCE_SPAWN_MIN_PAIRS: u64 = 8192;
-
 /// Tasks of a multi-partition job with fewer pairs than this ship a flat
 /// (unpartitioned) spill and let the shuffle scatter it: allocating
 /// `num_reducers` per-task partition buffers would cost more than the
@@ -541,59 +535,45 @@ where
     // ---- Reduce phase: one context per partition, optionally in
     // parallel, stitched in partition-index order. ----
     let reduce_start = Instant::now();
-    let threads = if metrics.map_output_pairs < REDUCE_SPAWN_MIN_PAIRS {
-        // Serial fast path: spawning per-partition threads for a few
-        // thousand pairs costs more than reducing them.
-        1
-    } else {
-        resolve_threads(engine.reducer_parallelism)
-    }
-    .min(nparts)
-    .max(1);
-
+    let threads = resolve_threads(engine.reducer_parallelism).min(nparts);
     let plan = ReducePlan {
         codec: spec.key_codec,
         domain_hint: engine.key_domain_hint,
         nparts: engine.num_reducers,
         dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
     };
-    let contexts: Vec<ReduceContext<R>> = if threads <= 1 {
+    type Slot<K, V, R> = Mutex<(Option<Vec<Vec<(K, V)>>>, Option<ReduceContext<R>>)>;
+    let slots: Vec<Slot<K, V, R>> = partitions
+        .into_iter()
+        .map(|runs| Mutex::new((Some(runs), None)))
+        .collect();
+    let next_part = AtomicUsize::new(0);
+    let reduce_parts = || {
+        // Per-thread scratch (radix buffers + dense table), recycled
+        // across the partitions this thread reduces — the reduce-side
+        // mirror of the map workers' reuse.
         let mut scratch = ReduceScratch::new();
-        let mut out = Vec::with_capacity(nparts);
-        for (p, runs) in partitions.into_iter().enumerate() {
+        loop {
+            let p = next_part.fetch_add(1, Ordering::Relaxed);
+            if p >= slots.len() {
+                break;
+            }
+            let runs = slots[p].lock().0.take().expect("each partition taken once");
             let mut rctx = ReduceContext::new();
             reduce_partition(runs, p as u32, plan, &mut scratch, reduce, &mut rctx);
-            out.push(rctx);
+            slots[p].lock().1 = Some(rctx);
         }
-        out
-    } else {
-        type Slot<K, V, R> = Mutex<(Option<Vec<Vec<(K, V)>>>, Option<ReduceContext<R>>)>;
-        let slots: Vec<Slot<K, V, R>> = partitions
-            .into_iter()
-            .map(|runs| Mutex::new((Some(runs), None)))
-            .collect();
-        let next_part = AtomicUsize::new(0);
-        run_workers(threads, || {
-            // Per-thread scratch (radix buffers + dense table), recycled
-            // across the partitions this thread reduces — the
-            // reduce-side mirror of the map workers' reuse.
-            let mut scratch = ReduceScratch::new();
-            loop {
-                let p = next_part.fetch_add(1, Ordering::Relaxed);
-                if p >= slots.len() {
-                    break;
-                }
-                let runs = slots[p].lock().0.take().expect("each partition taken once");
-                let mut rctx = ReduceContext::new();
-                reduce_partition(runs, p as u32, plan, &mut scratch, reduce, &mut rctx);
-                slots[p].lock().1 = Some(rctx);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().1.expect("every partition reduced"))
-            .collect()
     };
+    if threads <= 1 {
+        // As in the map phase: one thread would be spawned only to be
+        // joined again, so its loop runs inline.
+        reduce_parts();
+    } else {
+        run_workers(threads, reduce_parts);
+    }
+    let contexts = slots
+        .into_iter()
+        .map(|s| s.into_inner().1.expect("every partition reduced"));
 
     // Deterministic stitching: outputs and charged CPU recombine in
     // partition order, so float summation order is independent of the

@@ -51,7 +51,7 @@
 //! * [`EngineMode::Pipelined`] (default, [`engine`]): map tasks on worker
 //!   threads, reduce partitions in parallel, outputs and charged CPU
 //!   stitched in partition order. Workers recycle their buffers across
-//!   tasks and partitions; tiny jobs skip thread spawns on both sides.
+//!   tasks and partitions; a phase with one worker runs it inline.
 //! * [`EngineMode::Reference`] ([`mod@reference`]): one global
 //!   `O(n log n)` sort and a sequential reduce — the executable
 //!   specification the differential suites compare the other two against.

@@ -3,39 +3,28 @@
 //! `tests/topk_properties.rs` and `two_sided.rs`'s unit tests hold
 //! `two_sided_topk` to. Nothing on the build path calls this module.
 
-use crate::node::ScoreNode;
-use wh_wavelet::hash::FxHashMap;
-use wh_wavelet::select::{sort_by_magnitude, CoefEntry};
+use crate::node::InMemoryNode;
+use wh_wavelet::select::top_k_magnitude;
 
-/// Aggregates all nodes' scores exactly.
-pub fn aggregate_all<N: ScoreNode>(nodes: &[N]) -> FxHashMap<u64, f64> {
-    let mut total = FxHashMap::default();
-    for node in nodes {
-        for (item, score) in node.items_above_magnitude(f64::NEG_INFINITY) {
-            *total.entry(item).or_insert(0.0) += score;
-        }
-    }
-    total.retain(|_, s| *s != 0.0);
-    total
+/// Aggregates all nodes' scores exactly, as one node: per item, the sum
+/// over nodes in node order, zero sums dropped.
+pub fn aggregate_all(nodes: &[InMemoryNode]) -> InMemoryNode {
+    InMemoryNode::new(nodes.iter().flat_map(|n| n.coefficients().iter().copied()))
 }
 
 /// The exact k items of largest aggregated |score| (descending magnitude,
 /// ties by ascending item id).
-pub fn topk_by_magnitude<N: ScoreNode>(nodes: &[N], k: usize) -> Vec<(u64, f64)> {
+pub fn topk_by_magnitude(nodes: &[InMemoryNode], k: usize) -> Vec<(u64, f64)> {
     let total = aggregate_all(nodes);
-    let mut entries: Vec<CoefEntry> = total
+    top_k_magnitude(total.coefficients().iter().copied(), k)
         .into_iter()
-        .map(|(slot, value)| CoefEntry { slot, value })
-        .collect();
-    sort_by_magnitude(&mut entries);
-    entries.truncate(k);
-    entries.into_iter().map(|e| (e.slot, e.value)).collect()
+        .map(|e| (e.slot, e.value))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::InMemoryNode;
 
     #[test]
     fn aggregation_sums_across_nodes() {
@@ -44,9 +33,7 @@ mod tests {
             InMemoryNode::new([(1, 3.0), (3, 4.0)]),
         ];
         let total = aggregate_all(&nodes);
-        assert_eq!(total.get(&1), Some(&5.0));
-        assert_eq!(total.get(&2), Some(&-1.0));
-        assert_eq!(total.get(&3), Some(&4.0));
+        assert_eq!(total.coefficients(), &[(1, 5.0), (2, -1.0), (3, 4.0)]);
     }
 
     #[test]

@@ -8,24 +8,25 @@
 //! non-negative scores, so their partial-sum pruning breaks when unseen
 //! scores may be very negative.
 //!
-//! This crate provides:
+//! This crate provides both sides of the paper's modified algorithm, each
+//! written once and shared by `wh-core`'s H-WTopk builder and the
+//! in-memory executor [`two_sided_topk`], so testing that executor against
+//! brute force tests the code the builder runs:
 //!
-//! * [`two_sided`] — the paper's modified algorithm: two interleaved TPUT
-//!   instances tracking upper/lower bounds `τ⁺/τ⁻`, magnitude thresholds
-//!   `T₁`/`T₂`, and three rounds of pruning. The coordinator logic is a
-//!   standalone state machine ([`two_sided::Coordinator`]) so the MapReduce
-//!   implementation in `wh-core` can drive it round by round, exactly like
-//!   the in-memory driver here;
-//! * [`node`] — the node-side abstraction and an in-memory implementation;
+//! * [`two_sided`] — the coordinator side: two interleaved TPUT instances
+//!   tracking upper/lower bounds `τ⁺/τ⁻`, magnitude thresholds `T₁`/`T₂`,
+//!   and three rounds of pruning, as a state machine over received
+//!   messages ([`two_sided::Coordinator`]);
+//! * [`node`] — the split side ([`InMemoryNode`]): what each round sends,
+//!   and the unsent coefficients it keeps between rounds;
 //! * [`exact`] — a brute-force reference for tests.
 //!
-//! All drivers report per-round communication in pairs and bytes so the
-//! experiments can attribute cost to rounds.
+//! The executor reports per-round communication in pairs so the experiments
+//! can attribute cost to rounds.
 
-pub mod bitset;
 pub mod exact;
 pub mod node;
 pub mod two_sided;
 
-pub use node::{InMemoryNode, ScoreNode};
+pub use node::InMemoryNode;
 pub use two_sided::{two_sided_topk, Coordinator};

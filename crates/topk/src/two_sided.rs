@@ -18,13 +18,12 @@
 //!   top-k and are pruned;
 //! * round 3 fetches exact scores for the surviving candidate set `R`.
 //!
-//! [`Coordinator`] is a pure state machine over received messages, so the
-//! same logic drives both the in-memory executor here
-//! ([`two_sided_topk`]) and the three MapReduce rounds of `wh-core`'s
-//! H-WTopk builder.
+//! [`Coordinator`] is a pure state machine over received messages and
+//! [`InMemoryNode`] the split side, so the same two types drive both the
+//! in-memory executor here ([`two_sided_topk`]) and the three MapReduce
+//! rounds of `wh-core`'s H-WTopk builder.
 
-use crate::bitset::BitSet;
-use crate::node::ScoreNode;
+use crate::node::InMemoryNode;
 use wh_wavelet::hash::FxHashMap;
 use wh_wavelet::select::{sort_by_magnitude, CoefEntry};
 
@@ -46,7 +45,29 @@ pub struct Coordinator {
 #[derive(Debug, Clone)]
 struct ItemState {
     partial: f64,
-    seen: BitSet,
+    /// Appendix A's `F_i`: bit `j` is set once node `j`'s score arrived.
+    seen: Vec<u64>,
+}
+
+impl ItemState {
+    /// The nodes whose score arrived, ascending.
+    fn seen_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.seen.iter().enumerate().flat_map(|(w, &bits)| {
+            std::iter::successors((bits != 0).then_some(bits), |&b| {
+                Some(b & (b - 1)).filter(|&rest| rest != 0)
+            })
+            .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
+
+    /// How many of `m` nodes have not sent a score yet.
+    fn unseen(&self, m: usize) -> usize {
+        m - self
+            .seen
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+    }
 }
 
 impl Coordinator {
@@ -65,19 +86,22 @@ impl Coordinator {
 
     fn record(&mut self, node: usize, item: u64, score: f64) {
         assert!(node < self.m, "node {node} out of {}", self.m);
-        let m = self.m;
+        let words = self.m.div_ceil(64);
         let state = self.items.entry(item).or_insert_with(|| ItemState {
             partial: 0.0,
-            seen: BitSet::new(m),
+            seen: vec![0; words],
         });
-        assert!(!state.seen.get(node), "node {node} sent item {item} twice");
+        let (word, bit) = (node / 64, 1u64 << (node % 64));
+        assert!(
+            state.seen[word] & bit == 0,
+            "node {node} sent item {item} twice"
+        );
         state.partial += score;
-        state.seen.set(node);
+        state.seen[word] |= bit;
     }
 
-    /// Absorbs node `j`'s round-1 message: its local top-k and bottom-k
-    /// (which may overlap when the node holds fewer than 2k items — overlap
-    /// is deduplicated here), plus the marked k-th highest / k-th lowest
+    /// Absorbs node `j`'s round-1 message: its local top-k ∪ bottom-k,
+    /// each item once, plus the marked k-th highest / k-th lowest
     /// values.
     ///
     /// `kth_high`/`kth_low` must be `None` when the node sent *all* its
@@ -86,18 +110,11 @@ impl Coordinator {
     pub fn absorb_round1(
         &mut self,
         node: usize,
-        top: &[(u64, f64)],
-        bottom: &[(u64, f64)],
+        sent: &[(u64, f64)],
         kth_high: Option<f64>,
         kth_low: Option<f64>,
     ) {
-        let mut sent: FxHashMap<u64, f64> = FxHashMap::default();
-        for &(i, s) in top.iter().chain(bottom) {
-            sent.entry(i).or_insert(s);
-        }
-        let mut pairs: Vec<(u64, f64)> = sent.into_iter().collect();
-        pairs.sort_unstable_by_key(|p| p.0);
-        for (i, s) in pairs {
+        for &(i, s) in sent {
             self.record(node, i, s);
         }
         // Clamp against 0: an unseen item may simply be absent from the node.
@@ -113,7 +130,7 @@ impl Coordinator {
         for state in self.items.values() {
             let mut seen_high = 0.0;
             let mut seen_low = 0.0;
-            for j in state.seen.iter_ones() {
+            for j in state.seen_nodes() {
                 seen_high += self.kth_high[j];
                 seen_low += self.kth_low[j];
             }
@@ -140,59 +157,42 @@ impl Coordinator {
     pub fn finish_round2(&mut self) -> (f64, Vec<u64>) {
         let t1 = self.t1.expect("finish_round1 first");
         let slack = t1 / self.m as f64;
-        // Per-node residual bound after round 2: unseen score magnitude at
-        // node j is ≤ min(T₁/m, max(kth_high, −kth_low))? The paper uses
-        // T₁/m directly; the round-1 bounds still apply, so take the
-        // tighter of the two per side.
+        // Per-node residual bound after round 2: the paper bounds an
+        // unseen score by T₁/m; the round-1 bounds still apply, so take
+        // the tighter of the two per side.
+        let total_high: f64 = self.kth_high.iter().map(|v| v.min(slack)).sum();
+        let total_low: f64 = self.kth_low.iter().map(|v| v.max(-slack)).sum();
         let mut t2_taus: Vec<f64> = Vec::with_capacity(self.items.len());
-        let mut bounds: FxHashMap<u64, (f64, f64)> = FxHashMap::default();
+        let mut upper: Vec<(u64, f64)> = Vec::with_capacity(self.items.len());
         for (&item, state) in &self.items {
             let mut tau_plus = state.partial;
             let mut tau_minus = state.partial;
-            let unseen = state.seen.count_zeros();
+            let unseen = state.unseen(self.m);
             if unseen > 0 {
-                // Start from the uniform T₁/m slack…
-                let mut high = unseen as f64 * slack;
-                let mut low = -(unseen as f64) * slack;
-                // …and tighten with round-1 per-node caps.
                 let mut seen_high = 0.0;
                 let mut seen_low = 0.0;
-                for j in state.seen.iter_ones() {
+                for j in state.seen_nodes() {
                     seen_high += self.kth_high[j].min(slack);
                     seen_low += self.kth_low[j].max(-slack);
                 }
-                let total_high: f64 = self.kth_high.iter().map(|v| v.min(slack)).sum();
-                let total_low: f64 = self.kth_low.iter().map(|v| v.max(-slack)).sum();
-                high = high.min(total_high - seen_high);
-                low = low.max(total_low - seen_low);
-                tau_plus += high;
-                tau_minus += low;
+                tau_plus += (unseen as f64 * slack).min(total_high - seen_high);
+                tau_minus += (-(unseen as f64) * slack).max(total_low - seen_low);
             }
-            bounds.insert(item, (tau_plus, tau_minus));
+            upper.push((item, tau_plus.abs().max(tau_minus.abs())));
             t2_taus.push(magnitude_lower_bound(tau_plus, tau_minus));
         }
         let t2 = kth_largest_or_zero(&mut t2_taus, self.k);
         self.t2 = Some(t2);
-        let mut survivors: Vec<u64> = self
-            .items
-            .iter()
-            .filter(|(item, _)| {
-                let (tau_plus, tau_minus) = bounds[*item];
-                tau_plus.abs().max(tau_minus.abs()) >= t2
-            })
-            .map(|(&item, _)| item)
+        let mut survivors: Vec<u64> = upper
+            .into_iter()
+            .filter(|&(_, bound)| bound >= t2)
+            .map(|(item, _)| item)
             .collect();
         survivors.sort_unstable();
         // Drop pruned items so round 3 state stays small.
-        let keep: wh_wavelet::hash::FxHashSet<u64> = survivors.iter().copied().collect();
-        self.items.retain(|item, _| keep.contains(item));
+        self.items
+            .retain(|item, _| survivors.binary_search(item).is_ok());
         (t2, survivors)
-    }
-
-    /// Whether node `j` already sent `item` in an earlier round (the
-    /// node-side bookkeeping of round 3).
-    pub fn has_seen(&self, node: usize, item: u64) -> bool {
-        self.items.get(&item).is_some_and(|s| s.seen.get(node))
     }
 
     /// Absorbs node `j`'s round-3 message: exact scores for candidate
@@ -274,8 +274,10 @@ pub struct TwoSidedResult {
     pub thresholds: (f64, f64),
 }
 
-/// Runs the full three-round protocol against in-memory nodes.
-pub fn two_sided_topk<N: ScoreNode>(nodes: &[N], k: usize) -> TwoSidedResult {
+/// Runs the full three-round protocol against in-memory nodes. Rounds
+/// consume what a node sends, so this runs on copies and leaves
+/// `nodes` as they were.
+pub fn two_sided_topk(nodes: &[InMemoryNode], k: usize) -> TwoSidedResult {
     let m = nodes.len();
     let mut comm = TputComm::default();
     if m == 0 || k == 0 {
@@ -285,21 +287,16 @@ pub fn two_sided_topk<N: ScoreNode>(nodes: &[N], k: usize) -> TwoSidedResult {
             thresholds: (0.0, 0.0),
         };
     }
+    let mut nodes = nodes.to_vec();
     let mut coord = Coordinator::new(m, k);
 
     // ---- Round 1 ----
     let mut round1 = 0u64;
-    let mut sent_r1: Vec<wh_wavelet::hash::FxHashSet<u64>> = vec![Default::default(); m];
-    for (j, node) in nodes.iter().enumerate() {
-        let top = node.top_k(k);
-        let bottom = node.bottom_k(k);
-        let kth_high = (node.len() >= k).then(|| top.last().expect("k≥1 items").1);
-        let kth_low = (node.len() >= k).then(|| bottom.last().expect("k≥1 items").1);
-        for &(i, _) in top.iter().chain(bottom.iter()) {
-            sent_r1[j].insert(i);
-        }
-        round1 += sent_r1[j].len() as u64;
-        coord.absorb_round1(j, &top, &bottom, kth_high, kth_low);
+    for (j, node) in nodes.iter_mut().enumerate() {
+        let sent = node.round1(k);
+        round1 += sent.sent.len() as u64;
+        let (high, low) = (sent.kth_high, sent.kth_low);
+        coord.absorb_round1(j, &sent.sent, high.map(|e| e.value), low.map(|e| e.value));
     }
     comm.pairs_per_round.push(round1);
     let t1 = coord.finish_round1();
@@ -307,14 +304,10 @@ pub fn two_sided_topk<N: ScoreNode>(nodes: &[N], k: usize) -> TwoSidedResult {
     // ---- Round 2 ----
     let mut round2 = 0u64;
     let tau = t1 / m as f64;
-    for (j, node) in nodes.iter().enumerate() {
-        let fresh: Vec<(u64, f64)> = node
-            .items_above_magnitude(tau)
-            .into_iter()
-            .filter(|(i, _)| !sent_r1[j].contains(i))
-            .collect();
-        round2 += fresh.len() as u64;
-        coord.absorb_round2(j, &fresh);
+    for (j, node) in nodes.iter_mut().enumerate() {
+        let sent = node.round2(tau);
+        round2 += sent.len() as u64;
+        coord.absorb_round2(j, &sent);
     }
     comm.pairs_per_round.push(round2);
     let (t2, candidates) = coord.finish_round2();
@@ -322,17 +315,10 @@ pub fn two_sided_topk<N: ScoreNode>(nodes: &[N], k: usize) -> TwoSidedResult {
     // ---- Round 3 ----
     comm.broadcast_items += candidates.len() as u64;
     let mut round3 = 0u64;
-    for (j, node) in nodes.iter().enumerate() {
-        let fresh: Vec<(u64, f64)> = candidates
-            .iter()
-            .filter(|&&i| !coord.has_seen(j, i))
-            .filter_map(|&i| {
-                let s = node.score(i);
-                (s != 0.0).then_some((i, s))
-            })
-            .collect();
-        round3 += fresh.len() as u64;
-        coord.absorb_round3(j, &fresh);
+    for (j, node) in nodes.iter_mut().enumerate() {
+        let sent = node.round3(&candidates);
+        round3 += sent.len() as u64;
+        coord.absorb_round3(j, &sent);
     }
     comm.pairs_per_round.push(round3);
 
@@ -409,7 +395,7 @@ mod tests {
         // the case that breaks classic TPUT.
         let mut nodes = make_nodes(99, 5, 40, 2);
         for n in &mut nodes {
-            let mut pairs: Vec<(u64, f64)> = n.scores().iter().map(|(&i, &s)| (i, s)).collect();
+            let mut pairs = n.coefficients().to_vec();
             pairs.push((777, -5000.0));
             *n = InMemoryNode::new(pairs);
         }
@@ -488,6 +474,88 @@ mod tests {
         let got = two_sided_topk(&nodes, 10);
         let (t1, t2) = got.thresholds;
         assert!(t2 >= t1, "T2 {t2} should refine (≥) T1 {t1}");
+    }
+
+    /// Golden runs, recorded on the hash-map node that preceded the
+    /// slot-sorted one and never re-recorded: the same nodes must give
+    /// the same top-k and thresholds, bit for bit, at the same per-round
+    /// traffic.
+    #[test]
+    fn golden_runs_are_bit_identical() {
+        type Golden = (
+            u64,
+            (usize, u64, u64, usize),
+            &'static [(u64, f64)],
+            [u64; 3],
+            u64,
+            (f64, f64),
+        );
+        let golden: [Golden; 3] = [
+            (
+                1,
+                (6, 60, 3, 8),
+                &[
+                    (10, 2526.0),
+                    (46, 2468.0),
+                    (36, 2345.0),
+                    (7, -2175.0),
+                    (32, 1763.0),
+                    (28, 1570.0),
+                    (30, 1494.0),
+                    (13, -1453.0),
+                ],
+                [95, 16, 7],
+                19,
+                (603.0, 1192.5),
+            ),
+            (
+                5,
+                (8, 100, 4, 10),
+                &[
+                    (25, 2814.0),
+                    (16, -2456.0),
+                    (22, 2098.0),
+                    (34, -1951.0),
+                    (90, 1563.0),
+                    (50, -1485.0),
+                    (49, 1431.0),
+                    (40, -1427.0),
+                    (32, -1425.0),
+                    (65, 1369.0),
+                ],
+                [154, 22, 2],
+                21,
+                (416.0, 1171.0),
+            ),
+            (
+                7,
+                (6, 60, 3, 8),
+                &[
+                    (17, -2557.0),
+                    (52, 2334.0),
+                    (41, -1991.0),
+                    (11, 1568.0),
+                    (14, -1499.0),
+                    (1, 1372.0),
+                    (57, -1371.0),
+                    (15, -1222.0),
+                ],
+                [96, 17, 1],
+                13,
+                (262.0, 1104.6666666666667),
+            ),
+        ];
+        let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|&(s, w)| (s, w.to_bits())).collect()
+        };
+        for (seed, (m, items, density, k), topk, pairs, broadcast, (t1, t2)) in golden {
+            let got = two_sided_topk(&make_nodes(seed, m, items, density), k);
+            assert_eq!(bits(&got.topk), bits(topk), "seed {seed}");
+            assert_eq!(got.comm.pairs_per_round, pairs, "seed {seed}");
+            assert_eq!(got.comm.broadcast_items, broadcast, "seed {seed}");
+            assert_eq!(got.thresholds.0.to_bits(), t1.to_bits(), "seed {seed}");
+            assert_eq!(got.thresholds.1.to_bits(), t2.to_bits(), "seed {seed}");
+        }
     }
 
     #[test]

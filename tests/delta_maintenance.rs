@@ -25,8 +25,8 @@ use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
 use wavelet_hist::incremental::MaintainedHistogram;
 use wavelet_hist::mapreduce::ClusterConfig;
 use wavelet_hist::sketch::{GcsParams, GroupCountSketch};
-use wavelet_hist::wavelet::haar::{energy, forward_in_place};
-use wavelet_hist::wavelet::{sparse, top_k_magnitude, Domain};
+use wavelet_hist::wavelet::haar::forward_in_place;
+use wavelet_hist::wavelet::{top_k_magnitude, Domain};
 use wavelet_hist::{CompiledHistogram, ServeTier, WaveletHistogram};
 
 const K: usize = 24;
@@ -327,68 +327,7 @@ fn maintainer_rejects_packed_2d_slots() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Coefficient-space merge on pruned histograms (the approximate path).
-// ---------------------------------------------------------------------------
-
-#[test]
-fn coefficient_merge_with_full_retention_is_exact_and_parseval_holds() {
-    let base_ds = zipf(0xb0, 8, 12_000, 4);
-    let delta_ds = zipf(0xd1, 8, 3_000, 2);
-    let domain = base_ds.domain();
-    let u = domain.u() as usize;
-
-    let counts_of = |ds: &Dataset| {
-        ds.exact_frequency_vector()
-            .into_iter()
-            .enumerate()
-            .map(|(x, c)| (x as u64, c as f64))
-            .filter(|&(_, c)| c != 0.0)
-            .collect::<Vec<_>>()
-    };
-    let base_coefs = sparse::sparse_transform(domain, counts_of(&base_ds));
-    let delta_coefs = sparse::sparse_transform(domain, counts_of(&delta_ds));
-
-    // Full retention: the merge is exact, so reconstruction equals the
-    // concatenated frequency vector (up to float summation order).
-    let base = WaveletHistogram::new(domain, base_coefs.iter().copied());
-    // k = u retains every one of the ≤ u non-zero slots: full retention.
-    let merged = base.merge_delta(delta_coefs.iter().copied(), u);
-    let recon = merged.reconstruct();
-    let truth: Vec<f64> = base_ds
-        .exact_frequency_vector()
-        .iter()
-        .zip(delta_ds.exact_frequency_vector())
-        .map(|(&a, b)| (a + b) as f64)
-        .collect();
-    let scale = truth.iter().map(|t| t * t).sum::<f64>().sqrt().max(1.0);
-    for x in 0..u {
-        assert!(
-            (recon[x] - truth[x]).abs() <= 1e-9 * scale,
-            "key {x}: {} vs {}",
-            recon[x],
-            truth[x]
-        );
-    }
-
-    // Pruned to k after an exact merge, the SSE against the concatenated
-    // truth is exactly the dropped coefficient energy (Parseval) — a
-    // bound no "old top-k ∪ touched" shortcut would meet.
-    let pruned = base.merge_delta(delta_coefs.iter().copied(), K);
-    let recon_pruned = pruned.reconstruct();
-    let sse: f64 = recon_pruned
-        .iter()
-        .zip(&truth)
-        .map(|(e, t)| (e - t) * (e - t))
-        .sum();
-    let dropped = energy(&truth) - pruned.retained_energy();
-    assert!(
-        (sse - dropped).abs() <= 1e-6 * (1.0 + energy(&truth)),
-        "SSE {sse} vs dropped energy {dropped}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// 4. The serving loop: merge → snapshot → recompile → try_publish.
+// 3. The serving loop: merge → snapshot → recompile → try_publish.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -486,7 +425,7 @@ fn freshness_loop_republishes_and_serves_the_concatenated_data() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Streaming sketches: delta updates ≡ segment merge (linearity).
+// 4. Streaming sketches: delta updates ≡ segment merge (linearity).
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -23,7 +23,7 @@ use wavelet_hist::builders::{
 use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
 use wavelet_hist::mapreduce::ClusterConfig;
 use wavelet_hist::query::{BatchScratch, CompiledHistogram};
-use wavelet_hist::wavelet::{sparse, Domain};
+use wavelet_hist::wavelet::Domain;
 
 const K: usize = 24;
 
@@ -84,13 +84,7 @@ fn range_queries(u: u64, count: usize, seed: u64) -> Vec<(u64, u64)> {
 
 /// Fidelity + error bounds for one built histogram on one dataset.
 fn check_estimates(name: &str, ds: &Dataset, compiled: &CompiledHistogram) {
-    check_estimates_against(name, &ds.exact_frequency_vector(), compiled);
-}
-
-/// [`check_estimates`] against an explicit brute-force frequency vector —
-/// the delta path checks merged histograms against *concatenated* truth,
-/// for which no single `Dataset` exists.
-fn check_estimates_against(name: &str, truth: &[u64], compiled: &CompiledHistogram) {
+    let truth = ds.exact_frequency_vector();
     let u = compiled.domain().u();
     assert_eq!(truth.len(), u as usize, "{name}: truth length");
     let hist_recon: Vec<f64> = {
@@ -105,7 +99,7 @@ fn check_estimates_against(name: &str, truth: &[u64], compiled: &CompiledHistogr
     // SSE of this estimator against the true frequencies.
     let sse: f64 = hist_recon
         .iter()
-        .zip(truth)
+        .zip(&truth)
         .map(|(&e, &t)| (e - t as f64) * (e - t as f64))
         .sum();
 
@@ -360,50 +354,5 @@ fn compiled_histogram_serves_concurrently() {
     });
     for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "query {i}");
-    }
-}
-
-/// PR 9 freshness path: every builder's histogram, after absorbing a new
-/// segment's exact delta coefficients through
-/// `WaveletHistogram::merge_delta`, still serves within the √SSE /
-/// √(len·SSE) brute-force bounds — re-verified against the
-/// *concatenated* truth, which no single `Dataset` holds.
-#[test]
-fn delta_merged_histograms_stay_bounded_for_every_builder() {
-    let base = zipf_dataset();
-    let fresh = DatasetBuilder::new()
-        .domain(Domain::new(10).expect("valid domain"))
-        .distribution(Distribution::Zipf { alpha: 1.3 })
-        .records(9_000)
-        .splits(2)
-        .seed(0xde17a)
-        .build();
-    let cluster = ClusterConfig::paper_cluster();
-
-    // Exact coefficients of the arriving segment (linearity: adding them
-    // slot-wise is adding the segment's frequency vector).
-    let delta_coefs = sparse::sparse_transform(
-        base.domain(),
-        fresh
-            .exact_frequency_vector()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, c)| c != 0)
-            .map(|(x, c)| (x as u64, c as f64)),
-    );
-    let truth: Vec<u64> = base
-        .exact_frequency_vector()
-        .iter()
-        .zip(fresh.exact_frequency_vector())
-        .map(|(&a, b)| a + b)
-        .collect();
-
-    for (name, builder) in builders() {
-        let hist = builder.build(&base, &cluster, K).histogram;
-        let merged = hist.merge_delta(delta_coefs.iter().copied(), K);
-        assert!(merged.len() <= K, "{name}: budget respected");
-        assert_eq!(merged.domain(), hist.domain(), "{name}");
-        let compiled = CompiledHistogram::compile(&merged);
-        check_estimates_against(name, &truth, &compiled);
     }
 }
