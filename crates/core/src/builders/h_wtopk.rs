@@ -7,26 +7,28 @@
 //! coefficients with the sparse `O(|v_j| log u)` transform, and emits its
 //! local top-k and bottom-k (marking the k-th highest/lowest values). All
 //! other local coefficients stay in the mapper's state (the HDFS state
-//! file of Appendix A — free of network cost). The reducer/coordinator
-//! forms partial sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
+//! file of Appendix A — free of network cost), at ≈ 8 B plus one LEB128
+//! slot gap (mostly 1 B) each. The reducer/coordinator forms partial
+//! sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
 //!
 //! Round 2 — `T₁/m` is pushed through the Job Configuration (the round's
 //! 8-byte broadcast); mappers read their state (no input scan!) and emit
 //! remaining coefficients with `|w_{i,j}| > T₁/m`. The coordinator
 //! refines bounds, derives `T₂`, and prunes to a candidate set `R`.
 //!
-//! Round 3 — `R` rides the Distributed Cache (sorted ids, 4 bytes each);
+//! Round 3 — `R` rides the Distributed Cache (sorted ids, 4 bytes each,
+//! 8 when the basis has slots past 2^32, as the message keys do);
 //! mappers emit local scores of candidates never sent before. The
 //! coordinator finalises exact sums and picks the top-k by magnitude.
 //!
 //! Both sides of the protocol live in `wh-topk` and are shared with its
 //! in-memory executor `two_sided_topk`: each map task holds a
-//! `wh_topk::InMemoryNode`, which answers the three rounds and keeps what
-//! it has not sent, and the coordinator is `wh_topk::Coordinator`. So the
-//! brute-force tests of `two_sided_topk` check the code this builder
-//! runs; this file only moves the messages.
+//! `wh_topk::InMemoryNode`, which answers the three rounds and marks
+//! what it sends in place, and the coordinator is `wh_topk::Coordinator`.
+//! So the brute-force tests of `two_sided_topk` check the code this
+//! builder runs; this file only moves the messages.
 
-use super::{ops, scan_counts, BuildResult, HistogramBuilder};
+use super::{ops, scan_counts, slot_key_bytes, BuildResult, HistogramBuilder};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::{Sized as WSized, WKey};
 use wh_mapreduce::{
@@ -112,18 +114,21 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let m = dataset.num_splits() as usize;
-        // Candidate ids ride the Distributed Cache as 4-byte ids, or 8
-        // when the basis has slots past u32 (2-D above [2^16]²).
+        // Messages are keyed by slot, and round 3's candidate ids ride the
+        // Distributed Cache, both at 4 bytes, or 8 when the basis has
+        // slots past u32 (1-D past 2^32, 2-D above [2^16]²).
         let slot_bound = S::Histogram::slot_bound(domain);
-        let id_bytes = if slot_bound <= 1 << 32 { 4 } else { 8 };
+        let key_bytes = slot_key_bytes(slot_bound);
+        let id_width = usize::from(key_bytes);
+        let key = move |slot| WKey::new(slot, key_bytes);
         let mut metrics = RunMetrics::default();
         let mut coordinator = Coordinator::new(m, k);
 
-        // One task per split serves all three rounds. Its un-sent
-        // coefficients stay in its own closure between rounds — the HDFS
-        // state file of Appendix A, free of network cost: under the
-        // multi-process engine they never leave the worker that computed
-        // them.
+        // One task per split serves all three rounds. Its coefficients
+        // stay in its own closure between rounds, each sent one marked in
+        // place — the HDFS state file of Appendix A, free of network
+        // cost: under the multi-process engine they never leave the
+        // worker that computed them.
         let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
@@ -143,7 +148,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
                         node = InMemoryNode::from_sorted(coefs);
                         let sent = node.round1(k);
                         for &(slot, w) in &sent.sent {
-                            ctx.emit(WKey::four(slot), payload(marks(&sent, slot), j, w));
+                            ctx.emit(key(slot), payload(marks(&sent, slot), j, w));
                         }
                     }
                     // Round 2 reads its state (no input scan!) and sends
@@ -153,16 +158,17 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
                         let tau = tau.expect("round 2 broadcasts T1/m as one f64");
                         ctx.charge(node.len() as f64);
                         for (slot, w) in node.round2(tau) {
-                            ctx.emit(WKey::four(slot), payload(0, j, w));
+                            ctx.emit(key(slot), payload(0, j, w));
                         }
                     }
                     // Round 3 sends its scores of the candidates in R and
                     // drops its state: the protocol is over.
                     _ => {
                         ctx.charge(node.len() as f64);
-                        let candidates = decode_ids(ctx.broadcast(), id_bytes);
+                        let candidates = decode_ids(ctx.broadcast(), id_width)
+                            .expect("round 3 broadcasts R as whole slot ids");
                         for (slot, w) in std::mem::take(&mut node).round3(&candidates) {
-                            ctx.emit(WKey::four(slot), payload(0, j, w));
+                            ctx.emit(key(slot), payload(0, j, w));
                         }
                     }
                 })
@@ -209,9 +215,9 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         let (_t2, candidates) = coordinator.finish_round2();
 
         // ---------- Round 3: R rides the Distributed Cache (ascending) ----------
-        let mut ids = Vec::with_capacity(candidates.len() * id_bytes);
+        let mut ids = Vec::with_capacity(candidates.len() * id_width);
         for c in &candidates {
-            ids.extend_from_slice(&c.to_le_bytes()[..id_bytes]);
+            ids.extend_from_slice(&c.to_le_bytes()[..id_width]);
         }
         let out = job.round(&ids)?;
         metrics.absorb(&out.metrics);
@@ -225,16 +231,17 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
 }
 
 /// The candidate ids of a round-3 broadcast, `width` little-endian bytes
-/// each.
-fn decode_ids(bytes: &[u8], width: usize) -> Vec<u64> {
-    bytes
-        .chunks_exact(width)
-        .map(|id| {
+/// each; `None` when the length is not a whole number of ids.
+fn decode_ids(bytes: &[u8], width: usize) -> Option<Vec<u64>> {
+    let ids = bytes.chunks_exact(width);
+    ids.remainder().is_empty().then(|| {
+        ids.map(|id| {
             let mut le = [0u8; 8];
             le[..width].copy_from_slice(id);
             u64::from_le_bytes(le)
         })
         .collect()
+    })
 }
 
 #[cfg(test)]
@@ -281,6 +288,20 @@ mod tests {
                 assert!((a.1 - b.1).abs() < 1e-6, "value mismatch at slot {}", a.0);
             }
         }
+    }
+
+    #[test]
+    fn candidate_ids_parse_whole_or_not_at_all() {
+        let ids = [7u64, 1 << 20];
+        for width in [4, 8] {
+            let bytes: Vec<u8> = ids
+                .iter()
+                .flat_map(|id| id.to_le_bytes()[..width].to_vec())
+                .collect();
+            assert_eq!(decode_ids(&bytes, width), Some(ids.to_vec()));
+            assert_eq!(decode_ids(&bytes[..bytes.len() - 1], width), None);
+        }
+        assert_eq!(decode_ids(&[], 4), Some(Vec::new()));
     }
 
     #[test]

@@ -121,6 +121,17 @@ where
     })
 }
 
+/// Wire bytes of a coefficient-slot key (and of a broadcast slot id):
+/// the paper's 4 B while every slot below `slot_bound` fits in 32 bits,
+/// else 8.
+fn slot_key_bytes(slot_bound: u64) -> u8 {
+    if slot_bound <= 1 << 32 {
+        4
+    } else {
+        8
+    }
+}
+
 /// Reducer of the builders that ship additive `f64` parts (local
 /// coefficients, sketch counters): one `(key, Σ parts)` record per key into
 /// the partition's own output, parts folded in split order.

@@ -8,7 +8,8 @@
 //! is almost always much larger than the number of distinct keys.
 
 use super::{
-    close_with_top_k, ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder,
+    close_with_top_k, ops, reduce_sum, run_build, scan_counts, slot_key_bytes, BuildResult,
+    HistogramBuilder,
 };
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::WKey;
@@ -45,8 +46,10 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
         k: usize,
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
-        // Coefficient indices ride in 4-byte keys (domain ≤ 2^32 in the
-        // experiments); values are 8-byte doubles (§5 setup).
+        let slot_bound = S::Histogram::slot_bound(domain);
+        // Coefficient indices ride in 4-byte keys (8 past 2^32 slots);
+        // values are 8-byte doubles (§5 setup).
+        let key_bytes = slot_key_bytes(slot_bound);
         let map_tasks: Vec<MapTask<WKey, f64>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
@@ -60,7 +63,7 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
                             * ops::COEF_UPDATE,
                     );
                     for (slot, w) in coefs {
-                        ctx.emit(WKey::four(slot), w);
+                        ctx.emit(WKey::new(slot, key_bytes), w);
                     }
                 })
             })
@@ -78,10 +81,7 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
         let spec = JobSpec::new("send-coef", map_tasks, reduce_sum)
             .with_radix_keys()
             .with_wire_codec()
-            .with_engine(
-                self.engine
-                    .with_key_domain(S::Histogram::slot_bound(domain)),
-            )
+            .with_engine(self.engine.with_key_domain(slot_bound))
             .with_finish(move |ctx| close_with_top_k(ctx, k));
         run_build(dataset, cluster, spec)
     }

@@ -9,14 +9,14 @@ use wh_wavelet::select::top_k_magnitude;
 /// Aggregates all nodes' scores exactly, as one node: per item, the sum
 /// over nodes in node order, zero sums dropped.
 pub fn aggregate_all(nodes: &[InMemoryNode]) -> InMemoryNode {
-    InMemoryNode::new(nodes.iter().flat_map(|n| n.coefficients().iter().copied()))
+    InMemoryNode::new(nodes.iter().flat_map(InMemoryNode::coefficients))
 }
 
 /// The exact k items of largest aggregated |score| (descending magnitude,
 /// ties by ascending item id).
 pub fn topk_by_magnitude(nodes: &[InMemoryNode], k: usize) -> Vec<(u64, f64)> {
     let total = aggregate_all(nodes);
-    top_k_magnitude(total.coefficients().iter().copied(), k)
+    top_k_magnitude(total.coefficients(), k)
         .into_iter()
         .map(|e| (e.slot, e.value))
         .collect()

@@ -41,6 +41,38 @@ fn assert_same(a: &WaveletHistogram, b: &WaveletHistogram, ctx: &str) {
     }
 }
 
+/// Past 2^32 slots the coefficient builders key their messages with 8
+/// bytes: 20 B per H-WTopk message (8 B key + 12 B payload) and 16 B per
+/// Send-Coef pair. `Centralized` cannot allocate this domain, so Send-V
+/// is the reference.
+#[test]
+fn slot_keys_widen_past_two_to_the_32() {
+    let ds = DatasetBuilder::new()
+        .domain(Domain::new(33).expect("valid"))
+        .distribution(Distribution::Uniform)
+        .records(2_000)
+        .seed(0xd00d)
+        .build();
+    let cluster = ClusterConfig::paper_cluster();
+    let k = 10;
+    let reference = SendV::new().build(&ds, &cluster, k);
+    for (b, pair_bytes) in [
+        (Box::new(HWTopk::new()) as Box<dyn HistogramBuilder>, 20),
+        (Box::new(SendCoef::new()), 16),
+    ] {
+        let got = b.build(&ds, &cluster, k);
+        let m = &got.metrics;
+        assert!(m.map_output_pairs > 0, "{}", b.name());
+        assert_eq!(
+            m.shuffle_bytes,
+            m.map_output_pairs * pair_bytes,
+            "{}",
+            b.name()
+        );
+        assert_same(&got.histogram, &reference.histogram, b.name());
+    }
+}
+
 fn datasets() -> Vec<(&'static str, Dataset)> {
     let base = |dist| {
         DatasetBuilder::new()
