@@ -17,9 +17,13 @@
 //! refines bounds, derives `T₂`, and prunes to a candidate set `R`.
 //!
 //! Round 3 — `R` rides the Distributed Cache (sorted ids, 4 bytes each,
-//! 8 when the basis has slots past 2^32, as the message keys do);
-//! mappers emit local scores of candidates never sent before. The
-//! coordinator finalises exact sums and picks the top-k by magnitude.
+//! 8 when the basis has slots past 2^32); mappers emit local scores of
+//! candidates never sent before. The coordinator finalises exact sums and
+//! picks the top-k by magnitude.
+//!
+//! Every message is keyed by its coefficient slot as a bare integer of
+//! the same width as a round-3 id: a `u32` (16 B a message on the wire,
+//! with the 12-byte payload) or, past 2^32 slots, a `u64` (20 B).
 //!
 //! Both sides of the protocol live in `wh-topk` and are shared with its
 //! in-memory executor `two_sided_topk`: each map task holds a
@@ -28,9 +32,9 @@
 //! So the brute-force tests of `two_sided_topk` check the code this
 //! builder runs; this file only moves the messages.
 
-use super::{ops, scan_counts, slot_key_bytes, BuildResult, HistogramBuilder};
+use super::{ops, scan_counts, slots_fit_u32, BuildResult, HistogramBuilder, SlotKey};
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::{Sized as WSized, WKey};
+use wh_mapreduce::wire::Sized as WSized;
 use wh_mapreduce::{
     ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext, RunMetrics,
 };
@@ -65,11 +69,11 @@ type Message = (u64, u8, u32, f64);
 
 /// The reducer of all three rounds: hands every message of a coefficient
 /// on to the coordinator, in `(split, arrival)` order.
-fn forward_messages(key: &WKey, vals: &[Payload], ctx: &mut ReduceContext<Message>) {
+fn forward_messages<K: SlotKey>(key: &K, vals: &[Payload], ctx: &mut ReduceContext<Message>) {
     ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
     for v in vals {
         let (flags, split, w) = v.value;
-        ctx.emit((key.id, flags, split, w));
+        ctx.emit((key.slot(), flags, split, w));
     }
 }
 
@@ -99,14 +103,10 @@ impl HWTopk {
         self.engine = engine;
         self
     }
-}
 
-impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
-    fn name(&self) -> &'static str {
-        "H-WTopk"
-    }
-
-    fn try_build(
+    /// The three rounds, with messages keyed and round-3 ids written as
+    /// `K`.
+    fn build_keyed<S: SplitSource, K: SlotKey>(
         &self,
         dataset: &S,
         cluster: &ClusterConfig,
@@ -114,13 +114,8 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let m = dataset.num_splits() as usize;
-        // Messages are keyed by slot, and round 3's candidate ids ride the
-        // Distributed Cache, both at 4 bytes, or 8 when the basis has
-        // slots past u32 (1-D past 2^32, 2-D above [2^16]²).
         let slot_bound = S::Histogram::slot_bound(domain);
-        let key_bytes = slot_key_bytes(slot_bound);
-        let id_width = usize::from(key_bytes);
-        let key = move |slot| WKey::new(slot, key_bytes);
+        let id_width = std::mem::size_of::<K>();
         let mut metrics = RunMetrics::default();
         let mut coordinator = Coordinator::new(m, k);
 
@@ -129,7 +124,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         // place — the HDFS state file of Appendix A, free of network
         // cost: under the multi-process engine they never leave the
         // worker that computed them.
-        let map_tasks: Vec<MapTask<WKey, Payload>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<K, Payload>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 let mut node = InMemoryNode::default();
@@ -148,7 +143,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
                         node = InMemoryNode::from_sorted(coefs);
                         let sent = node.round1(k);
                         for &(slot, w) in &sent.sent {
-                            ctx.emit(key(slot), payload(marks(&sent, slot), j, w));
+                            ctx.emit(K::from_slot(slot), payload(marks(&sent, slot), j, w));
                         }
                     }
                     // Round 2 reads its state (no input scan!) and sends
@@ -158,7 +153,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
                         let tau = tau.expect("round 2 broadcasts T1/m as one f64");
                         ctx.charge(node.len() as f64);
                         for (slot, w) in node.round2(tau) {
-                            ctx.emit(key(slot), payload(0, j, w));
+                            ctx.emit(K::from_slot(slot), payload(0, j, w));
                         }
                     }
                     // Round 3 sends its scores of the candidates in R and
@@ -168,7 +163,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
                         let candidates = decode_ids(ctx.broadcast(), id_width)
                             .expect("round 3 broadcasts R as whole slot ids");
                         for (slot, w) in std::mem::take(&mut node).round3(&candidates) {
-                            ctx.emit(key(slot), payload(0, j, w));
+                            ctx.emit(K::from_slot(slot), payload(0, j, w));
                         }
                     }
                 })
@@ -179,7 +174,7 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
         // — so the basis's slot bound is the tight exclusive bound for
         // every round (the dense-reduce tables size themselves to each
         // partition's actual, typically much narrower, key range).
-        let spec = JobSpec::new("h-wtopk", map_tasks, forward_messages)
+        let spec = JobSpec::new("h-wtopk", map_tasks, forward_messages::<K>)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(slot_bound));
@@ -227,6 +222,27 @@ impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
 
         let histogram = S::Histogram::from_slots(domain, coordinator.finish());
         Ok(BuildResult { histogram, metrics })
+    }
+}
+
+impl<S: SplitSource> HistogramBuilder<S> for HWTopk {
+    fn name(&self) -> &'static str {
+        "H-WTopk"
+    }
+
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
+        // Slot keys and round-3 ids take 4 bytes, or 8 when the basis has
+        // slots past u32.
+        if slots_fit_u32(S::Histogram::slot_bound(dataset.domain())) {
+            self.build_keyed::<S, u32>(dataset, cluster, k)
+        } else {
+            self.build_keyed::<S, u64>(dataset, cluster, k)
+        }
     }
 }
 

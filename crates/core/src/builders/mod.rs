@@ -38,10 +38,9 @@ pub use two_level_s::TwoLevelS;
 
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
-use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{
-    try_run_job, ClusterConfig, EngineError, JobSpec, MapContext, ReduceContext, RunMetrics,
-    WireSize,
+    try_run_job, ClusterConfig, EngineError, JobSpec, MapContext, RadixKey, ReduceContext,
+    RunMetrics, WireCodec, WireSize,
 };
 use wh_wavelet::select::top_k_magnitude;
 use wh_wavelet::Domain;
@@ -121,23 +120,53 @@ where
     })
 }
 
-/// Wire bytes of a coefficient-slot key (and of a broadcast slot id):
-/// the paper's 4 B while every slot below `slot_bound` fits in 32 bits,
-/// else 8.
-fn slot_key_bytes(slot_bound: u64) -> u8 {
-    if slot_bound <= 1 << 32 {
-        4
-    } else {
-        8
+/// The bare integer a slot-keyed job ships a coefficient slot or sketch
+/// counter index as, at its wire width: `u32` — the paper's 4-byte index
+/// — or `u64`. Implemented for those two only, and private to the
+/// builders. A build picks one from its slot bound
+/// ([`slots_fit_u32`]) and runs one generic body with it, so a pair is
+/// held and shipped at the width it is accounted at.
+trait SlotKey: RadixKey + WireCodec + WireSize + Copy + std::hash::Hash + Send + 'static {
+    /// The key carrying `slot`; panics if `slot` does not fit the key.
+    fn from_slot(slot: u64) -> Self;
+    /// The slot this key carries.
+    fn slot(self) -> u64;
+}
+
+impl SlotKey for u32 {
+    #[inline]
+    fn from_slot(slot: u64) -> Self {
+        u32::try_from(slot).expect("slot fits the build's 4-byte key")
+    }
+    #[inline]
+    fn slot(self) -> u64 {
+        u64::from(self)
     }
 }
 
+impl SlotKey for u64 {
+    #[inline]
+    fn from_slot(slot: u64) -> Self {
+        slot
+    }
+    #[inline]
+    fn slot(self) -> u64 {
+        self
+    }
+}
+
+/// Whether every slot below `slot_bound` fits a 4-byte [`SlotKey`]; past
+/// 2^32 slots (1-D past `log u = 32`, 2-D above `[2^16]²`) keys take 8.
+fn slots_fit_u32(slot_bound: u64) -> bool {
+    slot_bound <= 1 << 32
+}
+
 /// Reducer of the builders that ship additive `f64` parts (local
-/// coefficients, sketch counters): one `(key, Σ parts)` record per key into
-/// the partition's own output, parts folded in split order.
-fn reduce_sum(key: &WKey, vals: &[f64], ctx: &mut KeyedOutputs) {
+/// coefficients, sketch counters): one `(slot, Σ parts)` record per key
+/// into the partition's own output, parts folded in split order.
+fn reduce_sum<K: SlotKey>(key: &K, vals: &[f64], ctx: &mut KeyedOutputs) {
     ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-    ctx.emit((key.id, vals.iter().sum()));
+    ctx.emit((key.slot(), vals.iter().sum()));
 }
 
 /// Replaces the context's outputs by the top-k of `coefs`.

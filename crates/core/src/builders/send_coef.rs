@@ -6,13 +6,16 @@
 //! paper's Fig. 12 shows why this loses to Send-V: each key touches
 //! `log u + 1` coefficients, so the number of non-zero local coefficients
 //! is almost always much larger than the number of distinct keys.
+//!
+//! A pair is the paper's 4-byte coefficient index and 8-byte double: the
+//! index ships as a bare `u32` (12 B on the wire, 16 B in the engine's
+//! buffers), or as a `u64` (16 B both) when the basis has slots past 2^32.
 
 use super::{
-    close_with_top_k, ops, reduce_sum, run_build, scan_counts, slot_key_bytes, BuildResult,
-    HistogramBuilder,
+    close_with_top_k, ops, reduce_sum, run_build, scan_counts, slots_fit_u32, BuildResult,
+    HistogramBuilder, SlotKey,
 };
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 
 /// The Send-Coef baseline.
@@ -32,14 +35,9 @@ impl SendCoef {
         self.engine = engine;
         self
     }
-}
 
-impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
-    fn name(&self) -> &'static str {
-        "Send-Coef"
-    }
-
-    fn try_build(
+    /// The build, with coefficient indices keyed as `K`.
+    fn build_keyed<S: SplitSource, K: SlotKey>(
         &self,
         dataset: &S,
         cluster: &ClusterConfig,
@@ -47,10 +45,7 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
         let slot_bound = S::Histogram::slot_bound(domain);
-        // Coefficient indices ride in 4-byte keys (8 past 2^32 slots);
-        // values are 8-byte doubles (§5 setup).
-        let key_bytes = slot_key_bytes(slot_bound);
-        let map_tasks: Vec<MapTask<WKey, f64>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<K, f64>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
@@ -63,7 +58,7 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
                             * ops::COEF_UPDATE,
                     );
                     for (slot, w) in coefs {
-                        ctx.emit(WKey::new(slot, key_bytes), w);
+                        ctx.emit(K::from_slot(slot), w);
                     }
                 })
             })
@@ -78,12 +73,33 @@ impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
         // its cap; sort-at-reduce above). Partition `p` of `R` receives
         // the slots `≡ p (mod R)` and indexes its table by `slot / R`, so
         // each table spans `1/R` of the partition's actual key range.
-        let spec = JobSpec::new("send-coef", map_tasks, reduce_sum)
+        let spec = JobSpec::new("send-coef", map_tasks, reduce_sum::<K>)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(slot_bound))
             .with_finish(move |ctx| close_with_top_k(ctx, k));
         run_build(dataset, cluster, spec)
+    }
+}
+
+impl<S: SplitSource> HistogramBuilder<S> for SendCoef {
+    fn name(&self) -> &'static str {
+        "Send-Coef"
+    }
+
+    fn try_build(
+        &self,
+        dataset: &S,
+        cluster: &ClusterConfig,
+        k: usize,
+    ) -> Result<BuildResult<S::Histogram>, EngineError> {
+        // Coefficient indices ride in 4-byte keys (8 past 2^32 slots);
+        // values are 8-byte doubles (§5 setup).
+        if slots_fit_u32(S::Histogram::slot_bound(dataset.domain())) {
+            self.build_keyed::<S, u32>(dataset, cluster, k)
+        } else {
+            self.build_keyed::<S, u64>(dataset, cluster, k)
+        }
     }
 }
 

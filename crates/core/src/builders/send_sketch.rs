@@ -9,10 +9,15 @@
 //! scans every record, and its per-key update cost
 //! (`(log u + 1) · levels · rows` row-updates) is why the paper measures
 //! it as the slowest method by far.
+//!
+//! The emission rule is exact: a split ships precisely its counters that
+//! are non-zero after all of its float updates, each as a bare `u32`
+//! counter index and an 8-byte double (12 B on the wire). A counter whose
+//! updates cancelled back to `0.0` is not shipped; merging is unchanged
+//! by that, since adding `0.0` is the identity.
 
-use super::{ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder};
+use super::{ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder, SlotKey};
 use wh_data::Dataset;
-use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sketch::{GcsParams, GroupCountSketch};
 
@@ -67,8 +72,19 @@ impl HistogramBuilder for SendSketch {
     ) -> Result<BuildResult, EngineError> {
         let domain = dataset.domain();
         let params = self.params_for(dataset);
+        // Keys are global GCS counter indices in [0, total_counters):
+        // the sketch never emits an index beyond its own size, so this is
+        // the tight exclusive bound (and far smaller than `u`, which
+        // keeps the dense-reduce slot arrays tiny). It fits the 4-byte
+        // counter index the paper ships.
+        let mut merged = GroupCountSketch::new(domain, params);
+        let counter_domain = merged.total_counters() as u64;
+        assert!(
+            counter_domain <= 1 << 32,
+            "{counter_domain} GCS counters do not fit 4-byte indices"
+        );
 
-        let map_tasks: Vec<MapTask<WKey, f64>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<u32, f64>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
@@ -79,24 +95,19 @@ impl HistogramBuilder for SendSketch {
                         row_updates += sketch.update_key(x, c as f64);
                     }
                     ctx.charge(row_updates as f64 * ops::SKETCH_ROW_UPDATE);
-                    // Emit only the non-zero counters (sketch entries are
-                    // 8-byte doubles keyed by a 4-byte counter index).
+                    // Emit exactly the counters non-zero after the
+                    // updates (sketch entries are 8-byte doubles keyed by a
+                    // 4-byte counter index).
                     for (idx, v) in sketch.counter_entries() {
-                        ctx.emit(WKey::four(idx), v);
+                        ctx.emit(u32::from_slot(idx), v);
                     }
                 })
             })
             .collect();
 
-        // Keys are global GCS counter indices in [0, total_counters):
-        // the sketch never emits an index beyond its own size, so this is
-        // the tight exclusive bound (and far smaller than `u`, which
-        // keeps the dense-reduce slot arrays tiny).
-        let mut merged = GroupCountSketch::new(domain, params);
-        let counter_domain = merged.total_counters() as u64;
         // Reducer (`reduce_sum`): sketches are linear, so a merged counter is
         // the sum of the local ones; Close rebuilds the merged sketch from them.
-        let spec = JobSpec::new("send-sketch", map_tasks, reduce_sum)
+        let spec = JobSpec::new("send-sketch", map_tasks, reduce_sum::<u32>)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(counter_domain))
@@ -125,6 +136,7 @@ impl HistogramBuilder for SendSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::SplitSource;
     use crate::builders::Centralized;
     use wh_data::DatasetBuilder;
     use wh_wavelet::Domain;
@@ -160,6 +172,25 @@ mod tests {
             found >= k / 2,
             "only {found}/{k} true coefficients recovered"
         );
+    }
+
+    #[test]
+    fn splits_ship_exactly_their_non_zero_counters() {
+        let ds = ds();
+        let builder = SendSketch::new(4);
+        let params = builder.params_for(&ds);
+        let non_zero: u64 = (0..ds.num_splits())
+            .map(|j| {
+                let mut local = GroupCountSketch::new(ds.domain(), params);
+                for (x, c) in ds.split_counts(j) {
+                    local.update_key(x, c as f64);
+                }
+                local.counter_entries().count() as u64
+            })
+            .sum();
+        let got = builder.build(&ds, &ClusterConfig::paper_cluster(), 10);
+        assert_eq!(got.metrics.map_output_pairs, non_zero);
+        assert_eq!(got.metrics.total_comm_bytes(), 12 * non_zero);
     }
 
     #[test]

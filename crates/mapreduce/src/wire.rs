@@ -101,11 +101,17 @@ impl<T> WireSize for Sized<T> {
     }
 }
 
-/// An intermediate key with an explicit wire size — the paper's 4-byte
-/// integer keys (and 4-byte coefficient indices) carried in a `u64`.
+/// An intermediate key with an explicit wire size: an item key carried in
+/// a `u64` but accounted at the dataset's key width (the paper's 4-byte
+/// integer keys, or whatever `key_bytes` a dataset declares). It is the
+/// key of the builders that shuffle item keys. Keys whose width is fixed
+/// per job — coefficient slots, sketch counter indices — ship as a bare
+/// `u32` or `u64` instead, which takes less memory (a `(WKey, f64)`
+/// pair takes 24 B, a `(u32, f64)` pair 16 B) and encodes in 4 or 8
+/// bytes rather than this type's 9.
 ///
 /// Ordering and hashing ignore the size field, which is uniform within a
-/// job anyway.
+/// job anyway; a `WKey` hashes and radix-sorts as its `id` does.
 #[derive(Debug, Clone, Copy)]
 pub struct WKey {
     /// The key value.

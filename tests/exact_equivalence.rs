@@ -5,7 +5,7 @@
 
 use wavelet_hist::builders::{Centralized, HWTopk, HistogramBuilder, SendCoef, SendV};
 use wavelet_hist::data::{Dataset, DatasetBuilder, Distribution};
-use wavelet_hist::mapreduce::{ClusterConfig, EngineConfig};
+use wavelet_hist::mapreduce::{ClusterConfig, EngineConfig, RunMetrics};
 use wavelet_hist::wavelet::Domain;
 use wavelet_hist::WaveletHistogram;
 
@@ -44,9 +44,8 @@ fn assert_same(a: &WaveletHistogram, b: &WaveletHistogram, ctx: &str) {
 /// Past 2^32 slots the coefficient builders key their messages with 8
 /// bytes: 20 B per H-WTopk message (8 B key + 12 B payload) and 16 B per
 /// Send-Coef pair. `Centralized` cannot allocate this domain, so Send-V
-/// is the reference.
-#[test]
-fn slot_keys_widen_past_two_to_the_32() {
+/// is the reference. Returns each build's metrics, H-WTopk's first.
+fn check_slot_keys_past_two_to_the_32(engine: EngineConfig) -> Vec<RunMetrics> {
     let ds = DatasetBuilder::new()
         .domain(Domain::new(33).expect("valid"))
         .distribution(Distribution::Uniform)
@@ -56,12 +55,16 @@ fn slot_keys_widen_past_two_to_the_32() {
     let cluster = ClusterConfig::paper_cluster();
     let k = 10;
     let reference = SendV::new().build(&ds, &cluster, k);
+    let mut metrics = Vec::new();
     for (b, pair_bytes) in [
-        (Box::new(HWTopk::new()) as Box<dyn HistogramBuilder>, 20),
-        (Box::new(SendCoef::new()), 16),
+        (
+            Box::new(HWTopk::new().with_engine(engine)) as Box<dyn HistogramBuilder>,
+            20,
+        ),
+        (Box::new(SendCoef::new().with_engine(engine)), 16),
     ] {
         let got = b.build(&ds, &cluster, k);
-        let m = &got.metrics;
+        let m = got.metrics;
         assert!(m.map_output_pairs > 0, "{}", b.name());
         assert_eq!(
             m.shuffle_bytes,
@@ -70,6 +73,26 @@ fn slot_keys_widen_past_two_to_the_32() {
             b.name()
         );
         assert_same(&got.histogram, &reference.histogram, b.name());
+        metrics.push(m);
+    }
+    metrics
+}
+
+#[test]
+fn slot_keys_widen_past_two_to_the_32() {
+    check_slot_keys_past_two_to_the_32(EngineConfig::pipelined());
+}
+
+/// The same 8-byte keys through forked workers: they cross the pipes at
+/// the width they are accounted at, so the bytes the coordinator decoded
+/// equal the logical shuffle.
+#[cfg(unix)]
+#[test]
+fn slot_keys_widen_past_two_to_the_32_over_pipes() {
+    let engine = EngineConfig::multi_process().with_map_parallelism(2);
+    for m in check_slot_keys_past_two_to_the_32(engine) {
+        assert!(m.wire.frames > 0);
+        assert_eq!(m.wire.pair_bytes, m.shuffle_bytes);
     }
 }
 
