@@ -27,12 +27,12 @@
 //!    | `DenseReduce` | radix codec, [`EngineConfig::key_domain_hint`] ≤ 2²², fewer than 2³¹ pairs | aggregates its runs straight into a recycled slot array indexed by `radix / R` and sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
 //!    | `SortAtReduce` | otherwise | one stable sort of its split-ordered run concatenation, then groups adjacent keys |
 //!
-//!    Jobs whose keys carry a [`RadixKey`](crate::RadixKey) codec
-//!    ([`crate::JobSpec::with_radix_keys`]) sort with the LSD radix sort
-//!    in [`crate::radix`] — `O(n · key bytes)`, bit-identical to the
-//!    stable comparison sort that jobs without one use. Both routes
-//!    deliver the identical sequence to the reduce function, so outputs
-//!    are bit-identical across routes (differential tests enforce it).
+//!    A key's [`RadixKey`](crate::RadixKey) codec
+//!    ([`crate::JobSpec::with_radix_keys`]) only selects and indexes the
+//!    dense table; the sort route is the standard library's stable sort
+//!    for every job, codec or not. Both routes deliver the identical
+//!    sequence to the reduce function, so outputs are bit-identical
+//!    across routes (differential tests enforce it).
 //! 3. **Reduce partitions run in parallel with deterministic stitching.**
 //!    Every partition gets its own [`ReduceContext`]; outputs and charged
 //!    CPU are recombined in partition-index order, so the result — outputs,
@@ -41,11 +41,10 @@
 //!
 //! Workers recycle their buffers across work items on both sides: map
 //! workers keep the emit buffer per worker, not per task, and reduce
-//! workers keep a radix scratch plus a `DenseReducer` table per thread,
-//! recycled across the partitions that thread reduces. Tiny jobs skip
+//! workers keep one `DenseReducer` table per thread, recycled across the
+//! partitions that thread reduces. A phase allowed only one thread skips
 //! thread machinery entirely: the map loop runs inline when only one
-//! worker would be spawned, and the reduce phase stays serial below a
-//! pair-count spawn threshold.
+//! worker would be spawned, and so does the reduce loop.
 //!
 //! The determinism contract of the seed engine is preserved exactly: within
 //! a partition, the reduce function observes key groups in key order and
@@ -65,7 +64,6 @@ use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
 use crate::dense::DenseReducer;
 use crate::job::{JobOutput, JobSpec, MapTask};
 use crate::metrics::{ReduceStrategy, RunMetrics};
-use crate::radix::{sort_pairs_with, RadixScratch};
 use crate::wire::WireSize;
 use wh_wavelet::hash::FxHasher;
 
@@ -549,10 +547,10 @@ where
         .collect();
     let next_part = AtomicUsize::new(0);
     let reduce_parts = || {
-        // Per-thread scratch (radix buffers + dense table), recycled
-        // across the partitions this thread reduces — the reduce-side
-        // mirror of the map workers' reuse.
-        let mut scratch = ReduceScratch::new();
+        // Per-thread dense table, recycled across the partitions this
+        // thread reduces — the reduce-side mirror of the map workers'
+        // reuse.
+        let mut dense = DenseReducer::new();
         loop {
             let p = next_part.fetch_add(1, Ordering::Relaxed);
             if p >= slots.len() {
@@ -560,7 +558,7 @@ where
             }
             let runs = slots[p].lock().0.take().expect("each partition taken once");
             let mut rctx = ReduceContext::new();
-            reduce_partition(runs, p as u32, plan, &mut scratch, reduce, &mut rctx);
+            reduce_partition(runs, p as u32, plan, &mut dense, reduce, &mut rctx);
             slots[p].lock().1 = Some(rctx);
         }
     };
@@ -638,24 +636,6 @@ impl<K> Clone for ReducePlan<K> {
 }
 impl<K> Copy for ReducePlan<K> {}
 
-/// Per-reduce-worker scratch, recycled across every partition that
-/// worker reduces: the radix-sort buffers (sort-at-reduce) and the dense
-/// flat-array table (dense reduce) — the reduce-side mirror of the map
-/// workers' per-thread buffer reuse.
-struct ReduceScratch<K, V> {
-    radix: RadixScratch,
-    dense: DenseReducer<K, V>,
-}
-
-impl<K, V> ReduceScratch<K, V> {
-    fn new() -> Self {
-        Self {
-            radix: RadixScratch::default(),
-            dense: DenseReducer::new(),
-        }
-    }
-}
-
 /// Reduces partition `part` and invokes `reduce` per key group — key groups
 /// in key order, values in `(split id, arrival order)` order. The runs
 /// arrive unsorted, in split-id order, and the partition takes one of
@@ -667,8 +647,8 @@ impl<K, V> ReduceScratch<K, V> {
 ///   recycled flat table, which emits groups in ascending radix (= key)
 ///   order.
 /// * `SortAtReduce` otherwise: one stable sort of the split-ordered run
-///   concatenation — radix with a codec, comparison without — so equal
-///   keys keep `(split id, arrival order)`; then adjacent grouping.
+///   concatenation, so equal keys keep `(split id, arrival order)`; then
+///   adjacent grouping.
 ///
 /// Both routes deliver the identical key-group sequence. The route that
 /// ran is recorded on the context, which the stitching loop folds into
@@ -677,7 +657,7 @@ fn reduce_partition<K, V, R>(
     mut runs: Vec<Vec<(K, V)>>,
     part: u32,
     plan: ReducePlan<K>,
-    scratch: &mut ReduceScratch<K, V>,
+    dense: &mut DenseReducer<K, V>,
     reduce: &ReduceDyn<K, V, R>,
     rctx: &mut ReduceContext<R>,
 ) where
@@ -689,10 +669,9 @@ fn reduce_partition<K, V, R>(
             if domain <= DENSE_DOMAIN_MAX && total < plan.dense_pair_cap =>
         {
             rctx.strategy = Some(ReduceStrategy::DenseReduce);
-            let dense = &mut scratch.dense;
             dense.reduce_runs(runs, codec, domain, (part, plan.nparts), reduce, rctx);
         }
-        (codec, _) => {
+        _ => {
             rctx.strategy = Some(ReduceStrategy::SortAtReduce);
             let mut all = if runs.len() == 1 {
                 runs.pop().expect("one run")
@@ -703,10 +682,7 @@ fn reduce_partition<K, V, R>(
                 }
                 all
             };
-            match codec {
-                Some(codec) => sort_pairs_with(&mut all, codec, &mut scratch.radix),
-                None => all.sort_by(|a, b| a.0.cmp(&b.0)),
-            }
+            all.sort_by(|a, b| a.0.cmp(&b.0));
             reduce_sorted_run(all, reduce, rctx);
         }
     }
@@ -746,8 +722,8 @@ mod tests {
     type Groups = Vec<(u32, Vec<u32>)>;
 
     /// The three plans a partition can be handed, with the route each
-    /// must take: codec + dense domain, codec alone (radix sort), neither
-    /// (comparison sort).
+    /// must take: codec + dense domain (dense table), codec alone and
+    /// neither (both the stable sort).
     fn plans() -> [(ReducePlan<u32>, ReduceStrategy); 3] {
         let radix = ReducePlan {
             codec: Some(|k: &u32| u64::from(*k)),
@@ -775,13 +751,13 @@ mod tests {
     fn reduce_with(
         runs: Vec<Vec<(u32, u32)>>,
         plan: ReducePlan<u32>,
-        scratch: &mut ReduceScratch<u32, u32>,
+        dense: &mut DenseReducer<u32, u32>,
     ) -> (Groups, Option<ReduceStrategy>) {
         let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
             ctx.emit((*k, vs.to_vec()));
         };
         let mut rctx = ReduceContext::new();
-        reduce_partition(runs, 0, plan, scratch, &reduce, &mut rctx);
+        reduce_partition(runs, 0, plan, dense, &reduce, &mut rctx);
         (rctx.outputs, rctx.strategy)
     }
 
@@ -789,7 +765,7 @@ mod tests {
     /// route its plan names.
     fn assert_every_route_yields(runs: Vec<Vec<(u32, u32)>>, want: &Groups) {
         for (plan, route) in plans() {
-            let (got, ran) = reduce_with(runs.clone(), plan, &mut ReduceScratch::new());
+            let (got, ran) = reduce_with(runs.clone(), plan, &mut DenseReducer::new());
             assert_eq!(ran, Some(route));
             assert_eq!(&got, want, "{route:?}, codec: {}", plan.codec.is_some());
         }
@@ -817,18 +793,31 @@ mod tests {
     #[test]
     fn every_route_yields_the_specified_sequence() {
         // Many runs, heavy ties: every route must produce the sequence of
-        // a stable global sort by (key, run index).
-        let mk_runs = |m: usize| -> Vec<Vec<(u32, u32)>> {
+        // a stable global sort by (key, run index). Two shapes of run:
+        // unsorted, and ascending within each run with the same keys
+        // recurring across runs — what every mapper that emits from a
+        // sorted local vector ships.
+        let mk_runs = |m: usize, ascending: bool| -> Vec<Vec<(u32, u32)>> {
             (0..m)
                 .map(|r| {
                     (0..600)
-                        .map(|i| ((i * (r as u32 + 3)) % 17, (r * 1000 + i as usize) as u32))
+                        .map(|i| {
+                            let k = if ascending {
+                                i / (r as u32 % 4 + 1) * 7
+                            } else {
+                                (i * (r as u32 + 3)) % 17
+                            };
+                            (k, (r * 1000 + i as usize) as u32)
+                        })
                         .collect()
                 })
                 .collect()
         };
-        for m in [2, 3, 8, 9, 13, 32] {
-            let mut expected_pairs: Vec<(u32, usize, u32)> = mk_runs(m)
+        for (m, ascending) in [2, 3, 8, 9, 13, 32]
+            .into_iter()
+            .flat_map(|m| [(m, false), (m, true)])
+        {
+            let mut expected_pairs: Vec<(u32, usize, u32)> = mk_runs(m, ascending)
                 .into_iter()
                 .enumerate()
                 .flat_map(|(r, run)| run.into_iter().map(move |(k, v)| (k, r, v)))
@@ -841,20 +830,20 @@ mod tests {
                     _ => expected.push((k, vec![v])),
                 }
             }
-            assert_every_route_yields(mk_runs(m), &expected);
+            assert_every_route_yields(mk_runs(m, ascending), &expected);
         }
     }
 
     #[test]
-    fn reduce_scratch_recycles_across_partitions_and_strategies() {
-        // One scratch driven through every route in sequence, the way a
-        // reduce worker thread recycles it across partitions.
-        let mut scratch = ReduceScratch::new();
+    fn dense_table_recycles_across_partitions_and_routes() {
+        // One dense table driven through every route in sequence, the way
+        // a reduce worker thread recycles it across partitions.
+        let mut dense = DenseReducer::new();
         let runs = || vec![vec![(3u32, 2u32), (1, 1)], vec![(7, 4), (1, 3)]];
         let want = vec![(1, vec![1, 3]), (3, vec![2]), (7, vec![4])];
         for round in 0..3 {
             for (plan, route) in plans() {
-                let (got, ran) = reduce_with(runs(), plan, &mut scratch);
+                let (got, ran) = reduce_with(runs(), plan, &mut dense);
                 assert_eq!(got, want, "round {round}, {route:?}");
                 assert_eq!(ran, Some(route));
             }
@@ -868,7 +857,7 @@ mod tests {
             dense_pair_cap: cap,
             ..plans()[0].0
         };
-        reduce_with(runs, plan, &mut ReduceScratch::new())
+        reduce_with(runs, plan, &mut DenseReducer::new())
     }
 
     #[test]

@@ -116,11 +116,13 @@ pub struct JobSpec<K, V, R> {
     pub engine: EngineConfig,
     /// Order-preserving `u64` key codec, installed by
     /// [`JobSpec::with_radix_keys`] when `K` implements
-    /// [`crate::RadixKey`]. Drives the pipelined engine's reduce-side
-    /// radix sort and (with [`EngineConfig::key_domain_hint`]) the dense
-    /// reduce table; `None` falls back to comparison sorting. Kept
-    /// crate-private so only the sealed trait can supply codecs — the
-    /// engine's determinism contract depends on order preservation.
+    /// [`crate::RadixKey`]. With an [`EngineConfig::key_domain_hint`] it
+    /// selects and indexes the pipelined engine's dense reduce table;
+    /// it plays no part in the sort route, which is one stable
+    /// comparison sort for every job. Kept crate-private so only the
+    /// sealed trait can supply codecs — the dense table emits groups in
+    /// radix order, so the determinism contract depends on order
+    /// preservation.
     pub(crate) key_codec: Option<fn(&K) -> u64>,
     /// Pair wire codec, installed by [`JobSpec::with_wire_codec`].
     /// Required by (and only used in) [`EngineMode::MultiProcess`],
@@ -150,13 +152,14 @@ where
         }
     }
 
-    /// Declares that `K`'s order-preserving [`crate::RadixKey`] image
-    /// drives the engine's radix specializations: reduce partitions sort
-    /// through the LSD radix sort instead of comparisons, and — when the
-    /// engine also carries an [`EngineConfig::key_domain_hint`] — group
-    /// through the dense flat-array table instead of sorting. Outputs and
-    /// metrics are bit-identical with or without this call; it is purely
-    /// an execution strategy.
+    /// Declares that `K`'s order-preserving [`crate::RadixKey`] image may
+    /// index the engine's dense reduce table: when the engine also
+    /// carries an [`EngineConfig::key_domain_hint`] within the table's
+    /// cap, reduce partitions group through the flat array instead of
+    /// sorting. Without a usable hint the call changes nothing — the sort
+    /// route is the same stable comparison sort with or without it.
+    /// Outputs and metrics are bit-identical either way; it is purely an
+    /// execution strategy.
     pub fn with_radix_keys(mut self) -> Self
     where
         K: crate::radix::RadixKey,

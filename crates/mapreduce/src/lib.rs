@@ -75,15 +75,15 @@
 //!
 //! Every algorithm in the paper shuffles small-integer keys. A job whose
 //! key type implements the sealed [`RadixKey`] trait
-//! ([`JobSpec::with_radix_keys`]) sorts through the LSD radix/counting
-//! sort in [`radix`] — the exact permutation of the comparison sort it
-//! replaces. Map workers never sort; each reduce partition picks its
-//! route where it runs, recorded per partition in
+//! ([`JobSpec::with_radix_keys`]) declares an order-preserving `u64`
+//! image of its keys; that image selects and indexes the dense reduce
+//! table and does nothing else. Map workers never sort; each reduce
+//! partition picks its route where it runs, recorded per partition in
 //! [`RunMetrics::reduce_strategies`] ([`ReduceStrategy`]): dense
 //! flat-array aggregation when a radix codec and a bounded key domain
 //! ([`EngineConfig::key_domain_hint`]) are declared and the partition
-//! fits the table, one stable sort of its runs otherwise (radix with a
-//! codec, comparison without).
+//! fits the table, otherwise one stable comparison sort of its runs —
+//! the same sort for every job, codec or not.
 //!
 //! ## Recovery in the multi-process mode
 //!

@@ -111,7 +111,8 @@ impl<T> WireSize for Sized<T> {
 /// bytes rather than this type's 9.
 ///
 /// Ordering and hashing ignore the size field, which is uniform within a
-/// job anyway; a `WKey` hashes and radix-sorts as its `id` does.
+/// job anyway; a `WKey` hashes, sorts and indexes the dense reduce table
+/// as its `id` does.
 #[derive(Debug, Clone, Copy)]
 pub struct WKey {
     /// The key value.

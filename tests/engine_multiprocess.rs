@@ -432,8 +432,8 @@ fn broadcasts_arrive_bit_exact_on_every_engine() {
 /// Every reduce route on forked workers: a job mixing one flat spill
 /// with seven scattered ones yields the same outputs and logical metrics
 /// on all three engines, with and without radix keys, with and without a
-/// key-domain hint, at 1 and 4 reducers (comparison sort, radix sort and
-/// dense reduce between them). The reducer digests values order-sensitively,
+/// key-domain hint, at 1 and 4 reducers (sort at reduce and dense reduce
+/// between them). The reducer digests values order-sensitively,
 /// so a shuffle that reordered a key's values would show; the pair count
 /// is recomputed from the raw input, independent of every engine.
 #[test]

@@ -251,8 +251,8 @@ fn combine_count_job(
     (out.outputs, out.metrics)
 }
 
-/// Sorts `(key, (split, seq))` pairs with the public radix sort and with
-/// the stable comparison sort it replaces; the permutations must be
+/// Sorts `(key, (split, seq))` pairs with the public `RadixSorter` and
+/// with the stable comparison sort; the permutations must be
 /// identical, ties included (the payload is the arrival identity).
 fn assert_radix_sort_matches<K>(keys: Vec<K>)
 where
@@ -298,9 +298,8 @@ proptest! {
         assert_partition_is_radix(x);
     }
 
-    /// Satellite (PR 3): the LSD radix sort produces the identical
-    /// permutation as the stable comparison sort for **every** sealed
-    /// `RadixKey` impl — full-width values and heavy-tie reductions of
+    /// `RadixSorter` produces the identical permutation as the stable
+    /// comparison sort for **every** sealed `RadixKey` impl — full-width values and heavy-tie reductions of
     /// the same raw material, ties preserving (split, arrival) order.
     #[test]
     fn radix_sort_matches_comparison_for_every_impl(
@@ -316,11 +315,11 @@ proptest! {
         );
     }
 
-    /// Satellite (PR 5): the min-rebased counting path — a run whose keys
-    /// live in a narrow `[lo, hi]` band far from zero, the shape every
-    /// partition of a range-partitioned job hands the sorter — still
-    /// produces the identical permutation as the stable comparison sort,
-    /// ties (split, arrival) included, for any base offset and span.
+    /// A run whose keys live in a narrow `[lo, hi]` band far from zero,
+    /// the shape every partition of a range-partitioned job hands the
+    /// sorter, sorts to the identical permutation as the stable
+    /// comparison sort, ties (split, arrival) included, for any base
+    /// offset and span.
     #[test]
     fn rebased_radix_sort_matches_comparison(
         base in 0u64..u64::MAX - (1 << 20),
@@ -332,10 +331,10 @@ proptest! {
         );
     }
 
-    /// Satellite (PR 3): the radix sort and the dense reduce a
-    /// key-domain hint selects are byte-identical to the comparison paths
-    /// on random mapper-combined jobs — outputs *and* metrics — at
-    /// any reducer count.
+    /// Radix keys without a hint and the dense reduce a key-domain hint
+    /// selects are byte-identical to the plain comparison path on random
+    /// mapper-combined jobs — outputs *and* metrics — at any reducer
+    /// count.
     #[test]
     fn dense_domain_combine_equals_hash_combine(
         splits in splits_strategy(),
@@ -387,7 +386,7 @@ proptest! {
             let base = EngineConfig::pipelined().with_reducers(reducers);
             // No codec → one comparison sort per partition.
             let comparison = strategy_probe_job(splits.clone(), base, false);
-            // Codec without a hint → one radix sort per partition.
+            // Codec without a hint → the same comparison sort per partition.
             let sorted = strategy_probe_job(splits.clone(), base, true);
             prop_assert_eq!(&comparison.0, &sorted.0, "reducers={}", reducers);
             prop_assert_eq!(&comparison.1, &sorted.1, "reducers={}", reducers);
