@@ -7,9 +7,9 @@
 //! scaled estimate `v̂ = s/p`, transforms it, and keeps the top-k.
 
 use super::sample_common::{first_level_counts, reduce_scaled_counts};
-use super::{close_with_transform, run_build, BuildResult, HistogramBuilder};
+use super::{close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder};
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::{Sized as WSized, WKey};
+use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sampling::SamplingConfig;
 
@@ -63,7 +63,7 @@ impl<S: SplitSource> HistogramBuilder<S> for BasicS {
         let combined = self.combined;
         let seed = self.seed;
 
-        let map_tasks: Vec<MapTask<WKey, WSized<u64>>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<WKey, u32>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
@@ -72,12 +72,12 @@ impl<S: SplitSource> HistogramBuilder<S> for BasicS {
                     keys.sort_unstable();
                     if combined {
                         for x in keys {
-                            ctx.emit(WKey::new(x, key_bytes), WSized::new(counts[&x], 4));
+                            emit_count(counts[&x], |c| ctx.emit(WKey::new(x, key_bytes), c));
                         }
                     } else {
                         for x in keys {
                             for _ in 0..counts[&x] {
-                                ctx.emit(WKey::new(x, key_bytes), WSized::new(1, 4));
+                                ctx.emit(WKey::new(x, key_bytes), 1);
                             }
                         }
                     }

@@ -5,8 +5,10 @@
 //!
 //! Round 1 — each mapper scans its split, computes the local wavelet
 //! coefficients with the sparse `O(|v_j| log u)` transform, and emits its
-//! local top-k and bottom-k (marking the k-th highest/lowest values). All
-//! other local coefficients stay in the mapper's state (the HDFS state
+//! local top-k and bottom-k, marking the k-th highest and lowest the way
+//! Appendix A does: their messages carry split id `j + m` and `j + 2m` in
+//! place of `j` (`j + 3m` when one coefficient is both). All other local
+//! coefficients stay in the mapper's state (the HDFS state
 //! file of Appendix A — free of network cost), at ≈ 8 B plus one LEB128
 //! slot gap (mostly 1 B) each. The reducer/coordinator forms partial
 //! sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
@@ -22,8 +24,9 @@
 //! picks the top-k by magnitude.
 //!
 //! Every message is keyed by its coefficient slot as a bare integer of
-//! the same width as a round-3 id: a `u32` (16 B a message on the wire,
-//! with the 12-byte payload) or, past 2^32 slots, a `u64` (20 B).
+//! the same width as a round-3 id, a `u32` or, past 2^32 slots, a `u64`,
+//! and carries `(split code, coefficient)` as a `(u32, f64)`: 16 B a
+//! message (20 B with `u64` slots), held, encoded and accounted alike.
 //!
 //! Both sides of the protocol live in `wh-topk` and are shared with its
 //! in-memory executor `two_sided_topk`: each map task holds a
@@ -34,7 +37,6 @@
 
 use super::{ops, scan_counts, slots_fit_u32, BuildResult, HistogramBuilder, SlotKey};
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::Sized as WSized;
 use wh_mapreduce::{
     ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext, RunMetrics,
 };
@@ -42,20 +44,30 @@ use wh_topk::node::Round1;
 use wh_topk::{Coordinator, InMemoryNode};
 use wh_wavelet::select::CoefEntry;
 
-/// Round-1/2/3 message payload: `(flags, split, coefficient)`.
-/// Wire size 12 B — 4 B split id + 8 B double; the mark flags replace the
-/// paper's `j+m`/`j+2m` split-id encoding and ride in the same bytes.
-type Payload = WSized<(u8, u32, f64)>;
+/// Round-1/2/3 message payload: `(split code, coefficient)`, a 4-byte
+/// split id and an 8-byte double.
+type Payload = (u32, f64);
 
-const FLAG_KTH_HIGH: u8 = 1;
-const FLAG_KTH_LOW: u8 = 2;
+/// The marks a split code carries: the k-th highest, the k-th lowest.
+const FLAG_KTH_HIGH: u32 = 1;
+const FLAG_KTH_LOW: u32 = 2;
 
-fn payload(flags: u8, split: u32, w: f64) -> Payload {
-    WSized::new((flags, split, w), 12)
+/// The most splits a job can have: a split code `j + flags·m`, with
+/// `j < m` and `flags ≤ 3`, stays below `4·m`, which must fit a `u32`.
+const MAX_SPLITS: u32 = 1 << 30;
+
+/// Appendix A's split code: split `j` of `m`, sent as `j + flags·m`.
+fn split_code(j: u32, flags: u32, m: u32) -> u32 {
+    j + flags * m
+}
+
+/// The `(split, flags)` a split code of `m` splits carries.
+fn decode_split(code: u32, m: u32) -> (u32, u32) {
+    (code % m, code / m)
 }
 
 /// The mark flags a round-1 message for `slot` carries.
-fn marks(sent: &Round1, slot: u64) -> u8 {
+fn marks(sent: &Round1, slot: u64) -> u32 {
     let flag = |mark: Option<CoefEntry>, flag| match mark {
         Some(e) if e.slot == slot => flag,
         _ => 0,
@@ -64,24 +76,23 @@ fn marks(sent: &Round1, slot: u64) -> u8 {
 }
 
 /// One message as the coordinator receives it:
-/// `(slot, flags, split, coefficient)`.
-type Message = (u64, u8, u32, f64);
+/// `(slot, split code, coefficient)`.
+type Message = (u64, u32, f64);
 
 /// The reducer of all three rounds: hands every message of a coefficient
 /// on to the coordinator, in `(split, arrival)` order.
 fn forward_messages<K: SlotKey>(key: &K, vals: &[Payload], ctx: &mut ReduceContext<Message>) {
     ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-    for v in vals {
-        let (flags, split, w) = v.value;
-        ctx.emit((key.slot(), flags, split, w));
+    for &(code, w) in vals {
+        ctx.emit((key.slot(), code, w));
     }
 }
 
 /// Groups one round's messages per node (split id), keeping their order.
-fn group_per_node(messages: &[Message], m: usize) -> Vec<Vec<(u64, f64)>> {
-    let mut per_node = vec![Vec::new(); m];
-    for &(slot, _flags, split, w) in messages {
-        per_node[split as usize].push((slot, w));
+fn group_per_node(messages: &[Message], m: u32) -> Vec<Vec<(u64, f64)>> {
+    let mut per_node = vec![Vec::new(); m as usize];
+    for &(slot, code, w) in messages {
+        per_node[decode_split(code, m).0 as usize].push((slot, w));
     }
     per_node
 }
@@ -113,18 +124,19 @@ impl HWTopk {
         k: usize,
     ) -> Result<BuildResult<S::Histogram>, EngineError> {
         let domain = dataset.domain();
-        let m = dataset.num_splits() as usize;
+        let m = dataset.num_splits();
+        assert!(m <= MAX_SPLITS, "H-WTopk's split code needs 4·m ≤ 2^32");
         let slot_bound = S::Histogram::slot_bound(domain);
         let id_width = std::mem::size_of::<K>();
         let mut metrics = RunMetrics::default();
-        let mut coordinator = Coordinator::new(m, k);
+        let mut coordinator = Coordinator::new(m as usize, k);
 
         // One task per split serves all three rounds. Its coefficients
         // stay in its own closure between rounds, each sent one marked in
         // place — the HDFS state file of Appendix A, free of network
         // cost: under the multi-process engine they never leave the
         // worker that computed them.
-        let map_tasks: Vec<MapTask<K, Payload>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<K, Payload>> = (0..m)
             .map(|j| {
                 let ds = dataset.clone();
                 let mut node = InMemoryNode::default();
@@ -143,7 +155,8 @@ impl HWTopk {
                         node = InMemoryNode::from_sorted(coefs);
                         let sent = node.round1(k);
                         for &(slot, w) in &sent.sent {
-                            ctx.emit(K::from_slot(slot), payload(marks(&sent, slot), j, w));
+                            let code = split_code(j, marks(&sent, slot), m);
+                            ctx.emit(K::from_slot(slot), (code, w));
                         }
                     }
                     // Round 2 reads its state (no input scan!) and sends
@@ -153,7 +166,7 @@ impl HWTopk {
                         let tau = tau.expect("round 2 broadcasts T1/m as one f64");
                         ctx.charge(node.len() as f64);
                         for (slot, w) in node.round2(tau) {
-                            ctx.emit(K::from_slot(slot), payload(0, j, w));
+                            ctx.emit(K::from_slot(slot), (j, w));
                         }
                     }
                     // Round 3 sends its scores of the candidates in R and
@@ -163,7 +176,7 @@ impl HWTopk {
                         let candidates = decode_ids(ctx.broadcast(), id_width)
                             .expect("round 3 broadcasts R as whole slot ids");
                         for (slot, w) in std::mem::take(&mut node).round3(&candidates) {
-                            ctx.emit(K::from_slot(slot), payload(0, j, w));
+                            ctx.emit(K::from_slot(slot), (j, w));
                         }
                     }
                 })
@@ -185,10 +198,11 @@ impl HWTopk {
         metrics.absorb(&out.metrics);
         // Coordinator: group round-1 messages per node.
         let per_node = group_per_node(&out.outputs, m);
-        let mut kth_high: Vec<Option<f64>> = vec![None; m];
-        let mut kth_low: Vec<Option<f64>> = vec![None; m];
-        for &(_slot, flags, split, w) in &out.outputs {
-            let j = split as usize;
+        let mut kth_high: Vec<Option<f64>> = vec![None; m as usize];
+        let mut kth_low: Vec<Option<f64>> = vec![None; m as usize];
+        for &(_slot, code, w) in &out.outputs {
+            let (j, flags) = decode_split(code, m);
+            let j = j as usize;
             if flags & FLAG_KTH_HIGH != 0 {
                 kth_high[j] = Some(w);
             }
@@ -202,7 +216,7 @@ impl HWTopk {
         let t1 = coordinator.finish_round1();
 
         // ---------- Round 2: T₁/m rides the Job Configuration ----------
-        let out = job.round(&(t1 / m as f64).to_le_bytes())?;
+        let out = job.round(&(t1 / f64::from(m)).to_le_bytes())?;
         metrics.absorb(&out.metrics);
         for (j, pairs) in group_per_node(&out.outputs, m).iter().enumerate() {
             coordinator.absorb_round2(j, pairs);
@@ -304,6 +318,19 @@ mod tests {
                 assert!((a.1 - b.1).abs() < 1e-6, "value mismatch at slot {}", a.0);
             }
         }
+    }
+
+    #[test]
+    fn split_codes_round_trip_every_mark() {
+        for m in [1, 64, MAX_SPLITS] {
+            for j in [0, m / 2, m - 1] {
+                for flags in 0..=3 {
+                    let code = split_code(j, flags, m);
+                    assert_eq!(decode_split(code, m), (j, flags), "j {j} of {m}");
+                }
+            }
+        }
+        assert_eq!(split_code(MAX_SPLITS - 1, 3, MAX_SPLITS), u32::MAX);
     }
 
     #[test]

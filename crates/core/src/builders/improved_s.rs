@@ -7,9 +7,9 @@
 //! `v(x)` (the widening SSE gap of Figs. 6–7).
 
 use super::sample_common::{first_level_counts, reduce_scaled_counts};
-use super::{close_with_transform, run_build, BuildResult, HistogramBuilder};
+use super::{close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder};
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::{Sized as WSized, WKey};
+use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sampling::SamplingConfig;
 
@@ -55,13 +55,13 @@ impl<S: SplitSource> HistogramBuilder<S> for ImprovedS {
         let seed = self.seed;
         let epsilon = self.epsilon;
 
-        let map_tasks: Vec<MapTask<WKey, WSized<u64>>> = (0..dataset.num_splits())
+        let map_tasks: Vec<MapTask<WKey, u32>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
                     let (counts, t_j) = first_level_counts(&ds, &cfg, j, seed, ctx);
                     for (x, c) in wh_sampling::improved::emit(&counts, epsilon, t_j) {
-                        ctx.emit(WKey::new(x, key_bytes), WSized::new(c, 4));
+                        emit_count(c, |c| ctx.emit(WKey::new(x, key_bytes), c));
                     }
                 })
             })

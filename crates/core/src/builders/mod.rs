@@ -96,6 +96,17 @@ where
     ds.split_counts(j)
 }
 
+/// Ships `count` as §5's 4-byte mapper-side count: one `u32` part, or,
+/// past `u32::MAX`, as many parts as it takes. The item-keyed reducers
+/// sum a key's parts in `u64`, so a split's count comes back whole.
+fn emit_count(mut count: u64, mut emit: impl FnMut(u32)) {
+    while count > u64::from(u32::MAX) {
+        emit(u32::MAX);
+        count -= u64::from(u32::MAX);
+    }
+    emit(count as u32);
+}
+
 /// The reduce-side context of every single-job builder: reducers emit
 /// `(key, folded value)` records into it, the Close hook takes them and
 /// emits `(slot, coefficient)` records in their place.

@@ -8,10 +8,11 @@
 //! drawback motivating H-WTopk.
 
 use super::{
-    close_with_transform, ops, run_build, scan_counts, BuildResult, HistogramBuilder, KeyedOutputs,
+    close_with_transform, emit_count, ops, run_build, scan_counts, BuildResult, HistogramBuilder,
+    KeyedOutputs,
 };
 use crate::basis::{Basis, SplitSource};
-use wh_mapreduce::wire::{Sized as WSized, WKey};
+use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 
 /// The Send-V baseline.
@@ -47,32 +48,25 @@ impl<S: SplitSource> HistogramBuilder<S> for SendV {
         let domain = dataset.domain();
         let key_bytes = dataset.key_bytes() as u8;
 
-        // Mapper: aggregate the split into v_j, emit (x, v_j(x)).
-        // Counts are 4-byte integers mapper-side (§5 setup).
-        let map_tasks: Vec<MapTask<WKey, WSized<u64>>> = (0..dataset.num_splits())
+        // Mapper: aggregate the split into v_j, emit (x, v_j(x)). Counts
+        // are 4-byte integers mapper-side (§5 setup), held as `u32`.
+        let map_tasks: Vec<MapTask<WKey, u32>> = (0..dataset.num_splits())
             .map(|j| {
                 let ds = dataset.clone();
                 MapTask::new(j, move |ctx| {
                     let local = scan_counts(&ds, j, ctx);
                     for (x, count) in local {
-                        ctx.emit(WKey::new(x, key_bytes), WSized::new(count, 4));
+                        emit_count(count, |c| ctx.emit(WKey::new(x, key_bytes), c));
                     }
                 })
             })
             .collect();
 
-        // Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), one
-        // record per key; Close transforms the exact sums and keeps the top-k.
-        let reduce = |key: &WKey, vals: &[WSized<u64>], ctx: &mut KeyedOutputs| {
-            let total: u64 = vals.iter().map(|s| s.value).sum();
-            ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            ctx.emit((key.id, total as f64));
-        };
-        // Radix keys + the basis's bounded key domain select the
-        // dense-reduce strategy (while the bound fits its cap), whose
-        // per-partition tables size themselves to each partition's actual
-        // key range.
-        let spec = JobSpec::new("send-v", map_tasks, reduce)
+        // Close transforms the exact sums and keeps the top-k. Radix keys
+        // + the basis's bounded key domain select the dense-reduce
+        // strategy (while the bound fits its cap), whose per-partition
+        // tables size themselves to each partition's actual key range.
+        let spec = JobSpec::new("send-v", map_tasks, reduce_counts)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(
@@ -84,11 +78,36 @@ impl<S: SplitSource> HistogramBuilder<S> for SendV {
     }
 }
 
+/// Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), one
+/// record per key.
+fn reduce_counts(key: &WKey, vals: &[u32], ctx: &mut KeyedOutputs) {
+    let total: u64 = vals.iter().map(|&c| u64::from(c)).sum();
+    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
+    ctx.emit((key.id, total as f64));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wh_data::DatasetBuilder;
+    use wh_mapreduce::{run_job, MapContext};
     use wh_wavelet::Domain;
+
+    #[test]
+    fn counts_past_u32_ship_as_parts_the_reducer_adds_back() {
+        // Key x ships counts[x] as one, two and three u32 parts.
+        let counts = [u64::from(u32::MAX), u64::from(u32::MAX) + 1, (1 << 33) + 5];
+        let map = MapTask::new(0, move |ctx: &mut MapContext<WKey, u32>| {
+            for (x, &count) in counts.iter().enumerate() {
+                emit_count(count, |c| ctx.emit(WKey::four(x as u64), c));
+            }
+        });
+        let spec = JobSpec::new("send-v-parts", vec![map], reduce_counts);
+        let out = run_job(&ClusterConfig::paper_cluster(), spec);
+        assert_eq!(out.metrics.map_output_pairs, 1 + 2 + 3);
+        let want: Vec<(u64, f64)> = (0..3).map(|x| (x, counts[x as usize] as f64)).collect();
+        assert_eq!(out.outputs, want);
+    }
 
     #[test]
     fn communication_counts_distinct_keys_per_split() {

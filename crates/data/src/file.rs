@@ -13,7 +13,7 @@
 //! The file is input from outside the program: a size that is not a whole
 //! number of records, or a file that shrinks after [`FixedSplitReader::open`],
 //! is an `io::Error`, never a panic. Reached today by `tests/file_backed.rs`
-//! only; ROADMAP item 7 decides whether builders read through it.
+//! only; ROADMAP item 10 decides whether builders read through it.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Error, ErrorKind, Read, Seek, SeekFrom, Write};

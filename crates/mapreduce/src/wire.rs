@@ -4,8 +4,14 @@
 //! data crossing the network. The experiments spell out the encodings
 //! (§5 setup): 4-byte integers for mapper-side counts, 8-byte integers at
 //! the reducer, 8-byte doubles for wavelet coefficients and sketch entries.
-//! [`WireSize`] lets each algorithm declare exactly those sizes without a
-//! serialisation round-trip.
+//! [`WireSize`] accounts those sizes without a serialisation round-trip.
+//!
+//! A builder ships each value as the Rust type of exactly that width — a
+//! mapper-side count as a `u32`, a coefficient as an `f64`, H-WTopk's
+//! split id as a `u32` — so a value is held, encoded and accounted at one
+//! width and no declared size travels beside it. Item keys are the one
+//! exception: a [`WKey`] carries a `u64` accounted at the dataset's
+//! declared key width.
 //!
 //! [`WireCodec`] is the physical companion to that accounting: a
 //! byte-exact, little-endian encoding that the multi-process engine mode
@@ -54,13 +60,6 @@ impl<A: WireSize, B: WireSize> WireSize for (A, B) {
     }
 }
 
-impl<A: WireSize, B: WireSize, C: WireSize> WireSize for (A, B, C) {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        self.0.wire_bytes() + self.1.wire_bytes() + self.2.wire_bytes()
-    }
-}
-
 impl<T: WireSize> WireSize for Vec<T> {
     #[inline]
     fn wire_bytes(&self) -> u64 {
@@ -73,31 +72,6 @@ impl<T: WireSize> WireSize for &T {
     #[inline]
     fn wire_bytes(&self) -> u64 {
         (**self).wire_bytes()
-    }
-}
-
-/// A value whose wire size is declared explicitly — used when an algorithm
-/// emits a logical payload whose physical encoding differs from its Rust
-/// representation (e.g. a 4-byte count carried in a `u64`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sized<T> {
-    /// The carried value.
-    pub value: T,
-    /// Its declared wire size in bytes.
-    pub bytes: u32,
-}
-
-impl<T> Sized<T> {
-    /// Wraps `value` with an explicit wire size.
-    pub fn new(value: T, bytes: u32) -> Self {
-        Self { value, bytes }
-    }
-}
-
-impl<T> WireSize for Sized<T> {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        u64::from(self.bytes)
     }
 }
 
@@ -208,10 +182,7 @@ pub(crate) fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8],
 /// bit-for-bit (floats round-trip through their bit patterns), because
 /// the distributed mode is differential-tested bit-identical against the
 /// in-process engine.
-///
-/// The explicit `core::marker::Sized` bound disambiguates from this
-/// module's own [`Sized`] wire wrapper.
-pub trait WireCodec: core::marker::Sized {
+pub trait WireCodec: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode_wire(&self, out: &mut Vec<u8>);
     /// Decodes one value from the front of `input`, advancing it.
@@ -294,23 +265,6 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
 }
 
-impl<A: WireCodec, B: WireCodec, C: WireCodec> WireCodec for (A, B, C) {
-    #[inline]
-    fn encode_wire(&self, out: &mut Vec<u8>) {
-        self.0.encode_wire(out);
-        self.1.encode_wire(out);
-        self.2.encode_wire(out);
-    }
-    #[inline]
-    fn decode_wire(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok((
-            A::decode_wire(input)?,
-            B::decode_wire(input)?,
-            C::decode_wire(input)?,
-        ))
-    }
-}
-
 impl<T: WireCodec> WireCodec for Option<T> {
     #[inline]
     fn encode_wire(&self, out: &mut Vec<u8>) {
@@ -353,20 +307,6 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
 }
 
-impl<T: WireCodec> WireCodec for Sized<T> {
-    #[inline]
-    fn encode_wire(&self, out: &mut Vec<u8>) {
-        self.bytes.encode_wire(out);
-        self.value.encode_wire(out);
-    }
-    #[inline]
-    fn decode_wire(input: &mut &[u8]) -> Result<Self, WireError> {
-        let bytes = u32::decode_wire(input)?;
-        let value = T::decode_wire(input)?;
-        Ok(Sized { value, bytes })
-    }
-}
-
 impl WireCodec for WKey {
     #[inline]
     fn encode_wire(&self, out: &mut Vec<u8>) {
@@ -403,17 +343,9 @@ mod tests {
     #[test]
     fn composite_sizes() {
         assert_eq!((1u32, 2.0f64).wire_bytes(), 12);
-        assert_eq!((1u32, 2u32, 3.0f64).wire_bytes(), 16);
         assert_eq!(Some(5u32).wire_bytes(), 5);
         assert_eq!(None::<u32>.wire_bytes(), 1);
         assert_eq!(vec![1u64, 2, 3].wire_bytes(), 4 + 24);
-    }
-
-    #[test]
-    fn explicit_sizes() {
-        let s = Sized::new(123u64, 4);
-        assert_eq!(s.wire_bytes(), 4);
-        assert_eq!((7u32, s).wire_bytes(), 8);
     }
 
     fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(v: T) {
@@ -466,18 +398,11 @@ mod tests {
     #[test]
     fn codec_roundtrips_composites() {
         roundtrip((1u32, 2.5f64));
-        roundtrip((1u8, 2u32, 3.5f64));
         roundtrip(Some(42u64));
         roundtrip(None::<u64>);
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Vec::<f64>::new());
         roundtrip(vec![(5u64, 1.25f64), (9, -0.5)]);
-        let s = Sized::new(123u64, 4);
-        let mut buf = Vec::new();
-        s.encode_wire(&mut buf);
-        let back = Sized::<u64>::decode_wire(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.value, 123);
-        assert_eq!(back.bytes, 4);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! cargo run --release --example paper_scale -- [builder] [log_n]
 //! ```
 //!
-//! `builder` is one of `hwtopk` (default), `sendv`, `twolevel` (ε = 1e-4)
-//! or `sendcoef`; `log_n` sets n = 2^log_n records (default 20).
+//! `builder` is one of `hwtopk` (default), `sendv`, `sendcoef`, or a
+//! sampler at ε = 1e-4: `twolevel`, `basic` or `improved`; `log_n` sets
+//! n = 2^log_n records (default 20).
 
 use std::time::Instant;
-use wavelet_hist::builders::{HWTopk, HistogramBuilder, SendCoef, SendV, TwoLevelS};
+use wavelet_hist::builders::{
+    BasicS, HWTopk, HistogramBuilder, ImprovedS, SendCoef, SendV, TwoLevelS,
+};
 use wavelet_hist::data::worldcup::WORLDCUP_RECORD_BYTES;
 use wavelet_hist::data::{DatasetBuilder, Distribution};
 use wavelet_hist::mapreduce::metrics::human_bytes;
@@ -21,7 +24,7 @@ use wavelet_hist::wavelet::Domain;
 const LOG_U: u32 = 29;
 const SPLITS: u32 = 64;
 const K: usize = 30;
-const USAGE: &str = "usage: paper_scale [hwtopk|sendv|twolevel|sendcoef] [log_n]";
+const USAGE: &str = "usage: paper_scale [hwtopk|sendv|sendcoef|twolevel|basic|improved] [log_n]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,6 +33,8 @@ fn main() {
         "sendv" => Box::new(SendV::new()),
         "twolevel" => Box::new(TwoLevelS::new(1e-4, 42)),
         "sendcoef" => Box::new(SendCoef::new()),
+        "basic" => Box::new(BasicS::new(1e-4, 42)),
+        "improved" => Box::new(ImprovedS::new(1e-4, 42)),
         other => fail(&format!("unknown builder {other:?}")),
     };
     let log_n: u32 = match args.get(1).map(|s| s.parse()) {

@@ -136,10 +136,9 @@ proptest! {
 
 #[test]
 fn wire_sizes_of_workspace_payloads() {
-    use wavelet_hist::mapreduce::wire::Sized as WSized;
     // The encodings the paper's accounting uses (§5 setup).
     assert_eq!(WKey::four(7).wire_bytes(), 4); // 4-byte keys
-    assert_eq!(WSized::new(123u64, 4).wire_bytes(), 4); // 4-byte mapper counts
+    assert_eq!(123u32.wire_bytes(), 4); // 4-byte mapper counts
     assert_eq!(1.5f64.wire_bytes(), 8); // 8-byte coefficients
     assert_eq!((WKey::four(7), 1.5f64).wire_bytes(), 12); // Send-Coef pair
 }
