@@ -9,9 +9,10 @@
 //! Appendix A does: their messages carry split id `j + m` and `j + 2m` in
 //! place of `j` (`j + 3m` when one coefficient is both). All other local
 //! coefficients stay in the mapper's state (the HDFS state
-//! file of Appendix A — free of network cost), at ≈ 8 B plus one LEB128
-//! slot gap (mostly 1 B) each. The reducer/coordinator forms partial
-//! sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
+//! file of Appendix A — free of network cost), each as one LEB128 slot
+//! gap (mostly 1 B) and a 2-byte code into the split's dictionary of
+//! its distinct coefficient values. The reducer/coordinator forms
+//! partial sums `ŵ_i`, seen-bitvectors `F_i`, and threshold `T₁`.
 //!
 //! Round 2 — `T₁/m` is pushed through the Job Configuration (the round's
 //! 8-byte broadcast); mappers read their state (no input scan!) and emit

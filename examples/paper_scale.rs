@@ -4,12 +4,17 @@
 //! run one builder per process.
 //!
 //! ```text
-//! cargo run --release --example paper_scale -- [builder] [log_n]
+//! cargo run --release --example paper_scale -- [builder] [log_n] [inproc | pipes [workers]]
 //! ```
 //!
 //! `builder` is one of `hwtopk` (default), `sendv`, `sendcoef`, or a
 //! sampler at ε = 1e-4: `twolevel`, `basic` or `improved`; `log_n` sets
-//! n = 2^log_n records (default 20).
+//! n = 2^log_n records (default 20). The engine is the in-process one
+//! (`inproc`, default) or the multi-process one (`pipes`), whose map
+//! tasks run in `workers` forked processes (default: one per core, at
+//! most 64). Over pipes the example also prints the largest worker's
+//! peak resident memory — where H-WTopk's split state lives — and the
+//! pair bytes and frames that crossed the pipes.
 
 use std::time::Instant;
 use wavelet_hist::builders::{
@@ -18,23 +23,39 @@ use wavelet_hist::builders::{
 use wavelet_hist::data::worldcup::WORLDCUP_RECORD_BYTES;
 use wavelet_hist::data::{DatasetBuilder, Distribution};
 use wavelet_hist::mapreduce::metrics::human_bytes;
-use wavelet_hist::mapreduce::ClusterConfig;
+use wavelet_hist::mapreduce::{ClusterConfig, EngineConfig, EngineMode};
 use wavelet_hist::wavelet::Domain;
 
 const LOG_U: u32 = 29;
 const SPLITS: u32 = 64;
 const K: usize = 30;
-const USAGE: &str = "usage: paper_scale [hwtopk|sendv|sendcoef|twolevel|basic|improved] [log_n]";
+const USAGE: &str = "usage: paper_scale [hwtopk|sendv|sendcoef|twolevel|basic|improved] [log_n] \
+                     [inproc | pipes [workers]]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let engine = match args.get(2).map(String::as_str) {
+        None | Some("inproc") => EngineConfig::pipelined(),
+        Some("pipes") => match args.get(3).map(|s| s.parse()) {
+            None => EngineConfig::multi_process(),
+            Some(Ok(w)) if (1..=SPLITS as usize).contains(&w) => {
+                EngineConfig::multi_process().with_map_parallelism(w)
+            }
+            Some(_) => fail(&format!("workers must be 1..={SPLITS}, got {:?}", args[3])),
+        },
+        Some(other) => fail(&format!("unknown engine {other:?}")),
+    };
+    let pipes = engine.mode == EngineMode::MultiProcess;
+    if args.len() > if pipes { 4 } else { 3 } {
+        fail("too many arguments");
+    }
     let builder: Box<dyn HistogramBuilder> = match args.first().map_or("hwtopk", String::as_str) {
-        "hwtopk" => Box::new(HWTopk::new()),
-        "sendv" => Box::new(SendV::new()),
-        "twolevel" => Box::new(TwoLevelS::new(1e-4, 42)),
-        "sendcoef" => Box::new(SendCoef::new()),
-        "basic" => Box::new(BasicS::new(1e-4, 42)),
-        "improved" => Box::new(ImprovedS::new(1e-4, 42)),
+        "hwtopk" => Box::new(HWTopk::new().with_engine(engine)),
+        "sendv" => Box::new(SendV::new().with_engine(engine)),
+        "twolevel" => Box::new(TwoLevelS::new(1e-4, 42).with_engine(engine)),
+        "sendcoef" => Box::new(SendCoef::new().with_engine(engine)),
+        "basic" => Box::new(BasicS::new(1e-4, 42).with_engine(engine)),
+        "improved" => Box::new(ImprovedS::new(1e-4, 42).with_engine(engine)),
         other => fail(&format!("unknown builder {other:?}")),
     };
     let log_n: u32 = match args.get(1).map(|s| s.parse()) {
@@ -42,9 +63,6 @@ fn main() {
         Some(Ok(v)) if v <= 40 => v,
         Some(_) => fail(&format!("log_n must be an integer ≤ 40, got {:?}", args[1])),
     };
-    if args.len() > 2 {
-        fail("too many arguments");
-    }
 
     let dataset = DatasetBuilder::new()
         .domain(Domain::new(LOG_U).expect("valid log_u"))
@@ -70,7 +88,18 @@ fn main() {
         human_bytes(result.metrics.total_comm_bytes()),
         result.metrics.total_comm_bytes()
     );
-    println!("  peak RSS   {}", peak_rss());
+    if pipes {
+        let wire = result.metrics.wire;
+        println!("  engine     pipes, {} workers", wire.workers);
+        println!("  peak RSS   {} (coordinator)", peak_rss());
+        println!("  worker RSS {} (largest worker)", largest_child_peak_rss());
+        println!(
+            "  wire       {} B of pairs in {} frames",
+            wire.pair_bytes, wire.frames
+        );
+    } else {
+        println!("  peak RSS   {}", peak_rss());
+    }
     println!("  retained   {} coefficients", result.histogram.len());
 }
 
@@ -84,6 +113,31 @@ fn peak_rss() -> String {
             Some(format!("{:.1} MB", kb as f64 / 1024.0))
         })
         .unwrap_or_else(|| "n/a".to_string())
+}
+
+/// The largest peak resident set among the reaped child processes — the
+/// map workers, once a multi-process build returns — from
+/// `getrusage(RUSAGE_CHILDREN)`'s `ru_maxrss`.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn largest_child_peak_rss() -> String {
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut i64) -> i32;
+    }
+    const RUSAGE_CHILDREN: i32 = -1;
+    // `struct rusage` on 64-bit Linux is 18 longs: two `timeval`s of two
+    // longs each, then `ru_maxrss` in KB, then 13 more counters.
+    let mut usage = [0i64; 18];
+    // SAFETY: `usage` is 144 writable, aligned bytes, the size of
+    // `struct rusage` here, and getrusage(2) writes only that struct.
+    if unsafe { getrusage(RUSAGE_CHILDREN, usage.as_mut_ptr()) } != 0 {
+        return "n/a".to_string();
+    }
+    format!("{:.1} MB", usage[4] as f64 / 1024.0)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn largest_child_peak_rss() -> String {
+    "n/a".to_string()
 }
 
 fn fail(problem: &str) -> ! {
