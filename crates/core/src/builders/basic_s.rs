@@ -6,8 +6,10 @@
 //! optimization for executing any MapReduce job"). The reducer builds the
 //! scaled estimate `v̂ = s/p`, transforms it, and keeps the top-k.
 
-use super::sample_common::{first_level_counts, reduce_scaled_counts};
-use super::{close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder};
+use super::sample_common::first_level_counts;
+use super::{
+    close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder, SumCounts,
+};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
@@ -85,12 +87,11 @@ impl<S: SplitSource> HistogramBuilder<S> for BasicS {
             })
             .collect();
 
-        let reduce = reduce_scaled_counts(cfg.p());
         // Sampled item keys stay below the basis's bound, the tightest
         // static one (the sample itself is data-dependent); the dense-reduce
         // tables shrink to each partition's actual key range at run time,
         // so the loose-looking hint costs nothing.
-        let spec = JobSpec::new("basic-s", map_tasks, reduce)
+        let spec = JobSpec::folding("basic-s", map_tasks, SumCounts { p: cfg.p() })
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(

@@ -39,7 +39,7 @@
 use super::{ops, scan_counts, slots_fit_u32, BuildResult, HistogramBuilder, SlotKey};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::{
-    ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, ReduceContext, RunMetrics,
+    ClusterConfig, EngineConfig, EngineError, Fold, JobSpec, MapTask, ReduceContext, RunMetrics,
 };
 use wh_topk::node::Round1;
 use wh_topk::{Coordinator, InMemoryNode};
@@ -81,11 +81,24 @@ fn marks(sent: &Round1, slot: u64) -> u32 {
 type Message = (u64, u32, f64);
 
 /// The reducer of all three rounds: hands every message of a coefficient
-/// on to the coordinator, in `(split, arrival)` order.
-fn forward_messages<K: SlotKey>(key: &K, vals: &[Payload], ctx: &mut ReduceContext<Message>) {
-    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-    for &(code, w) in vals {
-        ctx.emit((key.slot(), code, w));
+/// on to the coordinator, in `(split, arrival)` order. A key keeps its
+/// few messages (at most one per split) until it is finished, so the
+/// coordinator receives them grouped by slot in slot order.
+struct ForwardMessages;
+
+impl<K: SlotKey> Fold<K, Payload, Message> for ForwardMessages {
+    type Acc = Vec<Payload>;
+    fn first(&self, message: Payload) -> Vec<Payload> {
+        vec![message]
+    }
+    fn fold(&self, messages: &mut Vec<Payload>, message: Payload) {
+        messages.push(message);
+    }
+    fn finish(&self, key: K, messages: Vec<Payload>, count: u64, ctx: &mut ReduceContext<Message>) {
+        ctx.charge(count as f64 * ops::REDUCE_PAIR);
+        for (code, w) in messages {
+            ctx.emit((key.slot(), code, w));
+        }
     }
 }
 
@@ -188,7 +201,7 @@ impl HWTopk {
         // — so the basis's slot bound is the tight exclusive bound for
         // every round (the dense-reduce tables size themselves to each
         // partition's actual, typically much narrower, key range).
-        let spec = JobSpec::new("h-wtopk", map_tasks, forward_messages::<K>)
+        let spec = JobSpec::folding("h-wtopk", map_tasks, ForwardMessages)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(slot_bound));

@@ -6,8 +6,10 @@
 //! reducer never sees the dropped counts, so `E[v̂(x)]` can sit `εn` below
 //! `v(x)` (the widening SSE gap of Figs. 6–7).
 
-use super::sample_common::{first_level_counts, reduce_scaled_counts};
-use super::{close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder};
+use super::sample_common::first_level_counts;
+use super::{
+    close_with_transform, emit_count, run_build, BuildResult, HistogramBuilder, SumCounts,
+};
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
@@ -67,12 +69,11 @@ impl<S: SplitSource> HistogramBuilder<S> for ImprovedS {
             })
             .collect();
 
-        let reduce = reduce_scaled_counts(cfg.p());
         // Sampled item keys stay below the basis's bound, the tightest
         // static one (the emitted subset is data-dependent); the dense-reduce
         // tables shrink to each partition's actual key range at run time,
         // so the loose-looking hint costs nothing.
-        let spec = JobSpec::new("improved-s", map_tasks, reduce)
+        let spec = JobSpec::folding("improved-s", map_tasks, SumCounts { p: cfg.p() })
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(

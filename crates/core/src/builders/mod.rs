@@ -14,7 +14,10 @@
 //! [`crate::twod::WaveletHistogram2d`] from a `Dataset2d`. Send-Sketch
 //! is 1-D only: the GCS dyadic groups are ranges of 1-D slots.
 //! This module also holds what the builders share: the counted scan, the
-//! summing reducer, the two Close hooks, and the cost-model constants.
+//! two summing reducers, the two Close hooks, and the cost-model constants.
+//! Every builder's reducer is a [`Fold`]: the paper's reducers are
+//! aggregates (§3: `w_i = Σ_j w_{i,j}`, `v = Σ_j v_j`), so no key's values
+//! are ever held as a list.
 
 mod basic_s;
 mod centralized;
@@ -38,8 +41,9 @@ pub use two_level_s::TwoLevelS;
 
 use crate::histogram::WaveletHistogram;
 use wh_data::Dataset;
+use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{
-    try_run_job, ClusterConfig, EngineError, JobSpec, MapContext, RadixKey, ReduceContext,
+    try_run_job, ClusterConfig, EngineError, Fold, JobSpec, MapContext, RadixKey, ReduceContext,
     RunMetrics, WireCodec, WireSize,
 };
 use wh_wavelet::select::top_k_magnitude;
@@ -174,27 +178,71 @@ fn slots_fit_u32(slot_bound: u64) -> bool {
 
 /// Reducer of the builders that ship additive `f64` parts (local
 /// coefficients, sketch counters): one `(slot, Σ parts)` record per key
-/// into the partition's own output, parts folded in split order.
-fn reduce_sum<K: SlotKey>(key: &K, vals: &[f64], ctx: &mut KeyedOutputs) {
-    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-    ctx.emit((key.slot(), vals.iter().sum()));
+/// into the partition's own output, parts folded in split order. The sum
+/// starts from the first part, which is what `Iterator::sum`'s −0.0
+/// start gives too, so it equals `parts.iter().sum()` bit for bit.
+struct SumParts;
+
+impl<K: SlotKey> Fold<K, f64, (u64, f64)> for SumParts {
+    type Acc = f64;
+    fn first(&self, part: f64) -> f64 {
+        part
+    }
+    fn fold(&self, sum: &mut f64, part: f64) {
+        *sum += part;
+    }
+    fn finish(&self, key: K, sum: f64, count: u64, ctx: &mut KeyedOutputs) {
+        ctx.charge(count as f64 * ops::REDUCE_PAIR);
+        ctx.emit((key.slot(), sum));
+    }
 }
 
-/// Replaces the context's outputs by the top-k of `coefs`.
-fn emit_top_k(ctx: &mut KeyedOutputs, coefs: Vec<(u64, f64)>, k: usize) {
-    ctx.charge(coefs.len() as f64 * ops::HEAP_OFFER);
+/// Reducer of the builders that ship `u32` counts per item key (Send-V,
+/// Basic-S, Improved-S): `v̂(x) = Σ parts / p`, the parts summed in
+/// `u64` (a count past `u32::MAX` arrives as several, see
+/// [`emit_count`]), one record per key. `p` is the first-level sampling
+/// rate, 1 for Send-V's full scan (where the division is exact).
+struct SumCounts {
+    p: f64,
+}
+
+impl Fold<WKey, u32, (u64, f64)> for SumCounts {
+    type Acc = u64;
+    fn first(&self, part: u32) -> u64 {
+        u64::from(part)
+    }
+    fn fold(&self, sum: &mut u64, part: u32) {
+        *sum += u64::from(part);
+    }
+    fn finish(&self, key: WKey, sum: u64, count: u64, ctx: &mut KeyedOutputs) {
+        ctx.charge(count as f64 * ops::REDUCE_PAIR);
+        ctx.emit((key.id, sum as f64 / self.p));
+    }
+}
+
+/// Replaces the context's outputs by the top-k of the `n` coefficients
+/// `coefs`.
+fn emit_top_k(
+    ctx: &mut KeyedOutputs,
+    coefs: impl IntoIterator<Item = (u64, f64)>,
+    n: usize,
+    k: usize,
+) {
+    ctx.charge(n as f64 * ops::HEAP_OFFER);
     for e in top_k_magnitude(coefs, k) {
         ctx.emit((e.slot, e.value));
     }
 }
 
 /// The Close hook of the builders whose reducers emit one summed
-/// coefficient per slot (Send-Coef): takes the stitched reducer outputs
-/// and emits their top-k in their place. Selection is a total order on
-/// `(|w|, slot)`, so the partition-major arrival order is irrelevant.
+/// coefficient per slot (Send-Coef): reads the reducer outputs in place,
+/// partition by partition, and emits their top-k in their place.
+/// Selection is a total order on `(|w|, slot)`, so the partition order is
+/// irrelevant.
 fn close_with_top_k(ctx: &mut KeyedOutputs, k: usize) {
-    let w = ctx.take_outputs();
-    emit_top_k(ctx, w, k);
+    let parts = ctx.take_partitions();
+    let n = parts.iter().map(Vec::len).sum();
+    emit_top_k(ctx, parts.into_iter().flatten(), n, k);
 }
 
 /// The Close hook of the builders whose reducers emit one
@@ -205,7 +253,8 @@ fn close_with_transform<B: Basis>(ctx: &mut KeyedOutputs, domain: Domain, k: usi
     let v = ctx.take_outputs();
     ctx.charge(v.len() as f64 * B::updates_per_key(domain) * ops::COEF_UPDATE);
     let coefs = B::transform(domain, v);
-    emit_top_k(ctx, coefs, k);
+    let n = coefs.len();
+    emit_top_k(ctx, coefs, n, k);
 }
 
 /// Cost-model constants shared by the builders: abstract CPU ops charged
@@ -277,6 +326,61 @@ mod tests {
                     b.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sum_parts_folds_to_iterator_sum_bit_for_bit() {
+        // Every group of one to four signed zeros, and zeros beside
+        // values that cancel: the fold, seeded with the first part, must
+        // equal `Iterator::sum` (which starts at −0.0) in every bit —
+        // through the Fold calls directly and through a job's two routes.
+        let signed = [0.0f64, -0.0];
+        let mut groups: Vec<Vec<f64>> = Vec::new();
+        for len in 1..=4u32 {
+            for bits in 0..1usize << len {
+                groups.push((0..len).map(|i| signed[bits >> i & 1]).collect());
+            }
+        }
+        groups.extend([
+            vec![1.5, -1.5],
+            vec![-0.0, 1.5, -1.5],
+            vec![-1.5, 1.5, -0.0],
+            vec![f64::MIN_POSITIVE, -0.0, -f64::MIN_POSITIVE],
+        ]);
+        type Sum = dyn Fold<u32, f64, (u64, f64), Acc = f64>;
+        let fold: &Sum = &SumParts;
+        for g in &groups {
+            let mut acc = fold.first(g[0]);
+            for &v in &g[1..] {
+                fold.fold(&mut acc, v);
+            }
+            let want: f64 = g.iter().sum();
+            assert_eq!(acc.to_bits(), want.to_bits(), "{g:?}");
+        }
+        for hint in [Some(groups.len() as u64), None] {
+            let emitted = groups.clone();
+            let task = wh_mapreduce::MapTask::new(0, move |ctx: &mut MapContext<u32, f64>| {
+                for (key, g) in emitted.iter().enumerate() {
+                    for &v in g {
+                        ctx.emit(key as u32, v);
+                    }
+                }
+            });
+            let engine = wh_mapreduce::EngineConfig::default();
+            let spec = JobSpec::folding("sum", vec![task], SumParts)
+                .with_radix_keys()
+                .with_engine(hint.map_or(engine, |u| engine.with_key_domain(u)));
+            let out = wh_mapreduce::run_job(&cluster(), spec);
+            for ((slot, sum), g) in out.outputs.iter().zip(&groups) {
+                let want: f64 = g.iter().sum();
+                assert_eq!(
+                    sum.to_bits(),
+                    want.to_bits(),
+                    "slot {slot}, {hint:?}: {g:?}"
+                );
+            }
+            assert_eq!(out.outputs.len(), groups.len());
         }
     }
 

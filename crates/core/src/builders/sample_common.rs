@@ -1,12 +1,10 @@
 //! Shared machinery of the three sampling builders: the first-level
 //! sample (the RandomRecordReader of Appendix B) aggregated into local
-//! counts, and the count-scaling reducer of Basic-S / Improved-S, whose
-//! mappers ship `(WKey, u32)` pairs: §5's 4-byte counts, held and shipped
-//! at that width and summed in `u64` here.
+//! counts. Basic-S and Improved-S reduce with the builders' shared
+//! `SumCounts` fold.
 
-use super::{ops, KeyedOutputs};
+use super::ops;
 use crate::basis::SplitSource;
-use wh_mapreduce::wire::WKey;
 use wh_mapreduce::MapContext;
 use wh_sampling::SamplingConfig;
 use wh_wavelet::hash::FxHashMap;
@@ -39,14 +37,4 @@ where
         *counts.entry(r.key).or_insert(0) += 1;
     }
     (counts, t_j)
-}
-
-/// Reducer of Basic-S and Improved-S: `v̂(x) = s(x)/p` at first-level
-/// sampling rate `p`, one record per sampled key.
-pub fn reduce_scaled_counts(p: f64) -> impl Fn(&WKey, &[u32], &mut KeyedOutputs) + Send + Sync {
-    move |key, vals, ctx| {
-        ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-        let s: u64 = vals.iter().map(|&c| u64::from(c)).sum();
-        ctx.emit((key.id, s as f64 / p));
-    }
 }

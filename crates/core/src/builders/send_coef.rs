@@ -12,8 +12,8 @@
 //! buffers), or as a `u64` (16 B both) when the basis has slots past 2^32.
 
 use super::{
-    close_with_top_k, ops, reduce_sum, run_build, scan_counts, slots_fit_u32, BuildResult,
-    HistogramBuilder, SlotKey,
+    close_with_top_k, ops, run_build, scan_counts, slots_fit_u32, BuildResult, HistogramBuilder,
+    SlotKey, SumParts,
 };
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
@@ -73,7 +73,7 @@ impl SendCoef {
         // its cap; sort-at-reduce above). Partition `p` of `R` receives
         // the slots `≡ p (mod R)` and indexes its table by `slot / R`, so
         // each table spans `1/R` of the partition's actual key range.
-        let spec = JobSpec::new("send-coef", map_tasks, reduce_sum::<K>)
+        let spec = JobSpec::folding("send-coef", map_tasks, SumParts)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(slot_bound))

@@ -16,7 +16,7 @@
 //! updates cancelled back to `0.0` is not shipped; merging is unchanged
 //! by that, since adding `0.0` is the identity.
 
-use super::{ops, reduce_sum, run_build, scan_counts, BuildResult, HistogramBuilder, SlotKey};
+use super::{ops, run_build, scan_counts, BuildResult, HistogramBuilder, SlotKey, SumParts};
 use wh_data::Dataset;
 use wh_mapreduce::{ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask};
 use wh_sketch::{GcsParams, GroupCountSketch};
@@ -105,14 +105,15 @@ impl HistogramBuilder for SendSketch {
             })
             .collect();
 
-        // Reducer (`reduce_sum`): sketches are linear, so a merged counter is
-        // the sum of the local ones; Close rebuilds the merged sketch from them.
-        let spec = JobSpec::new("send-sketch", map_tasks, reduce_sum::<u32>)
+        // Reducer (`SumParts`): sketches are linear, so a merged counter is
+        // the sum of the local ones; Close rebuilds the merged sketch from
+        // them, reading each partition's counters in place.
+        let spec = JobSpec::folding("send-sketch", map_tasks, SumParts)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(self.engine.with_key_domain(counter_domain))
             .with_finish(move |ctx| {
-                for (idx, v) in ctx.take_outputs() {
+                for (idx, v) in ctx.take_partitions().into_iter().flatten() {
                     merged.add_counter(idx, v);
                 }
                 let budget = 8 * k.max(1) * domain.log_u().max(1) as usize;

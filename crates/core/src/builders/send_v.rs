@@ -8,8 +8,8 @@
 //! drawback motivating H-WTopk.
 
 use super::{
-    close_with_transform, emit_count, ops, run_build, scan_counts, BuildResult, HistogramBuilder,
-    KeyedOutputs,
+    close_with_transform, emit_count, run_build, scan_counts, BuildResult, HistogramBuilder,
+    SumCounts,
 };
 use crate::basis::{Basis, SplitSource};
 use wh_mapreduce::wire::WKey;
@@ -66,7 +66,7 @@ impl<S: SplitSource> HistogramBuilder<S> for SendV {
         // + the basis's bounded key domain select the dense-reduce
         // strategy (while the bound fits its cap), whose per-partition
         // tables size themselves to each partition's actual key range.
-        let spec = JobSpec::new("send-v", map_tasks, reduce_counts)
+        let spec = JobSpec::folding("send-v", map_tasks, EXACT_COUNTS)
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(
@@ -79,12 +79,8 @@ impl<S: SplitSource> HistogramBuilder<S> for SendV {
 }
 
 /// Reducer: v(x) = Σ v_j(x) (8-byte accumulators reducer-side), one
-/// record per key.
-fn reduce_counts(key: &WKey, vals: &[u32], ctx: &mut KeyedOutputs) {
-    let total: u64 = vals.iter().map(|&c| u64::from(c)).sum();
-    ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-    ctx.emit((key.id, total as f64));
-}
+/// record per key — the samplers' count sum at rate 1.
+const EXACT_COUNTS: SumCounts = SumCounts { p: 1.0 };
 
 #[cfg(test)]
 mod tests {
@@ -102,7 +98,7 @@ mod tests {
                 emit_count(count, |c| ctx.emit(WKey::four(x as u64), c));
             }
         });
-        let spec = JobSpec::new("send-v-parts", vec![map], reduce_counts);
+        let spec = JobSpec::folding("send-v-parts", vec![map], EXACT_COUNTS);
         let out = run_job(&ClusterConfig::paper_cluster(), spec);
         assert_eq!(out.metrics.map_output_pairs, 1 + 2 + 3);
         let want: Vec<(u64, f64)> = (0..3).map(|x| (x, counts[x as usize] as f64)).collect();

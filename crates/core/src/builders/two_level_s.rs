@@ -14,7 +14,8 @@ use crate::basis::{Basis, SplitSource};
 use wh_data::SplitMix64;
 use wh_mapreduce::wire::WKey;
 use wh_mapreduce::{
-    ClusterConfig, EngineConfig, EngineError, JobSpec, MapTask, WireCodec, WireError, WireSize,
+    ClusterConfig, EngineConfig, EngineError, Fold, JobSpec, MapTask, WireCodec, WireError,
+    WireSize,
 };
 use wh_sampling::{SamplingConfig, TwoLevelAccumulator, TwoLevelPair};
 
@@ -53,6 +54,28 @@ impl WireCodec for TlValue {
             1 => Ok(TlValue(TwoLevelPair::Count(u64::decode_wire(input)?))),
             _ => Err(WireError::Invalid("two-level pair tag")),
         }
+    }
+}
+
+/// The reducer: `v̂(x) = ŝ(x)/p` from the key's exact counts and markers,
+/// absorbed one by one into a [`TwoLevelAccumulator`].
+struct Estimate {
+    cfg: SamplingConfig,
+}
+
+impl Fold<WKey, TlValue, (u64, f64)> for Estimate {
+    type Acc = TwoLevelAccumulator;
+    fn first(&self, value: TlValue) -> TwoLevelAccumulator {
+        let mut acc = TwoLevelAccumulator::default();
+        acc.absorb(value.0);
+        acc
+    }
+    fn fold(&self, acc: &mut TwoLevelAccumulator, value: TlValue) {
+        acc.absorb(value.0);
+    }
+    fn finish(&self, key: WKey, acc: TwoLevelAccumulator, count: u64, ctx: &mut KeyedOutputs) {
+        ctx.charge(count as f64 * ops::REDUCE_PAIR);
+        ctx.emit((key.id, acc.estimate_v(&self.cfg)));
     }
 }
 
@@ -128,20 +151,11 @@ impl<S: SplitSource> HistogramBuilder<S> for TwoLevelS {
             })
             .collect();
 
-        // Reducer: v̂(x) = ŝ(x)/p from the key's exact counts and markers.
-        let reduce = move |key: &WKey, vals: &[TlValue], ctx: &mut KeyedOutputs| {
-            ctx.charge(vals.len() as f64 * ops::REDUCE_PAIR);
-            let mut acc = TwoLevelAccumulator::default();
-            for v in vals {
-                acc.absorb(v.0);
-            }
-            ctx.emit((key.id, acc.estimate_v(&cfg)));
-        };
         // Sampled item keys stay below the basis's bound, the tightest
         // static one (second-level draws are data-dependent); the
         // dense-reduce tables shrink to each partition's actual key range
         // at run time, so the loose-looking hint costs nothing.
-        let spec = JobSpec::new("two-level-s", map_tasks, reduce)
+        let spec = JobSpec::folding("two-level-s", map_tasks, Estimate { cfg })
             .with_radix_keys()
             .with_wire_codec()
             .with_engine(

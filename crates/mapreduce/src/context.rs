@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use crate::metrics::ReduceStrategy;
 use crate::wire::WireSize;
 
 /// Context handed to a map task: emit intermediate pairs and account for
@@ -112,24 +111,29 @@ where
     }
 }
 
-/// Context handed to the reduce function.
+/// Context handed to the reducer, and to the Close hook.
 #[derive(Debug)]
 pub struct ReduceContext<R> {
     pub(crate) outputs: Vec<R>,
+    /// The Close hook's input: the round's reducer emissions, one `Vec`
+    /// per partition in partition order, ahead of `outputs`. Empty in a
+    /// reducer's own context.
+    pub(crate) partitions: Vec<Vec<R>>,
     pub(crate) cpu_ops: f64,
-    /// Which reduce strategy produced this partition's key groups. Set by
-    /// the pipelined engine's `reduce_partition` and harvested into
-    /// [`crate::RunMetrics::reduce_strategies`] when outputs are stitched;
-    /// `None` for the Close-hook context and the reference engine.
-    pub(crate) strategy: Option<ReduceStrategy>,
 }
 
 impl<R> ReduceContext<R> {
     pub(crate) fn new() -> Self {
+        Self::holding(Vec::new())
+    }
+
+    /// A Close hook's context, holding the round's reducer emissions
+    /// `partitions`.
+    pub(crate) fn holding(partitions: Vec<Vec<R>>) -> Self {
         Self {
             outputs: Vec::new(),
+            partitions,
             cpu_ops: 0.0,
-            strategy: None,
         }
     }
 
@@ -139,15 +143,33 @@ impl<R> ReduceContext<R> {
         self.outputs.push(out);
     }
 
-    /// Takes everything emitted so far, leaving the context empty.
-    ///
-    /// For the Close hook, whose context arrives holding every reducer
-    /// emission of the round stitched partition-major (partition index
-    /// ascending, key order within a partition): a hook that aggregates
-    /// takes them, folds them, and emits the job's real output in their
-    /// place. A hook that never calls this only appends.
+    /// Takes everything emitted so far as one `Vec`, leaving the context
+    /// empty: in a Close hook, every reducer emission of the round
+    /// stitched partition-major (partition index ascending, key order
+    /// within a partition), then what the hook itself emitted. A hook
+    /// that aggregates takes them, folds them, and emits the job's real
+    /// output in their place. A hook that never takes only appends.
     pub fn take_outputs(&mut self) -> Vec<R> {
-        std::mem::take(&mut self.outputs)
+        let mut parts = std::mem::take(&mut self.partitions);
+        let own = std::mem::take(&mut self.outputs);
+        if parts.len() == 1 && own.is_empty() {
+            return parts.pop().expect("one partition");
+        }
+        let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum::<usize>() + own.len());
+        for part in parts {
+            all.extend(part);
+        }
+        all.extend(own);
+        all
+    }
+
+    /// Takes the round's reducer emissions as they were reduced, one
+    /// `Vec` per partition in partition index order, each in key order —
+    /// [`ReduceContext::take_outputs`] without stitching them into one
+    /// `Vec`. What the hook itself emitted stays. Empty outside a Close
+    /// hook.
+    pub fn take_partitions(&mut self) -> Vec<Vec<R>> {
+        std::mem::take(&mut self.partitions)
     }
 
     /// Charges CPU work to the reducer.
@@ -188,5 +210,20 @@ mod tests {
         assert_eq!(ctx.take_outputs(), vec!["a".to_string()]);
         assert!(ctx.outputs.is_empty());
         assert_eq!(ctx.cpu_ops, 5.0);
+    }
+
+    #[test]
+    fn close_context_hands_over_partitions_stitched_or_in_place() {
+        let parts = || vec![vec![1, 4], vec![], vec![2]];
+        let mut ctx = ReduceContext::holding(parts());
+        ctx.emit(9);
+        assert_eq!(ctx.take_outputs(), vec![1, 4, 2, 9]);
+        assert!(ctx.take_outputs().is_empty());
+
+        let mut ctx = ReduceContext::holding(parts());
+        ctx.emit(9);
+        assert_eq!(ctx.take_partitions(), parts());
+        assert!(ctx.take_partitions().is_empty());
+        assert_eq!(ctx.take_outputs(), vec![9], "own emissions stay");
     }
 }

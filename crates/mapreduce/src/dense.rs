@@ -1,65 +1,286 @@
-//! Dense-domain flat-array grouping for bounded keys on the reduce side
-//! of the shuffle.
-//!
-//! When a job declares both a radix codec ([`crate::JobSpec::with_radix_keys`])
-//! and a bounded key domain ([`crate::EngineConfig::key_domain_hint`]),
-//! reduce partitions stop sorting: a partition's unsorted runs aggregate
-//! straight into a slot array sized to that partition's *actual* key
-//! range, and key groups are delivered to the reduce function in
-//! ascending key order with values in `(split id, arrival order)` order —
-//! the exact sequence of the sort-at-reduce route, with no sort at all.
+//! Dense-domain grouping for bounded keys on the reduce side of the
+//! shuffle: the route a partition takes when its job declares a radix
+//! codec ([`crate::JobSpec::with_radix_keys`]) and a bounded key domain
+//! ([`crate::EngineConfig::key_domain_hint`]). It never sorts pairs.
 //!
 //! The partitioner sends a radix to partition `radix mod R`
 //! ([`crate::engine::default_partition`]), so partition `p` of `R` holds
-//! only radixes `≡ p (mod R)`. The table is therefore indexed by the
-//! quotient `radix / R`: `(max − min)/R + 1` slots, never the full
-//! domain, and `R` partitions together walk one domain's worth of slots.
+//! only radixes `≡ p (mod R)`. Both tables here are therefore indexed by
+//! the quotient offset `radix / R − lo`, `lo` the partition's smallest
+//! quotient: `(max − min)/R + 1` slots, never the full domain, and `R`
+//! partitions together walk one domain's worth of slots. One pass over
+//! the runs ([`quotients`]) finds that range, checks the hint and the
+//! residue class, and stashes every pair's offset.
 //!
-//! The [`DenseReducer`] is owned by a reduce worker and **reused across
-//! every partition that worker reduces**: the slot array is reset via a
-//! range fill or the touched list (never O(domain)), and the arena and
-//! value buffers keep their allocations, so steady-state grouping
-//! allocates nothing.
+//! * [`FoldTable`] serves a [`crate::Fold`] reducer. Runs are folded in
+//!   `(split id, arrival order)` order into one accumulator per key that
+//!   occurs, found through a `u32` slot index over the range, and the
+//!   keys are finished in ascending order: by walking the range, or, for
+//!   a partition with fewer than one pair per 16 slots, by sorting the
+//!   slots it touched. No key's value list is ever held.
+//! * [`DenseReducer`] serves a slice reducer ([`crate::job::ReduceFn`]):
+//!   it materialises each key's value list in an arena and hands it over
+//!   whole. It stays for jobs written in that form.
+//!
+//! Each reduce worker thread owns one table and recycles it across every
+//! partition it reduces: tables are empty again after each partition, and
+//! their buffers keep their allocations.
+
+use std::num::NonZeroU32;
 
 use crate::context::ReduceContext;
-use crate::engine::ReduceDyn;
+use crate::job::Fold;
+use crate::radix::RadixKey;
+use crate::reduce::ReduceDyn;
 
-/// Tag on a slot entry meaning "no pair placed yet": until a slot's
-/// first pair lands, its entry holds `FIRST_ARRIVAL | group index`, and
-/// the pair that clears it parks its key for that group. Counts and
-/// positions stay far below the tag bit (partition sizes are asserted
-/// against it).
+/// Tag on a [`DenseReducer`] slot entry meaning "no pair placed yet":
+/// until a slot's first pair lands, its entry holds
+/// `FIRST_ARRIVAL | group index`, and the pair that clears it parks its
+/// key for that group. Counts and positions stay below the tag bit: the
+/// engine sends a partition of `FIRST_ARRIVAL` pairs or more down the
+/// sort route instead.
 pub(crate) const FIRST_ARRIVAL: u32 = 1 << 31;
 
-/// Flat-array reduce-side grouper for a bounded key domain: the dense
-/// counterpart of the sort-at-reduce route. One per reduce
-/// worker thread, recycled across every partition that worker reduces.
+/// The pre-pass both tables share, as the plan holds it: [`quotients`]
+/// for the job's key type, installed by
+/// [`crate::JobSpec::with_radix_keys`], so the radix image inlines into
+/// the loop.
+pub(crate) type OffsetsFn<K, V> =
+    fn(&[Vec<(K, V)>], u64, (u32, u32), &mut Vec<u32>) -> (usize, usize);
+
+/// The pre-pass both tables share: stashes each pair's quotient offset
+/// `radix / nparts − lo` into `stash` (in run order) and returns
+/// `(pairs, width)`, `width` the number of quotients between the
+/// partition's smallest and largest.
 ///
-/// The shape is a counting sort that never moves keys: a counting pass
-/// over the runs (stashing each radix), a prefix pass laying the groups
-/// out in ascending-key arena order, and a placement pass that moves
-/// **values only** into the arena — each group's first arrival parks its
-/// key. Emission then walks the arena once, sequentially, handing every
-/// group to the reduce function. No comparison sort, no per-group
-/// allocations, no key equality checks, and ~half the bytes moved of a
-/// pair-permuting sort. One `u32` array serves as histogram and
-/// write-cursor table both (the classic in-place counting-sort trick),
-/// so the per-pair cache footprint matches a counting sort's histogram
-/// and both hot passes reuse the same lines.
+/// # Panics
+///
+/// Panics when a key's radix reaches `domain_hint`, or is not
+/// `≡ part (mod nparts)` — a broken [`crate::EngineConfig::key_domain_hint`]
+/// or partitioner must fail loudly rather than mis-group (two radixes of
+/// one residue class never share a quotient).
+pub(crate) fn quotients<K: RadixKey, V>(
+    runs: &[Vec<(K, V)>],
+    domain_hint: u64,
+    (part, nparts): (u32, u32),
+    stash: &mut Vec<u32>,
+) -> (usize, usize) {
+    assert!(
+        domain_hint <= 1 << 32,
+        "dense reduce requires a u32-sized key domain"
+    );
+    let total: usize = runs.iter().map(Vec::len).sum();
+    stash.clear();
+    if total == 0 {
+        return (0, 0);
+    }
+    stash.reserve(total);
+    let (lo, hi, stray) = if nparts == 1 {
+        stash_quotients(runs, (part, nparts), stash, |r| r)
+    } else {
+        // Lemire's division by an invariant: with M = ⌈2⁶⁴/d⌉, ⌊r/d⌋ is
+        // ⌊r·M / 2⁶⁴⌋ for every 32-bit r and d ≥ 2 — one multiply
+        // instead of a divide per pair.
+        let m = u128::from(u64::MAX / u64::from(nparts) + 1);
+        stash_quotients(runs, (part, nparts), stash, |r| {
+            ((m * u128::from(r)) >> 64) as u32
+        })
+    };
+    assert!(
+        hi < domain_hint,
+        "key radix {hi} outside the declared key_domain_hint {domain_hint}"
+    );
+    assert!(
+        !stray,
+        "a key radix of partition {part} is not ≡ {part} (mod {nparts})"
+    );
+    let (lo, hi) = ((lo / u64::from(nparts)) as u32, hi / u64::from(nparts));
+    for q in stash.iter_mut() {
+        *q -= lo;
+    }
+    (total, (hi - u64::from(lo) + 1) as usize)
+}
+
+/// [`quotients`]' loop, with the division by `nparts` given as `div`:
+/// pushes each pair's quotient and returns the smallest and largest
+/// radix and whether any radix left the residue class `part`.
+#[inline(always)]
+fn stash_quotients<K: RadixKey, V>(
+    runs: &[Vec<(K, V)>],
+    (part, nparts): (u32, u32),
+    stash: &mut Vec<u32>,
+    div: impl Fn(u32) -> u32,
+) -> (u64, u64, bool) {
+    let (mut lo, mut hi, mut stray) = (u64::MAX, 0u64, false);
+    for run in runs {
+        stash.extend(run.iter().map(|(k, _)| {
+            let r = k.to_radix();
+            lo = lo.min(r);
+            hi = hi.max(r);
+            // Truncation is safe: `hi` tracks the untruncated image, and
+            // the caller rejects anything over the domain cap before the
+            // stash is ever used.
+            let r = r as u32;
+            let q = div(r);
+            stray |= q.wrapping_mul(nparts).wrapping_add(part) != r;
+            q
+        }));
+    }
+    (lo, hi, stray)
+}
+
+/// One key's running fold: its key, how many values it has absorbed, and
+/// its accumulator.
+struct Group<K, A> {
+    key: K,
+    /// Never 0, so an `Option<Group>` needs no tag of its own.
+    count: NonZeroU32,
+    acc: A,
+}
+
+impl<K, A> Group<K, A> {
+    /// A group started by its first value.
+    fn new<V, R, F: Fold<K, V, R, Acc = A>>(fold: &F, key: K, value: V) -> Self {
+        Self {
+            key,
+            count: NonZeroU32::MIN,
+            acc: fold.first(value),
+        }
+    }
+
+    /// Folds one more value in.
+    fn absorb<V, R, F: Fold<K, V, R, Acc = A>>(&mut self, fold: &F, value: V) {
+        self.count = self
+            .count
+            .checked_add(1)
+            .expect("one key folds at most u32::MAX values per partition");
+        fold.fold(&mut self.acc, value);
+    }
+
+    /// Hands the finished key to the reducer.
+    fn finish<V, R, F: Fold<K, V, R, Acc = A>>(self, fold: &F, rctx: &mut ReduceContext<R>) {
+        fold.finish(self.key, self.acc, u64::from(self.count.get()), rctx);
+    }
+}
+
+/// The fold route's table: one accumulator per key of a partition behind
+/// a `u32` slot index, recycled across the partitions a reduce worker
+/// thread reduces. The index spans the partition's quotient range at 4 B
+/// a slot; accumulators exist only for the keys that occur, so a wide,
+/// sparsely touched range never holds an accumulator per slot.
+pub(crate) struct FoldTable<K, A> {
+    /// Slot → 1 + the key's position in `groups`, 0 for an untouched
+    /// slot. All 0 between partitions.
+    index: Vec<u32>,
+    /// Each key's group, in first-arrival order; emission `take`s them.
+    /// Empty between partitions.
+    groups: Vec<Option<Group<K, A>>>,
+    /// Each key's slot, in first-arrival order: the emission order once
+    /// sorted, for a partition too sparse to walk its whole range.
+    touched: Vec<u32>,
+    /// Every pair's quotient offset, from the [`quotients`] pre-pass.
+    offsets: Vec<u32>,
+}
+
+impl<K, A> FoldTable<K, A> {
+    /// An empty table; storage grows to the largest partition it folds.
+    pub(crate) fn new() -> Self {
+        Self {
+            index: Vec::new(),
+            groups: Vec::new(),
+            touched: Vec::new(),
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Folds partition `part` of `nparts` and finishes every key in
+    /// ascending key order, each key's values folded in `(split id,
+    /// arrival order)` order — `runs` must arrive in split-id order with
+    /// arrival order inside each run, the shape the shuffle ships.
+    /// Returns the number of keys finished.
+    ///
+    /// # Panics
+    ///
+    /// As [`quotients`]: on a radix outside the hint or the residue class.
+    pub(crate) fn fold_runs<V, R, F: Fold<K, V, R, Acc = A>>(
+        &mut self,
+        runs: Vec<Vec<(K, V)>>,
+        offsets_of: OffsetsFn<K, V>,
+        domain_hint: u64,
+        part: (u32, u32),
+        fold: &F,
+        rctx: &mut ReduceContext<R>,
+    ) -> u64 {
+        let mut offsets = std::mem::take(&mut self.offsets);
+        let (total, width) = offsets_of(&runs, domain_hint, part, &mut offsets);
+        if self.index.len() < width {
+            self.index.resize(width, 0);
+        }
+        let index = &mut self.index[..width];
+        let pairs = runs.into_iter().flatten().zip(&offsets);
+        for ((k, v), &s) in pairs {
+            match index[s as usize] {
+                0 => {
+                    self.groups.push(Some(Group::new(fold, k, v)));
+                    self.touched.push(s);
+                    index[s as usize] = self.groups.len() as u32;
+                }
+                g => match &mut self.groups[g as usize - 1] {
+                    Some(group) => group.absorb(fold, v),
+                    None => unreachable!("a group is taken only at emission"),
+                },
+            }
+        }
+        // Emission in ascending slot order, clearing the index on the
+        // way: a partition with at least one pair per 16 slots walks its
+        // whole range; a sparser one sorts the slots it touched.
+        let keys = self.groups.len();
+        rctx.outputs.reserve(keys);
+        let mut emit = |s: usize| {
+            let g = std::mem::take(&mut index[s]) as usize;
+            if g != 0 {
+                let group = self.groups[g - 1].take().expect("each key finished once");
+                group.finish(fold, rctx);
+            }
+        };
+        if total * 16 >= width {
+            (0..width).for_each(&mut emit);
+        } else {
+            self.touched.sort_unstable();
+            self.touched.iter().for_each(|&s| emit(s as usize));
+        }
+        self.groups.clear();
+        self.touched.clear();
+        self.offsets = offsets;
+        keys as u64
+    }
+}
+
+/// Flat-array reduce-side grouper for a slice reducer: the dense
+/// counterpart of the sort route for jobs that take each key's values as
+/// one `&[V]`. One per reduce worker thread, recycled across every
+/// partition that worker reduces.
+///
+/// The shape is a counting sort that never moves keys: the [`quotients`]
+/// pre-pass, a counting pass, a prefix pass laying the groups out in
+/// ascending-key arena order, and a placement pass that moves **values
+/// only** into the arena — each group's first arrival parks its key.
+/// Emission then walks the arena once, sequentially, handing every group
+/// to the reduce function. One `u32` array serves as histogram and
+/// write-cursor table both (the classic in-place counting-sort trick).
 ///
 /// It never clones a key and carries no `Ord` bound: keys are moved in,
 /// borrowed by the reduce function, and dropped; ordering comes entirely
 /// from the radix image (the sealed [`crate::RadixKey`] contract makes
 /// radix order *be* key order).
 pub(crate) struct DenseReducer<K, V> {
-    /// The one per-key table, indexed by the quotient offset
-    /// `radix / R − lo` (`lo` the partition's smallest quotient) and sized
-    /// to the widest partition quotient range seen so far. During the
-    /// counting pass an entry is the slot's pair count; the prefix pass
-    /// rewrites entries to `FIRST_ARRIVAL | group index`; the placement
-    /// pass turns them into plain next-arena-position cursors. All-zero
-    /// again after every partition (a vectorized fill in dense-scan mode,
-    /// a touched walk in sparse mode).
+    /// The one per-key table, indexed by quotient offset and sized to the
+    /// widest partition quotient range seen so far. During the counting
+    /// pass an entry is the slot's pair count; the prefix pass rewrites
+    /// entries to `FIRST_ARRIVAL | group index`; the placement pass turns
+    /// them into plain next-arena-position cursors. All-zero again after
+    /// every partition (a vectorized fill in dense-scan mode, a touched
+    /// walk in sparse mode).
     slots: Vec<u32>,
     /// Each group's key, parked by its first-arriving pair and `take`n at
     /// emission — sized to the group count, not the key range.
@@ -77,10 +298,8 @@ pub(crate) struct DenseReducer<K, V> {
     arena: Vec<Option<V>>,
     /// The contiguous value list handed to each reduce call.
     values: Vec<V>,
-    /// Per-pair slot offsets (`radix / R − lo`) stashed by the counting
-    /// pass so no later pass invokes the codec or divides again. `u32` on
-    /// purpose: slot offsets are bounded by the domain cap, and halving
-    /// the stash halves the traffic of the two hottest passes.
+    /// Per-pair slot offsets from the [`quotients`] pre-pass, so no later
+    /// pass invokes the codec or divides again.
     radixes: Vec<u32>,
 }
 
@@ -104,67 +323,30 @@ impl<K, V> DenseReducer<K, V> {
     /// by key and invokes `reduce` once per key, key groups in ascending
     /// key order and each group's values in `(split id, arrival order)`
     /// order — `runs` must arrive in split-id order with arrival order
-    /// inside each run, exactly the shape the shuffle ships.
+    /// inside each run, exactly the shape the shuffle ships. Returns the
+    /// number of keys reduced.
     ///
     /// # Panics
     ///
-    /// Panics when a key's radix reaches `domain_hint`, or is not
-    /// `≡ part (mod nparts)` — a broken
-    /// [`crate::EngineConfig::key_domain_hint`] or partitioner must fail
-    /// loudly rather than mis-group (two radixes of one residue class
-    /// never share a quotient).
+    /// As [`quotients`], and on a partition of `FIRST_ARRIVAL` pairs or
+    /// more (the engine routes those to the sort route).
     pub(crate) fn reduce_runs<R>(
         &mut self,
         runs: Vec<Vec<(K, V)>>,
-        radix_of: impl Fn(&K) -> u64,
+        offsets_of: OffsetsFn<K, V>,
         domain_hint: u64,
-        (part, nparts): (u32, u32),
+        part: (u32, u32),
         reduce: &ReduceDyn<K, V, R>,
         rctx: &mut ReduceContext<R>,
-    ) {
-        let total: usize = runs.iter().map(Vec::len).sum();
+    ) -> u64 {
+        let (total, width) = offsets_of(&runs, domain_hint, part, &mut self.radixes);
         if total == 0 {
-            return;
+            return 0;
         }
         assert!(
             total < FIRST_ARRIVAL as usize,
             "partition exceeds tagged-u32 indexing"
         );
-        assert!(
-            domain_hint <= 1 << 32,
-            "dense reduce requires a u32-sized key domain"
-        );
-
-        // Counting pass: extract every radix once, stash its quotient by
-        // `nparts`, and track the partition's actual key range so the slot
-        // arrays cover `(max − min)/nparts + 1` entries instead of the
-        // full declared domain.
-        self.radixes.clear();
-        self.radixes.reserve(total);
-        let (mut lo, mut hi, mut stray) = (u64::MAX, 0u64, false);
-        for run in &runs {
-            for (k, _) in run {
-                let r = radix_of(k);
-                lo = lo.min(r);
-                hi = hi.max(r);
-                // Truncation is safe: `hi` tracks the untruncated image,
-                // and the assert below rejects anything over the domain
-                // cap before the stash is ever used.
-                let r = r as u32;
-                stray |= r % nparts != part;
-                self.radixes.push(r / nparts);
-            }
-        }
-        assert!(
-            hi < domain_hint,
-            "key radix {hi} outside the declared key_domain_hint {domain_hint}"
-        );
-        assert!(
-            !stray,
-            "a key radix of partition {part} is not ≡ {part} (mod {nparts})"
-        );
-        let (lo, hi) = (lo / u64::from(nparts), hi / u64::from(nparts));
-        let width = (hi - lo + 1) as usize;
         if self.slots.len() < width {
             // Fresh entries are zero; previously used ones were zeroed by
             // the per-partition reset, so no clear is needed here.
@@ -173,20 +355,16 @@ impl<K, V> DenseReducer<K, V> {
         // Mode selection, fixed before counting: partitions whose pair
         // count justifies walking the whole slot range take the
         // branch-free dense-scan pipeline (no touched bookkeeping, no
-        // comparison sort, vectorized reset); very sparse partitions —
-        // the sampling builders' regime — track touched slots instead
-        // and sort just those, O(d log d) with d ≪ width.
+        // comparison sort, vectorized reset); very sparse partitions
+        // track touched slots instead and sort just those, O(d log d)
+        // with d ≪ width.
         let dense_scan = total * 16 >= width;
 
-        // Counting pass, rebasing the stash to slot offsets on the way
-        // through so the placement pass indexes with the subtraction
-        // already done.
-        let lo32 = lo as u32;
+        // Counting pass.
         let mut groups = 0usize;
         if dense_scan {
-            for r in &mut self.radixes {
-                *r -= lo32;
-                self.slots[*r as usize] += 1;
+            for &r in &self.radixes {
+                self.slots[r as usize] += 1;
             }
         } else {
             // Branch-free touched tracking: the write is unconditional,
@@ -195,11 +373,10 @@ impl<K, V> DenseReducer<K, V> {
                 self.touched.resize(total, 0);
             }
             let mut d = 0usize;
-            for r in &mut self.radixes {
-                *r -= lo32;
-                let slot = *r as usize;
+            for &r in &self.radixes {
+                let slot = r as usize;
                 let count = self.slots[slot];
-                self.touched[d] = *r;
+                self.touched[d] = r;
                 d += usize::from(count == 0);
                 self.slots[slot] = count + 1;
             }
@@ -209,11 +386,9 @@ impl<K, V> DenseReducer<K, V> {
         // Prefix pass: lay the groups out in ascending-key arena order,
         // rewriting each slot from its count to a tagged group index. The
         // dense scan is branch-free — every iteration writes the current
-        // group candidate and only the cursors advance conditionally —
-        // which is what makes a full-range walk cheaper than sorting.
+        // group candidate and only the cursors advance conditionally.
         // (It never records group slots: its reset is a range fill and
-        // its emission indexes by group, so the buffer would be dead
-        // weight.)
+        // its emission indexes by group.)
         let needed = if dense_scan {
             // The cursor trick writes at index `g ≤ groups`, and groups
             // is bounded by both the range width and the pair count.
@@ -312,6 +487,7 @@ impl<K, V> DenseReducer<K, V> {
                 self.slots[slot as usize] = 0;
             }
         }
+        groups as u64
     }
 }
 
@@ -319,28 +495,62 @@ impl<K, V> DenseReducer<K, V> {
 mod tests {
     use super::*;
 
-    /// Reduces `runs` as partition `part.0` of `part.1`.
+    /// A fold that keeps every value it is handed, in order.
+    struct Collect;
+
+    impl Fold<u32, u64, (u32, Vec<u64>)> for Collect {
+        type Acc = Vec<u64>;
+        fn first(&self, value: u64) -> Vec<u64> {
+            vec![value]
+        }
+        fn fold(&self, acc: &mut Vec<u64>, value: u64) {
+            acc.push(value);
+        }
+        fn finish(
+            &self,
+            key: u32,
+            acc: Vec<u64>,
+            count: u64,
+            ctx: &mut ReduceContext<(u32, Vec<u64>)>,
+        ) {
+            assert_eq!(count, acc.len() as u64);
+            ctx.emit((key, acc));
+        }
+    }
+
+    type Groups = Vec<(u32, Vec<u64>)>;
+
+    /// Reduces `runs` as partition `part.0` of `part.1` through both
+    /// tables, asserts they agree, and returns the groups.
     fn reduce_partition_groups(
-        table: &mut DenseReducer<u32, u64>,
+        fold: &mut FoldTable<u32, Vec<u64>>,
+        slice: &mut DenseReducer<u32, u64>,
         runs: Vec<Vec<(u32, u64)>>,
         hint: u64,
         part: (u32, u32),
-    ) -> Vec<(u32, Vec<u64>)> {
-        let mut rctx = ReduceContext::new();
+    ) -> Groups {
+        let radix: OffsetsFn<u32, u64> = quotients;
+        let mut fctx = ReduceContext::new();
+        let fkeys = fold.fold_runs(runs.clone(), radix, hint, part, &Collect, &mut fctx);
         let reduce = |k: &u32, vs: &[u64], ctx: &mut ReduceContext<(u32, Vec<u64>)>| {
             ctx.emit((*k, vs.to_vec()));
         };
-        table.reduce_runs(runs, |k| u64::from(*k), hint, part, &reduce, &mut rctx);
-        rctx.outputs
+        let mut sctx = ReduceContext::new();
+        let skeys = slice.reduce_runs(runs, radix, hint, part, &reduce, &mut sctx);
+        assert_eq!(fctx.outputs, sctx.outputs, "fold and slice tables agree");
+        assert_eq!(fkeys, skeys);
+        assert_eq!(fkeys, fctx.outputs.len() as u64);
+        fctx.outputs
     }
 
     /// Reduces `runs` as the only partition of a one-reducer job.
     fn dense_reduce_groups(
-        table: &mut DenseReducer<u32, u64>,
+        fold: &mut FoldTable<u32, Vec<u64>>,
+        slice: &mut DenseReducer<u32, u64>,
         runs: Vec<Vec<(u32, u64)>>,
         hint: u64,
-    ) -> Vec<(u32, Vec<u64>)> {
-        reduce_partition_groups(table, runs, hint, (0, 1))
+    ) -> Groups {
+        reduce_partition_groups(fold, slice, runs, hint, (0, 1))
     }
 
     #[test]
@@ -352,9 +562,8 @@ mod tests {
             vec![(2, 20), (1, 21)],
             vec![(9, 30), (5, 31), (2, 32)],
         ];
-        let mut table = DenseReducer::new();
         assert_eq!(
-            dense_reduce_groups(&mut table, runs, 16),
+            dense_reduce_groups(&mut FoldTable::new(), &mut DenseReducer::new(), runs, 16),
             vec![
                 (1, vec![11, 21]),
                 (2, vec![20, 32]),
@@ -368,13 +577,13 @@ mod tests {
     fn reducer_slot_array_sized_to_the_partition_key_range() {
         // Keys live in [1000, 1010): ten slots, not the declared 4096.
         let runs = vec![vec![(1009u32, 1u64), (1000, 2), (1004, 3)]];
-        let mut table = DenseReducer::new();
-        let got = dense_reduce_groups(&mut table, runs, 4096);
+        let (mut fold, mut slice) = (FoldTable::new(), DenseReducer::new());
+        let got = dense_reduce_groups(&mut fold, &mut slice, runs, 4096);
         assert_eq!(got, vec![(1000, vec![2]), (1004, vec![3]), (1009, vec![1])]);
         assert_eq!(
-            table.slots.len(),
-            10,
-            "the slot table must cover max − min + 1 radixes, not the domain"
+            (fold.index.len(), slice.slots.len()),
+            (10, 10),
+            "the tables must cover max − min + 1 radixes, not the domain"
         );
     }
 
@@ -383,36 +592,58 @@ mod tests {
         // Partition 3 of 15 holds radixes ≡ 3 (mod 15); keys in
         // [1008, 1158] span quotients 67..=77: eleven slots, not 151.
         let runs = vec![vec![(1158u32, 1u64), (1008, 2)], vec![(1083, 3), (1008, 4)]];
-        let mut table = DenseReducer::new();
-        let got = reduce_partition_groups(&mut table, runs, 4096, (3, 15));
+        let (mut fold, mut slice) = (FoldTable::new(), DenseReducer::new());
+        let got = reduce_partition_groups(&mut fold, &mut slice, runs, 4096, (3, 15));
         assert_eq!(
             got,
             vec![(1008, vec![2, 4]), (1083, vec![3]), (1158, vec![1])]
         );
+        let width = (1158 - 1008) / 15 + 1;
         assert_eq!(
-            table.slots.len(),
-            (1158 - 1008) / 15 + 1,
-            "the slot table must cover (max − min)/R + 1 quotients"
+            (fold.index.len(), slice.slots.len()),
+            (width, width),
+            "the tables must cover (max − min)/R + 1 quotients"
         );
     }
 
     #[test]
+    fn fold_table_holds_one_accumulator_per_key_that_occurs() {
+        // Three pairs over a range of 2^20 slots, fewer than one pair per
+        // 16 slots: the u32 index spans the range, but only the two keys
+        // that occur get an accumulator, and emission sorts their slots
+        // instead of walking the range.
+        let runs = vec![vec![(1u32 << 20, 1u64), (0, 2)], vec![(1 << 20, 3)]];
+        let (mut fold, mut slice) = (FoldTable::new(), DenseReducer::new());
+        let got = dense_reduce_groups(&mut fold, &mut slice, runs, 1 << 21);
+        assert_eq!(got, vec![(0, vec![2]), (1 << 20, vec![1, 3])]);
+        assert_eq!(fold.index.len(), (1 << 20) + 1);
+        assert!(fold.groups.capacity() < 16, "no accumulator per slot");
+        assert!(fold.index.iter().all(|&i| i == 0), "index reset");
+        assert!(fold.groups.is_empty() && fold.touched.is_empty(), "drained");
+    }
+
+    #[test]
     fn reducer_recycles_cleanly_across_partitions() {
-        let mut table = DenseReducer::new();
-        for round in 0..4u64 {
-            // Different key range each round, including a widening one.
+        let (mut fold, mut slice) = (FoldTable::new(), DenseReducer::new());
+        for round in 0..6u64 {
+            // Different key range each round, including a widening one;
+            // the odd rounds spread the keys past one pair per 16 slots.
             let base = (round * 37) as u32;
+            let spread = if round % 2 == 1 { 1000 } else { 1 };
             let runs: Vec<Vec<(u32, u64)>> = (0..3)
                 .map(|s| {
                     (0..50u64)
-                        .map(|i| (base + ((i * 7 + s) % (20 + round * 9)) as u32, i))
+                        .map(|i| {
+                            let k = (i * 7 + s) % (20 + round * 9);
+                            (base + (k * spread) as u32, i)
+                        })
                         .collect()
                 })
                 .collect();
             // Reference: stable sort of the split-ordered concatenation.
             let mut flat: Vec<(u32, u64)> = runs.iter().flatten().copied().collect();
             flat.sort_by_key(|&(k, _)| k);
-            let mut want: Vec<(u32, Vec<u64>)> = Vec::new();
+            let mut want: Groups = Vec::new();
             for (k, v) in flat {
                 match want.last_mut() {
                     Some((key, vs)) if *key == k => vs.push(v),
@@ -420,37 +651,85 @@ mod tests {
                 }
             }
             assert_eq!(
-                dense_reduce_groups(&mut table, runs, 1 << 10),
+                dense_reduce_groups(&mut fold, &mut slice, runs, 1 << 20),
                 want,
                 "round {round}"
             );
-            // Reset discipline: every touched slot is zeroed again, so
-            // the next partition can trust the table without a clear.
+            // Reset discipline: every touched entry is cleared again, so
+            // the next partition can trust the tables without a clear.
+            assert!(fold.index.iter().all(|&i| i == 0), "round {round}");
+            assert!(fold.groups.is_empty(), "round {round}");
             assert!(
-                table.slots.iter().all(|&c| c == 0),
+                slice.slots.iter().all(|&c| c == 0),
                 "round {round}: slots reset"
             );
             assert!(
-                table.keys.iter().all(Option::is_none),
+                slice.keys.iter().all(Option::is_none),
                 "round {round}: keys drained"
             );
         }
-        // The arena kept its allocation across partitions.
-        assert!(table.arena.capacity() > 0);
+        // The buffers kept their allocations across partitions.
+        assert!(slice.arena.capacity() > 0);
+        assert!(fold.offsets.capacity() > 0);
     }
 
     #[test]
     fn reducer_handles_empty_partitions() {
-        let mut table: DenseReducer<u32, u64> = DenseReducer::new();
-        assert!(dense_reduce_groups(&mut table, vec![], 8).is_empty());
-        assert!(dense_reduce_groups(&mut table, vec![vec![], vec![]], 8).is_empty());
+        let (mut fold, mut slice) = (FoldTable::new(), DenseReducer::new());
+        assert!(dense_reduce_groups(&mut fold, &mut slice, vec![], 8).is_empty());
+        assert!(dense_reduce_groups(&mut fold, &mut slice, vec![vec![], vec![]], 8).is_empty());
+    }
+
+    #[test]
+    fn quotients_divide_exactly_without_a_divide() {
+        // Lemire's multiply-shift against `/` at the edges of the u32
+        // range, for partition counts that are and are not powers of two.
+        for nparts in [2u32, 3, 7, 15, 16, 1000, (1 << 31) - 1, u32::MAX] {
+            let edges = [0u32, 1, nparts - 1, nparts, nparts.wrapping_add(1)];
+            for r in edges
+                .into_iter()
+                .chain([u32::MAX - 1, u32::MAX])
+                .chain((0..64).map(|i| 0x9E37_79B9u32.wrapping_mul(i)))
+            {
+                let part = r % nparts;
+                let mut stash = Vec::new();
+                let runs = [vec![(r, ())]];
+                quotients(&runs, 1 << 32, (part, nparts), &mut stash);
+                assert_eq!(stash, [0], "one pair is its own lo");
+                let (lo, _, stray) = stash_quotients(&runs, (part, nparts), &mut stash, |r| {
+                    let m = u128::from(u64::MAX / u64::from(nparts) + 1);
+                    ((m * u128::from(r)) >> 64) as u32
+                });
+                assert_eq!((lo, stray), (u64::from(r), false));
+                assert_eq!(stash[1], r / nparts, "{r} / {nparts}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX values")]
+    fn a_key_past_u32_max_values_fails_loudly() {
+        let mut group = Group {
+            key: 7u32,
+            count: NonZeroU32::MAX,
+            acc: Vec::new(),
+        };
+        group.absorb(&Collect, 1);
     }
 
     #[test]
     #[should_panic(expected = "outside the declared key_domain_hint")]
     fn reducer_rejects_keys_outside_the_hint() {
-        let mut table: DenseReducer<u32, u64> = DenseReducer::new();
-        dense_reduce_groups(&mut table, vec![vec![(8u32, 1u64), (1, 2)]], 8);
+        let mut fold = FoldTable::new();
+        let runs = vec![vec![(8u32, 1u64), (1, 2)]];
+        fold.fold_runs(
+            runs,
+            quotients,
+            8,
+            (0, 1),
+            &Collect,
+            &mut ReduceContext::new(),
+        );
     }
 
     #[test]
@@ -458,12 +737,29 @@ mod tests {
     fn reducer_rejects_keys_outside_its_residue_class() {
         // 6 ≡ 2 (mod 4) belongs here; 10 does too, but 7 does not — and
         // 7 / 4 = 6 / 4, so reducing it would silently merge two keys.
-        let mut table: DenseReducer<u32, u64> = DenseReducer::new();
-        reduce_partition_groups(
-            &mut table,
-            vec![vec![(6u32, 1u64), (10, 2), (7, 3)]],
+        let mut fold = FoldTable::new();
+        let runs = vec![vec![(6u32, 1u64), (10, 2), (7, 3)]];
+        fold.fold_runs(
+            runs,
+            quotients,
             16,
             (2, 4),
+            &Collect,
+            &mut ReduceContext::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the declared key_domain_hint")]
+    fn slice_reducer_rejects_keys_outside_the_hint() {
+        let reduce = |_: &u32, _: &[u64], _: &mut ReduceContext<()>| {};
+        DenseReducer::new().reduce_runs(
+            vec![vec![(8u32, 1u64)]],
+            quotients,
+            8,
+            (0, 1),
+            &reduce,
+            &mut ReduceContext::new(),
         );
     }
 }

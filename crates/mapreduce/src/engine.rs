@@ -5,9 +5,9 @@
 //! ┌──────────────────────────┐                        ┌───────────────────────────┐
 //! │ task → MapContext        │   regroup runs by      │ partition 0: dense table  │
 //! │   ├─ count pairs, bytes  │   partition, splits    │   or one stable sort      │──┐
-//! │   └─ partition pairs,    │   stay in id order     │   → reduce(key, values)   │  │ stitch
+//! │   └─ partition pairs,    │   stay in id order     │   → fold / reduce per key │  │ Close
 //! │      arrival order kept  │ ─────────────────────▶ │ partition 1: …            │──┼─▶ outputs
-//! │      = the "spill"       │                        │ …                         │  │ + finish
+//! │      = the "spill"       │                        │ …                         │  │
 //! │                          │                        │ partition R-1: …          │──┘
 //! └──────────────────────────┘                        └───────────────────────────┘
 //! ```
@@ -20,37 +20,39 @@
 //!    partition buffers. What a map worker ships does not depend on how
 //!    its partitions will be reduced.
 //! 2. **Each partition picks its route where it is reduced** — recorded
-//!    per partition in [`RunMetrics::reduce_strategies`]:
+//!    per partition in [`RunMetrics::reduce_partitions`] and counted in
+//!    [`RunMetrics::reduce_strategies`]:
 //!
-//!    | [`ReduceStrategy`] | when | what a partition does |
+//!    | [`ReduceStrategy`](crate::ReduceStrategy) | when | what a partition does |
 //!    |---|---|---|
-//!    | `DenseReduce` | radix codec, [`EngineConfig::key_domain_hint`] ≤ 2²², fewer than 2³¹ pairs | aggregates its runs straight into a recycled slot array indexed by `radix / R` and sized to the partition's actual key range (`dense::DenseReducer`) — no sort |
-//!    | `SortAtReduce` | otherwise | one stable sort of its split-ordered run concatenation, then groups adjacent keys |
+//!    | `DenseReduce` | radix codec and [`EngineConfig::key_domain_hint`] ≤ 2²² (a slice reducer also needs fewer than 2³¹ pairs) | a [`crate::Fold`] folds its runs straight into one accumulator per key, found through a recycled `u32` slot index on `radix / R` sized to the partition's actual key range, then finishes the keys in ascending order; a slice reducer gets each key's values grouped in a recycled arena first — no sort either way |
+//!    | `SortAtReduce` | otherwise | one stable sort of its split-ordered run concatenation, then one pass over each run of equal keys |
 //!
 //!    A key's [`RadixKey`](crate::RadixKey) codec
 //!    ([`crate::JobSpec::with_radix_keys`]) only selects and indexes the
-//!    dense table; the sort route is the standard library's stable sort
-//!    for every job, codec or not. Both routes deliver the identical
-//!    sequence to the reduce function, so outputs are bit-identical
-//!    across routes (differential tests enforce it).
-//! 3. **Reduce partitions run in parallel with deterministic stitching.**
+//!    dense tables; the sort route is the standard library's stable sort
+//!    for every job, codec or not. Both routes present the identical
+//!    sequence of keys and values to the reducer, so outputs are
+//!    bit-identical across routes (differential tests enforce it).
+//! 3. **Reduce partitions run in parallel with a deterministic hand-on.**
 //!    Every partition gets its own [`ReduceContext`]; outputs and charged
-//!    CPU are recombined in partition-index order, so the result — outputs,
-//!    metrics, and float summation order — is identical for any
-//!    `reducer_parallelism`, including 1.
+//!    CPU are handed to the Close hook, and to the job's outputs, in
+//!    partition-index order, so the result — outputs, metrics, and float
+//!    summation order — is identical for any `reducer_parallelism`,
+//!    including 1.
 //!
 //! Workers recycle their buffers across work items on both sides: map
 //! workers keep the emit buffer per worker, not per task, and reduce
-//! workers keep one `DenseReducer` table per thread, recycled across the
+//! workers keep one dense table per thread, recycled across the
 //! partitions that thread reduces. A phase allowed only one thread skips
 //! thread machinery entirely: the map loop runs inline when only one
 //! worker would be spawned, and so does the reduce loop.
 //!
 //! The determinism contract of the seed engine is preserved exactly: within
-//! a partition, the reduce function observes key groups in key order and
-//! each group's values in `(split id, arrival order)` order. The seed
-//! engine itself survives as [`crate::reference`] — an executable
-//! specification that differential tests compare this engine against.
+//! a partition, the reducer observes key groups in key order and each
+//! group's values in `(split id, arrival order)` order. The seed engine
+//! itself survives as [`crate::reference`] — an executable specification
+//! that differential tests compare this engine against.
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,15 +63,11 @@ use parking_lot::Mutex;
 
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
-use crate::dense::DenseReducer;
-use crate::job::{JobOutput, JobSpec, MapTask};
-use crate::metrics::{ReduceStrategy, RunMetrics};
+use crate::job::{FinishFn, JobOutput, JobSpec, MapTask};
+use crate::metrics::{PartitionReduce, RunMetrics};
+use crate::reduce::ReducePlan;
 use crate::wire::WireSize;
 use wh_wavelet::hash::FxHasher;
-
-/// Borrowed form of the shared reduce function, passed into the reduce
-/// routes.
-pub(crate) type ReduceDyn<K, V, R> = dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync;
 
 /// Which executor [`crate::run_job`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -271,14 +269,6 @@ pub fn default_partition<K: Hash>(key: &K) -> u64 {
     h.finish().wrapping_mul(FX_SEED_INVERSE)
 }
 
-/// Domains above this cap fall back from the reduce-side `DenseReducer`
-/// to sort-at-reduce: a `u32` slot per domain value must stay
-/// small enough (≤ 16 MiB per worker here) that a flat array is an
-/// optimization, not a memory liability. The table additionally sizes
-/// itself to each partition's actual key range, so this bounds the worst
-/// case only.
-const DENSE_DOMAIN_MAX: u64 = 1 << 22;
-
 /// Tasks of a multi-partition job with fewer pairs than this ship a flat
 /// (unpartitioned) spill and let the shuffle scatter it: allocating
 /// `num_reducers` per-task partition buffers would cost more than the
@@ -461,8 +451,9 @@ where
 }
 
 /// Everything after the map phase: regroup spills into per-partition
-/// reduce inputs, reduce `spec`'s function (optionally in parallel),
-/// stitch outputs, run the Close hook, and assemble [`RunMetrics`].
+/// reduce inputs, reduce them with `spec`'s reducer (optionally in
+/// parallel), run the Close hook over the partition outputs, and
+/// assemble [`RunMetrics`].
 /// `per_task` must be sorted by split id. Shared by the threaded executor
 /// and the multi-process coordinator ([`crate::worker`]) — everything
 /// downstream of map transport is the same code in both modes.
@@ -478,7 +469,7 @@ where
     V: Send,
     R: Send,
 {
-    let (engine, reduce) = (spec.engine, spec.reduce.as_ref());
+    let engine = spec.engine;
     let nparts = engine.num_reducers as usize;
     // ---- Shuffle: regroup spill runs into per-partition reduce inputs
     // (runs stay in split-id order) and account communication. ----
@@ -531,35 +522,43 @@ where
     let wall_shuffle_s = shuffle_start.elapsed().as_secs_f64();
 
     // ---- Reduce phase: one context per partition, optionally in
-    // parallel, stitched in partition-index order. ----
+    // parallel, handed on in partition-index order. ----
     let reduce_start = Instant::now();
     let threads = resolve_threads(engine.reducer_parallelism).min(nparts);
-    let plan = ReducePlan {
-        codec: spec.key_codec,
-        domain_hint: engine.key_domain_hint,
-        nparts: engine.num_reducers,
-        dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
-    };
-    type Slot<K, V, R> = Mutex<(Option<Vec<Vec<(K, V)>>>, Option<ReduceContext<R>>)>;
+    let plan = ReducePlan::new(
+        spec.dense_offsets,
+        engine.key_domain_hint,
+        engine.num_reducers,
+    );
+    let reducer = spec.reducer.as_ref();
+    type Slot<K, V, R> = Mutex<(Option<Vec<Vec<(K, V)>>>, Option<Reduced<R>>)>;
     let slots: Vec<Slot<K, V, R>> = partitions
         .into_iter()
         .map(|runs| Mutex::new((Some(runs), None)))
         .collect();
     let next_part = AtomicUsize::new(0);
     let reduce_parts = || {
-        // Per-thread dense table, recycled across the partitions this
-        // thread reduces — the reduce-side mirror of the map workers'
-        // reuse.
-        let mut dense = DenseReducer::new();
+        // Per-thread worker and table, recycled across the partitions
+        // this thread reduces — the reduce-side mirror of the map
+        // workers' reuse.
+        let mut worker = reducer.worker();
         loop {
             let p = next_part.fetch_add(1, Ordering::Relaxed);
             if p >= slots.len() {
                 break;
             }
             let runs = slots[p].lock().0.take().expect("each partition taken once");
+            let start = Instant::now();
+            let pairs = runs.iter().map(|r| r.len() as u64).sum();
             let mut rctx = ReduceContext::new();
-            reduce_partition(runs, p as u32, plan, &mut dense, reduce, &mut rctx);
-            slots[p].lock().1 = Some(rctx);
+            let (route, keys) = worker.partition(runs, p as u32, plan, &mut rctx);
+            let record = PartitionReduce {
+                route,
+                pairs,
+                keys,
+                wall_s: start.elapsed().as_secs_f64(),
+            };
+            slots[p].lock().1 = Some((rctx, record));
         }
     };
     if threads <= 1 {
@@ -569,31 +568,20 @@ where
     } else {
         run_workers(threads, reduce_parts);
     }
-    let contexts = slots
-        .into_iter()
-        .map(|s| s.into_inner().1.expect("every partition reduced"));
 
-    // Deterministic stitching: outputs and charged CPU recombine in
-    // partition order, so float summation order is independent of the
-    // thread count. The per-partition strategy lands in the metrics here.
-    let mut outputs = Vec::new();
+    // Deterministic recombination: outputs and charged CPU in partition
+    // order, so float summation order is independent of the thread
+    // count. The per-partition records land in the metrics here.
+    let mut parts = Vec::with_capacity(nparts);
     let mut reduce_cpu = 0.0f64;
-    for mut rctx in contexts {
-        if let Some(s) = rctx.strategy {
-            metrics.reduce_strategies.record(s);
-        }
+    for slot in slots {
+        let (rctx, record) = slot.into_inner().1.expect("every partition reduced");
+        metrics.reduce_strategies.record(record.route);
+        metrics.reduce_partitions.push(record);
         reduce_cpu += rctx.cpu_ops;
-        outputs.append(&mut rctx.outputs);
+        parts.push(rctx.outputs);
     }
-    if let Some(f) = spec.finish.as_mut() {
-        // The Close hook sees the stitched reducer emissions and may
-        // replace them (`ReduceContext::take_outputs`) or append to them.
-        let mut rctx = ReduceContext::new();
-        rctx.outputs = outputs;
-        f(&mut rctx);
-        reduce_cpu += rctx.cpu_ops;
-        outputs = rctx.outputs;
-    }
+    let outputs = close(spec.finish.as_mut(), parts, &mut reduce_cpu);
     let wall_reduce_s = reduce_start.elapsed().as_secs_f64();
 
     metrics.cpu_ops += reduce_cpu;
@@ -613,304 +601,30 @@ where
     JobOutput { outputs, metrics }
 }
 
-/// Everything a reduce worker needs to pick and run one partition's
-/// route. One per job; `Copy` so worker threads capture it by value.
-struct ReducePlan<K> {
-    codec: Option<fn(&K) -> u64>,
-    domain_hint: Option<u64>,
-    /// The job's partition count `R`: the dense table indexes partition
-    /// `p`'s keys by `radix / R`, every radix there being `≡ p (mod R)`.
-    nparts: u32,
-    /// Pair count from which a partition cannot reduce densely: the
-    /// dense table tags group indices into `u32` slots, so a partition
-    /// holding `FIRST_ARRIVAL` (2³¹) or more pairs would overflow its
-    /// indexing. Production plans use exactly that constant; tests shrink
-    /// it to exercise the fallback without 2³¹ pairs of memory.
-    dense_pair_cap: usize,
-}
+/// A reduced partition: its context and its record.
+type Reduced<R> = (ReduceContext<R>, PartitionReduce);
 
-impl<K> Clone for ReducePlan<K> {
-    fn clone(&self) -> Self {
-        *self
+/// The end of a round on every engine mode: runs the Close hook, when the
+/// job has one, over the round's reducer emissions `parts` (one `Vec` per
+/// partition, partition order) and returns what its context holds after
+/// it, adding the hook's charged CPU to `reduce_cpu`. Without a hook the
+/// partitions are stitched into one `Vec`, partition-major.
+pub(crate) fn close<R>(
+    finish: Option<&mut FinishFn<R>>,
+    parts: Vec<Vec<R>>,
+    reduce_cpu: &mut f64,
+) -> Vec<R> {
+    let mut rctx = ReduceContext::holding(parts);
+    if let Some(f) = finish {
+        f(&mut rctx);
+        *reduce_cpu += rctx.cpu_ops;
     }
-}
-impl<K> Copy for ReducePlan<K> {}
-
-/// Reduces partition `part` and invokes `reduce` per key group — key groups
-/// in key order, values in `(split id, arrival order)` order. The runs
-/// arrive unsorted, in split-id order, and the partition takes one of
-/// two routes, decided here:
-///
-/// * `DenseReduce` when the job has a key codec and a domain hint no
-///   wider than [`DENSE_DOMAIN_MAX`], and the partition holds fewer pairs
-///   than [`ReducePlan::dense_pair_cap`]: the runs aggregate into the
-///   recycled flat table, which emits groups in ascending radix (= key)
-///   order.
-/// * `SortAtReduce` otherwise: one stable sort of the split-ordered run
-///   concatenation, so equal keys keep `(split id, arrival order)`; then
-///   adjacent grouping.
-///
-/// Both routes deliver the identical key-group sequence. The route that
-/// ran is recorded on the context, which the stitching loop folds into
-/// [`RunMetrics::reduce_strategies`].
-fn reduce_partition<K, V, R>(
-    mut runs: Vec<Vec<(K, V)>>,
-    part: u32,
-    plan: ReducePlan<K>,
-    dense: &mut DenseReducer<K, V>,
-    reduce: &ReduceDyn<K, V, R>,
-    rctx: &mut ReduceContext<R>,
-) where
-    K: Ord,
-{
-    let total: usize = runs.iter().map(Vec::len).sum();
-    match (plan.codec, plan.domain_hint) {
-        (Some(codec), Some(domain))
-            if domain <= DENSE_DOMAIN_MAX && total < plan.dense_pair_cap =>
-        {
-            rctx.strategy = Some(ReduceStrategy::DenseReduce);
-            dense.reduce_runs(runs, codec, domain, (part, plan.nparts), reduce, rctx);
-        }
-        _ => {
-            rctx.strategy = Some(ReduceStrategy::SortAtReduce);
-            let mut all = if runs.len() == 1 {
-                runs.pop().expect("one run")
-            } else {
-                let mut all = Vec::with_capacity(total);
-                for run in runs {
-                    all.extend(run);
-                }
-                all
-            };
-            all.sort_by(|a, b| a.0.cmp(&b.0));
-            reduce_sorted_run(all, reduce, rctx);
-        }
-    }
-}
-
-/// Groups adjacent equal keys of one already-sorted run — no comparisons
-/// beyond equality.
-fn reduce_sorted_run<K, V, R>(
-    run: Vec<(K, V)>,
-    reduce: &ReduceDyn<K, V, R>,
-    rctx: &mut ReduceContext<R>,
-) where
-    K: Ord,
-{
-    let mut iter = run.into_iter();
-    let Some((mut key, first)) = iter.next() else {
-        return;
-    };
-    let mut values = vec![first];
-    for (k, v) in iter {
-        if k == key {
-            values.push(v);
-        } else {
-            reduce(&key, &values, rctx);
-            values.clear();
-            key = k;
-            values.push(v);
-        }
-    }
-    reduce(&key, &values, rctx);
+    rctx.take_outputs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    type Groups = Vec<(u32, Vec<u32>)>;
-
-    /// The three plans a partition can be handed, with the route each
-    /// must take: codec + dense domain (dense table), codec alone and
-    /// neither (both the stable sort).
-    fn plans() -> [(ReducePlan<u32>, ReduceStrategy); 3] {
-        let radix = ReducePlan {
-            codec: Some(|k: &u32| u64::from(*k)),
-            domain_hint: None,
-            nparts: 1,
-            dense_pair_cap: crate::dense::FIRST_ARRIVAL as usize,
-        };
-        let dense = ReducePlan {
-            domain_hint: Some(1 << 20),
-            ..radix
-        };
-        let generic = ReducePlan {
-            codec: None,
-            ..radix
-        };
-        [
-            (dense, ReduceStrategy::DenseReduce),
-            (radix, ReduceStrategy::SortAtReduce),
-            (generic, ReduceStrategy::SortAtReduce),
-        ]
-    }
-
-    /// Reduces one partition under `plan`, returning its key groups and
-    /// the route that ran.
-    fn reduce_with(
-        runs: Vec<Vec<(u32, u32)>>,
-        plan: ReducePlan<u32>,
-        dense: &mut DenseReducer<u32, u32>,
-    ) -> (Groups, Option<ReduceStrategy>) {
-        let reduce = |k: &u32, vs: &[u32], ctx: &mut ReduceContext<(u32, Vec<u32>)>| {
-            ctx.emit((*k, vs.to_vec()));
-        };
-        let mut rctx = ReduceContext::new();
-        reduce_partition(runs, 0, plan, dense, &reduce, &mut rctx);
-        (rctx.outputs, rctx.strategy)
-    }
-
-    /// Asserts that every route reduces `runs` to `want`, each taking the
-    /// route its plan names.
-    fn assert_every_route_yields(runs: Vec<Vec<(u32, u32)>>, want: &Groups) {
-        for (plan, route) in plans() {
-            let (got, ran) = reduce_with(runs.clone(), plan, &mut DenseReducer::new());
-            assert_eq!(ran, Some(route));
-            assert_eq!(&got, want, "{route:?}, codec: {}", plan.codec.is_some());
-        }
-    }
-
-    #[test]
-    fn every_route_yields_key_then_run_order() {
-        // Runs are per split (split order = vector order), pairs in
-        // arrival order. Equal keys across runs take the lower split
-        // first: key 1 is 11, 12 from split 0 before 21 from split 1.
-        let runs = vec![
-            vec![(5, 10), (1, 11), (1, 12)],
-            vec![(2, 20), (1, 21)],
-            vec![(9, 30), (2, 31), (5, 32)],
-        ];
-        let want = vec![
-            (1, vec![11, 12, 21]),
-            (2, vec![20, 31]),
-            (5, vec![10, 32]),
-            (9, vec![30]),
-        ];
-        assert_every_route_yields(runs, &want);
-    }
-
-    #[test]
-    fn every_route_yields_the_specified_sequence() {
-        // Many runs, heavy ties: every route must produce the sequence of
-        // a stable global sort by (key, run index). Two shapes of run:
-        // unsorted, and ascending within each run with the same keys
-        // recurring across runs — what every mapper that emits from a
-        // sorted local vector ships.
-        let mk_runs = |m: usize, ascending: bool| -> Vec<Vec<(u32, u32)>> {
-            (0..m)
-                .map(|r| {
-                    (0..600)
-                        .map(|i| {
-                            let k = if ascending {
-                                i / (r as u32 % 4 + 1) * 7
-                            } else {
-                                (i * (r as u32 + 3)) % 17
-                            };
-                            (k, (r * 1000 + i as usize) as u32)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        for (m, ascending) in [2, 3, 8, 9, 13, 32]
-            .into_iter()
-            .flat_map(|m| [(m, false), (m, true)])
-        {
-            let mut expected_pairs: Vec<(u32, usize, u32)> = mk_runs(m, ascending)
-                .into_iter()
-                .enumerate()
-                .flat_map(|(r, run)| run.into_iter().map(move |(k, v)| (k, r, v)))
-                .collect();
-            expected_pairs.sort_by_key(|&(k, r, _)| (k, r));
-            let mut expected: Groups = Vec::new();
-            for (k, _, v) in expected_pairs {
-                match expected.last_mut() {
-                    Some((key, vs)) if *key == k => vs.push(v),
-                    _ => expected.push((k, vec![v])),
-                }
-            }
-            assert_every_route_yields(mk_runs(m, ascending), &expected);
-        }
-    }
-
-    #[test]
-    fn dense_table_recycles_across_partitions_and_routes() {
-        // One dense table driven through every route in sequence, the way
-        // a reduce worker thread recycles it across partitions.
-        let mut dense = DenseReducer::new();
-        let runs = || vec![vec![(3u32, 2u32), (1, 1)], vec![(7, 4), (1, 3)]];
-        let want = vec![(1, vec![1, 3]), (3, vec![2]), (7, vec![4])];
-        for round in 0..3 {
-            for (plan, route) in plans() {
-                let (got, ran) = reduce_with(runs(), plan, &mut dense);
-                assert_eq!(got, want, "round {round}, {route:?}");
-                assert_eq!(ran, Some(route));
-            }
-        }
-    }
-
-    /// Drives one partition through a dense plan with the given pair cap
-    /// and returns the outputs plus the route that ran.
-    fn dense_with_cap(runs: Vec<Vec<(u32, u32)>>, cap: usize) -> (Groups, Option<ReduceStrategy>) {
-        let plan = ReducePlan {
-            dense_pair_cap: cap,
-            ..plans()[0].0
-        };
-        reduce_with(runs, plan, &mut DenseReducer::new())
-    }
-
-    #[test]
-    fn dense_overflow_replans_to_sort_at_reduce_at_the_boundary() {
-        // 12 unsorted pairs; the boundary is exclusive below the cap —
-        // `total == cap` is exactly the count the dense table's
-        // tagged-u32 indexing cannot address, so it must re-plan.
-        let runs = || -> Vec<Vec<(u32, u32)>> {
-            vec![
-                vec![(7u32, 0u32), (3, 1), (7, 2), (1, 3), (3, 4), (9, 5)],
-                vec![(3, 6), (7, 7), (1, 8), (2, 9), (9, 10), (3, 11)],
-            ]
-        };
-        let total = 12usize;
-        let (dense_out, ran) = dense_with_cap(runs(), total + 1);
-        assert_eq!(ran, Some(ReduceStrategy::DenseReduce));
-        for (cap, label) in [(total, "total == cap"), (total - 1, "total > cap")] {
-            let (fallback_out, ran) = dense_with_cap(runs(), cap);
-            assert_eq!(
-                ran,
-                Some(ReduceStrategy::SortAtReduce),
-                "{label}: overflow must re-plan, not panic"
-            );
-            assert_eq!(fallback_out, dense_out, "{label}: identical key groups");
-        }
-    }
-
-    #[test]
-    fn production_dense_pair_cap_is_the_tagged_u32_limit() {
-        // The engine plans with exactly the dense table's indexing limit:
-        // the high bit of a u32 slot entry tags first arrivals, leaving
-        // 2³¹ addressable pairs. A partition of that size re-plans; one
-        // pair fewer stays dense (`reduce_runs` asserts
-        // `total < FIRST_ARRIVAL`, kept as defense in depth).
-        assert_eq!(crate::dense::FIRST_ARRIVAL as usize, 1usize << 31);
-        assert_eq!(
-            crate::dense::FIRST_ARRIVAL & (crate::dense::FIRST_ARRIVAL - 1),
-            0,
-            "the tag is a single high bit"
-        );
-    }
-
-    #[test]
-    fn single_run_fast_path_groups_adjacent() {
-        let runs = vec![vec![(4, 3), (3, 1), (3, 2)]];
-        assert_every_route_yields(runs, &vec![(3, vec![1, 2]), (4, vec![3])]);
-    }
-
-    #[test]
-    fn empty_partition_reduces_nothing() {
-        assert_every_route_yields(vec![], &vec![]);
-        assert_every_route_yields(vec![vec![]], &vec![]);
-    }
 
     #[test]
     fn default_partition_is_deterministic_and_spread() {

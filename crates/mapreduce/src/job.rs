@@ -1,8 +1,8 @@
 //! Job specification, the running job, and the execution entry points.
 //!
 //! A [`JobSpec`] describes a MapReduce job: one map closure per split and
-//! a shared reduce function (mappers combine before they emit — the
-//! paper's `(x, v_j(x))` emission — and keys partition by
+//! a shared reducer (mappers combine before they emit — the paper's
+//! `(x, v_j(x))` emission — and keys partition by
 //! [`engine::default_partition`]). [`JobSpec::start`] turns it into a
 //! running [`Job`], and every [`Job::round`] executes one MapReduce round
 //! on the engine selected by the spec's [`EngineConfig`] — the pipelined
@@ -11,21 +11,31 @@
 //! returning the reducer outputs together with exact [`RunMetrics`].
 //! [`try_run_job`] is the one-round job.
 //!
+//! A reducer takes one of two forms. A [`Fold`] ([`JobSpec::folding`])
+//! folds each key's values into an accumulator one at a time, so no
+//! engine route ever holds a key's value list: the paper's reducers are
+//! all aggregates of this kind, and every builder uses it. A slice
+//! reducer ([`ReduceFn`], [`JobSpec::new`]) receives each key's values
+//! as one `&[V]`, which the engine materialises for it.
+//!
 //! Determinism: mappers may run in any thread interleaving, reduce
 //! partitions may run on any number of threads, and each partition may
 //! take either reduce route (dense reduce / sort-at-reduce — see
-//! [`crate::ReduceStrategy`]), but within a partition the reduce function
-//! always observes key groups in key order with each group's values in
-//! `(split id, arrival order)` order, and outputs are stitched in
-//! partition order — so results are bit-identical across runs, engines,
-//! strategies, and thread counts.
+//! [`crate::ReduceStrategy`]), but within a partition the reducer always
+//! observes key groups in key order with each group's values in
+//! `(split id, arrival order)` order — a fold folds them in that order, a
+//! slice reducer receives them in it — and partition outputs reach the
+//! Close hook and the job's outputs in partition order. So results are
+//! bit-identical across runs, engines, routes, and thread counts.
 
 use std::sync::Arc;
 
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::ClusterConfig;
+use crate::dense::OffsetsFn;
 use crate::engine::{self, EngineConfig, EngineMode};
 use crate::metrics::RunMetrics;
+use crate::reduce::{FoldReducer, Reducer, SliceReducer};
 use crate::reference;
 use crate::transport::EngineError;
 use crate::wire::{WireCodec, WireError, WireSize};
@@ -35,25 +45,83 @@ use crate::worker::Workers;
 pub type MapFn<K, V> = Box<dyn FnMut(&mut MapContext<K, V>) + Send>;
 
 /// Reducer Close hook. Runs after every partition has reduced, once per
-/// round, on a [`ReduceContext`] that already holds the round's reducer
-/// emissions stitched partition-major (partition index ascending, key
-/// order within a partition) — on every engine mode. Whatever the context
-/// holds when the hook returns is the round's output: a hook that only
-/// `emit`s appends to the reducer emissions, a hook that calls
-/// [`ReduceContext::take_outputs`] consumes them and emits the aggregate
+/// round, on a [`ReduceContext`] that holds the round's reducer emissions
+/// one `Vec` per partition, partition index ascending, key order within
+/// a partition — on every engine mode. A hook reads them in place with
+/// [`ReduceContext::take_partitions`], or stitched into one `Vec` with
+/// [`ReduceContext::take_outputs`]. Whatever the context holds when the
+/// hook returns is the round's output: a hook that only `emit`s appends
+/// to the reducer emissions, a hook that takes them emits the aggregate
 /// in their place.
 pub type FinishFn<R> = Box<dyn FnMut(&mut ReduceContext<R>) + Send>;
 
-/// Shared reduce function: receives each `(key, values-of-that-key)` group
-/// in key order; `values` preserves the deterministic shuffle order.
+/// Slice reducer: receives each `(key, values-of-that-key)` group in key
+/// order; `values` preserves the deterministic shuffle order. The engine
+/// materialises each key's value list for it; a reducer that only
+/// aggregates is cheaper as a [`Fold`].
 ///
 /// It is `Fn` (not `FnMut`) and shared across partitions so reduce
 /// partitions can run in parallel. Cross-group state travels as data: the
 /// reducer `emit`s one folded record per key into its own partition's
 /// [`ReduceContext`], and the Close hook ([`FinishFn`]) receives all of
-/// them in partition-major key order — no shared capture, no lock, and
+/// them partition by partition — no shared capture, no lock, and
 /// nothing whose order depends on which thread reduced which partition.
 pub type ReduceFn<K, V, R> = Arc<dyn Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync>;
+
+/// A reducer written as a fold: each key's values arrive one at a time,
+/// in `(split id, arrival order)` order, into that key's accumulator, and
+/// the key is finished once its last value is in. Keys are finished in
+/// key order within a partition. No route holds a key's value list, and
+/// each key's state lives only from its first value to its finish.
+///
+/// Shared across partitions like a [`ReduceFn`], hence `&self`
+/// everywhere; per-key state lives in the accumulator, per-job output in
+/// the [`ReduceContext`].
+///
+/// ```
+/// use wh_mapreduce::wire::WKey;
+/// use wh_mapreduce::{
+///     run_job, ClusterConfig, EngineConfig, Fold, JobSpec, MapTask, ReduceContext,
+/// };
+///
+/// /// Each key's counts, summed as they arrive.
+/// struct Count;
+///
+/// impl Fold<WKey, u64, (u64, u64)> for Count {
+///     type Acc = u64;
+///     fn first(&self, c: u64) -> u64 {
+///         c
+///     }
+///     fn fold(&self, sum: &mut u64, c: u64) {
+///         *sum += c;
+///     }
+///     fn finish(&self, k: WKey, sum: u64, _values: u64, ctx: &mut ReduceContext<(u64, u64)>) {
+///         ctx.emit((k.id, sum));
+///     }
+/// }
+///
+/// let tasks: Vec<MapTask<WKey, u64>> = (0..4)
+///     .map(|j| MapTask::new(j, move |ctx| ctx.emit(WKey::four(u64::from(j) % 2), 1)))
+///     .collect();
+/// let spec = JobSpec::folding("count", tasks, Count)
+///     .with_radix_keys()
+///     .with_wire_codec()
+///     .with_engine(EngineConfig::default().with_reducers(2).with_key_domain(2));
+/// let out = run_job(&ClusterConfig::paper_cluster(), spec);
+/// assert_eq!(out.outputs, [(0, 2), (1, 2)]);
+/// ```
+pub trait Fold<K, V, R>: Send + Sync + 'static {
+    /// One key's running state.
+    type Acc: Send;
+    /// Starts a key's accumulator from its first value.
+    fn first(&self, value: V) -> Self::Acc;
+    /// Folds the key's next value into its accumulator.
+    fn fold(&self, acc: &mut Self::Acc, value: V);
+    /// Ends the key: `acc` has absorbed all `count` of its values (the
+    /// first included). Emits the key's output records into `ctx` and
+    /// charges the key's reduce work there.
+    fn finish(&self, key: K, acc: Self::Acc, count: u64, ctx: &mut ReduceContext<R>);
+}
 
 /// Fn-pointer decoder for one `(K, V)` pair from a wire byte stream.
 pub(crate) type PairDecodeFn<K, V> = fn(&mut &[u8]) -> Result<(K, V), WireError>;
@@ -103,27 +171,27 @@ pub struct JobSpec<K, V, R> {
     pub name: String,
     /// One map task per split.
     pub map_tasks: Vec<MapTask<K, V>>,
-    /// The reduce function (shared across partitions; within a partition
-    /// invoked in key order).
-    pub reduce: ReduceFn<K, V, R>,
+    /// The reducer, a [`Fold`] or a slice reducer, behind the one object
+    /// every engine mode drives (shared across partitions; within a
+    /// partition it sees keys in key order).
+    pub(crate) reducer: Box<dyn Reducer<K, V, R>>,
     /// Reducer Close hook (the paper's Close interface, Appendix B): runs
-    /// after every partition finished, over their stitched emissions —
-    /// where histograms are assembled from aggregated state. See
-    /// [`FinishFn`].
+    /// after every partition finished, over their emissions — where
+    /// histograms are assembled from aggregated state. See [`FinishFn`].
     pub finish: Option<FinishFn<R>>,
     /// Execution-engine knobs: reducer count and parallelism, key-domain
     /// hint, engine selection, multi-process recovery settings.
     pub engine: EngineConfig,
-    /// Order-preserving `u64` key codec, installed by
-    /// [`JobSpec::with_radix_keys`] when `K` implements
-    /// [`crate::RadixKey`]. With an [`EngineConfig::key_domain_hint`] it
-    /// selects and indexes the pipelined engine's dense reduce table;
-    /// it plays no part in the sort route, which is one stable
+    /// The dense reduce tables' pre-pass over `K`'s order-preserving
+    /// `u64` image, installed by [`JobSpec::with_radix_keys`] when `K`
+    /// implements [`crate::RadixKey`]. With an
+    /// [`EngineConfig::key_domain_hint`] it selects and indexes the dense
+    /// route; it plays no part in the sort route, which is one stable
     /// comparison sort for every job. Kept crate-private so only the
-    /// sealed trait can supply codecs — the dense table emits groups in
+    /// sealed trait can supply images — the dense tables emit keys in
     /// radix order, so the determinism contract depends on order
     /// preservation.
-    pub(crate) key_codec: Option<fn(&K) -> u64>,
+    pub(crate) dense_offsets: Option<OffsetsFn<K, V>>,
     /// Pair wire codec, installed by [`JobSpec::with_wire_codec`].
     /// Required by (and only used in) [`EngineMode::MultiProcess`],
     /// where worker processes ship their spills as encoded bytes.
@@ -135,19 +203,44 @@ where
     K: Ord + std::hash::Hash + Send + WireSize + 'static,
     V: Send + WireSize + 'static,
 {
-    /// A one-reducer job on the default (pipelined) engine.
+    /// A one-reducer job on the default (pipelined) engine whose reducer
+    /// takes each key's values as one slice ([`ReduceFn`]).
     pub fn new(
         name: impl Into<String>,
         map_tasks: Vec<MapTask<K, V>>,
         reduce: impl Fn(&K, &[V], &mut ReduceContext<R>) + Send + Sync + 'static,
+    ) -> Self
+    where
+        R: 'static,
+    {
+        Self::with_reducer(name, map_tasks, Box::new(SliceReducer(Arc::new(reduce))))
+    }
+
+    /// A one-reducer job on the default (pipelined) engine whose reducer
+    /// folds each key's values into an accumulator ([`Fold`]).
+    pub fn folding(
+        name: impl Into<String>,
+        map_tasks: Vec<MapTask<K, V>>,
+        fold: impl Fold<K, V, R>,
+    ) -> Self
+    where
+        R: 'static,
+    {
+        Self::with_reducer(name, map_tasks, Box::new(FoldReducer(fold)))
+    }
+
+    fn with_reducer(
+        name: impl Into<String>,
+        map_tasks: Vec<MapTask<K, V>>,
+        reducer: Box<dyn Reducer<K, V, R>>,
     ) -> Self {
         Self {
             name: name.into(),
             map_tasks,
-            reduce: Arc::new(reduce),
+            reducer,
             finish: None,
             engine: EngineConfig::default(),
-            key_codec: None,
+            dense_offsets: None,
             pair_codec: None,
         }
     }
@@ -164,7 +257,7 @@ where
     where
         K: crate::radix::RadixKey,
     {
-        self.key_codec = Some(|k: &K| k.to_radix());
+        self.dense_offsets = Some(crate::dense::quotients::<K, V>);
         self
     }
 

@@ -19,9 +19,13 @@
 //!
 //! ## One job shape
 //!
-//! A [`JobSpec`] is map tasks, one shared reduce function and an optional
-//! Close hook ([`JobSpec::with_finish`]) over the stitched reducer
-//! emissions. There is no engine-side Combine function and no custom
+//! A [`JobSpec`] is map tasks, one shared reducer and an optional Close
+//! hook ([`JobSpec::with_finish`]) over the reducer emissions, which it
+//! reads partition by partition. The reducer is a [`Fold`]
+//! ([`JobSpec::folding`]: one accumulator per key, values folded in one at
+//! a time — the form of every builder, since the paper's reducers are
+//! aggregates) or a slice reducer ([`JobSpec::new`]: each key's values as
+//! one `&[V]`). There is no engine-side Combine function and no custom
 //! partitioner: the paper's mappers combine before they emit (Send-V's
 //! `(x, v_j(x))` pairs *are* the combined form, §3), and keys partition by
 //! [`engine::default_partition`]. [`JobSpec::start`] gives a running
@@ -44,13 +48,13 @@
 //! ```text
 //! map workers ──▶ per-partition spill runs ──▶ dense table or one sort
 //! (parallel)      (partitioned inside the      per partition ──▶ parallel
-//!                  worker, never sorted)        reduce, deterministic
-//!                                               output stitching
+//!                  worker, never sorted)        reduce, partitions handed
+//!                                               on in order
 //! ```
 //!
 //! * [`EngineMode::Pipelined`] (default, [`engine`]): map tasks on worker
 //!   threads, reduce partitions in parallel, outputs and charged CPU
-//!   stitched in partition order. Workers recycle their buffers across
+//!   handed on in partition order. Workers recycle their buffers across
 //!   tasks and partitions; a phase with one worker runs it inline.
 //! * [`EngineMode::Reference`] ([`mod@reference`]): one global
 //!   `O(n log n)` sort and a sequential reduce — the executable
@@ -66,8 +70,8 @@
 //!   [`JobSpec::with_wire_codec`]; failures surface as a typed
 //!   [`EngineError`] through [`try_run_job`].
 //!
-//! Within a partition the reduce function always sees key groups in key
-//! order and each group's values in `(split id, arrival order)` order, so
+//! Within a partition the reducer always sees key groups in key order and
+//! each group's values in `(split id, arrival order)` order, so
 //! outputs and logical metrics are bit-identical across modes, reducer
 //! counts, thread counts and worker topologies.
 //!
@@ -77,13 +81,23 @@
 //! key type implements the sealed [`RadixKey`] trait
 //! ([`JobSpec::with_radix_keys`]) declares an order-preserving `u64`
 //! image of its keys; that image selects and indexes the dense reduce
-//! table and does nothing else. Map workers never sort; each reduce
+//! tables and does nothing else. Map workers never sort; each reduce
 //! partition picks its route where it runs, recorded per partition in
-//! [`RunMetrics::reduce_strategies`] ([`ReduceStrategy`]): dense
-//! flat-array aggregation when a radix codec and a bounded key domain
-//! ([`EngineConfig::key_domain_hint`]) are declared and the partition
-//! fits the table, otherwise one stable comparison sort of its runs —
-//! the same sort for every job, codec or not.
+//! [`RunMetrics::reduce_partitions`] ([`PartitionReduce`]: route, pairs,
+//! keys, seconds) and counted in [`RunMetrics::reduce_strategies`]
+//! ([`ReduceStrategy`]):
+//!
+//! * **dense** when a radix codec and a bounded key domain
+//!   ([`EngineConfig::key_domain_hint`]) are declared: a [`Fold`] folds
+//!   the partition's runs, in split order, into one accumulator per key,
+//!   found through a `u32` slot index `radix / R` over the partition's
+//!   actual key range, and finishes the keys in ascending order. No value
+//!   list exists. A slice reducer's values are grouped into a recycled
+//!   arena first, whose `u32` positions cap such a partition below 2³¹
+//!   pairs;
+//! * **sort** otherwise: one stable comparison sort of the partition's
+//!   runs — the same sort for every job, codec or not — then one pass
+//!   over each run of equal keys, folding or slicing.
 //!
 //! ## Recovery in the multi-process mode
 //!
@@ -112,6 +126,7 @@ pub mod fault;
 pub mod job;
 pub mod metrics;
 pub mod radix;
+mod reduce;
 pub mod reference;
 pub mod transport;
 pub mod wire;
@@ -121,8 +136,10 @@ pub use context::{MapContext, ReduceContext};
 pub use cost::{ClusterConfig, MachineSpec};
 pub use engine::{EngineConfig, EngineMode};
 pub use fault::FaultPlan;
-pub use job::{run_job, try_run_job, Job, JobOutput, JobSpec, MapTask};
-pub use metrics::{RecoveryStats, ReduceStrategy, ReduceStrategyCounts, RunMetrics, WireTraffic};
+pub use job::{run_job, try_run_job, Fold, Job, JobOutput, JobSpec, MapTask};
+pub use metrics::{
+    PartitionReduce, RecoveryStats, ReduceStrategy, ReduceStrategyCounts, RunMetrics, WireTraffic,
+};
 pub use radix::RadixKey;
 pub use transport::EngineError;
 pub use wire::{WireCodec, WireError, WireSize};

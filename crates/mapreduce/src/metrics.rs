@@ -10,11 +10,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceStrategy {
     /// Flat slot-array aggregation over a bounded key domain: pairs
-    /// scatter into a recycled table sized to the partition's actual key
-    /// range, groups are emitted in ascending radix (= key) order — no
-    /// sort. Taken when the job declares radix keys and an
-    /// [`crate::EngineConfig::key_domain_hint`] small enough for a flat
-    /// array, and the partition fits the table's indexing.
+    /// fold (or, for a slice reducer, scatter) into a recycled table
+    /// sized to the partition's actual key range, and keys are emitted in
+    /// ascending radix (= key) order — no sort. Taken when the job
+    /// declares radix keys and an [`crate::EngineConfig::key_domain_hint`]
+    /// small enough for a flat array (and, for a slice reducer, the
+    /// partition fits its arena's `u32` indexing).
     DenseReduce,
     /// One stable sort of the partition's split-ordered run concatenation
     /// (radix with a key codec, comparison without), then a linear
@@ -69,6 +70,22 @@ impl fmt::Display for ReduceStrategyCounts {
             self.dense_reduce, self.sort_at_reduce
         )
     }
+}
+
+/// What one reduce partition did in one round of the pipelined engine:
+/// its route, its load and its time. [`RunMetrics::reduce_partitions`]
+/// holds one per partition per round, so skew and the straggler show.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PartitionReduce {
+    /// The route the partition took.
+    pub route: ReduceStrategy,
+    /// Pairs the partition received.
+    pub pairs: u64,
+    /// Distinct keys it reduced (reducer calls or folds finished).
+    pub keys: u64,
+    /// Real elapsed seconds of its reduce, on whichever worker thread ran
+    /// it (so the records of parallel partitions overlap in time).
+    pub wall_s: f64,
 }
 
 /// Measured framed traffic of a multi-process run: what actually crossed
@@ -191,7 +208,7 @@ impl RecoveryStats {
 /// contract (`a == b` for identical runs, across engines, routes, and
 /// thread counts) keeps holding even though wall-clock never repeats
 /// exactly and routes differ by design.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Number of MapReduce rounds executed.
     pub rounds: u32,
@@ -218,16 +235,23 @@ pub struct RunMetrics {
     /// Real elapsed seconds of the shuffle (regrouping spill runs into
     /// per-partition reduce inputs; accounting).
     pub wall_shuffle_s: f64,
-    /// Real elapsed seconds of the reduce phase: per-partition grouping
-    /// by the route each partition took ([`ReduceStrategy`]: flat
-    /// slot-array aggregation or one stable sort), reduce calls, the
-    /// Close hook, and output stitching.
+    /// Real elapsed seconds of the reduce phase: every partition's
+    /// reduce along the route it took ([`ReduceStrategy`]: flat
+    /// slot-array aggregation or one stable sort; each one's own time is
+    /// in [`RunMetrics::reduce_partitions`]), the Close hook, and
+    /// stitching the outputs of a job without one.
     pub wall_reduce_s: f64,
     /// Per-route count of reduce partitions in this run (pipelined
     /// engine only; the reference engine records nothing). Excluded from
     /// `PartialEq` like the wall-clock fields: the route choice is an
     /// execution detail that must never affect result comparison.
     pub reduce_strategies: ReduceStrategyCounts,
+    /// One record per reduce partition per round, partition order within
+    /// a round and rounds in order (pipelined and multi-process modes;
+    /// the reference engine records nothing). Excluded from `PartialEq`
+    /// like [`RunMetrics::reduce_strategies`], which counts its routes:
+    /// it describes one execution, and its timings never repeat.
+    pub reduce_partitions: Vec<PartitionReduce>,
     /// Measured framed traffic of the multi-process mode (all zero for
     /// in-process runs). Excluded from `PartialEq` like wall-clock:
     /// how bytes moved is an execution detail, how many logical bytes
@@ -271,6 +295,8 @@ impl RunMetrics {
         self.wall_shuffle_s += other.wall_shuffle_s;
         self.wall_reduce_s += other.wall_reduce_s;
         self.reduce_strategies.absorb(&other.reduce_strategies);
+        self.reduce_partitions
+            .extend_from_slice(&other.reduce_partitions);
         self.wire.absorb(&other.wire);
         self.recovery.absorb(&other.recovery);
     }
@@ -392,9 +418,16 @@ mod tests {
                 attempts: 3,
                 tasks_replayed: 5,
             },
+            reduce_partitions: vec![PartitionReduce {
+                route: ReduceStrategy::DenseReduce,
+                pairs: 5,
+                keys: 2,
+                wall_s: 0.25,
+            }],
         };
-        let b = a;
+        let b = a.clone();
         a.absorb(&b);
+        assert_eq!(a.reduce_partitions, [b.reduce_partitions[0]; 2]);
         assert_eq!(a.rounds, 2);
         assert_eq!(a.shuffle_bytes, 200);
         assert_eq!(a.total_comm_bytes(), 220);
@@ -493,6 +526,13 @@ mod tests {
             .record(ReduceStrategy::SortAtReduce);
         assert_ne!(dense.reduce_strategies, sorted.reduce_strategies);
         assert_eq!(dense, sorted, "strategy counts must not break equality");
+        dense.reduce_partitions.push(PartitionReduce {
+            route: ReduceStrategy::DenseReduce,
+            pairs: 3,
+            keys: 1,
+            wall_s: 0.5,
+        });
+        assert_eq!(dense, sorted, "partition records must not break equality");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::context::{MapContext, ReduceContext};
 use crate::cost::{round_time, ClusterConfig, ReduceWork, TaskWork};
-use crate::engine::default_partition;
+use crate::engine::{close, default_partition};
 use crate::job::{JobOutput, JobSpec, MapTask};
 use crate::metrics::RunMetrics;
 use crate::wire::WireSize;
@@ -120,33 +120,29 @@ where
 
     // ---- Reduce phase (sequential) ----
     let reduce_start = Instant::now();
-    let mut rctx = ReduceContext::new();
+    let mut worker = spec.reducer.worker();
+    let mut parts = Vec::with_capacity(num_reducers as usize);
+    let mut reduce_cpu = 0.0f64;
     let mut iter = shuffled.into_iter().peekable();
-    let mut values: Vec<V> = Vec::new();
-    while let Some((part, key, _split, value)) = iter.next() {
-        values.clear();
-        values.push(value);
-        while let Some((p2, k2, _, _)) = iter.peek() {
-            if *p2 == part && *k2 == key {
-                let (_, _, _, v) = iter.next().expect("peeked entry exists");
-                values.push(v);
-            } else {
-                break;
-            }
+    for p in 0..u64::from(num_reducers) {
+        let mut run = Vec::new();
+        while let Some((_, key, _, value)) = iter.next_if(|e| e.0 == p) {
+            run.push((key, value));
         }
-        (spec.reduce)(&key, &values, &mut rctx);
+        let mut rctx = ReduceContext::new();
+        worker.sorted(run, &mut rctx);
+        reduce_cpu += rctx.cpu_ops;
+        parts.push(rctx.outputs);
     }
-    if let Some(f) = spec.finish.as_mut() {
-        f(&mut rctx);
-    }
+    let outputs = close(spec.finish.as_mut(), parts, &mut reduce_cpu);
     let wall_reduce_s = reduce_start.elapsed().as_secs_f64();
 
-    metrics.cpu_ops += rctx.cpu_ops;
+    metrics.cpu_ops += reduce_cpu;
     metrics.sim_time_s = round_time(
         cluster,
         &task_work,
         ReduceWork {
-            cpu_ops: rctx.cpu_ops,
+            cpu_ops: reduce_cpu,
         },
         metrics.shuffle_bytes,
         metrics.broadcast_bytes,
@@ -155,8 +151,5 @@ where
     metrics.wall_shuffle_s = wall_shuffle_s;
     metrics.wall_reduce_s = wall_reduce_s;
 
-    JobOutput {
-        outputs: rctx.outputs,
-        metrics,
-    }
+    JobOutput { outputs, metrics }
 }

@@ -3,7 +3,7 @@
 //!
 //! A multi-process [`crate::Job`] deals its map tasks round-robin into
 //! worker slots and runs everything downstream of the map phase (shuffle,
-//! reduce, Close hook, stitching) in the coordinator, reusing the
+//! reduce, Close hook) in the coordinator, reusing the
 //! pipelined engine's own `crate::engine::run_one_task` and
 //! `crate::engine::shuffle_reduce_finish` — the two modes differ *only*
 //! in how spills travel, which is what makes them bit-identical by

@@ -1,7 +1,9 @@
 //! One builder at the paper's domain: the WorldCup shape (u = 2^29
 //! `clientobject` keys, 40-byte records) in m = 64 splits, k = 30. Prints
 //! wall time, communication and the process's peak resident memory, so
-//! run one builder per process.
+//! run one builder per process. The reduce line reads the engine's
+//! per-partition record (`RunMetrics::reduce_partitions`): the reduce
+//! phase's wall, its partitions' seconds summed, and the routes taken.
 //!
 //! ```text
 //! cargo run --release --example paper_scale -- [builder] [log_n] [inproc | pipes [workers]]
@@ -83,6 +85,17 @@ fn main() {
         builder.name()
     );
     println!("  wall time  {wall_s:.2} s");
+    // The reduce side, from the engine's per-partition record: the
+    // phase's wall (Close included), the partitions' own seconds summed
+    // over threads, and how many took each route.
+    let parts = &result.metrics.reduce_partitions;
+    println!(
+        "  reduce     {:.3} s wall, {:.3} s in {} partitions ({})",
+        result.metrics.wall_reduce_s,
+        parts.iter().map(|p| p.wall_s).sum::<f64>(),
+        parts.len(),
+        result.metrics.reduce_strategies,
+    );
     println!(
         "  comm       {} ({} B)",
         human_bytes(result.metrics.total_comm_bytes()),
